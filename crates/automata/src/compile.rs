@@ -30,7 +30,7 @@
 //!
 //! Predicates (`cans` spawning semantics) are untouched: guarded ε-edges
 //! stay on the NFA side and are only crossed by the evaluator's guard-aware
-//! closure, exactly as in the interpreted path.
+//! closure.
 
 use crate::analysis::{eps_closure_unguarded, required_labels, Requirement};
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, StateId};

@@ -5,17 +5,15 @@
 //! feeds every pull-parser event to all machines, so the batch costs one
 //! parse total plus the (shared) automaton work. The gap widens with
 //! batch size — this is the serving-scale story of the paper's one-scan
-//! property. The `*_interp` series run the same precompiled plans through
-//! the per-event NFA interpreter, isolating the dense-table compilation
-//! win in the shared-scan hot loop.
+//! property.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smoqe::workloads::hospital;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, Mfa};
-use smoqe_hype::batch::evaluate_batch_stream_plans;
-use smoqe_hype::stream::{evaluate_stream_plan_with, StreamOptions};
-use smoqe_hype::{ExecMode, NoopObserver};
+use smoqe_hype::batch::evaluate_batch_stream_plans_budgeted;
+use smoqe_hype::stream::{evaluate_stream_plan_budgeted, StreamOptions};
+use smoqe_hype::{EvalObserver, NoopObserver, WorkBudget};
 use smoqe_xml::Vocabulary;
 
 fn setup(target_nodes: usize) -> (Vocabulary, String, Vec<Mfa>) {
@@ -34,17 +32,17 @@ fn setup(target_nodes: usize) -> (Vocabulary, String, Vec<Mfa>) {
     (vocab, xml, mfas)
 }
 
-fn run_serial(xml: &str, plans: &[&CompiledMfa], vocab: &Vocabulary, mode: ExecMode) -> usize {
+fn run_serial(xml: &str, plans: &[&CompiledMfa], vocab: &Vocabulary) -> usize {
     plans
         .iter()
         .map(|plan| {
-            evaluate_stream_plan_with(
+            evaluate_stream_plan_budgeted(
                 xml.as_bytes(),
                 plan,
                 vocab,
                 StreamOptions::default(),
-                mode,
                 &mut NoopObserver,
+                &WorkBudget::unlimited(),
             )
             .unwrap()
             .answers
@@ -53,17 +51,28 @@ fn run_serial(xml: &str, plans: &[&CompiledMfa], vocab: &Vocabulary, mode: ExecM
         .sum()
 }
 
-fn run_batched(xml: &str, plans: &[&CompiledMfa], vocab: &Vocabulary, mode: ExecMode) -> usize {
+fn run_batched(xml: &str, plans: &[&CompiledMfa], vocab: &Vocabulary) -> usize {
     let each: Vec<(&CompiledMfa, StreamOptions)> = plans
         .iter()
         .map(|&p| (p, StreamOptions::default()))
         .collect();
-    evaluate_batch_stream_plans(xml.as_bytes(), &each, vocab, mode)
-        .unwrap()
-        .outcomes
-        .iter()
-        .map(|o| o.answers.len())
-        .sum()
+    let mut idle = vec![NoopObserver; plans.len()];
+    let mut observers: Vec<&mut dyn EvalObserver> = idle
+        .iter_mut()
+        .map(|o| o as &mut dyn EvalObserver)
+        .collect();
+    evaluate_batch_stream_plans_budgeted(
+        xml.as_bytes(),
+        &each,
+        vocab,
+        &mut observers,
+        &WorkBudget::unlimited(),
+    )
+    .unwrap()
+    .outcomes
+    .iter()
+    .map(|o| o.answers.len())
+    .sum()
 }
 
 fn bench_batch_scan(c: &mut Criterion) {
@@ -72,40 +81,21 @@ fn bench_batch_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_scan");
     for batch_size in [1usize, 4, 8, 16, 32] {
         let plans: Vec<&CompiledMfa> = compiled.iter().take(batch_size).collect();
-        // Correctness guard: neither batching nor the execution mode may
-        // change any answer.
-        let reference = run_serial(&xml, &plans, &vocab, ExecMode::Compiled);
-        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            assert_eq!(
-                reference,
-                run_batched(&xml, &plans, &vocab, mode),
-                "batched answers diverged at batch size {batch_size} ({mode:?})"
-            );
-        }
+        // Correctness guard: batching may not change any answer.
         assert_eq!(
-            reference,
-            run_serial(&xml, &plans, &vocab, ExecMode::Interpreted),
-            "interpreted answers diverged at batch size {batch_size}"
+            run_serial(&xml, &plans, &vocab),
+            run_batched(&xml, &plans, &vocab),
+            "batched answers diverged at batch size {batch_size}"
         );
         group.bench_with_input(
             BenchmarkId::new("serial", batch_size),
             &batch_size,
-            |b, _| b.iter(|| run_serial(&xml, &plans, &vocab, ExecMode::Compiled)),
+            |b, _| b.iter(|| run_serial(&xml, &plans, &vocab)),
         );
         group.bench_with_input(
             BenchmarkId::new("batched", batch_size),
             &batch_size,
-            |b, _| b.iter(|| run_batched(&xml, &plans, &vocab, ExecMode::Compiled)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("serial_interp", batch_size),
-            &batch_size,
-            |b, _| b.iter(|| run_serial(&xml, &plans, &vocab, ExecMode::Interpreted)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("batched_interp", batch_size),
-            &batch_size,
-            |b, _| b.iter(|| run_batched(&xml, &plans, &vocab, ExecMode::Interpreted)),
+            |b, _| b.iter(|| run_batched(&xml, &plans, &vocab)),
         );
     }
     group.finish();

@@ -3,9 +3,9 @@
 //! The jump driver visits O(candidate) nodes by hopping between label
 //! occurrences, so selective queries should collapse from hundreds of µs
 //! to tens; exhaustive queries stay with the scan walker's constants
-//! (which is exactly what auto mode encodes). The `parallel_batch` group
-//! measures a DOM query batch partitioned across worker threads sharing
-//! one snapshot.
+//! (which is exactly what the engine's per-query pick encodes). The
+//! `parallel_batch` group measures a DOM query batch evaluated inline
+//! (1 thread) and partitioned across worker threads sharing one snapshot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smoqe::workloads::hospital;
@@ -43,7 +43,7 @@ fn bench_jump(c: &mut Criterion) {
 fn bench_parallel_batch(c: &mut Criterion) {
     let queries: Vec<&str> = hospital::DOC_QUERIES.iter().map(|(_, q)| *q).collect();
     let mut group = c.benchmark_group("parallel_batch");
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let engine = Engine::new(EngineConfig {
             eval_threads: threads,
             ..EngineConfig::default()

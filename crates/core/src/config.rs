@@ -3,7 +3,8 @@
 /// How documents are processed (paper §2, "XML documents").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DocumentMode {
-    /// The whole document tree in memory; enables TAX pruning.
+    /// The whole document tree in memory; enables TAX pruning and the
+    /// jump scan.
     #[default]
     Dom,
     /// One sequential scan of the serialized document (StAX mode);
@@ -11,49 +12,19 @@ pub enum DocumentMode {
     Stream,
 }
 
-/// How DOM-mode queries traverse the document.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Always walk the tree (the compiled scan walker).
-    Scan,
-    /// Jump between candidate subtrees through the positional label index
-    /// whenever the plan allows it (predicate-free DFA plans with a TAX
-    /// index); ineligible plans scan.
-    Jump,
-    /// Pick per query: jump when the plan is eligible **and** its
-    /// estimated selectivity (rarest required label's occurrence count /
-    /// node count) is at most [`EngineConfig::jump_selectivity`];
-    /// otherwise scan, whose per-node constants win on unselective
-    /// queries.
-    #[default]
-    Auto,
-}
-
-/// Engine tuning knobs (each is an experiment toggle somewhere in
-/// EXPERIMENTS.md).
+/// Engine settings: one per deployment decision. Everything else the
+/// query pipeline decides from what it observes — plans are always
+/// optimized and table-compiled, a TAX index that exists is used, and
+/// each DOM query scans or jumps by its measured selectivity (see
+/// [`JUMP_SELECTIVITY`](crate::engine::JUMP_SELECTIVITY)).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// DOM or streaming evaluation.
     pub mode: DocumentMode,
-    /// Consult the TAX index (DOM mode only) — the E5 toggle.
-    pub use_tax: bool,
-    /// Run the MFA optimizer on compiled/rewritten queries.
-    pub optimize_mfa: bool,
-    /// Execute plans through their dense-table compiled form (DFA fast
-    /// path, CSR rows, epoch arenas). Off = the per-event NFA interpreter,
-    /// kept for differential testing and the `ablation` bench; answers are
-    /// identical either way.
-    pub compiled_plans: bool,
-    /// Scan, jump, or auto-picked DOM traversal (requires
-    /// `compiled_plans`; jumping additionally needs a TAX index with its
-    /// positional label index, so `use_tax` off pins everything to scan).
-    pub eval_mode: EvalMode,
-    /// Selectivity ceiling under which auto mode jumps (fraction of the
-    /// document the rarest required label occupies).
-    pub jump_selectivity: f64,
-    /// Worker threads for DOM-mode query batches: `> 1` partitions a
-    /// batch's plans across scoped threads sharing one document snapshot
-    /// (streaming batches always use the single shared scan instead).
+    /// Worker threads for DOM-mode query batches: a batch's plans are
+    /// partitioned across this many scoped threads sharing one document
+    /// snapshot (`1` evaluates inline on the calling thread; streaming
+    /// batches always use the single shared scan instead).
     pub eval_threads: usize,
     /// Maximum number of compiled plans memoized engine-wide (0 disables
     /// the plan cache entirely).
@@ -70,11 +41,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             mode: DocumentMode::Dom,
-            use_tax: true,
-            optimize_mfa: true,
-            compiled_plans: true,
-            eval_mode: EvalMode::Auto,
-            jump_selectivity: 0.1,
             eval_threads: 1,
             plan_cache_capacity: 1024,
             checkpoint_every: 1024,
@@ -83,27 +49,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// DOM mode with every optimization off (the baseline configuration).
-    pub fn plain() -> Self {
-        EngineConfig {
-            mode: DocumentMode::Dom,
-            use_tax: false,
-            optimize_mfa: false,
-            compiled_plans: false,
-            eval_mode: EvalMode::Scan,
-            jump_selectivity: 0.0,
-            eval_threads: 1,
-            plan_cache_capacity: 0,
-            checkpoint_every: 0,
-        }
-    }
-
     /// Streaming configuration.
     pub fn streaming() -> Self {
         EngineConfig {
             mode: DocumentMode::Stream,
-            use_tax: false,
-            optimize_mfa: true,
             ..EngineConfig::default()
         }
     }
@@ -114,24 +63,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_dom_with_everything_on() {
+    fn defaults_are_dom_with_caching_and_checkpoints_on() {
         let c = EngineConfig::default();
         assert_eq!(c.mode, DocumentMode::Dom);
-        assert!(c.use_tax);
-        assert!(c.optimize_mfa);
-        assert!(c.compiled_plans);
-        assert_eq!(c.eval_mode, EvalMode::Auto);
-        assert!(c.jump_selectivity > 0.0);
         assert_eq!(c.eval_threads, 1);
         assert!(c.plan_cache_capacity > 0);
         assert!(c.checkpoint_every > 0);
-        assert_eq!(EngineConfig::plain().checkpoint_every, 0);
-        assert!(!EngineConfig::plain().use_tax);
-        assert!(!EngineConfig::plain().compiled_plans);
-        assert_eq!(EngineConfig::plain().eval_mode, EvalMode::Scan);
-        assert_eq!(EngineConfig::plain().plan_cache_capacity, 0);
         assert_eq!(EngineConfig::streaming().mode, DocumentMode::Stream);
-        assert!(EngineConfig::streaming().compiled_plans);
         assert!(EngineConfig::streaming().plan_cache_capacity > 0);
     }
 }

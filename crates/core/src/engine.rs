@@ -14,9 +14,18 @@
 //! snapshots (`Arc` clones) of the catalog state, so no lock is held while
 //! a query runs, and compiled plans are memoized engine-wide in the
 //! [plan cache](crate::plancache).
+//!
+//! There is **one query pipeline**: every `Session::query*` variant and
+//! [`Engine::evaluate_batch`] plan their queries (parse → rewrite →
+//! optimize → table-compile, through the plan cache) and hand the plans to
+//! the private `Engine::execute`, which takes the one source snapshot,
+//! picks each plan's strategy from what it observes (DOM or stream engine,
+//! TAX index present, measured selectivity), runs the HyPE drivers and
+//! renders answer XML from that same snapshot. A single query is a batch
+//! of one.
 
 use crate::catalog::{Catalog, DocHandle, DocumentEntry, LoadedSource, ViewSlot, ViewSource};
-use crate::config::{DocumentMode, EngineConfig, EvalMode};
+use crate::config::{DocumentMode, EngineConfig};
 use crate::durable::wal::WalOp;
 use crate::error::EngineError;
 use crate::plancache::{CacheMetrics, PlanCache, PlanKey};
@@ -24,7 +33,7 @@ use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize, Mfa};
 use smoqe_hype::batch::evaluate_batch_stream_plans_budgeted;
 use smoqe_hype::dom::{evaluate_mfa_plan_budgeted, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_plan_budgeted, StreamOptions};
+use smoqe_hype::stream::StreamOptions;
 use smoqe_hype::{evaluate_jump_frontier_budgeted, jump_available, selectivity_estimate};
 use smoqe_hype::{DriverError, EvalObserver, EvalStats, ExecMode, NoopObserver, WorkBudget};
 use smoqe_rxpath::parse_path;
@@ -34,12 +43,24 @@ use smoqe_view::{
     derive, materialize, materialize_fragment, AccessPolicy, MaterializedView, ViewSpec,
 };
 use smoqe_xml::{Document, Dtd, NodeId, Vocabulary};
+use std::io::BufRead;
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::Arc;
 
 /// The catalog name used by the single-document convenience methods
 /// ([`Engine::load_document`] and friends).
 pub const DEFAULT_DOCUMENT: &str = "default";
+
+/// Selectivity ceiling under which a DOM query jumps instead of scanning:
+/// the fraction of the document's nodes the plan's rarest required label
+/// (or narrowed value posting list) occupies. Above it the scan walker's
+/// lower per-node constants win; at 0.1 a jump visits at most a tenth of
+/// the nodes a scan would.
+pub const JUMP_SELECTIVITY: f64 = 0.1;
+
+/// One planned request of a batch: the principal it runs for, its
+/// compiled plan, and whether the plan was a cache hit.
+type Planned<'u> = (&'u User, Arc<CompiledMfa>, bool);
 
 /// The Secure MOdular Query Engine.
 ///
@@ -90,12 +111,15 @@ pub struct Answer {
     pub stats: EvalStats,
     /// Whether the plan came from the engine's plan cache.
     pub plan_cached: bool,
-    /// The execution mode the plan actually ran in — in particular
-    /// whether [`EvalMode::Auto`](crate::config::EvalMode) picked the
-    /// jump scan or the tree walk for this query.
+    /// The execution mode the plan actually ran in — whether the engine
+    /// picked the jump scan or the tree walk for this query (see
+    /// [`JUMP_SELECTIVITY`]).
     pub mode: ExecMode,
-    /// Serialized answer subtrees (always present in stream mode; filled
-    /// lazily from the DOM otherwise via [`Answer::serialize_with`]).
+    /// Serialized answer subtrees, safe for the asking principal: always
+    /// present from a stream engine and from the `*_serialized` /
+    /// [`Session::query_xml`] fronts, `None` from a DOM engine's plain
+    /// `query` / `query_batch` (render on demand with
+    /// [`Answer::serialize_with`]).
     pub xml: Option<Vec<String>>,
 }
 
@@ -125,36 +149,33 @@ impl Answer {
 /// Result of a batched query.
 ///
 /// Returned by [`Session::query_batch`], [`DocHandle::query_batch`] and
-/// [`Engine::evaluate_batch`]. A batch amortizes one of two ways:
+/// [`Engine::evaluate_batch`]. A batch amortizes by the engine's mode:
 ///
-/// * **Shared scan** (the default, and always in stream mode): every plan
-///   rides **one** sequential parse of the document. `events` is the
-///   total parser event count of that scan — the same count a *single*
-///   streamed query reports, which is the proof the pass was shared — and
-///   every answer carries its serialized XML: raw source subtrees for
-///   admin sessions, the access-controlled view rendering for group
-///   sessions.
-/// * **Parallel DOM** (`EngineConfig::eval_threads > 1` in DOM mode): the
-///   batch's plans are partitioned across scoped worker threads sharing
-///   one `Arc` document/TAX snapshot, each evaluated exactly as
-///   [`Session::query`] would (including jump-scan auto-picking), with
-///   per-worker statistics merged via [`BatchAnswer::merged_stats`].
-///   Nothing is parsed, so `events` is 0 and `xml` stays `None`, like any
-///   other DOM-mode answer.
+/// * **DOM engine — one snapshot:** every plan is evaluated against the
+///   same `Arc` document/TAX snapshot, exactly as [`Session::query`]
+///   would (same scan/jump pick): selective plans merge their candidates
+///   into one shared jump frontier, the rest walk the tree, partitioned
+///   across [`EngineConfig::eval_threads`] scoped workers (`1` = inline).
+///   Nothing is parsed, so `events` is 0.
+/// * **Stream engine — one shared scan:** every plan rides **one**
+///   sequential parse of the document. `events` is the total parser event
+///   count of that scan — the same count a *single* streamed query
+///   reports, which is the proof the pass was shared — and every answer
+///   carries its serialized XML: raw source subtrees for admin sessions,
+///   the access-controlled view rendering for group sessions.
 #[derive(Debug)]
 pub struct BatchAnswer {
     /// One answer per query, in input order.
     pub answers: Vec<Answer>,
-    /// Parser events of the single shared document scan (0 for the
-    /// parallel DOM path, which does not parse — it partitions plans over
-    /// one in-memory snapshot).
+    /// Parser events of the single shared document scan (0 on a DOM
+    /// engine, which evaluates on its in-memory snapshot and never
+    /// re-parses).
     pub events: usize,
 }
 
 impl BatchAnswer {
     /// The per-query evaluation counters merged into one total (additive
-    /// counters sum, depth takes the maximum) — the batch-level figure
-    /// the parallel DOM path's workers contribute to.
+    /// counters sum, depth takes the maximum).
     pub fn merged_stats(&self) -> EvalStats {
         let mut total = EvalStats::default();
         for a in &self.answers {
@@ -437,60 +458,11 @@ impl Engine {
         ))
     }
 
-    /// Compiles (and, per config, rewrites and optimizes) a query for
-    /// `user` on the default document, consulting the plan cache.
+    /// Compiles (rewriting through the view for group users, then
+    /// optimizing) a query for `user` on the default document, consulting
+    /// the plan cache.
     pub fn plan(&self, user: &User, query: &str) -> Result<Arc<Mfa>, EngineError> {
         self.plan_on(&self.default_entry(), user, query)
-    }
-
-    /// The execution mode streaming paths run plans in (jumping needs
-    /// random access, so streams only ever compile or interpret).
-    fn exec_mode(&self) -> ExecMode {
-        if self.config.compiled_plans {
-            ExecMode::Compiled
-        } else {
-            ExecMode::Interpreted
-        }
-    }
-
-    /// Picks the DOM traversal for one (plan, snapshot) pair: scan, jump,
-    /// or — in auto mode — whichever the selectivity estimate favours.
-    /// Observed evaluations always scan (a jump produces no per-node
-    /// event stream for the observer).
-    fn resolve_dom_mode(
-        &self,
-        source: &LoadedSource,
-        plan: &CompiledMfa,
-        observed: bool,
-    ) -> ExecMode {
-        if !self.config.compiled_plans {
-            return ExecMode::Interpreted;
-        }
-        if observed {
-            return ExecMode::Compiled;
-        }
-        let tax = if self.config.use_tax {
-            source.tax.as_deref()
-        } else {
-            None
-        };
-        let jumpable = jump_available(&source.doc, plan, tax);
-        match self.config.eval_mode {
-            EvalMode::Scan => ExecMode::Compiled,
-            EvalMode::Jump if jumpable => ExecMode::Jump,
-            EvalMode::Auto
-                if jumpable
-                    && selectivity_estimate(&source.doc, plan, tax)
-                        .measured()
-                        .is_some_and(|s| s <= self.config.jump_selectivity) =>
-            {
-                ExecMode::Jump
-            }
-            // An unselective estimate, a `NoRequiredLabel` plan, or (in
-            // principle — `jumpable` already implies an index) a
-            // `NoIndex` report all stay on the scan walker.
-            _ => ExecMode::Compiled,
-        }
     }
 
     /// Materializes the view of `group` over the default document — only
@@ -784,7 +756,6 @@ impl Engine {
             doc_generation,
             scope: PlanKey::scope_of(user, view_generation),
             query: query.to_string(),
-            optimized: self.config.optimize_mfa,
         };
         if cacheable {
             if let Some(plan) = self.plans.get(&key) {
@@ -796,11 +767,7 @@ impl Engine {
             None => compile(&path, &self.vocab),
             Some(spec) => smoqe_rewrite::rewrite(&path, spec),
         };
-        let mfa = Arc::new(if self.config.optimize_mfa {
-            optimize(&mfa)
-        } else {
-            mfa
-        });
+        let mfa = Arc::new(optimize(&mfa));
         // Table compilation (ε-closures, subset DFAs, CSR rows, required
         // labels) happens exactly once per cached plan; every evaluation
         // of the plan — any session, batch lane or thread — reuses it.
@@ -987,16 +954,16 @@ impl Engine {
     }
 
     /// Evaluates each `(session, query)` request — possibly for different
-    /// users, groups and views — against their (shared) document in **one
-    /// sequential scan**.
+    /// users, groups and views — against their (shared) document as
+    /// **one batch**: one snapshot on a DOM engine, one sequential scan
+    /// on a stream engine (see [`BatchAnswer`]).
     ///
     /// Every session must belong to this engine and target the same
     /// catalog entry; mixing documents or engines is a
-    /// [`EngineError::BatchMismatch`] (one scan can only serve one
-    /// document). Plans are resolved per request through the shared plan
-    /// cache, so a busy serving mix pays at most one compilation per
-    /// distinct `(scope, query)` pair and exactly one parse of the
-    /// document for the whole batch.
+    /// [`EngineError::BatchMismatch`] (one batch serves one document).
+    /// Plans are resolved per request through the shared plan cache, so a
+    /// busy serving mix pays at most one compilation per distinct
+    /// `(scope, query)` pair.
     pub fn evaluate_batch(
         self: &Arc<Self>,
         requests: &[(&Session, &str)],
@@ -1007,16 +974,22 @@ impl Engine {
                 events: 0,
             });
         };
-        let entry = first.entry.clone();
-        let mut parts = Vec::with_capacity(requests.len());
+        let entry = &first.entry;
+        let mut plans: Vec<Planned<'_>> = Vec::with_capacity(requests.len());
         for (session, query) in requests {
-            if !Arc::ptr_eq(&session.engine, self) || !Arc::ptr_eq(&session.entry, &entry) {
+            if !Arc::ptr_eq(&session.engine, self) || !Arc::ptr_eq(&session.entry, entry) {
                 return Err(EngineError::BatchMismatch);
             }
-            let (mfa, cached) = self.plan_tracked(&entry, &session.user, query)?;
-            parts.push((session.user.clone(), mfa, cached));
+            let (plan, cached) = self.plan_tracked(entry, &session.user, query)?;
+            plans.push((&session.user, plan, cached));
         }
-        let result = self.evaluate_batch_parts(&entry, &parts, &WorkBudget::unlimited());
+        let result = self.execute(
+            entry,
+            &plans,
+            false,
+            &WorkBudget::unlimited(),
+            &mut NoopObserver,
+        );
         // Cross-session batches account each answer to its own tenant
         // (the per-session `query_batch` path records through
         // `record_batch` instead).
@@ -1035,284 +1008,257 @@ impl Engine {
         result
     }
 
-    /// Shared batch path: one snapshot, one scan, N machines — or, for
-    /// DOM engines with `eval_threads > 1`, one snapshot partitioned
-    /// across worker threads. `parts` are `(user, plan, plan_cached)`
-    /// triples in answer order.
-    pub(crate) fn evaluate_batch_parts(
+    /// The one query pipeline: takes the entry's **one** source snapshot
+    /// (document + TAX index travel together inside the `LoadedSource`),
+    /// evaluates every plan against it under `budget`, and — when
+    /// `serialize` is set, and always on a stream engine — renders each
+    /// answer's XML from that same snapshot, safely for the plan's
+    /// principal (raw subtrees for admins, the view image for groups).
+    /// Node ids are only meaningful relative to the snapshot they were
+    /// computed on, so nothing downstream may take another one.
+    ///
+    /// * A **DOM** engine picks scan or jump per plan ([`pick_mode`]).
+    ///   Two or more jumping plans share one ascending candidate frontier;
+    ///   everything else (a lone jumper, scans, plans the frontier could
+    ///   not admit) goes through the DOM driver, partitioned across
+    ///   [`EngineConfig::eval_threads`] scoped workers — inline, with no
+    ///   thread spawned, when that is 1 or the batch is a single plan. The
+    ///   source text is never opened.
+    /// * A **stream** engine feeds every plan the same single StAX scan.
+    ///
+    /// `observer` watches single-plan evaluations (batch fronts pass
+    /// [`NoopObserver`]). An interrupted evaluation surfaces the opaque
+    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`];
+    /// abandonment drops only evaluator-local state.
+    fn execute(
         &self,
         entry: &Arc<DocumentEntry>,
-        parts: &[(User, Arc<CompiledMfa>, bool)],
+        plans: &[Planned<'_>],
+        serialize: bool,
         budget: &WorkBudget,
+        observer: &mut dyn EvalObserver,
     ) -> Result<BatchAnswer, EngineError> {
-        if parts.is_empty() {
+        debug_assert!(plans.len() == 1 || observer.is_noop());
+        if plans.is_empty() {
             return Ok(BatchAnswer {
                 answers: Vec::new(),
                 events: 0,
             });
         }
         let source = entry.snapshot()?;
-        if self.config.mode == DocumentMode::Dom && self.config.eval_threads > 1 {
-            return self.evaluate_batch_parallel(&source, parts, budget);
-        }
-        // Single-threaded batches evaluate by streaming (one shared scan)
-        // and every answer is returned serialized. Only admin lanes
-        // buffer subtree XML during the scan; group answers are rendered
-        // through their view from the snapshot's DOM afterwards (the raw
-        // buffered subtrees would leak hidden descendants and be
-        // discarded anyway). Node ids are mode-independent by the parity
-        // invariant, so DOM-mode engines get identical answers.
-        let plans: Vec<(&CompiledMfa, StreamOptions)> = parts
-            .iter()
-            .map(|(user, mfa, _)| {
-                let want_xml = matches!(user, User::Admin);
-                (mfa.as_ref(), StreamOptions { want_xml })
-            })
-            .collect();
-        let mode = self.exec_mode();
-        let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
-        let mut dyns: Vec<&mut dyn EvalObserver> = observers
-            .iter_mut()
-            .map(|o| o as &mut dyn EvalObserver)
-            .collect();
-        let outcome = if let Some(path) = &source.path {
-            let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
-            evaluate_batch_stream_plans_budgeted(
-                std::io::BufReader::new(file),
-                &plans,
-                &self.vocab,
-                mode,
-                &mut dyns,
-                budget,
-            )
-            .map_err(driver_error)?
-        } else if let Some(raw) = &source.raw {
-            evaluate_batch_stream_plans_budgeted(
-                raw.as_bytes(),
-                &plans,
-                &self.vocab,
-                mode,
-                &mut dyns,
-                budget,
-            )
-            .map_err(driver_error)?
-        } else {
-            return Err(EngineError::NoStreamSource);
-        };
-        let events = outcome.events;
-        let mut answers = Vec::with_capacity(parts.len());
-        for (out, (user, _, cached)) in outcome.outcomes.into_iter().zip(parts) {
-            let mut answer = Answer {
-                nodes: out.answers.into_iter().map(NodeId).collect(),
-                stats: out.stats,
-                plan_cached: *cached,
-                mode,
-                xml: out.answer_xml,
-            };
-            if let User::Group(g) = user {
-                answer.xml = Some(render_view_xml(entry, g, &source, &answer.nodes)?);
+        let mut events = 0;
+        let mut answers: Vec<Answer> = match self.config.mode {
+            DocumentMode::Dom => {
+                let observed = !observer.is_noop();
+                let mut answers: Vec<Answer> = plans
+                    .iter()
+                    .map(|(_, plan, cached)| Answer {
+                        nodes: Vec::new(),
+                        stats: EvalStats::default(),
+                        plan_cached: *cached,
+                        mode: pick_mode(&source, plan, observed),
+                        xml: None,
+                    })
+                    .collect();
+                let jumpers = answers.iter().filter(|a| a.mode == ExecMode::Jump);
+                let shared_frontier = jumpers.count() > 1;
+                if shared_frontier {
+                    let tax = source
+                        .tax
+                        .as_deref()
+                        .expect("picking jump mode implies a TAX index");
+                    let jump_plans: Vec<&CompiledMfa> = plans
+                        .iter()
+                        .zip(&answers)
+                        .filter(|(_, a)| a.mode == ExecMode::Jump)
+                        .map(|((_, plan, _), _)| plan.as_ref())
+                        .collect();
+                    let outcomes = evaluate_jump_frontier_budgeted(
+                        &source.doc,
+                        &jump_plans,
+                        tax,
+                        self.config.eval_threads,
+                        budget,
+                    )
+                    .map_err(|interrupt| EngineError::from(interrupt.kind))?;
+                    let jumpers = answers.iter_mut().filter(|a| a.mode == ExecMode::Jump);
+                    for (answer, outcome) in jumpers.zip(outcomes) {
+                        match outcome {
+                            Some((nodes, stats)) => {
+                                answer.nodes = nodes.into_vec();
+                                answer.stats = stats;
+                            }
+                            // The frontier could not admit the plan:
+                            // it walks the tree with the rest.
+                            None => answer.mode = ExecMode::Compiled,
+                        }
+                    }
+                }
+                let options = DomOptions {
+                    tax: source.tax.as_deref(),
+                };
+                let walk = |plan: &CompiledMfa,
+                            answer: &mut Answer,
+                            observer: &mut dyn EvalObserver|
+                 -> Result<(), EngineError> {
+                    let (nodes, stats) = evaluate_mfa_plan_budgeted(
+                        &source.doc,
+                        plan,
+                        &options,
+                        answer.mode,
+                        observer,
+                        budget,
+                    )
+                    .map_err(|interrupt| EngineError::from(interrupt.kind))?;
+                    answer.nodes = nodes.into_vec();
+                    answer.stats = stats;
+                    Ok(())
+                };
+                // Whatever the frontier did not answer goes through the
+                // DOM driver (which scans, or jumps a lone jumper).
+                let unanswered = |(_, answer): &(&Planned<'_>, &mut Answer)| {
+                    !(shared_frontier && answer.mode == ExecMode::Jump)
+                };
+                let threads = self.config.eval_threads.min(plans.len());
+                if threads <= 1 {
+                    for ((_, plan, _), answer) in plans.iter().zip(&mut answers).filter(unanswered)
+                    {
+                        walk(plan, answer, &mut *observer)?;
+                    }
+                } else {
+                    let mut pending: Vec<_> =
+                        plans.iter().zip(&mut answers).filter(unanswered).collect();
+                    let chunk = pending.len().div_ceil(threads).max(1);
+                    std::thread::scope(|scope| {
+                        let workers: Vec<_> = pending
+                            .chunks_mut(chunk)
+                            .map(|lane| {
+                                scope.spawn(|| {
+                                    lane.iter_mut().try_for_each(|((_, plan, _), answer)| {
+                                        walk(plan, answer, &mut NoopObserver)
+                                    })
+                                })
+                            })
+                            .collect();
+                        workers
+                            .into_iter()
+                            .try_for_each(|worker| worker.join().expect("batch worker panicked"))
+                    })?;
+                }
+                answers
             }
-            answers.push(answer);
+            DocumentMode::Stream => {
+                // Only admin lanes buffer subtree XML during the scan;
+                // group answers are rendered through their view from the
+                // snapshot's DOM below (the raw buffered subtrees would
+                // leak hidden descendants and be discarded anyway). Node
+                // ids are mode-independent by the parity invariant.
+                let lanes: Vec<(&CompiledMfa, StreamOptions)> = plans
+                    .iter()
+                    .map(|(user, plan, _)| {
+                        let want_xml = matches!(user, User::Admin);
+                        (plan.as_ref(), StreamOptions { want_xml })
+                    })
+                    .collect();
+                let mut idle = vec![NoopObserver; plans.len() - 1];
+                let mut observers: Vec<&mut dyn EvalObserver> = Vec::with_capacity(plans.len());
+                observers.push(&mut *observer);
+                observers.extend(idle.iter_mut().map(|o| o as &mut dyn EvalObserver));
+                let outcome = evaluate_batch_stream_plans_budgeted(
+                    stream_reader(&source)?,
+                    &lanes,
+                    &self.vocab,
+                    &mut observers,
+                    budget,
+                )
+                .map_err(|e| match e {
+                    // Parse failures keep their detail; budget interrupts
+                    // collapse to the opaque deadline/cancel variants.
+                    DriverError::Xml(e) => EngineError::Xml(e),
+                    DriverError::Interrupted(interrupt) => interrupt.kind.into(),
+                })?;
+                events = outcome.events;
+                outcome
+                    .outcomes
+                    .into_iter()
+                    .zip(plans)
+                    .map(|(out, (_, _, cached))| Answer {
+                        nodes: out.answers.into_iter().map(NodeId).collect(),
+                        stats: out.stats,
+                        plan_cached: *cached,
+                        mode: ExecMode::Compiled,
+                        xml: out.answer_xml,
+                    })
+                    .collect()
+            }
+        };
+        if serialize || self.config.mode == DocumentMode::Stream {
+            for ((user, _, _), answer) in plans.iter().zip(&mut answers) {
+                if answer.xml.is_none() {
+                    answer.xml = Some(render_xml(entry, user, &source, &answer.nodes)?);
+                }
+            }
         }
         Ok(BatchAnswer { answers, events })
     }
+}
 
-    /// The parallel DOM batch path. Plans that resolve to jump mode (per
-    /// the same scan/jump auto-pick [`Session::query`] applies) merge
-    /// their candidate lists into **one shared ascending frontier**,
-    /// partitioned by frontier ranges across
-    /// [`EngineConfig::eval_threads`] workers — one hop sequence drives
-    /// all of them instead of each worker re-walking the document. The
-    /// remaining plans partition across scoped workers as before, all
-    /// evaluating against the same `Arc` document/TAX snapshot
-    /// (`Send + Sync`, no worker takes a lock). Answers are independent
-    /// of the thread count by construction.
-    fn evaluate_batch_parallel(
-        &self,
-        source: &Arc<LoadedSource>,
-        parts: &[(User, Arc<CompiledMfa>, bool)],
-        budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
-        let mut slots: Vec<Option<Result<Answer, EngineError>>> = Vec::new();
-        slots.resize_with(parts.len(), || None);
-        let mut jump_idx: Vec<usize> = Vec::new();
-        let mut scan_idx: Vec<usize> = Vec::new();
-        for (i, (_, plan, _)) in parts.iter().enumerate() {
-            if self.resolve_dom_mode(source, plan, false) == ExecMode::Jump {
-                jump_idx.push(i);
-            } else {
-                scan_idx.push(i);
-            }
-        }
-        if !jump_idx.is_empty() {
-            let tax = source
-                .tax
-                .as_deref()
-                .expect("resolving to jump mode implies a TAX index");
-            let plans: Vec<&CompiledMfa> = jump_idx.iter().map(|&i| parts[i].1.as_ref()).collect();
-            let outcomes = evaluate_jump_frontier_budgeted(
-                &source.doc,
-                &plans,
-                tax,
-                self.config.eval_threads,
-                budget,
-            )
-            .map_err(|interrupt| EngineError::from(interrupt.kind))?;
-            for (&i, outcome) in jump_idx.iter().zip(outcomes) {
-                match outcome {
-                    Some((nodes, stats)) => {
-                        slots[i] = Some(Ok(Answer {
-                            nodes: nodes.into_vec(),
-                            stats,
-                            plan_cached: parts[i].2,
-                            mode: ExecMode::Jump,
-                            xml: None,
-                        }));
-                    }
-                    // The mode pick said jump but the frontier could not
-                    // admit the plan: evaluate it with the scan workers.
-                    None => scan_idx.push(i),
-                }
-            }
-            scan_idx.sort_unstable();
-        }
-        if !scan_idx.is_empty() {
-            let workers = self.config.eval_threads.min(scan_idx.len()).max(1);
-            let chunk = scan_idx.len().div_ceil(workers);
-            let mut scan_slots: Vec<Option<Result<Answer, EngineError>>> = Vec::new();
-            scan_slots.resize_with(scan_idx.len(), || None);
-            std::thread::scope(|scope| {
-                for (idx_chunk, slot_chunk) in
-                    scan_idx.chunks(chunk).zip(scan_slots.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for (&i, slot) in idx_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            let (_, plan, cached) = &parts[i];
-                            let result = self
-                                .evaluate_snapshot_budgeted(source, plan, &mut NoopObserver, budget)
-                                .map(|mut answer| {
-                                    answer.plan_cached = *cached;
-                                    answer
-                                });
-                            *slot = Some(result);
-                        }
-                    });
-                }
-            });
-            for (i, slot) in scan_idx.into_iter().zip(scan_slots) {
-                slots[i] = slot;
-            }
-        }
-        let answers = slots
-            .into_iter()
-            .map(|slot| slot.expect("every batch slot is written by its worker"))
-            .collect::<Result<Vec<Answer>, EngineError>>()?;
-        Ok(BatchAnswer { answers, events: 0 })
-    }
-
-    /// Evaluates a compiled plan against one consistent source snapshot
-    /// (document + its TAX index travel together inside the
-    /// `LoadedSource`) under a [`WorkBudget`]: the evaluator abandons mid-scan
-    /// — surfacing the opaque [`EngineError::DeadlineExceeded`] /
-    /// [`EngineError::Cancelled`] — when the deadline passes or the
-    /// cancel token flips. Abandonment drops only evaluator-local state;
-    /// the snapshot is immutable and shared by reference, so a torn-down
-    /// evaluation leaves nothing to clean up.
-    pub(crate) fn evaluate_snapshot_budgeted(
-        &self,
-        source: &LoadedSource,
-        plan: &CompiledMfa,
-        observer: &mut dyn EvalObserver,
-        budget: &WorkBudget,
-    ) -> Result<Answer, EngineError> {
-        let mode = self.exec_mode();
-        match self.config.mode {
-            DocumentMode::Dom => {
-                let tax = if self.config.use_tax {
-                    source.tax.as_deref()
-                } else {
-                    None
-                };
-                let mode = self.resolve_dom_mode(source, plan, !observer.is_noop());
-                let options = DomOptions { tax };
-                let (nodes, stats) =
-                    evaluate_mfa_plan_budgeted(&source.doc, plan, &options, mode, observer, budget)
-                        .map_err(|interrupt| EngineError::from(interrupt.kind))?;
-                Ok(Answer {
-                    nodes: nodes.into_vec(),
-                    stats,
-                    plan_cached: false,
-                    mode,
-                    xml: None,
-                })
-            }
-            DocumentMode::Stream => {
-                let options = StreamOptions { want_xml: true };
-                let outcome = if let Some(path) = &source.path {
-                    let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
-                    evaluate_stream_plan_budgeted(
-                        std::io::BufReader::new(file),
-                        plan,
-                        &self.vocab,
-                        options,
-                        mode,
-                        observer,
-                        budget,
-                    )
-                    .map_err(driver_error)?
-                } else if let Some(raw) = &source.raw {
-                    evaluate_stream_plan_budgeted(
-                        raw.as_bytes(),
-                        plan,
-                        &self.vocab,
-                        options,
-                        mode,
-                        observer,
-                        budget,
-                    )
-                    .map_err(driver_error)?
-                } else {
-                    return Err(EngineError::NoStreamSource);
-                };
-                Ok(Answer {
-                    nodes: outcome.answers.into_iter().map(NodeId).collect(),
-                    stats: outcome.stats,
-                    plan_cached: false,
-                    mode,
-                    xml: outcome.answer_xml,
-                })
-            }
-        }
+/// Picks the DOM traversal for one (plan, snapshot) pair from what the
+/// snapshot shows: jump when its TAX index carries positional lists the
+/// plan can navigate **and** the plan's measured selectivity is at most
+/// [`JUMP_SELECTIVITY`]; otherwise — no index, no required label, an
+/// unselective estimate — the scan walker. Observed evaluations always
+/// scan (a jump produces no per-node event stream for the observer).
+fn pick_mode(source: &LoadedSource, plan: &CompiledMfa, observed: bool) -> ExecMode {
+    let tax = source.tax.as_deref();
+    if !observed
+        && jump_available(&source.doc, plan, tax)
+        && selectivity_estimate(&source.doc, plan, tax)
+            .measured()
+            .is_some_and(|s| s <= JUMP_SELECTIVITY)
+    {
+        ExecMode::Jump
+    } else {
+        ExecMode::Compiled
     }
 }
 
-/// Maps a streaming-driver failure onto the engine error surface: parse
-/// failures keep their detail, budget interrupts collapse to the opaque
-/// deadline/cancel variants.
-fn driver_error(e: DriverError) -> EngineError {
-    match e {
-        DriverError::Xml(e) => EngineError::Xml(e),
-        DriverError::Interrupted(interrupt) => interrupt.kind.into(),
+/// Opens the snapshot's serialized form for one sequential scan: the file
+/// it was loaded from, or the text it holds in memory. (The scanner pulls
+/// 64 KiB chunks, so the boxed reader costs two virtual calls per chunk.)
+fn stream_reader(source: &LoadedSource) -> Result<Box<dyn BufRead + '_>, EngineError> {
+    if let Some(path) = &source.path {
+        let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
+        Ok(Box::new(std::io::BufReader::new(file)))
+    } else if let Some(raw) = &source.raw {
+        Ok(Box::new(raw.as_bytes()))
+    } else {
+        Err(EngineError::NoStreamSource)
     }
 }
 
-/// Serializes each answer node through `group`'s view so hidden
-/// descendants never reach the user (stream mode buffers raw source
-/// subtrees; serving them to a view user verbatim would leak).
-fn render_view_xml(
+/// Serializes each answer node **safely for `user`**: the raw source
+/// subtree for admins, the view image for group members (hidden
+/// descendants filtered out — serving the raw subtree would leak them).
+fn render_xml(
     entry: &Arc<DocumentEntry>,
-    group: &str,
+    user: &User,
     source: &LoadedSource,
     nodes: &[NodeId],
 ) -> Result<Vec<String>, EngineError> {
-    let spec = entry.view_slot(group)?.0;
-    nodes
-        .iter()
-        .map(|&n| {
-            let fragment = materialize_fragment(&spec, &source.doc, n)?;
-            Ok(fragment.doc.to_xml())
-        })
-        .collect()
+    match user {
+        User::Admin => Ok(nodes
+            .iter()
+            .map(|&n| smoqe_xml::serialize::subtree_to_string(&source.doc, n))
+            .collect()),
+        User::Group(group) => {
+            let spec = entry.view_slot(group)?.0;
+            nodes
+                .iter()
+                .map(|&n| Ok(materialize_fragment(&spec, &source.doc, n)?.doc.to_xml()))
+                .collect()
+        }
+    }
 }
 
 impl Session {
@@ -1339,6 +1285,59 @@ impl Session {
         &self.engine
     }
 
+    /// Plans one query (cached) and runs it through the engine's pipeline
+    /// as a batch of one, accounting it to this session's tenant.
+    fn run_one(
+        &self,
+        query: &str,
+        serialize: bool,
+        budget: &WorkBudget,
+        observer: &mut dyn EvalObserver,
+    ) -> Result<Answer, EngineError> {
+        let result = self
+            .engine
+            .plan_tracked(&self.entry, &self.user, query)
+            .and_then(|(plan, cached)| {
+                self.engine.execute(
+                    &self.entry,
+                    &[(&self.user, plan, cached)],
+                    serialize,
+                    budget,
+                    observer,
+                )
+            })
+            .map(|mut batch| batch.answers.pop().expect("one plan in, one answer out"));
+        self.engine
+            .tenants
+            .record_query(&self.user, result.as_ref());
+        result
+    }
+
+    /// Plans a whole batch (cached) and runs it through the engine's
+    /// pipeline, accounting it to this session's tenant.
+    fn run_batch(
+        &self,
+        queries: &[&str],
+        serialize: bool,
+        budget: &WorkBudget,
+    ) -> Result<BatchAnswer, EngineError> {
+        let result = queries
+            .iter()
+            .map(|query| {
+                let (plan, cached) = self.engine.plan_tracked(&self.entry, &self.user, query)?;
+                Ok((&self.user, plan, cached))
+            })
+            .collect::<Result<Vec<Planned<'_>>, EngineError>>()
+            .and_then(|plans| {
+                self.engine
+                    .execute(&self.entry, &plans, serialize, budget, &mut NoopObserver)
+            });
+        self.engine
+            .tenants
+            .record_batch(&self.user, queries.len(), result.as_ref());
+        result
+    }
+
     /// Answers a Regular XPath query. Group sessions are rewritten through
     /// their view; admin sessions run directly on the document.
     pub fn query(&self, query: &str) -> Result<Answer, EngineError> {
@@ -1352,87 +1351,26 @@ impl Session {
         query: &str,
         observer: &mut dyn EvalObserver,
     ) -> Result<Answer, EngineError> {
-        Ok(self
-            .query_with_source(query, observer, &WorkBudget::unlimited())?
-            .0)
+        self.run_one(query, false, &WorkBudget::unlimited(), observer)
     }
 
-    /// The shared query path: plan (cached), take ONE source snapshot,
-    /// evaluate against it, and re-render stream answers through the view
-    /// using that same snapshot. Answer node ids are only meaningful
-    /// relative to the returned snapshot's document, so serialization must
-    /// use it too — a concurrent reload must never mix documents.
-    fn query_with_source(
-        &self,
-        query: &str,
-        observer: &mut dyn EvalObserver,
-        budget: &WorkBudget,
-    ) -> Result<(Answer, Arc<crate::catalog::LoadedSource>), EngineError> {
-        let result = self.query_with_source_inner(query, observer, budget);
-        self.engine
-            .tenants
-            .record_query(&self.user, result.as_ref().map(|(a, _)| a));
-        result
-    }
-
-    fn query_with_source_inner(
-        &self,
-        query: &str,
-        observer: &mut dyn EvalObserver,
-        budget: &WorkBudget,
-    ) -> Result<(Answer, Arc<crate::catalog::LoadedSource>), EngineError> {
-        let (mfa, cached) = self.engine.plan_tracked(&self.entry, &self.user, query)?;
-        let source = self.entry.snapshot()?;
-        let mut answer = self
-            .engine
-            .evaluate_snapshot_budgeted(&source, &mfa, observer, budget)?;
-        answer.plan_cached = cached;
-        // Stream mode buffers raw source subtrees; for group sessions
-        // re-render each answer through the view so hidden descendants
-        // never reach the user.
-        if answer.xml.is_some() {
-            if let User::Group(g) = &self.user {
-                answer.xml = Some(render_view_xml(&self.entry, g, &source, &answer.nodes)?);
-            }
-        }
-        Ok((answer, source))
-    }
-
-    /// Answers a whole batch of queries in **one sequential scan** of the
-    /// document (all plans are fed the same pull-parser events; see
-    /// [`smoqe_hype::batch`]). Answers come back in query order, each
-    /// identical to what [`Session::query`] would have returned, plus the
-    /// shared event count proving the document was parsed once.
+    /// Answers a whole batch of queries against **one snapshot** of the
+    /// document — evaluated on the tree by a DOM engine, in one shared
+    /// sequential scan by a stream engine (see [`BatchAnswer`]). Answers
+    /// come back in query order, each identical to what
+    /// [`Session::query`] would have returned.
     pub fn query_batch(&self, queries: &[&str]) -> Result<BatchAnswer, EngineError> {
         self.query_batch_budgeted(queries, &WorkBudget::unlimited())
     }
 
     /// [`Session::query_batch`] under a [`WorkBudget`] shared by every
-    /// plan in the batch (one scan, one deadline).
+    /// plan in the batch (one snapshot, one deadline).
     pub fn query_batch_budgeted(
         &self,
         queries: &[&str],
         budget: &WorkBudget,
     ) -> Result<BatchAnswer, EngineError> {
-        let result = self.query_batch_inner(queries, budget);
-        self.engine
-            .tenants
-            .record_batch(&self.user, queries.len(), result.as_ref());
-        result
-    }
-
-    fn query_batch_inner(
-        &self,
-        queries: &[&str],
-        budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
-        let mut parts = Vec::with_capacity(queries.len());
-        for query in queries {
-            let (mfa, cached) = self.engine.plan_tracked(&self.entry, &self.user, query)?;
-            parts.push((self.user.clone(), mfa, cached));
-        }
-        self.engine
-            .evaluate_batch_parts(&self.entry, &parts, budget)
+        self.run_batch(queries, false, budget)
     }
 
     /// Like [`Session::query`], with `xml` always filled **safely for
@@ -1456,20 +1394,12 @@ impl Session {
         query: &str,
         budget: &WorkBudget,
     ) -> Result<Answer, EngineError> {
-        let (mut answer, source) = self.query_with_source(query, &mut NoopObserver, budget)?;
-        if answer.xml.is_none() {
-            answer.xml = Some(match &self.user {
-                User::Admin => answer.serialize_with(&source.doc),
-                User::Group(g) => render_view_xml(&self.entry, g, &source, &answer.nodes)?,
-            });
-        }
-        Ok(answer)
+        self.run_one(query, true, budget, &mut NoopObserver)
     }
 
     /// Like [`Session::query_batch`], with every answer's `xml` filled
-    /// safely for this principal (see [`Session::query_serialized`]).
-    /// Streaming batches already serialize during the scan; parallel DOM
-    /// batches render afterwards from the current snapshot.
+    /// safely for this principal (see [`Session::query_serialized`]),
+    /// rendered from the same snapshot the batch was evaluated on.
     pub fn query_batch_serialized(&self, queries: &[&str]) -> Result<BatchAnswer, EngineError> {
         self.query_batch_serialized_budgeted(queries, &WorkBudget::unlimited())
     }
@@ -1481,19 +1411,7 @@ impl Session {
         queries: &[&str],
         budget: &WorkBudget,
     ) -> Result<BatchAnswer, EngineError> {
-        let mut batch = self.query_batch_budgeted(queries, budget)?;
-        if batch.answers.iter().any(|a| a.xml.is_none()) {
-            let source = self.entry.snapshot()?;
-            for answer in &mut batch.answers {
-                if answer.xml.is_none() {
-                    answer.xml = Some(match &self.user {
-                        User::Admin => answer.serialize_with(&source.doc),
-                        User::Group(g) => render_view_xml(&self.entry, g, &source, &answer.nodes)?,
-                    });
-                }
-            }
-        }
-        Ok(batch)
+        self.run_batch(queries, true, budget)
     }
 
     /// The compiled/rewritten (and possibly cached) MFA for a query, for
@@ -1538,12 +1456,8 @@ impl Session {
     /// descendants filtered out — serializing the raw subtree would leak
     /// them).
     pub fn query_xml(&self, query: &str) -> Result<Vec<String>, EngineError> {
-        let (answer, source) =
-            self.query_with_source(query, &mut NoopObserver, &WorkBudget::unlimited())?;
-        match &self.user {
-            User::Admin => Ok(answer.serialize_with(&source.doc)),
-            User::Group(g) => render_view_xml(&self.entry, g, &source, &answer.nodes),
-        }
+        let answer = self.query_serialized(query)?;
+        Ok(answer.xml.expect("serialized answers carry their xml"))
     }
 }
 
@@ -1768,7 +1682,15 @@ mod tests {
 
     #[test]
     fn query_batch_agrees_with_serial_queries() {
-        for config in [EngineConfig::default(), EngineConfig::streaming()] {
+        let dom_at = |eval_threads| EngineConfig {
+            eval_threads,
+            ..EngineConfig::default()
+        };
+        let configs = [1, 2, 4, 8]
+            .map(dom_at)
+            .into_iter()
+            .chain([EngineConfig::streaming()]);
+        for config in configs {
             let engine = Engine::new(config);
             engine.load_dtd(smoqe_xml::HOSPITAL_DTD).unwrap();
             engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
@@ -1782,11 +1704,23 @@ mod tests {
             for (q, batched) in queries.iter().zip(&batch.answers) {
                 let serial = session.query(q).unwrap();
                 assert_eq!(batched.nodes, serial.nodes, "batched `{q}` diverged");
+                assert_eq!(batched.xml, serial.xml, "xml of batched `{q}` diverged");
             }
-            // The scan is shared: a batch of one reports the same event
-            // count as the full batch.
             let single = session.query_batch(&queries[..1]).unwrap();
-            assert_eq!(batch.events, single.events, "batch must not re-scan");
+            match config.mode {
+                // A DOM engine evaluates on its snapshot: nothing is
+                // parsed, at any thread count.
+                DocumentMode::Dom => {
+                    assert_eq!(batch.events, 0, "@{} threads", config.eval_threads);
+                    assert_eq!(single.events, 0);
+                }
+                // The scan is shared: a batch of one reports the same
+                // event count as the full batch.
+                DocumentMode::Stream => {
+                    assert!(batch.events > 0);
+                    assert_eq!(batch.events, single.events, "batch must not re-scan");
+                }
+            }
         }
     }
 
@@ -1830,7 +1764,7 @@ mod tests {
                 session.user()
             );
         }
-        // Admin sees names, the researcher view hides them — in one scan.
+        // Admin sees names, the researcher view hides them — in one batch.
         assert!(!batch.answers[0].is_empty());
         assert!(batch.answers[1].is_empty());
 
@@ -2051,28 +1985,28 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn auto_mode_jumps_on_selective_queries_and_reports_it() {
+    /// A default engine over a generated 4 000-node hospital document
+    /// (`test` is rare in it, `patient` blankets it), without an index.
+    fn engine_with_generated() -> Arc<Engine> {
         let engine = Engine::with_defaults();
-        hospital::dtd(engine.vocabulary());
+        engine.load_dtd(smoqe_xml::HOSPITAL_DTD).unwrap();
         let doc = hospital::generate_document(engine.vocabulary(), 9, 4_000);
         engine.load_document_tree(doc).unwrap();
-        engine.build_tax_index().unwrap();
+        engine
+    }
+
+    #[test]
+    fn selective_queries_jump_once_an_index_exists_and_report_it() {
+        let engine = engine_with_generated();
         let admin = engine.session(User::Admin);
-        // `test` is rare in the generated workload: auto must jump, and
-        // the answer must match an explicit scan-mode engine.
-        let jumped = admin.query("//test").unwrap();
-        assert_eq!(jumped.mode, ExecMode::Jump, "auto should pick jump");
-        let scan_engine = Engine::new(EngineConfig {
-            eval_mode: crate::config::EvalMode::Scan,
-            ..EngineConfig::default()
-        });
-        hospital::dtd(scan_engine.vocabulary());
-        let doc2 = hospital::generate_document(scan_engine.vocabulary(), 9, 4_000);
-        scan_engine.load_document_tree(doc2).unwrap();
-        scan_engine.build_tax_index().unwrap();
-        let scanned = scan_engine.session(User::Admin).query("//test").unwrap();
+        // No TAX index yet: no positional lists, so everything scans.
+        let scanned = admin.query("//test").unwrap();
         assert_eq!(scanned.mode, ExecMode::Compiled);
+        engine.build_tax_index().unwrap();
+        // `test` is rare in the generated workload: the engine must jump,
+        // and the answer must match the scan's.
+        let jumped = admin.query("//test").unwrap();
+        assert_eq!(jumped.mode, ExecMode::Jump, "selective queries jump");
         assert_eq!(jumped.nodes, scanned.nodes);
         assert!(
             jumped.stats.nodes_visited <= scanned.stats.nodes_visited,
@@ -2080,48 +2014,45 @@ mod tests {
             jumped.stats.nodes_visited,
             scanned.stats.nodes_visited
         );
-        // `//patient` blankets the document: auto must keep scanning.
+        // `//patient` blankets the document: the engine keeps scanning.
         let unselective = admin.query("//patient").unwrap();
         assert_eq!(unselective.mode, ExecMode::Compiled);
+        // An observer needs the per-node event stream: observed queries
+        // scan whatever their selectivity.
+        let mut trace = smoqe_viz::TraceCollector::new();
+        let observed = admin.query_observed("//test", &mut trace).unwrap();
+        assert_eq!(observed.mode, ExecMode::Compiled);
+        assert_eq!(observed.nodes, jumped.nodes);
     }
 
     #[test]
-    fn jump_mode_falls_back_without_an_index_and_runs_guarded_plans() {
-        let engine = Engine::new(EngineConfig {
-            eval_mode: crate::config::EvalMode::Jump,
-            ..EngineConfig::default()
-        });
-        engine.load_dtd(smoqe_xml::HOSPITAL_DTD).unwrap();
-        engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
+    fn guarded_and_rewritten_plans_jump_with_reference_answers() {
+        let engine = engine_with_generated();
         engine
             .register_policy("researchers", smoqe_view::HOSPITAL_POLICY)
             .unwrap();
-        let admin = engine.session(User::Admin);
-        // No TAX index yet: no positional lists, so jump cannot engage.
-        assert_eq!(admin.query("//test").unwrap().mode, ExecMode::Compiled);
         engine.build_tax_index().unwrap();
-        assert_eq!(admin.query("//test").unwrap().mode, ExecMode::Jump);
-        // Predicated plans jump too now (guard-stripped DFA + exact
+        let doc = engine.document().unwrap();
+        let reference = |q: &str| {
+            let path = parse_path(q, engine.vocabulary()).unwrap();
+            smoqe_rxpath::evaluate(&doc, &path).into_vec()
+        };
+        let admin = engine.session(User::Admin);
+        // Predicated plans jump too (guard-stripped DFA + exact
         // re-verification at candidates); answers stay correct.
-        let guarded = admin.query("hospital/patient[pname = 'Ann']").unwrap();
+        let q = "//visit[treatment/test = 'mri']/date";
+        let guarded = admin.query(q).unwrap();
         assert_eq!(guarded.mode, ExecMode::Jump);
-        assert_eq!(guarded.len(), 1);
-        let scan = Engine::new(EngineConfig {
-            eval_mode: crate::config::EvalMode::Scan,
-            ..EngineConfig::default()
-        });
-        scan.load_dtd(smoqe_xml::HOSPITAL_DTD).unwrap();
-        scan.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
-        let reference = scan
-            .session(User::Admin)
-            .query("hospital/patient[pname = 'Ann']")
-            .unwrap();
-        assert_eq!(reference.mode, ExecMode::Compiled);
-        assert_eq!(guarded.nodes, reference.nodes);
-        // Rewritten (view) plans ride the same resolution transparently.
+        assert!(!guarded.is_empty());
+        assert_eq!(guarded.nodes, reference(q));
+        // Rewritten (view) plans ride the same pick transparently.
         let group = engine.session(User::Group("researchers".into()));
-        let meds = group.query("//medication").unwrap();
-        assert!(!meds.is_empty());
+        let view = engine.materialize_view("researchers").unwrap();
+        for (_, q) in hospital::VIEW_QUERIES {
+            let path = parse_path(q, engine.vocabulary()).unwrap();
+            let expected = view.origins_of(smoqe_rxpath::evaluate(&view.doc, &path).iter());
+            assert_eq!(group.query(q).unwrap().nodes, expected, "view query `{q}`");
+        }
     }
 
     #[test]
@@ -2142,7 +2073,7 @@ mod tests {
             engine.build_tax_index().unwrap();
             let session = engine.session(User::Admin);
             let batch = session.query_batch(&queries).unwrap();
-            assert_eq!(batch.events, 0, "the parallel DOM path does not parse");
+            assert_eq!(batch.events, 0, "a DOM batch does not parse");
             assert_eq!(batch.answers.len(), serial.answers.len());
             for ((q, serial_answer), parallel_answer) in
                 queries.iter().zip(&serial.answers).zip(&batch.answers)
@@ -2169,7 +2100,9 @@ mod tests {
 
     #[test]
     fn loaded_tax_index_reattaches_the_positional_lists() {
-        let engine = engine_with_sample();
+        let engine = engine_with_generated();
+        let admin = engine.session(User::Admin);
+        let scanned = admin.query("//test").unwrap();
         engine.build_tax_index().unwrap();
         let dir = std::env::temp_dir().join("smoqe-jump-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -2182,22 +2115,10 @@ mod tests {
             tax.label_index().is_some(),
             "loading through the engine must rebuild the label index"
         );
-        // And jump mode works on the loaded index.
-        let jump_engine_answer = {
-            let e2 = Engine::new(EngineConfig {
-                eval_mode: crate::config::EvalMode::Jump,
-                ..EngineConfig::default()
-            });
-            e2.load_dtd(smoqe_xml::HOSPITAL_DTD).unwrap();
-            e2.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
-            e2.build_tax_index().unwrap();
-            e2.session(User::Admin).query("//test").unwrap()
-        };
-        assert_eq!(jump_engine_answer.mode, ExecMode::Jump);
-        assert_eq!(
-            engine.session(User::Admin).query("//test").unwrap().nodes,
-            jump_engine_answer.nodes
-        );
+        // And the jump scan works on the loaded index.
+        let jumped = admin.query("//test").unwrap();
+        assert_eq!(jumped.mode, ExecMode::Jump);
+        assert_eq!(jumped.nodes, scanned.nodes);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum EngineError {
     /// Streaming evaluation requested but no streamable source exists.
     NoStreamSource,
     /// A batched evaluation mixed sessions of different documents or
-    /// engines — one scan can only serve one document.
+    /// engines — one batch serves one document.
     BatchMismatch,
     /// An update statement could not be parsed or applied (admin
     /// surface; group sessions see most of these as [`UpdateDenied`]).

@@ -64,7 +64,7 @@ pub mod workloads;
 mod sync;
 
 pub use catalog::{DocHandle, DocumentEntry};
-pub use config::{DocumentMode, EngineConfig, EvalMode};
+pub use config::{DocumentMode, EngineConfig};
 pub use durable::failpoints::{Failpoint, FailpointRegistry, ALL_FAILPOINTS};
 pub use durable::{DurError, Durability};
 pub use engine::{Answer, BatchAnswer, Engine, Session, UpdateReport, User, DEFAULT_DOCUMENT};

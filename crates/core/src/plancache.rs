@@ -51,7 +51,6 @@ pub(crate) struct PlanKey {
     pub(crate) doc_generation: u64,
     pub(crate) scope: PlanScope,
     pub(crate) query: String,
-    pub(crate) optimized: bool,
 }
 
 impl PlanKey {
@@ -243,7 +242,6 @@ mod tests {
             doc_generation: doc_gen,
             scope: PlanScope::Admin,
             query: query.to_string(),
-            optimized: true,
         }
     }
 

@@ -18,7 +18,7 @@
 //! split across CDATA/entity boundaries).
 
 use crate::budget::{DriverError, EvalInterrupt, WorkBudget};
-use crate::machine::{ExecMode, Machine};
+use crate::machine::Machine;
 use crate::observer::{EvalObserver, NoopObserver};
 use crate::stats::EvalStats;
 use crate::stream::{StreamOptions, StreamOutcome};
@@ -62,9 +62,9 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    fn new(plan: &'a CompiledMfa, options: StreamOptions, mode: ExecMode) -> Self {
+    fn new(plan: &'a CompiledMfa, options: StreamOptions) -> Self {
         Lane {
-            machine: Machine::with_mode(plan, None, mode),
+            machine: Machine::new(plan, None),
             options,
             skip_from: None,
             recorders: Vec::new(),
@@ -192,20 +192,33 @@ impl<'a> Lane<'a> {
 }
 
 /// Evaluates all `plans` over the XML text arriving from `reader` in one
-/// sequential scan (compiling each plan on the fly; the engine paths use
-/// [`evaluate_batch_stream_plans`] with cached compiled plans).
+/// sequential scan (compiling each plan on the fly; the engine calls
+/// [`evaluate_batch_stream_plans_budgeted`] with cached compiled plans).
 pub fn evaluate_batch_stream<R: BufRead>(
     reader: R,
     plans: &[&Mfa],
     vocab: &Vocabulary,
     options: StreamOptions,
 ) -> Result<BatchOutcome, XmlError> {
+    let compiled: Vec<CompiledMfa> = plans.iter().map(|&mfa| CompiledMfa::compile(mfa)).collect();
+    let lanes: Vec<(&CompiledMfa, StreamOptions)> =
+        compiled.iter().map(|plan| (plan, options)).collect();
     let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
     let mut dyns: Vec<&mut dyn EvalObserver> = observers
         .iter_mut()
         .map(|o| o as &mut dyn EvalObserver)
         .collect();
-    evaluate_batch_stream_with(reader, plans, vocab, options, &mut dyns)
+    match evaluate_batch_stream_plans_budgeted(
+        reader,
+        &lanes,
+        vocab,
+        &mut dyns,
+        &WorkBudget::unlimited(),
+    ) {
+        Ok(out) => Ok(out),
+        Err(DriverError::Xml(e)) => Err(e),
+        Err(DriverError::Interrupted(_)) => unreachable!("an unlimited budget never interrupts"),
+    }
 }
 
 /// Evaluates all `plans` over a string slice (convenience).
@@ -218,98 +231,16 @@ pub fn evaluate_batch_stream_str(
     evaluate_batch_stream(input.as_bytes(), plans, vocab, options)
 }
 
-/// Per-plan options variant: each plan rides the shared scan with its own
-/// [`StreamOptions`] — e.g. only some of the batch's answers need their
-/// XML buffered.
-pub fn evaluate_batch_stream_each<R: BufRead>(
-    reader: R,
-    plans: &[(&Mfa, StreamOptions)],
-    vocab: &Vocabulary,
-) -> Result<BatchOutcome, XmlError> {
-    let compiled: Vec<CompiledMfa> = plans
-        .iter()
-        .map(|&(mfa, _)| CompiledMfa::compile(mfa))
-        .collect();
-    let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
-    let mut dyns: Vec<&mut dyn EvalObserver> = observers
-        .iter_mut()
-        .map(|o| o as &mut dyn EvalObserver)
-        .collect();
-    let lanes = compiled
-        .iter()
-        .zip(plans)
-        .map(|(plan, &(_, options))| Lane::new(plan, options, ExecMode::Compiled))
-        .collect();
-    run_batch(reader, lanes, vocab, &mut dyns)
-}
-
-/// Full-control variant: one observer per plan, in the same order.
+/// The shared driver — one parser, one event loop, N lanes — and what the
+/// engine's stream path calls: plans come straight from the shared plan
+/// cache (no per-request analysis or table construction happens here),
+/// each rides the scan with its own [`StreamOptions`] (e.g. only some of
+/// the batch's answers need their XML buffered) and its own observer.
 ///
-/// # Panics
-/// Panics if `observers.len() != plans.len()`.
-pub fn evaluate_batch_stream_with<R: BufRead>(
-    reader: R,
-    plans: &[&Mfa],
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    observers: &mut [&mut dyn EvalObserver],
-) -> Result<BatchOutcome, XmlError> {
-    let compiled: Vec<CompiledMfa> = plans.iter().map(|&mfa| CompiledMfa::compile(mfa)).collect();
-    let lanes = compiled
-        .iter()
-        .map(|plan| Lane::new(plan, options, ExecMode::Compiled))
-        .collect();
-    run_batch(reader, lanes, vocab, observers)
-}
-
-/// Precompiled-plan variant — what the engine's batch path calls: plans
-/// come straight from the shared plan cache, so no per-request analysis
-/// or table construction happens here. `mode` selects the dense-table
-/// executor or the per-event interpreter for every lane.
-pub fn evaluate_batch_stream_plans<R: BufRead>(
-    reader: R,
-    plans: &[(&CompiledMfa, StreamOptions)],
-    vocab: &Vocabulary,
-    mode: ExecMode,
-) -> Result<BatchOutcome, XmlError> {
-    let mut observers: Vec<NoopObserver> = plans.iter().map(|_| NoopObserver).collect();
-    let mut dyns: Vec<&mut dyn EvalObserver> = observers
-        .iter_mut()
-        .map(|o| o as &mut dyn EvalObserver)
-        .collect();
-    evaluate_batch_stream_plans_with(reader, plans, vocab, mode, &mut dyns)
-}
-
-/// Precompiled-plan variant with one observer per plan.
-///
-/// # Panics
-/// Panics if `observers.len() != plans.len()`.
-pub fn evaluate_batch_stream_plans_with<R: BufRead>(
-    reader: R,
-    plans: &[(&CompiledMfa, StreamOptions)],
-    vocab: &Vocabulary,
-    mode: ExecMode,
-    observers: &mut [&mut dyn EvalObserver],
-) -> Result<BatchOutcome, XmlError> {
-    match evaluate_batch_stream_plans_budgeted(
-        reader,
-        plans,
-        vocab,
-        mode,
-        observers,
-        &WorkBudget::unlimited(),
-    ) {
-        Ok(out) => Ok(out),
-        Err(DriverError::Xml(e)) => Err(e),
-        Err(DriverError::Interrupted(_)) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`evaluate_batch_stream_plans_with`] under a [`WorkBudget`]: the shared
-/// scan checks the budget once per parser event and abandons every lane
-/// with the merged partial counters when the deadline passes or the cancel
-/// token flips. Abandonment drops the parser and all lane-local machines
-/// and buffers — nothing shared is touched.
+/// The scan checks the [`WorkBudget`] once per parser event and abandons
+/// every lane with the merged partial counters when the deadline passes
+/// or the cancel token flips. Abandonment drops the parser and all
+/// lane-local machines and buffers — nothing shared is touched.
 ///
 /// # Panics
 /// Panics if `observers.len() != plans.len()`.
@@ -317,44 +248,18 @@ pub fn evaluate_batch_stream_plans_budgeted<R: BufRead>(
     reader: R,
     plans: &[(&CompiledMfa, StreamOptions)],
     vocab: &Vocabulary,
-    mode: ExecMode,
-    observers: &mut [&mut dyn EvalObserver],
-    budget: &WorkBudget,
-) -> Result<BatchOutcome, DriverError> {
-    let lanes = plans
-        .iter()
-        .map(|&(plan, options)| Lane::new(plan, options, mode))
-        .collect();
-    run_batch_budgeted(reader, lanes, vocab, observers, budget)
-}
-
-/// The shared driver: one parser, one event loop, N lanes.
-fn run_batch<R: BufRead>(
-    reader: R,
-    lanes: Vec<Lane>,
-    vocab: &Vocabulary,
-    observers: &mut [&mut dyn EvalObserver],
-) -> Result<BatchOutcome, XmlError> {
-    match run_batch_budgeted(reader, lanes, vocab, observers, &WorkBudget::unlimited()) {
-        Ok(out) => Ok(out),
-        Err(DriverError::Xml(e)) => Err(e),
-        Err(DriverError::Interrupted(_)) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`run_batch`] with a budget meter ticking once per parser event.
-fn run_batch_budgeted<R: BufRead>(
-    reader: R,
-    mut lanes: Vec<Lane>,
-    vocab: &Vocabulary,
     observers: &mut [&mut dyn EvalObserver],
     budget: &WorkBudget,
 ) -> Result<BatchOutcome, DriverError> {
     assert_eq!(
-        lanes.len(),
+        plans.len(),
         observers.len(),
         "one observer per plan in the batch"
     );
+    let mut lanes: Vec<Lane> = plans
+        .iter()
+        .map(|&(plan, options)| Lane::new(plan, options))
+        .collect();
     let mut parser = PullParser::new(reader);
     for (lane, obs) in lanes.iter_mut().zip(observers.iter_mut()) {
         lane.machine.begin(&mut **obs);
@@ -547,7 +452,6 @@ mod tests {
             xml.as_bytes(),
             &plans,
             &vocab,
-            ExecMode::Compiled,
             &mut dyns,
             &budget,
         )

@@ -17,8 +17,6 @@
 //! predicate-dependent candidates enter `Cans` with a formula. The final
 //! pass evaluates the formula DAG against the resolved instance truths.
 
-use std::collections::BTreeSet;
-
 /// Index of a predicate instance (a predicate attached to a specific node
 /// during this evaluation).
 pub type InstId = usize;
@@ -92,24 +90,8 @@ impl FormulaArena {
         }
     }
 
-    /// Disjunction of a set of alternatives (`None` = empty disjunction =
-    /// false, which callers treat as "no tag").
-    pub fn or_tags(&mut self, tags: &BTreeSet<FId>, any_true: bool) -> Option<Tag> {
-        if any_true {
-            return Some(Tag::True);
-        }
-        match tags.len() {
-            0 => None,
-            1 => Some(Tag::Formula(*tags.iter().next().expect("len checked"))),
-            _ => Some(Tag::Formula(
-                self.push(FNode::Or(tags.iter().copied().collect())),
-            )),
-        }
-    }
-
-    /// Disjunction of an already-sorted, deduplicated id slice — the
-    /// allocation-free counterpart of [`FormulaArena::or_tags`] used by the
-    /// compiled evaluator's dense closure builder.
+    /// Disjunction of an already-sorted, deduplicated id slice (`None` =
+    /// empty disjunction = false, which callers treat as "no tag").
     pub fn or_sorted(&mut self, parts: &[FId]) -> Option<Tag> {
         match parts.len() {
             0 => None,
@@ -247,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn or_tags_combines() {
+    fn or_sorted_combines() {
         let mut a = FormulaArena::new();
         let f1 = match a.and_inst(Tag::True, 0) {
             Tag::Formula(f) => f,
@@ -257,19 +239,22 @@ mod tests {
             Tag::Formula(f) => f,
             _ => unreachable!(),
         };
-        let set: BTreeSet<FId> = [f1, f2].into_iter().collect();
-        let or = a.or_tags(&set, false).unwrap();
+        let or = a.or_sorted(&[f1, f2]).unwrap();
         assert_eq!(a.eval(or, &[Some(false), Some(true)]), Some(true));
         assert_eq!(a.eval(or, &[Some(false), Some(false)]), Some(false));
     }
 
     #[test]
-    fn any_true_short_circuits() {
+    fn empty_and_singleton_disjunctions_allocate_nothing() {
         let mut a = FormulaArena::new();
-        let set = BTreeSet::new();
-        assert_eq!(a.or_tags(&set, true), Some(Tag::True));
-        assert_eq!(a.or_tags(&set, false), None);
+        assert_eq!(a.or_sorted(&[]), None);
         assert!(a.is_empty());
+        let Tag::Formula(f) = a.and_inst(Tag::True, 0) else {
+            unreachable!()
+        };
+        let before = a.len();
+        assert_eq!(a.or_sorted(&[f]), Some(Tag::Formula(f)));
+        assert_eq!(a.len(), before);
     }
 
     #[test]

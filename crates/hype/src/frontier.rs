@@ -19,7 +19,7 @@
 //! root — and it keeps per-plan probes independent, which is what makes
 //! the range partition embarrassingly parallel.
 //!
-//! Answers per plan are identical to [`crate::jump::evaluate_jump`] by
+//! Answers per plan are identical to [`crate::jump::evaluate_jump_budgeted`] by
 //! construction: the same candidates are probed in the same order with
 //! the same per-probe driver logic, whatever the thread count.
 
@@ -49,25 +49,13 @@ type ChunkOut = (RegionParts, Option<EvalInterrupt>);
 ///
 /// `threads` bounds the worker count for the frontier sweep; `1` runs
 /// the whole sweep inline on the calling thread.
-pub fn evaluate_jump_frontier(
-    doc: &Document,
-    plans: &[&CompiledMfa],
-    tax: &TaxIndex,
-    threads: usize,
-) -> Vec<Option<(NodeSet, EvalStats)>> {
-    match evaluate_jump_frontier_budgeted(doc, plans, tax, threads, &WorkBudget::unlimited()) {
-        Ok(results) => results,
-        Err(_) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`evaluate_jump_frontier`] under a [`WorkBudget`]: every chunk sweeps
-/// with its own meter (ticking once per frontier entry, on top of the
-/// drivers' own per-node ticks) and the whole batch abandons with merged
-/// partial counters as soon as any chunk observes the deadline or the
-/// cancel token. Abandonment drops only per-chunk drivers and cursors —
-/// the document, the TAX index, and the plans are shared immutable
-/// snapshots.
+///
+/// Every chunk sweeps with its own [`WorkBudget`] meter (ticking once per
+/// frontier entry, on top of the drivers' own per-node ticks) and the
+/// whole batch abandons with merged partial counters as soon as any chunk
+/// observes the deadline or the cancel token. Abandonment drops only
+/// per-chunk drivers and cursors — the document, the TAX index, and the
+/// plans are shared immutable snapshots.
 pub fn evaluate_jump_frontier_budgeted(
     doc: &Document,
     plans: &[&CompiledMfa],
@@ -224,6 +212,16 @@ mod tests {
         (vocab, doc, tax)
     }
 
+    fn evaluate_jump_frontier(
+        doc: &Document,
+        plans: &[&CompiledMfa],
+        tax: &TaxIndex,
+        threads: usize,
+    ) -> Vec<Option<(NodeSet, EvalStats)>> {
+        evaluate_jump_frontier_budgeted(doc, plans, tax, threads, &WorkBudget::unlimited())
+            .expect("an unlimited budget never interrupts")
+    }
+
     fn plan_for(q: &str, vocab: &Vocabulary) -> CompiledMfa {
         CompiledMfa::compile(&compile(&parse_path(q, vocab).unwrap(), vocab))
     }
@@ -236,7 +234,10 @@ mod tests {
         let refs: Vec<&CompiledMfa> = plans.iter().collect();
         let solo: Vec<_> = refs
             .iter()
-            .map(|p| crate::jump::evaluate_jump(&doc, p, &tax))
+            .map(|p| {
+                crate::jump::evaluate_jump_budgeted(&doc, p, &tax, &WorkBudget::unlimited())
+                    .map(|r| r.expect("an unlimited budget never interrupts"))
+            })
             .collect();
         for threads in [1, 2, 5] {
             let batch = evaluate_jump_frontier(&doc, &refs, &tax, threads);
@@ -317,7 +318,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_interrupts_the_sweep_at_any_thread_count() {
-        use crate::budget::{Interrupt, WorkBudget};
+        use crate::budget::Interrupt;
         use std::time::{Duration, Instant};
         let body: String = (0..60)
             .map(|i| format!("<sec><id>k{i}</id><data><x/></data></sec>"))

@@ -295,25 +295,12 @@ pub fn start_region_triggers(
     out
 }
 
-/// Evaluates an eligible plan by jump scan. Returns `None` when the plan
-/// is not eligible or `tax` has no positional index for `doc` (callers
-/// fall back to the scan walker).
-pub fn evaluate_jump(
-    doc: &Document,
-    plan: &CompiledMfa,
-    tax: &TaxIndex,
-) -> Option<(NodeSet, EvalStats)> {
-    match evaluate_jump_budgeted(doc, plan, tax, &WorkBudget::unlimited()) {
-        None => None,
-        Some(Ok(result)) => Some(result),
-        Some(Err(_)) => unreachable!("an unlimited budget never interrupts"),
-    }
-}
-
-/// [`evaluate_jump`] under a [`WorkBudget`]: the driver checks the budget
+/// Evaluates an eligible plan by jump scan under a [`WorkBudget`].
+/// Returns `None` when the plan is not eligible or `tax` has no
+/// positional index for `doc` (callers fall back to the scan walker) —
+/// budgeting never changes eligibility. The driver checks the budget
 /// once per probed candidate (and per `HasPath` witness step) and
-/// abandons with its partial counters when the budget interrupts. `None`
-/// still means "not jump-eligible" — budgeting never changes eligibility.
+/// abandons with its partial counters when the budget interrupts.
 pub fn evaluate_jump_budgeted(
     doc: &Document,
     plan: &CompiledMfa,
@@ -1201,6 +1188,15 @@ mod tests {
     use smoqe_automata::compile;
     use smoqe_rxpath::parse_path;
     use smoqe_xml::Vocabulary;
+
+    fn evaluate_jump(
+        doc: &Document,
+        plan: &CompiledMfa,
+        tax: &TaxIndex,
+    ) -> Option<(NodeSet, EvalStats)> {
+        evaluate_jump_budgeted(doc, plan, tax, &WorkBudget::unlimited())
+            .map(|r| r.expect("an unlimited budget never interrupts"))
+    }
 
     /// Jump answers must equal scan answers, visiting no more nodes.
     fn check(xml: &str, query: &str) -> (EvalStats, EvalStats) {

@@ -10,22 +10,22 @@
 //! accumulation) and whether subtrees can be skipped (random access vs.
 //! sequential scan).
 //!
-//! ## Compiled vs. interpreted execution
+//! ## Execution
 //!
 //! The machine executes a [`CompiledMfa`] — the dense-table form of the
-//! plan (see `smoqe_automata::compile`) — in one of two modes:
+//! plan (see `smoqe_automata::compile`): guard-free NFAs run as
+//! subset-construction **DFAs** — one `u32` per open tree level, one
+//! dense-row lookup per event. Guarded NFAs step through precomputed CSR
+//! rows instead of scanning transition lists, the per-node predicate
+//! spawn cache is an epoch-marked array (no hashing), and the guard-aware
+//! closure uses a dense epoch-marked builder. Nothing in the per-event
+//! path touches a `HashMap` or allocates beyond pooled scratch.
 //!
-//! * [`ExecMode::Compiled`] (the default): guard-free NFAs run as
-//!   subset-construction **DFAs** — one `u32` per open tree level, one
-//!   dense-row lookup per event. Guarded NFAs step through precomputed
-//!   CSR rows instead of scanning transition lists, the per-node predicate
-//!   spawn cache is an epoch-marked array (no hashing), and the guard-aware
-//!   closure uses a dense epoch-marked builder. Nothing in the per-event
-//!   path touches a `HashMap` or allocates beyond pooled scratch.
-//! * [`ExecMode::Interpreted`]: the original per-event NFA interpretation
-//!   (linear transition scans, map-based closure builder). Kept for
-//!   differential testing and the `ablation` bench; answers and skip
-//!   decisions are identical by construction.
+//! [`ExecMode`] names the *driver* strategy on top of this one machine —
+//! walk the tree ([`ExecMode::Compiled`]) or hop between candidate
+//! subtrees ([`ExecMode::Jump`], see [`crate::jump`]); the machine itself
+//! has no modes. The reference every differential test compares against
+//! is `smoqe_rxpath::evaluate`.
 //!
 //! ## Runs, tags and instances
 //!
@@ -52,20 +52,17 @@ use smoqe_automata::compile::{CompiledMfa, DEAD};
 use smoqe_automata::{Mfa, NfaId, Pred, PredId, StateId};
 use smoqe_xml::{Label, LabelSet};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
 
 /// Sentinel node id for the virtual document node above the root.
 pub const VIRTUAL_NODE: u32 = u32::MAX;
 
-/// How the machine executes its plan.
+/// How a driver traverses the document with its plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Dense-table execution (DFA fast path, CSR rows, epoch arenas).
+    /// The scan walker: every reachable node is stepped through the
+    /// dense tables (DFA fast path, CSR rows, epoch arenas).
     #[default]
     Compiled,
-    /// Per-event NFA interpretation (the pre-compilation evaluator),
-    /// retained for differential testing and ablation benchmarks.
-    Interpreted,
     /// Jump-scan evaluation (DOM mode only): predicate-free DFA plans
     /// skip between candidate subtrees through the positional label index
     /// instead of walking the tree (see [`crate::jump`]). Drivers that
@@ -135,8 +132,8 @@ type RunId = usize;
 /// sets are small).
 type ActiveSet = Vec<(StateId, Tag)>;
 
-/// Per-run stack of active levels: dense DFA states for guard-free NFAs
-/// in compiled mode, tagged state sets otherwise.
+/// Per-run stack of active levels: dense DFA states for guard-free NFAs,
+/// tagged state sets otherwise.
 #[derive(Debug)]
 enum RunStack {
     Dfa(Vec<u32>),
@@ -173,7 +170,7 @@ struct Frame {
     live: Vec<RunId>,
 }
 
-/// Epoch-marked dense builder for the guard-aware closure (compiled mode).
+/// Epoch-marked dense builder for the guard-aware closure.
 /// One builder per closure invocation; recursive `HasPath` spawns take a
 /// fresh builder from the machine's pool, so arrays are never shared
 /// across nesting levels.
@@ -239,11 +236,10 @@ impl ClosureBuilder {
 pub struct Machine<'a> {
     plan: &'a CompiledMfa,
     mfa: &'a Mfa,
-    mode: ExecMode,
     /// Epoch-marked scratch for closure merging (index = state id).
     scratch: Vec<u32>,
     scratch_epoch: u32,
-    /// Pool of dense closure builders (compiled slow path).
+    /// Pool of dense closure builders (guarded slow path).
     builder_pool: Vec<ClosureBuilder>,
     /// Recycled frames and active sets (per-node allocation avoidance).
     frame_pool: Vec<Frame>,
@@ -257,13 +253,11 @@ pub struct Machine<'a> {
     immediate: Vec<u32>,
     frames: Vec<Frame>,
     open_texteq: Vec<InstId>,
-    /// Per-node spawn cache, compiled mode: epoch-marked arrays indexed by
-    /// predicate id — one instance per (pred, node), no hashing.
+    /// Per-node spawn cache: epoch-marked arrays indexed by predicate id
+    /// — one instance per (pred, node), no hashing.
     spawn_mark: Vec<u32>,
     spawn_val: Vec<InstRef>,
     spawn_epoch: u32,
-    /// Per-node spawn cache, interpreted mode.
-    spawn_cache: HashMap<PredId, InstRef>,
     /// Eager `text()='c'` resolution (DOM mode): node id -> string value.
     text_resolver: Option<&'a TextResolver<'a>>,
     /// Candidate discovered by the most recent `enter` (for stream
@@ -287,28 +281,12 @@ pub struct Machine<'a> {
 }
 
 impl<'a> Machine<'a> {
-    /// Creates a compiled-mode machine for `plan`. `text_resolver` enables
-    /// eager `text()='c'` resolution (DOM mode); without it, text is
+    /// Creates a machine for `plan`. `text_resolver` enables eager
+    /// `text()='c'` resolution (DOM mode); without it, text is
     /// accumulated from `text` events (StAX mode).
     pub fn new(plan: &'a CompiledMfa, text_resolver: Option<&'a TextResolver<'a>>) -> Self {
-        Machine::with_mode(plan, text_resolver, ExecMode::Compiled)
-    }
-
-    /// Creates a machine with an explicit execution mode.
-    pub fn with_mode(
-        plan: &'a CompiledMfa,
-        text_resolver: Option<&'a TextResolver<'a>>,
-        mode: ExecMode,
-    ) -> Self {
-        // Jumping is a driver-level strategy (`crate::jump`), not a
-        // machine one: a machine asked for it executes the compiled
-        // tables, which is what the jump driver falls back to.
-        let mode = match mode {
-            ExecMode::Jump => ExecMode::Compiled,
-            m => m,
-        };
         let pred_count = plan.mfa().pred_count();
-        let simple_dfa = if mode == ExecMode::Compiled && pred_count == 0 {
+        let simple_dfa = if pred_count == 0 {
             plan.nfa(plan.mfa().top()).dfa()
         } else {
             None
@@ -316,7 +294,6 @@ impl<'a> Machine<'a> {
         Machine {
             plan,
             mfa: plan.mfa(),
-            mode,
             simple_dfa,
             simple_active: false,
             simple_stack: Vec::new(),
@@ -337,7 +314,6 @@ impl<'a> Machine<'a> {
             spawn_mark: vec![0; pred_count],
             spawn_val: vec![InstRef::Resolved(false); pred_count],
             spawn_epoch: 0,
-            spawn_cache: HashMap::new(),
             text_resolver,
             last_candidate: None,
             observe: true,
@@ -367,40 +343,25 @@ impl<'a> Machine<'a> {
     /// Whether `nfa` executes as a dense-table DFA in this machine.
     #[inline]
     fn dfa_kind(&self, nfa: NfaId) -> bool {
-        self.mode == ExecMode::Compiled && self.plan.nfa(nfa).dfa().is_some()
+        self.plan.nfa(nfa).dfa().is_some()
     }
 
     /// Starts a fresh per-node spawn-cache window.
     fn reset_spawn_cache(&mut self) {
         self.spawn_epoch = self.spawn_epoch.wrapping_add(1);
-        if self.mode == ExecMode::Interpreted {
-            self.spawn_cache.clear();
-        }
     }
 
     fn spawn_lookup(&self, pred: PredId) -> Option<InstRef> {
-        match self.mode {
-            ExecMode::Interpreted => self.spawn_cache.get(&pred).copied(),
-            _ => {
-                if self.spawn_mark[pred.index()] == self.spawn_epoch && self.spawn_epoch != 0 {
-                    Some(self.spawn_val[pred.index()])
-                } else {
-                    None
-                }
-            }
+        if self.spawn_mark[pred.index()] == self.spawn_epoch && self.spawn_epoch != 0 {
+            Some(self.spawn_val[pred.index()])
+        } else {
+            None
         }
     }
 
     fn spawn_store(&mut self, pred: PredId, r: InstRef) {
-        match self.mode {
-            ExecMode::Interpreted => {
-                self.spawn_cache.insert(pred, r);
-            }
-            _ => {
-                self.spawn_mark[pred.index()] = self.spawn_epoch;
-                self.spawn_val[pred.index()] = r;
-            }
-        }
+        self.spawn_mark[pred.index()] = self.spawn_epoch;
+        self.spawn_val[pred.index()] = r;
     }
 
     fn take_frame(&mut self, node: u32) -> Frame {
@@ -552,9 +513,9 @@ impl<'a> Machine<'a> {
                     match available {
                         None => return Preview::Progress,
                         Some(avail) => {
-                            // Parity with the interpreter: check the
-                            // *pre-closure* transition targets of the
-                            // subset members.
+                            // Same rule as the tagged-set arm below:
+                            // check the *pre-closure* transition targets
+                            // of the subset members.
                             for &s in dfa.members(cur) {
                                 for &t in compiled.row(s, col) {
                                     if req[t.index()].satisfiable_within(avail) {
@@ -569,37 +530,14 @@ impl<'a> Machine<'a> {
                     let Some(top) = stack.last() else {
                         continue;
                     };
-                    match self.mode {
-                        ExecMode::Interpreted => {
-                            let nfa = self.mfa.nfa(run.nfa);
-                            for &(s, _) in top {
-                                for t in nfa.transitions(s) {
-                                    if !t.test.matches(label) {
-                                        continue;
-                                    }
-                                    any_match = true;
-                                    match available {
-                                        None => return Preview::Progress,
-                                        Some(avail) => {
-                                            if req[t.target.index()].satisfiable_within(avail) {
-                                                return Preview::Progress;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        _ => {
-                            for &(s, _) in top {
-                                for &t in compiled.row(s, col) {
-                                    any_match = true;
-                                    match available {
-                                        None => return Preview::Progress,
-                                        Some(avail) => {
-                                            if req[t.index()].satisfiable_within(avail) {
-                                                return Preview::Progress;
-                                            }
-                                        }
+                    for &(s, _) in top {
+                        for &t in compiled.row(s, col) {
+                            any_match = true;
+                            match available {
+                                None => return Preview::Progress,
+                                Some(avail) => {
+                                    if req[t.index()].satisfiable_within(avail) {
+                                        return Preview::Progress;
                                     }
                                 }
                             }
@@ -664,29 +602,14 @@ impl<'a> Machine<'a> {
                     }
                 }
                 RunStack::Sets(stack) => {
-                    // Step on the label through the precomputed rows
-                    // (compiled) or a transition scan (interpreted).
+                    // Step on the label through the precomputed rows.
                     let top = stack.last().expect("live run has a set");
                     let mut seed = std::mem::take(&mut self.seed_buf);
                     seed.clear();
-                    match self.mode {
-                        ExecMode::Interpreted => {
-                            let nfa = self.mfa.nfa(nfa_id);
-                            for &(s, tag) in top {
-                                for t in nfa.transitions(s) {
-                                    if t.test.matches(label) {
-                                        seed.push((t.target, tag));
-                                    }
-                                }
-                            }
-                        }
-                        _ => {
-                            let compiled = plan.nfa(nfa_id);
-                            for &(s, tag) in top {
-                                for &t in compiled.row(s, col) {
-                                    seed.push((t, tag));
-                                }
-                            }
+                    let compiled = plan.nfa(nfa_id);
+                    for &(s, tag) in top {
+                        for &t in compiled.row(s, col) {
+                            seed.push((t, tag));
                         }
                     }
                     if seed.is_empty() {
@@ -1054,14 +977,11 @@ impl<'a> Machine<'a> {
             out.sort_unstable_by_key(|&(s, _)| s);
             return out;
         }
-        match self.mode {
-            ExecMode::Interpreted => self.closure_slow_map(nfa_id, seed, node, new_runs, observer),
-            _ => self.closure_slow_dense(nfa_id, seed, node, new_runs, observer),
-        }
+        self.closure_slow(nfa_id, seed, node, new_runs, observer)
     }
 
-    /// Compiled slow path: dense epoch-marked builder, no hashing.
-    fn closure_slow_dense(
+    /// Guarded slow path: dense epoch-marked builder, no hashing.
+    fn closure_slow(
         &mut self,
         nfa_id: NfaId,
         seed: &[(StateId, Tag)],
@@ -1115,90 +1035,6 @@ impl<'a> Machine<'a> {
         }
         out.sort_unstable_by_key(|&(s, _)| s);
         self.builder_pool.push(b);
-        out
-    }
-
-    /// Interpreted slow path: the original map-based builder.
-    fn closure_slow_map(
-        &mut self,
-        nfa_id: NfaId,
-        seed: &[(StateId, Tag)],
-        node: u32,
-        new_runs: &mut Vec<RunId>,
-        observer: &mut dyn EvalObserver,
-    ) -> ActiveSet {
-        let mfa: &'a Mfa = self.mfa;
-        let nfa = mfa.nfa(nfa_id);
-        #[derive(Default, Clone)]
-        struct Build {
-            known_true: bool,
-            parts: BTreeSet<FId>,
-        }
-        let mut builds: HashMap<StateId, Build> = HashMap::new();
-        let mut work: Vec<StateId> = Vec::new();
-        let merge = |builds: &mut HashMap<StateId, Build>,
-                     work: &mut Vec<StateId>,
-                     s: StateId,
-                     tag: Tag| {
-            let b = builds.entry(s).or_default();
-            let changed = match tag {
-                Tag::True => {
-                    let c = !b.known_true;
-                    b.known_true = true;
-                    c
-                }
-                Tag::Formula(f) => {
-                    if b.known_true {
-                        false
-                    } else {
-                        b.parts.insert(f)
-                    }
-                }
-            };
-            if changed {
-                work.push(s);
-            }
-        };
-        for &(s, tag) in seed {
-            merge(&mut builds, &mut work, s, tag);
-        }
-        while let Some(s) = work.pop() {
-            let cur = {
-                let b = &builds[&s];
-                if b.known_true {
-                    Tag::True
-                } else {
-                    match self.arena.or_tags(&b.parts, false) {
-                        Some(t) => t,
-                        None => continue, // no valid way to be here
-                    }
-                }
-            };
-            for e in nfa.eps_edges(s) {
-                let tag = match e.guard {
-                    None => cur,
-                    Some(g) => match self.spawn(g, node, new_runs, observer) {
-                        InstRef::Resolved(true) => cur,
-                        InstRef::Resolved(false) => continue,
-                        InstRef::Pending(i) => self.arena.and_inst(cur, i),
-                    },
-                };
-                merge(&mut builds, &mut work, e.target, tag);
-            }
-        }
-        let mut out: ActiveSet = Vec::with_capacity(builds.len());
-        for (s, b) in builds {
-            let tag = if b.known_true {
-                Tag::True
-            } else {
-                match self.arena.or_tags(&b.parts, false) {
-                    Some(t) => t,
-                    None => continue,
-                }
-            };
-            out.push((s, tag));
-        }
-        out.sort_unstable_by_key(|(s, _)| *s);
         out
     }
 

@@ -23,13 +23,9 @@
 //! is the 1-lane special case of the batched evaluator, so both paths
 //! share one implementation.
 
-use crate::batch::{
-    evaluate_batch_stream_plans_budgeted, evaluate_batch_stream_plans_with,
-    evaluate_batch_stream_with,
-};
+use crate::batch::{evaluate_batch_stream, evaluate_batch_stream_plans_budgeted};
 use crate::budget::{DriverError, WorkBudget};
-use crate::machine::ExecMode;
-use crate::observer::{EvalObserver, NoopObserver};
+use crate::observer::EvalObserver;
 use crate::stats::EvalStats;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::Mfa;
@@ -58,14 +54,20 @@ pub struct StreamOptions {
     pub want_xml: bool,
 }
 
-/// Evaluates `mfa` over the XML text arriving from `reader`.
+/// Evaluates `mfa` over the XML text arriving from `reader` (compiling
+/// the plan on the fly).
 pub fn evaluate_stream<R: BufRead>(
     reader: R,
     mfa: &Mfa,
     vocab: &Vocabulary,
     options: StreamOptions,
 ) -> Result<StreamOutcome, XmlError> {
-    evaluate_stream_with(reader, mfa, vocab, options, &mut NoopObserver)
+    let out = evaluate_batch_stream(reader, &[mfa], vocab, options)?;
+    Ok(out
+        .outcomes
+        .into_iter()
+        .next()
+        .expect("one plan in, one outcome out"))
 }
 
 /// Evaluates `mfa` over a string slice (convenience).
@@ -78,44 +80,7 @@ pub fn evaluate_stream_str(
     evaluate_stream(input.as_bytes(), mfa, vocab, options)
 }
 
-/// Full-control variant with an observer.
-pub fn evaluate_stream_with<R: BufRead>(
-    reader: R,
-    mfa: &Mfa,
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    observer: &mut dyn EvalObserver,
-) -> Result<StreamOutcome, XmlError> {
-    let mut observers: [&mut dyn EvalObserver; 1] = [observer];
-    let out = evaluate_batch_stream_with(reader, &[mfa], vocab, options, &mut observers)?;
-    Ok(out
-        .outcomes
-        .into_iter()
-        .next()
-        .expect("one plan in, one outcome out"))
-}
-
-/// Evaluates a precompiled plan — the engine's streaming path. `mode`
-/// selects the dense-table executor or the per-event interpreter.
-pub fn evaluate_stream_plan_with<R: BufRead>(
-    reader: R,
-    plan: &CompiledMfa,
-    vocab: &Vocabulary,
-    options: StreamOptions,
-    mode: ExecMode,
-    observer: &mut dyn EvalObserver,
-) -> Result<StreamOutcome, XmlError> {
-    let mut observers: [&mut dyn EvalObserver; 1] = [observer];
-    let out =
-        evaluate_batch_stream_plans_with(reader, &[(plan, options)], vocab, mode, &mut observers)?;
-    Ok(out
-        .outcomes
-        .into_iter()
-        .next()
-        .expect("one plan in, one outcome out"))
-}
-
-/// [`evaluate_stream_plan_with`] under a [`WorkBudget`] (the 1-lane
+/// Evaluates a precompiled plan under a [`WorkBudget`] (the 1-lane
 /// special case of [`evaluate_batch_stream_plans_budgeted`]): the scan
 /// checks the budget once per parser event and abandons with the partial
 /// counters when the deadline passes or the cancel token flips.
@@ -124,7 +89,6 @@ pub fn evaluate_stream_plan_budgeted<R: BufRead>(
     plan: &CompiledMfa,
     vocab: &Vocabulary,
     options: StreamOptions,
-    mode: ExecMode,
     observer: &mut dyn EvalObserver,
     budget: &WorkBudget,
 ) -> Result<StreamOutcome, DriverError> {
@@ -133,7 +97,6 @@ pub fn evaluate_stream_plan_budgeted<R: BufRead>(
         reader,
         &[(plan, options)],
         vocab,
-        mode,
         &mut observers,
         budget,
     )?;

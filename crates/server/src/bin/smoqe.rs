@@ -7,7 +7,7 @@
 //! ```text
 //! smoqe derive   --dtd D.dtd --policy P.pol            # Fig. 3: show sigma + view DTD
 //! smoqe query    --dtd D.dtd --doc T.xml [--policy P.pol] [--stream] [--tax]
-//!                [--mode scan|jump|auto] [--threads N] [--repeat N]
+//!                [--threads N] [--repeat N]
 //!                [--cache-stats] [--explain] [--batch FILE] QUERY
 //! smoqe explain  --dtd D.dtd [--policy P.pol] QUERY    # rewritten MFA listing
 //! smoqe trace    --dtd D.dtd --doc T.xml [--policy P.pol] QUERY   # Fig. 5 trace
@@ -24,12 +24,13 @@
 //! the shared plan cache, and `--cache-stats` prints the engine's
 //! hit/miss/invalidation/eviction counters afterwards — plus the
 //! execution mode each query actually ran in (`scan` vs `jump`), so the
-//! auto-picker's skip behaviour is observable.
+//! engine's per-query pick is observable.
 //!
-//! `--mode jump` evaluates through the positional label index (visiting
-//! only candidate subtrees; implies `--tax`), `--mode auto` picks jump or
-//! scan per query from the estimated selectivity, and `--threads N`
-//! answers DOM-mode batches on N worker threads over one shared snapshot.
+//! `--tax` builds the TAX index after loading the document; with it the
+//! engine prunes subtrees and jumps through the positional label index on
+//! selective queries (visiting only candidate subtrees), scanning
+//! otherwise. `--threads N` answers DOM-mode batches on N worker threads
+//! over one shared snapshot.
 //!
 //! `--explain` prints, per query, the execution mode the engine picked,
 //! the statistics-based selectivity estimate (or the reason none exists),
@@ -38,8 +39,9 @@
 //! posting lists, or child-witness postings.
 //!
 //! `--batch FILE` answers every query listed in FILE (one Regular XPath
-//! query per line, `#` comments and blank lines skipped) in **one
-//! sequential scan** of the document and reports the shared event count;
+//! query per line, `#` comments and blank lines skipped) against **one
+//! snapshot** of the document — on the tree in DOM mode, in one shared
+//! sequential scan (reporting the shared event count) with `--stream`;
 //! the positional QUERY argument is not needed then.
 //!
 //! `bench-traffic` is the serving layer's load generator: it drives
@@ -62,7 +64,7 @@
 //! apply transactionally, and the updated document goes to stdout (or
 //! `--out FILE`).
 
-use smoqe::{DocHandle, DocumentMode, Engine, EngineConfig, EvalMode, ExecMode, User};
+use smoqe::{DocHandle, DocumentMode, Engine, EngineConfig, ExecMode, User};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -100,7 +102,7 @@ fn parse_args(raw: &[String]) -> Args {
             // Switches without values.
             if matches!(
                 name,
-                "stream" | "tax" | "no-optimize" | "dot" | "cache-stats" | "explain" | "shutdown"
+                "stream" | "tax" | "dot" | "cache-stats" | "explain" | "shutdown"
             ) {
                 switches.push(name.to_string());
                 i += 1;
@@ -154,12 +156,12 @@ fn print_usage() {
          commands:\n\
            derive   --dtd FILE --policy FILE                 derive the security view (Fig. 3)\n\
            query    --dtd FILE --doc FILE [--policy FILE]\n\
-                    [--stream] [--tax] [--no-optimize]\n\
-                    [--mode scan|jump|auto] [--threads N]\n\
+                    [--stream] [--tax] [--threads N]\n\
                     [--repeat N] [--cache-stats] [--explain]\n\
                     [--batch FILE | QUERY]                   answer one query, or a whole\n\
-                                                             batch file in a single scan\n\
-                                                             (or across N DOM workers)\n\
+                                                             batch file on one snapshot\n\
+                                                             (N DOM workers, or a single\n\
+                                                             scan with --stream)\n\
            explain  --dtd FILE [--policy FILE] QUERY         show the (rewritten) MFA\n\
            trace    --dtd FILE --doc FILE [--policy FILE] Q  annotated evaluation trace (Fig. 5)\n\
            index    --doc FILE --out FILE                    build + persist the TAX index\n\
@@ -199,49 +201,15 @@ fn build_document(args: &Args) -> Result<(DocHandle, User), Box<dyn std::error::
     if args.switch("stream") {
         config.mode = DocumentMode::Stream;
     }
-    config.use_tax = args.switch("tax");
-    config.optimize_mfa = !args.switch("no-optimize");
     if let Some(threads) = args.flags.get("threads") {
         config.eval_threads = threads.parse::<usize>()?.max(1);
-    }
-    if let Some(mode) = args.flags.get("mode") {
-        config.eval_mode = match mode.as_str() {
-            "scan" => EvalMode::Scan,
-            "jump" => EvalMode::Jump,
-            "auto" => EvalMode::Auto,
-            other => return Err(format!("--mode must be scan|jump|auto, got '{other}'").into()),
-        };
-        if config.eval_mode != EvalMode::Scan {
-            if config.mode == DocumentMode::Stream {
-                // Jumping needs random access; silently scanning would
-                // make the explicit request unobservable.
-                return Err("--mode jump/auto is a DOM-mode strategy; \
-                            --stream always evaluates by sequential scan"
-                    .into());
-            }
-            if config.eval_mode == EvalMode::Jump
-                && args.flags.contains_key("batch")
-                && config.eval_threads <= 1
-            {
-                // A 1-thread DOM batch rides the shared streaming scan,
-                // where jumping cannot apply — same rule as --stream: an
-                // explicit jump request must not silently scan.
-                return Err("--mode jump with --batch evaluates by one shared \
-                            scan at 1 thread; add --threads N (N > 1) for \
-                            jump-mode batches, or drop --batch"
-                    .into());
-            }
-            // Jumping runs on the TAX index's positional lists, so asking
-            // for it (or for auto) implies building the index.
-            config.use_tax = true;
-        }
     }
     let engine = Engine::new(config);
     let doc = engine.open_document("cli");
     doc.load_dtd(&std::fs::read_to_string(required(args, "dtd")?)?)?;
     if let Some(path) = args.flags.get("doc") {
         doc.load_document_file(path)?;
-        if config.use_tax {
+        if args.switch("tax") {
             doc.build_tax_index()?;
         }
     }
@@ -328,7 +296,6 @@ fn repeat_count(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
 fn mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Compiled => "scan",
-        ExecMode::Interpreted => "interpreted",
         ExecMode::Jump => "jump",
     }
 }
@@ -405,17 +372,10 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let queries: Vec<&str> = lines.iter().map(String::as_str).collect();
         // --repeat re-runs the whole batch (each re-run hits the plan
         // cache), same as it re-runs a single query.
-        let mut batch = session.query_batch(&queries)?;
+        let mut batch = session.query_batch_serialized(&queries)?;
         for _ in 1..repeat {
-            batch = session.query_batch(&queries)?;
+            batch = session.query_batch_serialized(&queries)?;
         }
-        // Parallel DOM batches serialize their answers from the document
-        // tree after the fact (fetched once for the whole batch).
-        let tree = if batch.events == 0 {
-            Some(doc.document()?)
-        } else {
-            None
-        };
         if batch.events > 0 {
             eprintln!(
                 "{} quer{} answered in ONE scan ({} parser events)",
@@ -447,30 +407,8 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     ""
                 },
             );
-            match &answer.xml {
-                Some(xmls) => {
-                    for xml in xmls {
-                        println!("{xml}");
-                    }
-                }
-                // Parallel DOM answers are not serialized during
-                // evaluation; render them afterwards so --threads N
-                // prints what --threads 1 prints. Admin answers
-                // serialize straight from the already-computed node sets;
-                // group answers go back through query_xml, the only
-                // public path that filters hidden descendants.
-                None => match (&tree, session.user()) {
-                    (Some(tree), User::Admin) => {
-                        for xml in answer.serialize_with(tree) {
-                            println!("{xml}");
-                        }
-                    }
-                    _ => {
-                        for xml in session.query_xml(query)? {
-                            println!("{xml}");
-                        }
-                    }
-                },
+            for xml in answer.xml.iter().flatten() {
+                println!("{xml}");
             }
         }
         if args.switch("explain") {

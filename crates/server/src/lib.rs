@@ -27,8 +27,7 @@
 //!   traffic harness use.
 //! * [`traffic`] — a traffic-simulation harness driving hundreds of
 //!   concurrent mixed read/write sessions against a live server and
-//!   reporting p50/p95/p99 latency and QPS (the `serving_latency_us`
-//!   series of BENCH.json).
+//!   reporting p50/p95/p99 latency and QPS.
 //! * [`chaos`] — a socket-level fault-injection proxy (stalls, byte
 //!   dribble, torn writes, abrupt disconnects) with seeded, reproducible
 //!   schedules; `tests/chaos.rs` uses it to prove the deadline /

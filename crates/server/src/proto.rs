@@ -647,7 +647,8 @@ pub enum Request {
         /// runs and abandoned mid-scan if it expires while running.
         deadline_ms: u32,
     },
-    /// Evaluate several queries in one shared scan.
+    /// Evaluate several queries against one snapshot (one shared scan
+    /// on a stream engine).
     QueryBatch {
         /// The query texts, answered in order.
         queries: Vec<String>,
@@ -886,10 +887,11 @@ impl Request {
 // Wire views of engine results
 // ---------------------------------------------------------------------------
 
+// Mode code 1 named the retired per-event interpreter; it stays
+// unassigned so an old peer's byte is rejected, not reinterpreted.
 fn mode_to_u8(mode: ExecMode) -> u8 {
     match mode {
         ExecMode::Compiled => 0,
-        ExecMode::Interpreted => 1,
         ExecMode::Jump => 2,
     }
 }
@@ -897,7 +899,6 @@ fn mode_to_u8(mode: ExecMode) -> u8 {
 fn mode_from_u8(v: u8) -> Result<ExecMode, ProtoError> {
     match v {
         0 => Ok(ExecMode::Compiled),
-        1 => Ok(ExecMode::Interpreted),
         2 => Ok(ExecMode::Jump),
         _ => Err(ProtoError),
     }
@@ -1640,6 +1641,34 @@ mod tests {
         match Response::decode(frame.op, &frame.payload).unwrap() {
             Response::Error { code: c, .. } => assert_eq!(c, code::DEADLINE_EXCEEDED),
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_mode_byte_is_a_malformed_frame() {
+        // An answer with no nodes and no xml: the mode byte sits right
+        // before the 4-byte xml count that ends the payload.
+        let answer = WireAnswer {
+            nodes: vec![],
+            stats: EvalStats::default(),
+            plan_cached: false,
+            mode: ExecMode::Jump,
+            xml: vec![],
+        };
+        let mut e = Enc::new();
+        answer.encode(&mut e);
+        let mut payload = e.try_finish().unwrap();
+        let mode_at = payload.len() - 5;
+        assert_eq!(payload[mode_at], 2);
+        for (byte, expected) in [(0, Some(ExecMode::Compiled)), (1, None), (3, None)] {
+            payload[mode_at] = byte;
+            // `ProtoError` is the decode failure every peer reports as
+            // `code::MALFORMED_FRAME`.
+            match (Response::decode(op::ANSWER_OK, &payload), expected) {
+                (Ok(Response::AnswerOk(a)), Some(mode)) => assert_eq!(a.mode, mode),
+                (Err(ProtoError), None) => {}
+                (other, _) => panic!("mode byte {byte}: {other:?}"),
+            }
         }
     }
 

@@ -3,13 +3,12 @@
 //!
 //! The harness is the serving layer's benchmark *and* its stress test:
 //! `smoqe bench-traffic` runs it from the CLI, `tests/server.rs` runs it
-//! small to assert quota isolation, and the bench suite runs it against
-//! an in-process server to produce the `serving_latency_us` series in
-//! BENCH.json.
+//! small to assert quota isolation, and CI's server/chaos/crash-recovery
+//! smokes drive real server binaries with it.
 //!
 //! Each session is one real TCP connection on its own thread, bound to a
 //! principal at `Hello`, issuing a deterministic pseudo-random mix of
-//! single queries, shared-scan batches and (admin sessions only)
+//! single queries, batches and (admin sessions only)
 //! insert+delete update transactions that leave the document unchanged.
 //! Determinism matters: two runs with the same seed issue the same
 //! request sequence, so configurations are comparable. `Busy` responses

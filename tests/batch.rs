@@ -5,8 +5,10 @@
 //!   DOM, serial stream and batched stream all agree, and the batch
 //!   reports exactly one document's worth of parser events;
 //! * the engine-level batch API (`Session::query_batch`) agrees with
-//!   serial `Session::query` in both DOM and stream configurations;
-//! * serialized batch answers match serial ones (stream mode).
+//!   serial `Session::query` on DOM engines (which evaluate on the
+//!   snapshot and never parse, at any `eval_threads`) and on stream
+//!   engines (one shared scan);
+//! * serialized batch answers match serial ones in both modes.
 
 use rand::SeedableRng;
 use smoqe::workloads::hospital;
@@ -86,10 +88,19 @@ fn thirty_two_random_queries_agree_across_all_modes_in_one_scan() {
 
 #[test]
 fn engine_batch_answers_and_xml_match_serial_sessions() {
-    for config in [EngineConfig::default(), EngineConfig::streaming()] {
+    let dom_at = |eval_threads| EngineConfig {
+        eval_threads,
+        ..EngineConfig::default()
+    };
+    let configs = [1, 2, 4, 8]
+        .map(dom_at)
+        .into_iter()
+        .chain([EngineConfig::streaming()]);
+    for config in configs {
         let engine = Engine::new(config);
         let doc = engine.open_document("hospital");
         hospital::install_sample(&doc).unwrap();
+        let one_scan = one_scan_events(hospital::SAMPLE_DOCUMENT);
         for user in [User::Admin, User::Group(hospital::GROUP.into())] {
             let session = doc.session(user.clone());
             let queries: Vec<&str> = match user {
@@ -97,24 +108,38 @@ fn engine_batch_answers_and_xml_match_serial_sessions() {
                 User::Group(_) => hospital::VIEW_QUERIES.iter().map(|(_, q)| *q).collect(),
             };
             let batch = session.query_batch(&queries).unwrap();
-            for (q, batched) in queries.iter().zip(&batch.answers) {
+            let serialized = session.query_batch_serialized(&queries).unwrap();
+            for ((q, batched), rendered) in
+                queries.iter().zip(&batch.answers).zip(&serialized.answers)
+            {
                 let serial = session.query(q).unwrap();
+                let context = format!("`{q}` as {user:?} in {config:?}");
+                assert_eq!(batched.nodes, serial.nodes, "batched {context}");
+                // Plain answers carry what a lone query carries (xml only
+                // from a stream engine); serialized ones always carry the
+                // rendering `query_xml` shows this principal.
+                assert_eq!(batched.xml, serial.xml, "xml of {context}");
+                assert_eq!(rendered.nodes, serial.nodes, "serialized {context}");
                 assert_eq!(
-                    batched.nodes, serial.nodes,
-                    "batched `{q}` as {user:?} in {:?} mode",
-                    config.mode
+                    rendered.xml.as_ref(),
+                    Some(&session.query_xml(q).unwrap()),
+                    "serialized xml of {context}"
                 );
-                // Batches always stream, so xml is always present; in
-                // stream mode it must match the serial rendering exactly
-                // (view users get the access-controlled rendering).
-                assert!(batched.xml.is_some(), "batch xml for `{q}` as {user:?}");
-                if config.mode == DocumentMode::Stream {
-                    assert_eq!(batched.xml, serial.xml, "xml for `{q}` as {user:?}");
+            }
+            let single = session.query_batch(&queries[..1]).unwrap();
+            match config.mode {
+                // A DOM engine never opens or re-parses the source.
+                DocumentMode::Dom => {
+                    assert_eq!(batch.events, 0, "{config:?}");
+                    assert_eq!(serialized.events, 0, "{config:?}");
+                    assert_eq!(single.events, 0, "{config:?}");
+                }
+                // The whole batch cost exactly one scan.
+                DocumentMode::Stream => {
+                    assert_eq!(batch.events, one_scan);
+                    assert_eq!(single.events, one_scan);
                 }
             }
-            // The whole batch cost one scan.
-            let single = session.query_batch(&queries[..1]).unwrap();
-            assert_eq!(batch.events, single.events);
             // An empty batch (e.g. a batch file of only comments) must
             // not scan at all.
             let empty = session.query_batch(&[]).unwrap();

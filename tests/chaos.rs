@@ -30,8 +30,8 @@ use smoqe_server::{
 };
 
 /// Starts a server on a *generated* hospital document big enough that a
-/// shared-scan batch of closure queries occupies a worker for seconds —
-/// the deterministic "blocker" the shed tests park behind.
+/// batch of closure predicates occupies a worker for seconds — the
+/// deterministic "blocker" the shed tests park behind.
 /// Deterministic per seed.
 fn start_big_server(config: ServerConfig) -> (ServerHandle, Arc<Engine>) {
     let engine = Engine::with_defaults();
@@ -45,14 +45,17 @@ fn start_big_server(config: ServerConfig) -> (ServerHandle, Arc<Engine>) {
     (handle, engine)
 }
 
-/// A QueryBatch that holds one worker busy for a couple of seconds
-/// while probes queue up behind it: closure queries in one shared scan
-/// over the generated document. Must run as **admin** — the policy
-/// hides `visit`, so on the view this matches nothing and returns
-/// instantly.
+/// A QueryBatch that holds one worker busy — seconds in a debug build,
+/// half a second in release — while probes queue up behind it: 64 copies
+/// of a predicate that walks the recursive parent chain below every
+/// patient of the generated document and matches nothing, so the time is
+/// all budget-checked evaluation on the DOM snapshot and the answer is
+/// empty. Must run as **admin** — the policy hides `visit`, so on the
+/// view this returns instantly.
 fn blocker_batch() -> Request {
+    let probe = "//patient[(parent/patient)*/visit/treatment/test = 'nosuch']";
     Request::QueryBatch {
-        queries: vec!["hospital/patient/(parent/patient)*/visit/treatment".to_string(); 4],
+        queries: vec![probe.to_string(); 64],
         deadline_ms: 0,
     }
 }
@@ -129,7 +132,7 @@ fn queue_shed_deadline_frames_are_byte_identical_hidden_vs_nonexistent() {
         ..ServerConfig::default()
     });
 
-    // Park the only worker on a heavy shared scan.
+    // Park the only worker on a heavy batch.
     let addr = handle.local_addr();
     let blocker = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
@@ -217,7 +220,9 @@ fn brownout_refusals_are_byte_identical_and_spare_admins() {
     // Admin work rides through the brownout.
     let mut boss = admin(&handle);
     assert!(!boss.query("//medication").unwrap().xml.is_empty());
-    let stats = boss.stats(false).unwrap();
+    // The worker releases the admission slot just *after* writing the
+    // response, so poll rather than race it.
+    let stats = await_drained(&mut boss, Duration::from_secs(5));
     assert!(stats.overloaded_total >= 2);
     assert_eq!(stats.inflight, 0);
 

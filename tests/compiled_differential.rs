@@ -1,19 +1,19 @@
 //! Differential suite for the compiled evaluation plans: on random
-//! documents × random Regular XPath queries, the dense-table executor
-//! ([`ExecMode::Compiled`]) and the per-event NFA interpreter
-//! ([`ExecMode::Interpreted`]) must produce **identical answers and
-//! identical skip/event counts** in DOM mode (with and without TAX
-//! pruning), stream mode, and batch mode — and both must agree with the
-//! naive reference evaluator.
+//! documents × random Regular XPath queries, the dense-table machine must
+//! produce the answers of the naive reference evaluator
+//! (`smoqe_rxpath::evaluate`) through **every driver** — DOM mode (with
+//! and without TAX pruning, which may only ever remove visits), stream
+//! mode, and batch mode (whose shared scan must cost exactly one stream
+//! scan and whose buffered XML must equal the DOM serialization).
 
 use proptest::prelude::*;
 use smoqe::workloads::hospital;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
-use smoqe_hype::batch::evaluate_batch_stream_plans;
+use smoqe_hype::batch::evaluate_batch_stream_plans_budgeted;
 use smoqe_hype::dom::{evaluate_mfa_plan, DomOptions};
-use smoqe_hype::stream::{evaluate_stream_plan_with, StreamOptions};
-use smoqe_hype::{ExecMode, NoopObserver};
+use smoqe_hype::stream::{evaluate_stream_plan_budgeted, StreamOptions};
+use smoqe_hype::{EvalObserver, ExecMode, NoopObserver, WorkBudget};
 use smoqe_rxpath::random::{random_path, QueryGenConfig};
 use smoqe_rxpath::{evaluate as naive, parse_path};
 use smoqe_tax::TaxIndex;
@@ -47,7 +47,7 @@ proptest! {
     })]
 
     #[test]
-    fn compiled_equals_interpreted_everywhere(
+    fn compiled_equals_reference_through_every_driver(
         doc_seed in 0u64..6,
         query_seed in 0u64..10_000,
         optimized in 0u64..2,
@@ -70,76 +70,75 @@ proptest! {
         let plan = CompiledMfa::compile(&mfa);
         let expected = naive(&doc, &path);
 
-        // DOM mode, with and without TAX pruning: identical answers AND
-        // identical traversal/skip counters.
-        for tax_opt in [None, Some(&tax)] {
-            let options = DomOptions { tax: tax_opt };
-            let (a_c, s_c) =
-                evaluate_mfa_plan(&doc, &plan, &options, ExecMode::Compiled, &mut NoopObserver);
-            let (a_i, s_i) =
-                evaluate_mfa_plan(&doc, &plan, &options, ExecMode::Interpreted, &mut NoopObserver);
-            prop_assert_eq!(&a_c, &expected, "compiled/DOM vs naive on `{}`", printed);
-            prop_assert_eq!(&a_i, &expected, "interpreted/DOM vs naive on `{}`", printed);
-            prop_assert_eq!(
-                s_c.nodes_visited, s_i.nodes_visited,
-                "visited nodes diverged on `{}` (tax={})", printed, tax_opt.is_some()
-            );
-            prop_assert_eq!(
-                s_c.subtrees_skipped_dead, s_i.subtrees_skipped_dead,
-                "dead-run skips diverged on `{}`", printed
-            );
-            prop_assert_eq!(
-                s_c.subtrees_pruned_tax, s_i.subtrees_pruned_tax,
-                "TAX prunes diverged on `{}`", printed
-            );
-            prop_assert_eq!(
-                s_c.immediate_answers, s_i.immediate_answers,
-                "immediate answers diverged on `{}`", printed
-            );
-        }
-
-        // Stream mode: identical answers and event counts.
-        let stream = |mode| {
-            evaluate_stream_plan_with(
-                xml.as_bytes(),
-                &plan,
-                &vocab,
-                StreamOptions::default(),
-                mode,
-                &mut NoopObserver,
-            )
-            .unwrap()
+        // DOM mode, with and without TAX pruning: the reference answers,
+        // and the index only ever removes work.
+        let dom = |tax| {
+            let options = DomOptions { tax };
+            evaluate_mfa_plan(&doc, &plan, &options, ExecMode::Compiled, &mut NoopObserver)
         };
-        let out_c = stream(ExecMode::Compiled);
-        let out_i = stream(ExecMode::Interpreted);
-        let expected_ids: Vec<u32> = expected.iter().map(|n| n.0).collect();
-        prop_assert_eq!(&out_c.answers, &expected_ids, "compiled/stream on `{}`", printed);
-        prop_assert_eq!(&out_i.answers, &expected_ids, "interpreted/stream on `{}`", printed);
-        prop_assert_eq!(out_c.events, out_i.events, "stream events diverged on `{}`", printed);
-        prop_assert_eq!(
-            out_c.stats.nodes_visited, out_i.stats.nodes_visited,
-            "stream visited diverged on `{}`", printed
+        let (a_plain, s_plain) = dom(None);
+        let (a_tax, s_tax) = dom(Some(&tax));
+        prop_assert_eq!(&a_plain, &expected, "DOM vs naive on `{}`", printed);
+        prop_assert_eq!(&a_tax, &expected, "DOM+TAX vs naive on `{}`", printed);
+        prop_assert_eq!(s_plain.subtrees_pruned_tax, 0, "no index, no TAX prunes");
+        prop_assert!(
+            s_tax.nodes_visited <= s_plain.nodes_visited,
+            "TAX pruning added visits on `{}`: {} > {}",
+            printed, s_tax.nodes_visited, s_plain.nodes_visited
         );
+        prop_assert_eq!(s_plain.answers, expected.len(), "answer counter on `{}`", printed);
+        prop_assert_eq!(s_tax.answers, expected.len(), "answer counter on `{}`", printed);
 
-        // Batch mode: the same plan twice in one shared scan, both modes.
-        let batch = |mode| {
-            let lanes = [
-                (&plan, StreamOptions::default()),
-                (&plan, StreamOptions { want_xml: true }),
-            ];
-            evaluate_batch_stream_plans(xml.as_bytes(), &lanes, &vocab, mode).unwrap()
-        };
-        let b_c = batch(ExecMode::Compiled);
-        let b_i = batch(ExecMode::Interpreted);
-        prop_assert_eq!(b_c.events, b_i.events, "batch events diverged on `{}`", printed);
-        for (lane_c, lane_i) in b_c.outcomes.iter().zip(&b_i.outcomes) {
-            prop_assert_eq!(&lane_c.answers, &expected_ids, "compiled/batch on `{}`", printed);
-            prop_assert_eq!(&lane_i.answers, &expected_ids, "interpreted/batch on `{}`", printed);
+        // Stream mode: the same answers from one sequential scan.
+        let streamed = evaluate_stream_plan_budgeted(
+            xml.as_bytes(),
+            &plan,
+            &vocab,
+            StreamOptions::default(),
+            &mut NoopObserver,
+            &WorkBudget::unlimited(),
+        )
+        .unwrap();
+        let expected_ids: Vec<u32> = expected.iter().map(|n| n.0).collect();
+        prop_assert_eq!(&streamed.answers, &expected_ids, "stream on `{}`", printed);
+
+        // Batch mode: the same plan twice in one shared scan, which must
+        // cost exactly the single stream scan.
+        let lanes = [
+            (&plan, StreamOptions::default()),
+            (&plan, StreamOptions { want_xml: true }),
+        ];
+        let mut idle = [NoopObserver; 2];
+        let mut observers: Vec<&mut dyn EvalObserver> = idle
+            .iter_mut()
+            .map(|o| o as &mut dyn EvalObserver)
+            .collect();
+        let batch = evaluate_batch_stream_plans_budgeted(
+            xml.as_bytes(),
+            &lanes,
+            &vocab,
+            &mut observers,
+            &WorkBudget::unlimited(),
+        )
+        .unwrap();
+        prop_assert_eq!(batch.events, streamed.events, "batch re-scanned on `{}`", printed);
+        for lane in &batch.outcomes {
+            prop_assert_eq!(&lane.answers, &expected_ids, "batch lane on `{}`", printed);
         }
-        // The XML-buffering lane must serialize identically in both modes.
+        // Riding a shared scan changes nothing for a lane: same options,
+        // same visits as the lone stream.
         prop_assert_eq!(
-            b_c.outcomes[1].answer_xml.as_ref(),
-            b_i.outcomes[1].answer_xml.as_ref(),
+            batch.outcomes[0].stats.nodes_visited, streamed.stats.nodes_visited,
+            "batch lane visits diverged from the lone stream on `{}`", printed
+        );
+        // The XML-buffering lane must serialize what the DOM serializes.
+        let dom_xml: Vec<String> = expected
+            .iter()
+            .map(|n| smoqe_xml::serialize::subtree_to_string(&doc, n))
+            .collect();
+        prop_assert_eq!(
+            batch.outcomes[1].answer_xml.as_ref(),
+            Some(&dom_xml),
             "buffered answer XML diverged on `{}`",
             printed
         );

@@ -12,6 +12,7 @@
 use smoqe::workloads::{hospital, org};
 use smoqe::{DocHandle, Engine, EngineConfig, User};
 use smoqe_xml::NodeId;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn hospital_doc(engine: &Arc<Engine>, name: &str) -> DocHandle {
@@ -243,8 +244,9 @@ fn sessions_survive_document_drop_and_reload() {
 fn multi_group_batch_shares_one_scan_and_matches_serial() {
     // One engine, one document, FOUR principals (admin + three groups with
     // different views): a single cross-session batch must answer all of
-    // them in one scan, each through its own view.
-    let engine = Engine::with_defaults();
+    // them against one snapshot, each through its own view — in one scan
+    // on a stream engine.
+    let engine = Engine::new(EngineConfig::streaming());
     let doc = hospital_doc(&engine, "hospital");
     let mix = serving_mix(&doc);
 
@@ -269,7 +271,27 @@ fn multi_group_batch_shares_one_scan_and_matches_serial() {
     }
     // The whole multi-group mix cost a single document scan.
     let one_scan = engine.evaluate_batch(&requests[..1]).unwrap().events;
+    assert!(one_scan > 0);
     assert_eq!(batch.events, one_scan, "batch re-scanned the document");
+
+    // A DOM engine answers the same mix identically without parsing.
+    let dom_engine = Engine::with_defaults();
+    let dom_doc = hospital_doc(&dom_engine, "hospital");
+    serving_mix(&dom_doc);
+    let dom_sessions: Vec<smoqe::Session> = mix
+        .iter()
+        .map(|(user, _)| dom_doc.session(user.clone()))
+        .collect();
+    let dom_requests: Vec<(&smoqe::Session, &str)> = dom_sessions
+        .iter()
+        .zip(mix.iter())
+        .map(|(s, (_, q))| (s, *q))
+        .collect();
+    let dom_batch = dom_engine.evaluate_batch(&dom_requests).unwrap();
+    assert_eq!(dom_batch.events, 0, "a DOM batch never parses");
+    for (dom, streamed) in dom_batch.answers.iter().zip(&batch.answers) {
+        assert_eq!(dom.nodes, streamed.nodes);
+    }
 
     // The mix covers several distinct principals over the same scan.
     let distinct: std::collections::HashSet<_> = mix.iter().map(|(u, _)| u.clone()).collect();
@@ -403,6 +425,82 @@ fn mid_batch_readers_complete_on_exactly_one_snapshot() {
         "the racing batch mixed snapshots: {:?} answers",
         raced.iter().map(Vec::len).collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn serialized_batches_render_from_their_evaluation_snapshot() {
+    // A writer flips the document between two states — A, and B = A plus
+    // one patient inserted at the FRONT (so every node id shifts) — while
+    // readers loop `query_batch_serialized`. Node ids only mean something
+    // relative to the snapshot they were computed on, so each batch's
+    // (nodes, xml) must equal state A's or state B's wholesale; ids of one
+    // state rendered against the other's document would serialize the
+    // wrong subtrees (or run off the end of the node table).
+    let insert = "insert <patient><pname>Raced</pname><visit><treatment>\
+                  <medication>autism</medication></treatment><date>d</date></visit>\
+                  </patient> before hospital/patient[pname = 'Ann']";
+    let delete = "delete hospital/patient[pname = 'Raced']";
+    for eval_threads in [1, 2] {
+        let engine = Engine::new(EngineConfig {
+            eval_threads,
+            ..EngineConfig::default()
+        });
+        let doc = hospital_doc(&engine, "h");
+        let admin_queries = ["//pname", "//medication", "//visit"];
+        let group_queries = ["//medication", "hospital/patient/treatment"];
+        let snapshot_of = |user: &User, queries: &[&str]| -> Vec<(Vec<NodeId>, Vec<String>)> {
+            let batch = doc.session(user.clone()).query_batch_serialized(queries);
+            batch
+                .unwrap()
+                .answers
+                .into_iter()
+                .map(|a| (a.nodes, a.xml.expect("serialized")))
+                .collect()
+        };
+        let group = User::Group(hospital::GROUP.into());
+        let state_a = (
+            snapshot_of(&User::Admin, &admin_queries),
+            snapshot_of(&group, &group_queries),
+        );
+        doc.update(insert).unwrap();
+        let state_b = (
+            snapshot_of(&User::Admin, &admin_queries),
+            snapshot_of(&group, &group_queries),
+        );
+        doc.update(delete).unwrap();
+        assert_ne!(state_a.0, state_b.0, "the insert must shift node ids");
+        for (nodes, xml) in state_a.0.iter().chain(&state_a.1) {
+            assert_eq!(nodes.len(), xml.len());
+        }
+
+        // Stops the writer when the readers finish — or panic.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    doc.update(insert).unwrap();
+                    doc.update(delete).unwrap();
+                }
+            });
+            let _stop = StopOnDrop(&stop);
+            for round in 0..400 {
+                let admin = snapshot_of(&User::Admin, &admin_queries);
+                let view = snapshot_of(&group, &group_queries);
+                assert!(
+                    (admin == state_a.0 || admin == state_b.0)
+                        && (view == state_a.1 || view == state_b.1),
+                    "round {round} @ {eval_threads} eval threads: a batch mixed \
+                     snapshots\nadmin: {admin:?}\nview: {view:?}"
+                );
+            }
+        });
+    }
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Differential suite for jump-scan evaluation: on random documents ×
 //! random Regular XPath queries, the jump driver ([`ExecMode::Jump`])
 //! must produce **identical answers** to the dense-table scan walker
-//! ([`ExecMode::Compiled`]) and the per-event interpreter
-//! ([`ExecMode::Interpreted`]) — all agreeing with the naive reference
-//! evaluator — while entering **no more nodes** than the scan walker.
-//! Plans the jump driver cannot execute (predicates, no DFA) must fall
-//! back transparently.
+//! ([`ExecMode::Compiled`]) — both agreeing with the naive reference
+//! evaluator (`smoqe_rxpath::evaluate`) — while entering **no more
+//! nodes** than the scan walker. Plans the jump driver cannot execute
+//! (no DFA) must fall back transparently.
 //!
 //! Also here: the deterministic multi-thread batch test — answers of a
-//! DOM batch are independent of `EngineConfig::eval_threads`.
+//! DOM batch are independent of `EngineConfig::eval_threads`, and no
+//! thread count ever re-parses the document.
 
 use proptest::prelude::*;
 use smoqe::workloads::hospital;
@@ -57,7 +57,7 @@ proptest! {
     })]
 
     #[test]
-    fn jump_equals_compiled_equals_interpreted(
+    fn jump_equals_compiled_equals_reference(
         doc_seed in 0u64..6,
         query_seed in 0u64..10_000,
         optimized in 0u64..2,
@@ -83,10 +83,8 @@ proptest! {
         let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
         let (a_jump, s_jump) = run(ExecMode::Jump);
         let (a_scan, s_scan) = run(ExecMode::Compiled);
-        let (a_interp, _) = run(ExecMode::Interpreted);
         prop_assert_eq!(&a_jump, &expected, "jump vs naive on `{}`", printed);
         prop_assert_eq!(&a_scan, &expected, "compiled vs naive on `{}`", printed);
-        prop_assert_eq!(&a_interp, &expected, "interpreted vs naive on `{}`", printed);
         prop_assert!(
             s_jump.nodes_visited <= s_scan.nodes_visited,
             "jump visited {} > scan {} on `{}` (eligible: {})",
@@ -189,10 +187,8 @@ proptest! {
         let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
         let (a_jump, s_jump) = run(ExecMode::Jump);
         let (a_scan, s_scan) = run(ExecMode::Compiled);
-        let (a_interp, _) = run(ExecMode::Interpreted);
         prop_assert_eq!(&a_jump, &expected, "jump vs naive after updates, `{}`", printed);
         prop_assert_eq!(&a_scan, &expected, "compiled vs naive after updates, `{}`", printed);
-        prop_assert_eq!(&a_interp, &expected, "interpreted vs naive after updates, `{}`", printed);
         prop_assert!(
             s_jump.nodes_visited <= s_scan.nodes_visited,
             "jump visited {} > scan {} on `{}`",
@@ -202,8 +198,8 @@ proptest! {
 }
 
 /// Deterministic multi-thread batch check: a DOM batch returns the same
-/// answers at 1, 2, 4 and 8 worker threads (1 thread takes the shared
-/// streaming scan; more take the parallel snapshot path).
+/// answers at 1, 2, 4 and 8 worker threads (1 evaluates inline, more
+/// partition the plans), always on the snapshot — never by re-parsing.
 #[test]
 fn batch_answers_are_independent_of_eval_threads() {
     let queries: Vec<&str> = hospital::DOC_QUERIES.iter().map(|(_, q)| *q).collect();
@@ -228,8 +224,6 @@ fn batch_answers_are_independent_of_eval_threads() {
                 "batch answers changed at {threads} eval threads"
             ),
         }
-        if threads > 1 {
-            assert_eq!(batch.events, 0, "parallel DOM batches do not parse");
-        }
+        assert_eq!(batch.events, 0, "DOM batches do not parse (@{threads})");
     }
 }

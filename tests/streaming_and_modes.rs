@@ -2,7 +2,7 @@
 //! at scale, the hand-authored view-spec mode, and configuration toggles.
 
 use smoqe::workloads::{hospital, org};
-use smoqe::{DocumentMode, Engine, EngineConfig, User};
+use smoqe::{Engine, EngineConfig, User};
 use smoqe_xml::{generate_to_writer, Vocabulary};
 
 fn temp_dir() -> std::path::PathBuf {
@@ -129,24 +129,27 @@ fn hand_authored_spec_and_derived_policy_can_coexist() {
 
 #[test]
 fn config_toggles_do_not_change_answers() {
+    // (configuration, build the TAX index?)
     let configs = [
-        EngineConfig::default(),
-        EngineConfig::plain(),
-        EngineConfig {
-            mode: DocumentMode::Dom,
-            use_tax: true,
-            optimize_mfa: false,
-            ..EngineConfig::default()
-        },
-        EngineConfig::streaming(),
+        (EngineConfig::default(), true),
+        (EngineConfig::default(), false),
+        (
+            EngineConfig {
+                eval_threads: 4,
+                plan_cache_capacity: 0,
+                ..EngineConfig::default()
+            },
+            true,
+        ),
+        (EngineConfig::streaming(), false),
     ];
     let mut reference: Option<Vec<Vec<u32>>> = None;
-    for config in configs {
+    for (config, with_tax) in configs {
         let e = Engine::new(config);
         e.load_dtd(hospital::DTD).unwrap();
         e.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
         e.register_policy("g", hospital::POLICY).unwrap();
-        if config.use_tax && config.mode == DocumentMode::Dom {
+        if with_tax {
             e.build_tax_index().unwrap();
         }
         let s = e.session(User::Group("g".into()));
@@ -156,7 +159,10 @@ fn config_toggles_do_not_change_answers() {
             .collect();
         match &reference {
             None => reference = Some(results),
-            Some(r) => assert_eq!(&results, r, "config {config:?} changed answers"),
+            Some(r) => assert_eq!(
+                &results, r,
+                "config {config:?} (tax: {with_tax}) changed answers"
+            ),
         }
     }
 }
@@ -190,8 +196,12 @@ fn large_generated_document_through_engine_with_all_features() {
     let a = s
         .query("hospital/patient/(parent/patient)*/treatment/medication")
         .unwrap();
-    // TAX + optimizer on; sanity cross-check against the plain config.
-    let plain = Engine::new(EngineConfig::plain());
+    // TAX pruning + jump picks on; sanity cross-check against an engine
+    // with no index (scan only) and no plan cache.
+    let plain = Engine::new(EngineConfig {
+        plan_cache_capacity: 0,
+        ..EngineConfig::default()
+    });
     plain.load_dtd(hospital::DTD).unwrap();
     let doc2 = hospital::generate_document(plain.vocabulary(), 5, 30_000);
     plain.load_document_tree(doc2).unwrap();
