@@ -6,6 +6,7 @@
 //! cargo run --release -p smoqe-bench --bin experiments -- e3 e5   # subset
 //! cargo run --release -p smoqe-bench --bin experiments -- quick   # small sizes
 //! cargo run --release -p smoqe-bench --bin experiments -- largedoc  # ~100 MB smoke
+//! cargo run --release -p smoqe-bench --bin experiments -- update_scaling  # write path, 1k..1M nodes
 //! ```
 //!
 //! Performance numbers come from the repository's benchmark
@@ -14,7 +15,9 @@
 use smoqe::workloads::hospital;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
-use smoqe_bench::{fmt_duration, time, time_mean, HospitalSetup, OrgSetup, Table};
+use smoqe_bench::{
+    fmt_duration, splice_unique_patients, time, time_mean, HospitalSetup, OrgSetup, Table,
+};
 use smoqe_hype::dom::{evaluate_mfa_plan, evaluate_mfa_with, DomOptions};
 use smoqe_hype::stream::{evaluate_stream, StreamOptions};
 use smoqe_hype::{evaluate_mfa, evaluate_mfa_twopass_report, ExecMode, NoopObserver};
@@ -22,7 +25,10 @@ use smoqe_rewrite::{rewrite, rewrite_direct};
 use smoqe_rxpath::{evaluate as naive_evaluate, parse_path};
 use smoqe_tax::TaxIndex;
 use smoqe_view::{derive, materialize, AccessPolicy};
-use smoqe_xml::{generate_to_writer, Document, Vocabulary};
+use smoqe_xml::{
+    delete_subtree, generate_to_writer, insert_fragment, replace_subtree, DirtySet, Document,
+    EditSpan, SplicePlace, Vocabulary,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,7 +36,7 @@ fn main() {
     let selected: Vec<&str> = args
         .iter()
         .map(String::as_str)
-        .filter(|a| a.starts_with('e') || *a == "largedoc")
+        .filter(|a| a.starts_with('e') || *a == "largedoc" || *a == "update_scaling")
         .collect();
     let run = |name: &str| selected.is_empty() || selected.contains(&name);
 
@@ -62,6 +68,129 @@ fn main() {
     if selected.contains(&"largedoc") {
         largedoc(quick);
     }
+    // Write-path scaling (`experiments -- update_scaling [quick]`).
+    if selected.contains(&"update_scaling") {
+        update_scaling(quick);
+    }
+}
+
+/// What one accepted update costs as the document grows, layer by layer
+/// through the public functions — the table splice (`insert_fragment` /
+/// `delete_subtree` / `replace_subtree`), the TAX patch, and validation of
+/// the edit's dirty set next to validation of the whole result — and as a
+/// whole through `DocHandle::update`. The splice and the patch are table
+/// copies (linear in the document, at memcpy speed); the dirty-set
+/// validation does not depend on the document at all.
+fn update_scaling(quick: bool) {
+    println!("## update_scaling  insert / replace / delete at one patient, by document size\n");
+    let sizes: &[usize] = if quick {
+        &[1_000]
+    } else {
+        &[1_000, 10_000, 100_000, 1_000_000]
+    };
+    let visit = "<visit><treatment><test>mri</test></treatment><date>2026-01-01</date></visit>";
+    let treatment = "<treatment><test>blood</test></treatment>";
+    let patient = "hospital/patient[pname = 'U00']";
+    let mut table = Table::new(&[
+        "nodes",
+        "op",
+        "splice",
+        "tax patch",
+        "validate dirty",
+        "validate whole",
+        "DocHandle::update",
+    ]);
+    for &size in sizes {
+        let iters = (2_000_000 / size).clamp(5, 200);
+        let vocab = Vocabulary::new();
+        let dtd = hospital::dtd(&vocab);
+        let generated = hospital::generate_document(&vocab, 7, size);
+        // Buffer-backed (parsed), with one patient to aim at by name.
+        let doc = splice_unique_patients(&generated, &vocab, 1);
+        let tax = TaxIndex::build(&doc);
+        let target = |doc: &Document, path: &str| {
+            let path = parse_path(path, &vocab).expect("target path parses");
+            naive_evaluate(doc, &path).into_vec()[0]
+        };
+        let fragment = |xml: &str| Document::parse_str(xml, &vocab).expect("fragment parses");
+        let (visit_doc, treatment_doc) = (fragment(visit), fragment(treatment));
+
+        let engine = smoqe::Engine::with_defaults();
+        let handle = engine.open_document("scaling");
+        handle.load_dtd(hospital::DTD).unwrap();
+        handle.load_document(doc.raw_source().unwrap()).unwrap();
+        handle.build_tax_index().unwrap();
+        let statements = [
+            ("insert", format!("insert {visit} after {patient}/pname")),
+            (
+                "replace",
+                format!("replace {patient}/visit/treatment[test = 'blood'] with {treatment}"),
+            ),
+            (
+                "delete",
+                format!("delete {patient}/visit[treatment/test = 'mri']"),
+            ),
+        ];
+        // One cycle of the three statements restores the document, so
+        // every iteration times the same three updates.
+        let mut whole = [std::time::Duration::ZERO; 3];
+        for _ in 0..iters {
+            for (slot, (_, statement)) in whole.iter_mut().zip(&statements) {
+                let (report, took) = time(|| handle.update(statement).expect("update applies"));
+                assert!(report.validated_nodes <= 8, "incremental validation");
+                *slot += took;
+            }
+        }
+
+        // The same three edits by hand, on the state each one meets.
+        let pname = target(&doc, &format!("{patient}/pname"));
+        let (inserted, insert_span) =
+            insert_fragment(&doc, pname, SplicePlace::After, &visit_doc).unwrap();
+        let inserted_tax = tax.patched(&inserted, &insert_span);
+        let blood = target(
+            &inserted,
+            &format!("{patient}/visit/treatment[test = 'blood']"),
+        );
+        let mri = target(
+            &inserted,
+            &format!("{patient}/visit[treatment/test = 'mri']"),
+        );
+        type Edit<'a> = Box<dyn Fn() -> (Document, EditSpan) + 'a>;
+        let edits: [(&Document, &TaxIndex, Edit); 3] = [
+            (
+                &doc,
+                &tax,
+                Box::new(|| insert_fragment(&doc, pname, SplicePlace::After, &visit_doc).unwrap()),
+            ),
+            (
+                &inserted,
+                &inserted_tax,
+                Box::new(|| replace_subtree(&inserted, blood, &treatment_doc).unwrap()),
+            ),
+            (
+                &inserted,
+                &inserted_tax,
+                Box::new(|| delete_subtree(&inserted, mri).unwrap()),
+            ),
+        ];
+        for (i, (before, base_tax, edit)) in edits.iter().enumerate() {
+            let (after, span) = edit();
+            let mut dirty = DirtySet::default();
+            dirty.record(&span);
+            table.row(vec![
+                before.node_count().to_string(),
+                statements[i].0.to_string(),
+                fmt_duration(time_mean(iters, edit)),
+                fmt_duration(time_mean(iters, || base_tax.patched(&after, &span))),
+                fmt_duration(time_mean(iters, || {
+                    dtd.validate_nodes(&after, dirty.nodes()).unwrap()
+                })),
+                fmt_duration(time_mean(iters.min(20), || dtd.validate(&after).unwrap())),
+                fmt_duration(whole[i] / iters as u32),
+            ]);
+        }
+    }
+    println!("{}", table.render());
 }
 
 /// Generates a large (~100 MB, or ~10 MB with `quick`) synthetic hospital

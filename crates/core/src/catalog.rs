@@ -30,6 +30,7 @@ use std::sync::Arc;
 /// index built over exactly this document. Shared out of the entry as one
 /// [`Arc`] snapshot so evaluation never holds entry locks and can never
 /// pair a document with an index built over a different one.
+#[derive(Clone)]
 pub(crate) struct LoadedSource {
     pub(crate) doc: Arc<Document>,
     /// Raw XML text for streaming mode — the *same* shared buffer the
@@ -39,16 +40,22 @@ pub(crate) struct LoadedSource {
     pub(crate) path: Option<PathBuf>,
     /// TAX index over `doc`, if built or loaded.
     pub(crate) tax: Option<Arc<TaxIndex>>,
+    /// Whether `doc` is **known to conform** to the entry's current DTD:
+    /// set by a whole-document validation that passed (a validated load,
+    /// or an update that had to validate everything), kept by updates
+    /// that validated what they wrote on top of a conforming document,
+    /// cleared whenever the DTD is replaced. The one place conformance is
+    /// remembered — an update on an unmarked document validates all of
+    /// it, an update on a marked one only its own dirty set.
+    pub(crate) conforms: bool,
 }
 
 impl LoadedSource {
     /// The same source with `tax` attached.
     pub(crate) fn with_tax(&self, tax: Arc<TaxIndex>) -> Self {
         LoadedSource {
-            doc: self.doc.clone(),
-            raw: self.raw.clone(),
-            path: self.path.clone(),
             tax: Some(tax),
+            ..self.clone()
         }
     }
 }

@@ -42,7 +42,7 @@ use smoqe_update::{parse_update, UpdateError};
 use smoqe_view::{
     derive, materialize, materialize_fragment, AccessPolicy, MaterializedView, ViewSpec,
 };
-use smoqe_xml::{Document, Dtd, NodeId, Vocabulary};
+use smoqe_xml::{DirtySet, Document, Dtd, NodeId, Vocabulary};
 use std::io::BufRead;
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::Arc;
@@ -205,6 +205,15 @@ pub struct UpdateReport {
     /// across the edit (an update never triggers an index build, and
     /// never discards one either).
     pub tax_patched: bool,
+    /// Elements whose content model the conformance check of this
+    /// statement's **transaction** visited (the check runs once, on the
+    /// final state, so every report of a transaction carries the same
+    /// number; 0 without a DTD). On a document already known to conform
+    /// it is bounded by what the transaction wrote — the inserted
+    /// elements plus one splice parent per applied target — not by the
+    /// document. Always 0 for group sessions (a whole-document pass would
+    /// count the source's hidden elements) and never put on the wire.
+    pub validated_nodes: usize,
 }
 
 impl Engine {
@@ -495,11 +504,24 @@ impl Engine {
         })?;
         *entry.dtd.write() = Some(Arc::new(dtd));
         *entry.dtd_text.write() = Some(Arc::from(dtd_text));
+        // Nothing is re-validated here (a DTD the loaded document does
+        // not match is a legal state); the document merely stops being
+        // *known* to conform, so the next update validates all of it.
+        let mut source = entry.source.write();
+        if let Some(current) = source.as_ref().filter(|s| s.conforms) {
+            *source = Some(Arc::new(LoadedSource {
+                conforms: false,
+                ..(**current).clone()
+            }));
+        }
+        drop(source);
         entry.bump_generation();
         self.plans.purge_document(entry.name());
         Ok(())
     }
 
+    /// Installs `doc`, which the caller validated against `validated`
+    /// (`None`: not validated at all).
     fn install_document(
         &self,
         entry: &Arc<DocumentEntry>,
@@ -507,6 +529,7 @@ impl Engine {
         raw: Option<Arc<str>>,
         path: Option<PathBuf>,
         log_xml: Arc<str>,
+        validated: Option<Arc<Dtd>>,
     ) -> Result<(), EngineError> {
         // A fresh source carries no TAX index (the old one described the
         // old document) and invalidates the cached plans. The WAL record
@@ -517,11 +540,18 @@ impl Engine {
             doc: entry.name().to_string(),
             xml: log_xml.to_string(),
         })?;
+        // The caller read the DTD before taking the write lock; the mark
+        // only holds if that is still the entry's DTD.
+        let conforms = match (&validated, entry.dtd.read().as_ref()) {
+            (Some(validated), Some(current)) => Arc::ptr_eq(validated, current),
+            _ => false,
+        };
         *entry.source.write() = Some(Arc::new(LoadedSource {
             doc: Arc::new(doc),
             raw,
             path,
             tax: None,
+            conforms,
         }));
         entry.bump_generation();
         self.plans.purge_document(entry.name());
@@ -534,14 +564,15 @@ impl Engine {
         xml: &str,
     ) -> Result<(), EngineError> {
         let doc = Document::parse_str(xml, &self.vocab)?;
-        if let Some(dtd) = entry.dtd.read().clone() {
+        let dtd = entry.dtd.read().clone();
+        if let Some(dtd) = &dtd {
             dtd.validate(&doc)?;
         }
         // Streaming mode reads the document's own shared buffer — the
         // input is held exactly once.
         let raw = doc.shared_buffer();
         let log_xml = raw.clone().unwrap_or_else(|| Arc::from(xml));
-        self.install_document(entry, doc, raw, None, log_xml)
+        self.install_document(entry, doc, raw, None, log_xml, dtd)
     }
 
     pub(crate) fn load_document_file_on(
@@ -551,13 +582,14 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let path = path.to_path_buf();
         let doc = smoqe_xml::parse_file(&path, &self.vocab)?;
-        if let Some(dtd) = entry.dtd.read().clone() {
+        let dtd = entry.dtd.read().clone();
+        if let Some(dtd) = &dtd {
             dtd.validate(&doc)?;
         }
         let log_xml = doc
             .shared_buffer()
             .unwrap_or_else(|| Arc::from(doc.to_xml()));
-        self.install_document(entry, doc, None, Some(path), log_xml)
+        self.install_document(entry, doc, None, Some(path), log_xml, dtd)
     }
 
     pub(crate) fn load_document_tree_on(
@@ -566,11 +598,13 @@ impl Engine {
         doc: Document,
     ) -> Result<(), EngineError> {
         // Parsed documents already hold their source; programmatically
-        // built trees serialize once to obtain a streamable buffer.
+        // built trees serialize once to obtain a streamable buffer. Trees
+        // are installed as given, not validated — and not marked as
+        // conforming either.
         let raw = doc
             .shared_buffer()
             .unwrap_or_else(|| Arc::from(doc.to_xml()));
-        self.install_document(entry, doc, Some(raw.clone()), None, raw)
+        self.install_document(entry, doc, Some(raw.clone()), None, raw, None)
     }
 
     pub(crate) fn build_tax_index_on(
@@ -806,9 +840,12 @@ impl Engine {
     ///   rebuilding the arena per edit and **incrementally patching** the
     ///   TAX index instead of rebuilding it.
     /// * **Conformance.** The final document is validated against the
-    ///   entry's DTD. Admins see the typed schema error; for group users
-    ///   it collapses into `UpdateDenied` too — a validation message
-    ///   could describe content the view hides.
+    ///   entry's DTD — only the transaction's dirty set (each edit's
+    ///   splice parent and inserted nodes, see [`smoqe_xml::DirtySet`])
+    ///   when the snapshot is known to conform, all of it otherwise.
+    ///   Admins see the typed schema error; for group users it collapses
+    ///   into `UpdateDenied` too — a validation message could describe
+    ///   content the view hides.
     /// * **Installation.** Only after everything succeeded is the new
     ///   snapshot swapped in, the entry's generation bumped, and exactly
     ///   this document's cached plans invalidated. Writers are serialized
@@ -846,6 +883,7 @@ impl Engine {
         let mut doc: Arc<Document> = snapshot.doc.clone();
         let mut tax: Option<Arc<TaxIndex>> = snapshot.tax.clone();
         let mut reports = Vec::with_capacity(updates.len());
+        let mut dirty = DirtySet::default();
         // One view spec for the whole transaction (group sessions only).
         let spec = match user {
             User::Admin => None,
@@ -892,27 +930,43 @@ impl Engine {
                     User::Group(_) => EngineError::UpdateDenied,
                 });
             }
-            let (new_doc, new_tax, applied) =
+            let (new_doc, new_tax, spans) =
                 smoqe_update::apply_update(&doc, &update, &targets, tax.as_deref())?;
+            spans.iter().for_each(|span| dirty.record(span));
             doc = Arc::new(new_doc);
             tax = new_tax.map(Arc::new);
             view = make_view(&doc)?;
             let nodes_after = visible_count(&doc, &view);
             reports.push(UpdateReport {
-                applied,
+                applied: spans.len(),
                 nodes_before,
                 nodes_after,
                 tax_patched: tax.is_some(),
+                validated_nodes: 0,
             });
             nodes_before = nodes_after;
         }
-        if let Some(dtd) = dtd {
-            dtd.validate(&doc).map_err(|e| match user {
+        if let Some(dtd) = &dtd {
+            // Only the final state is judged. Conformance is local, so on
+            // a conforming snapshot the elements whose children this
+            // transaction wrote decide it; an unmarked snapshot pays for
+            // one whole-document pass, which marks the result.
+            let checked = if snapshot.conforms {
+                dtd.validate_nodes(&doc, dirty.nodes())
+            } else {
+                dtd.validate_nodes(&doc, doc.all_nodes())
+            };
+            let validated_nodes = checked.map_err(|e| match user {
                 User::Admin => EngineError::Update(UpdateError::Schema(e)),
                 // A schema message can describe hidden content; the view
                 // user learns only that the write did not happen.
                 User::Group(_) => EngineError::UpdateDenied,
             })?;
+            if matches!(user, User::Admin) {
+                for report in &mut reports {
+                    report.validated_nodes = validated_nodes;
+                }
+            }
         }
         // Buffer-spliced updates leave the new document holding its own
         // serialized source; rebuild-path updates serialize once here.
@@ -936,6 +990,7 @@ impl Engine {
             raw: Some(raw),
             path: None,
             tax,
+            conforms: dtd.is_some(),
         }));
         entry.bump_generation();
         if !entry.is_dropped() {

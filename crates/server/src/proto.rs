@@ -1975,6 +1975,7 @@ mod tests {
             nodes_before: 10,
             nodes_after: 9,
             tax_patched: true,
+            validated_nodes: 3,
         };
         assert!(!WireUpdateReport::from_report(&report, &g).tax_patched);
         assert!(WireUpdateReport::from_report(&report, &Principal::Admin).tax_patched);

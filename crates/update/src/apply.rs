@@ -5,12 +5,14 @@ use crate::ast::{InsertPos, Update, UpdateKind};
 use crate::error::UpdateError;
 use smoqe_tax::TaxIndex;
 use smoqe_xml::{delete_subtree, insert_fragment, replace_subtree, SplicePlace};
-use smoqe_xml::{Document, NodeId};
+use smoqe_xml::{Document, EditSpan, NodeId};
 
 /// Applies `update` at every node of `targets` (which must be sorted
 /// ascending in document order and belong to `doc`), producing the new
 /// document and, when an index is supplied, a **incrementally patched**
-/// TAX index over it. Returns the number of targets applied.
+/// TAX index over it. Also returns the [`EditSpan`] of every edit, one per
+/// target in application order — what a caller needs to re-validate only
+/// what the update wrote (see `smoqe_xml::DirtySet`).
 ///
 /// Targets are processed last-to-first: every edit changes one contiguous
 /// pre-order id window, so ids *before* the window — including every
@@ -27,7 +29,7 @@ pub fn apply_update(
     update: &Update,
     targets: &[NodeId],
     tax: Option<&TaxIndex>,
-) -> Result<(Document, Option<TaxIndex>, usize), UpdateError> {
+) -> Result<(Document, Option<TaxIndex>, Vec<EditSpan>), UpdateError> {
     if targets.is_empty() {
         return Err(UpdateError::NoTarget);
     }
@@ -36,6 +38,7 @@ pub fn apply_update(
         "targets must be sorted ascending and deduplicated"
     );
     let mut state: Option<(Document, Option<TaxIndex>)> = None;
+    let mut spans = Vec::with_capacity(targets.len());
     for &target in targets.iter().rev() {
         let (cur_doc, cur_tax) = match &state {
             None => (doc, tax),
@@ -50,9 +53,10 @@ pub fn apply_update(
         };
         let new_tax = cur_tax.map(|t| t.patched(&new_doc, &span));
         state = Some((new_doc, new_tax));
+        spans.push(span);
     }
     let (new_doc, new_tax) = state.expect("at least one target was applied");
-    Ok((new_doc, new_tax, targets.len()))
+    Ok((new_doc, new_tax, spans))
 }
 
 fn place(pos: InsertPos) -> SplicePlace {
@@ -80,7 +84,8 @@ mod tests {
         let update = parse_update(stmt, vocab).unwrap();
         let targets = evaluate(doc, &update.target).into_vec();
         let tax = TaxIndex::build(doc);
-        apply_update(doc, &update, &targets, Some(&tax)).unwrap()
+        let (doc, tax, spans) = apply_update(doc, &update, &targets, Some(&tax)).unwrap();
+        (doc, tax, spans.len())
     }
 
     #[test]

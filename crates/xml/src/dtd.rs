@@ -14,6 +14,7 @@ use crate::label::{Label, Vocabulary};
 use crate::tree::{Document, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A regular expression over child content, as written in a DTD.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,7 +138,26 @@ impl fmt::Display for ContentModelDisplay<'_> {
 pub struct Dtd {
     vocab: Vocabulary,
     root: Label,
-    productions: BTreeMap<Label, ContentModel>,
+    productions: BTreeMap<Label, Production>,
+}
+
+/// One element type's content model with its compiled matcher. The
+/// matcher is built on the first validation that meets the type and then
+/// shared by every later one (a `Dtd` behind an `Arc` compiles each model
+/// once for all its users); replacing the production drops it.
+#[derive(Clone, Debug)]
+struct Production {
+    model: ContentModel,
+    matcher: OnceLock<Matcher>,
+}
+
+impl Production {
+    fn new(model: ContentModel) -> Self {
+        Production {
+            model,
+            matcher: OnceLock::new(),
+        }
+    }
 }
 
 impl Dtd {
@@ -167,12 +187,12 @@ impl Dtd {
 
     /// Adds (or replaces) the production for `label`.
     pub fn add_production(&mut self, label: Label, model: ContentModel) {
-        self.productions.insert(label, model);
+        self.productions.insert(label, Production::new(model));
     }
 
     /// The content model of `label`, if declared.
     pub fn production(&self, label: Label) -> Option<&ContentModel> {
-        self.productions.get(&label)
+        self.productions.get(&label).map(|p| &p.model)
     }
 
     /// All declared element types, in label order.
@@ -193,7 +213,7 @@ impl Dtd {
     /// The set of element types that may appear as children of `label`.
     pub fn child_types(&self, label: Label) -> BTreeSet<Label> {
         let mut out = BTreeSet::new();
-        if let Some(m) = self.productions.get(&label) {
+        if let Some(m) = self.production(label) {
             if matches!(m, ContentModel::Any) {
                 return self.element_types().collect();
             }
@@ -204,10 +224,8 @@ impl Dtd {
 
     /// Whether elements of type `label` may contain text.
     pub fn allows_text(&self, label: Label) -> bool {
-        self.productions
-            .get(&label)
-            .map(|m| m.allows_text())
-            .unwrap_or(false)
+        self.production(label)
+            .is_some_and(ContentModel::allows_text)
     }
 
     /// Element types reachable from the root (including the root).
@@ -269,8 +287,8 @@ impl Dtd {
         // Fixpoint: a type's height is 1 + min over a completing expansion.
         loop {
             let mut changed = false;
-            for (&l, m) in &self.productions {
-                if let Some(cost) = model_min_height(m, &h) {
+            for (&l, p) in &self.productions {
+                if let Some(cost) = model_min_height(&p.model, &h) {
                     let entry = h.get(&l).copied();
                     let new = cost + 1;
                     if entry.map(|e| new < e).unwrap_or(true) {
@@ -287,36 +305,57 @@ impl Dtd {
 
     /// Validates `doc` against this DTD: the root label matches, every
     /// element is declared, and every element's child sequence matches its
-    /// content model.
+    /// content model. The error names the first offending node in document
+    /// order.
     pub fn validate(&self, doc: &Document) -> Result<(), XmlError> {
-        if doc.label(doc.root()) != Some(self.root) {
-            return Err(XmlError::Invalid(format!(
-                "root element is <{}>, DTD requires <{}>",
-                doc.label(doc.root())
-                    .map(|l| self.vocab.name(l).to_string())
-                    .unwrap_or_default(),
-                self.vocab.name(self.root)
-            )));
-        }
-        let mut matchers: HashMap<Label, Matcher> = HashMap::new();
-        for n in doc.all_nodes() {
+        self.validate_nodes(doc, doc.all_nodes()).map(|_| ())
+    }
+
+    /// Validates just `nodes` of `doc` — text nodes are skipped; the root,
+    /// if among them, also has its label checked — and returns how many
+    /// elements had their content model checked.
+    ///
+    /// Conformance is local: a document conforms iff its root has the
+    /// root type and every element's *own* child sequence matches its
+    /// type's model. So when a conforming document is edited, the result
+    /// conforms iff the elements whose child sequence is new do — the
+    /// parent of each splice point and the inserted elements — and with
+    /// `nodes` in document order the error is the one [`Dtd::validate`]
+    /// would report.
+    pub fn validate_nodes(
+        &self,
+        doc: &Document,
+        nodes: impl IntoIterator<Item = NodeId>,
+    ) -> Result<usize, XmlError> {
+        let mut checked = 0;
+        for n in nodes {
             let Some(l) = doc.label(n) else { continue };
-            let Some(model) = self.productions.get(&l) else {
+            if n == doc.root() && l != self.root {
+                return Err(XmlError::Invalid(format!(
+                    "root element is <{}>, DTD requires <{}>",
+                    self.vocab.name(l),
+                    self.vocab.name(self.root)
+                )));
+            }
+            let Some(production) = self.productions.get(&l) else {
                 return Err(XmlError::Invalid(format!(
                     "element <{}> is not declared in the DTD",
                     self.vocab.name(l)
                 )));
             };
-            let matcher = matchers.entry(l).or_insert_with(|| Matcher::compile(model));
+            let matcher = production
+                .matcher
+                .get_or_init(|| Matcher::compile(&production.model));
             if !matcher.matches(doc, n) {
                 return Err(XmlError::Invalid(format!(
                     "children of <{}> do not match content model {}",
                     self.vocab.name(l),
-                    model.display(&self.vocab)
+                    production.model.display(&self.vocab)
                 )));
             }
+            checked += 1;
         }
-        Ok(())
+        Ok(checked)
     }
 
     /// Parses standard DTD syntax: a sequence of `<!ELEMENT name (model)>`
@@ -339,7 +378,7 @@ impl Dtd {
         let mut order: Vec<Label> = vec![self.root];
         order.extend(self.productions.keys().copied().filter(|&l| l != self.root));
         for l in order {
-            if let Some(m) = self.productions.get(&l) {
+            if let Some(m) = self.production(l) {
                 let name = self.vocab.name(l);
                 let body = match m {
                     ContentModel::Empty => "EMPTY".to_string(),
@@ -390,6 +429,7 @@ enum Sym {
 }
 
 /// Compiled content model: a small epsilon-NFA over child symbols.
+#[derive(Clone, Debug)]
 struct Matcher {
     /// eps[s] = states reachable from s via one epsilon edge.
     eps: Vec<Vec<u32>>,
@@ -611,7 +651,7 @@ impl DtdParser<'_> {
             let model = self.content_model()?;
             self.skip_trivia();
             self.expect(b">")?;
-            if productions.insert(label, model).is_some() {
+            if productions.insert(label, Production::new(model)).is_some() {
                 return Err(self.err(format_args!("duplicate declaration for '{name}'")));
             }
             root.get_or_insert(label);
@@ -885,6 +925,153 @@ mod tests {
         assert!(reach.contains(&vocab.lookup("a").unwrap()));
         assert!(reach.contains(&vocab.lookup("b").unwrap()));
         assert!(!reach.contains(&vocab.lookup("orphan").unwrap()));
+    }
+
+    #[test]
+    fn matchers_are_compiled_once_and_dropped_with_the_production() {
+        let (vocab, mut dtd) = hospital();
+        let doc = Document::parse_str("<hospital/>", &vocab).unwrap();
+        let compiled = |dtd: &Dtd| {
+            dtd.productions
+                .values()
+                .filter(|p| p.matcher.get().is_some())
+                .count()
+        };
+        assert_eq!(compiled(&dtd), 0);
+        dtd.validate(&doc).unwrap();
+        dtd.validate(&doc).unwrap();
+        assert_eq!(compiled(&dtd), 1); // only the type the document uses
+        assert_eq!(compiled(&dtd.clone()), 1); // clones keep compiled models
+        let hospital = dtd.root();
+        dtd.add_production(hospital, ContentModel::Empty);
+        assert_eq!(compiled(&dtd), 0);
+        dtd.validate(&doc).unwrap();
+    }
+
+    #[test]
+    fn validate_nodes_counts_elements_and_checks_the_root_label() {
+        let (vocab, dtd) = hospital();
+        let doc = Document::parse_str(
+            "<hospital><patient><pname>A</pname></patient></hospital>",
+            &vocab,
+        )
+        .unwrap();
+        // 3 elements + 1 text node.
+        assert_eq!(dtd.validate_nodes(&doc, doc.all_nodes()).unwrap(), 3);
+        assert_eq!(dtd.validate_nodes(&doc, [NodeId(2), NodeId(3)]).unwrap(), 1);
+        let wrong_root =
+            Document::parse_str("<patient><pname>A</pname></patient>", &vocab).unwrap();
+        assert!(dtd.validate_nodes(&wrong_root, [NodeId(1)]).is_ok());
+        let err = dtd.validate_nodes(&wrong_root, [NodeId(0)]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            dtd.validate(&wrong_root).unwrap_err().to_string()
+        );
+    }
+
+    /// Over chains of random valid and invalid edits of a conforming
+    /// document, validating only the dirty set gives the verdict — and
+    /// the message — of validating the whole result.
+    #[test]
+    fn dirty_set_validation_agrees_with_whole_document_validation() {
+        use crate::edit::{delete_subtree, insert_fragment, replace_subtree};
+        use crate::{DirtySet, SplicePlace};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let fragments = [
+            "<visit><treatment><test>mri</test></treatment><date>d</date></visit>",
+            "<patient><pname>New</pname></patient>",
+            "<parent><patient><pname>Kin</pname><visit><treatment><medication>m\
+             </medication></treatment><date>d</date></visit></patient></parent>",
+            "<treatment><medication>flu</medication></treatment>",
+            "<pname>Other</pname>",
+            "<date>d2</date>",
+            "<intruder><pname>x</pname></intruder>",
+            "<patient><visit/></patient>",
+            "<hospital/>",
+        ];
+        let (mut accepted, mut rejected) = (0, 0);
+        for seed in 0..300u64 {
+            let (vocab, dtd) = hospital();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let generated =
+                crate::generate(&dtd, &crate::GeneratorConfig::sized(seed, 120)).unwrap();
+            // Buffer-backed and buffer-less documents alike.
+            let mut doc = if seed % 2 == 0 {
+                Document::parse_str(&generated.to_xml(), &vocab).unwrap()
+            } else {
+                generated
+            };
+            dtd.validate(&doc).unwrap();
+            let mut dirty = DirtySet::default();
+            for step in 0..rng.random_range(1..5u32) {
+                let elements: Vec<NodeId> =
+                    doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
+                let target = elements[rng.random_range(0..elements.len())];
+                let parse = |i: usize| Document::parse_str(fragments[i], &vocab).unwrap();
+                // Half the draws are edits the DTD allows at this target,
+                // so chains stay valid often enough to compare accepts.
+                let name = doc.name(target).unwrap();
+                let edited = if rng.random_bool(0.5) {
+                    match (name, rng.random_range(0..3u32)) {
+                        ("visit", 0) | ("parent", _) => delete_subtree(&doc, target),
+                        ("visit", 1) => {
+                            insert_fragment(&doc, target, SplicePlace::After, &parse(0))
+                        }
+                        ("visit", _) => replace_subtree(&doc, target, &parse(0)),
+                        ("patient", 0) => {
+                            insert_fragment(&doc, target, SplicePlace::Into, &parse(2))
+                        }
+                        ("patient", _) => replace_subtree(&doc, target, &parse(1)),
+                        ("treatment", _) => replace_subtree(&doc, target, &parse(3)),
+                        ("pname", 0) => {
+                            insert_fragment(&doc, target, SplicePlace::After, &parse(0))
+                        }
+                        ("pname", _) => replace_subtree(&doc, target, &parse(4)),
+                        ("date", _) => replace_subtree(&doc, target, &parse(5)),
+                        _ => insert_fragment(&doc, target, SplicePlace::Into, &parse(1)),
+                    }
+                } else {
+                    let fragment = parse(rng.random_range(0..fragments.len()));
+                    match rng.random_range(0..5u32) {
+                        0 => delete_subtree(&doc, target),
+                        1 => replace_subtree(&doc, target, &fragment),
+                        2 => insert_fragment(&doc, target, SplicePlace::Into, &fragment),
+                        3 => insert_fragment(&doc, target, SplicePlace::Before, &fragment),
+                        _ => insert_fragment(&doc, target, SplicePlace::After, &fragment),
+                    }
+                };
+                let Ok((new_doc, span)) = edited else {
+                    continue;
+                };
+                dirty.record(&span);
+                doc = new_doc;
+                // Intermediate states may be invalid; every prefix of the
+                // chain must agree all the same.
+                let whole = dtd.validate(&doc).map_err(|e| e.to_string());
+                let nodes = dirty.nodes();
+                let incremental = dtd
+                    .validate_nodes(&doc, nodes.iter().copied())
+                    .map_err(|e| e.to_string());
+                assert_eq!(
+                    incremental.clone().map(|_| ()),
+                    whole,
+                    "seed {seed} step {step}"
+                );
+                match incremental {
+                    Ok(checked) => {
+                        assert!(checked <= nodes.len());
+                        accepted += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(
+            accepted > 50 && rejected > 50,
+            "{accepted} ok, {rejected} rejected"
+        );
     }
 
     #[test]

@@ -16,16 +16,20 @@
 //! * [`serialize`] — compact/pretty serialization and an event-driven
 //!   [`serialize::XmlWriter`] used by the streaming evaluator.
 //! * [`edit`](crate::edit) — structural edits (delete/replace/insert of
-//!   subtrees) that rebuild the arena while reporting the changed id
-//!   window ([`EditSpan`]) for incremental index maintenance.
-//! * [`Dtd`] / [`ContentModel`] — recursive DTDs with parsing, validation,
+//!   subtrees) that splice the buffer and the tables around the edit and
+//!   report the changed id window ([`EditSpan`]) for incremental index
+//!   maintenance and incremental validation ([`DirtySet`]).
+//! * [`Dtd`] / [`ContentModel`] — recursive DTDs with parsing, validation
+//!   (whole-document or of a node set, content models compiled once),
 //!   and the structural analyses (child alphabets, reachability, recursion,
 //!   minimum heights) the view-derivation algorithm needs.
 //! * [`generate`](crate::generate) — seeded synthetic document generation
 //!   from a DTD, in DOM or streaming form (the paper's unavailable hospital
 //!   data is substituted this way; see DESIGN.md §4).
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one exception is `tree::splice::concat_shared`
+// (an `Arc<[u8]>` → `Arc<str>` pointer cast), which `#[allow]`s it locally.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dtd;
@@ -42,7 +46,7 @@ pub mod tree;
 
 pub use dtd::{ContentModel, Dtd, HOSPITAL_DTD};
 pub use edit::{
-    delete_subtree, insert_fragment, replace_subtree, EditError, EditSpan, SplicePlace,
+    delete_subtree, insert_fragment, replace_subtree, DirtySet, EditError, EditSpan, SplicePlace,
 };
 pub use error::XmlError;
 pub use generate::{generate, generate_to_writer, GeneratorConfig};

@@ -54,8 +54,8 @@ pub fn parse_file(path: impl AsRef<Path>, vocab: &Vocabulary) -> Result<Document
 
 /// The scanner-to-arena adapter: records spans, interns names, defers
 /// entity decoding to first access.
-struct DomSink {
-    builder: TreeBuilder,
+pub(crate) struct DomSink {
+    pub(crate) builder: TreeBuilder,
 }
 
 impl ScanSink for DomSink {

@@ -177,6 +177,25 @@ impl Scanner<&[u8]> {
     pub fn from_str(input: &str) -> Scanner<&[u8]> {
         Scanner::new(input.as_bytes())
     }
+
+    /// Scans a **content range** of a larger well-formed document — a run
+    /// of sibling nodes (elements, character data, comments, PIs) — as if
+    /// it were read inside an already-open element, reporting offsets
+    /// from `base` (the range's position in the whole document). The end
+    /// of `range` ends the scan ([`ScanToken::EndDocument`]) provided
+    /// every element opened in the range was also closed in it.
+    ///
+    /// The enclosing element is represented by a *nameless* open element:
+    /// real names are never empty, so no end tag in the range can close
+    /// it, and "exactly the nameless element is open" is what tells the
+    /// end of a range from a truncated document.
+    pub(crate) fn content_range(range: &str, base: u64) -> Scanner<&[u8]> {
+        let mut scanner = Scanner::new(range.as_bytes());
+        scanner.offset = base;
+        scanner.open_lens.push(0);
+        scanner.seen_root = true;
+        scanner
+    }
 }
 
 impl<R: BufRead> Scanner<R> {
@@ -652,6 +671,10 @@ impl<R: BufRead> Scanner<R> {
                 self.skip_ws()?;
             }
             let Some(b) = self.peek()? else {
+                if self.open_lens[..] == [0] {
+                    // End of a content range (see `content_range`).
+                    return Ok(ScanToken::EndDocument);
+                }
                 return Err(if self.open_lens.is_empty() && !self.seen_root {
                     self.err("empty document")
                 } else {

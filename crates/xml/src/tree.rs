@@ -24,6 +24,9 @@ use std::sync::{Arc, OnceLock};
 
 pub use crate::scanner::Attribute;
 
+mod splice;
+pub(crate) use splice::Splice;
+
 /// Index of a node in a [`Document`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -45,7 +48,7 @@ impl fmt::Debug for NodeId {
 const NIL: u32 = u32::MAX;
 
 /// What a node is: an element with an interned label, or a text node.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// An element node such as `<patient>`.
     Element(Label),
@@ -99,7 +102,7 @@ struct AttrRecord {
 /// touches, kept at 24 bytes for cache density. The node's source extent
 /// lives in the parallel cold array [`Extent`] (only edit splicing and
 /// `node_extent` read it).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct NodeData {
     parent: u32,
     first_child: u32,
@@ -334,6 +337,27 @@ impl Document {
     #[inline]
     pub fn next_sibling(&self, node: NodeId) -> Option<NodeId> {
         wrap(self.nodes[node.index()].next_sibling)
+    }
+
+    /// The last child of `node`.
+    #[inline]
+    pub(crate) fn last_child(&self, node: NodeId) -> Option<NodeId> {
+        wrap(self.nodes[node.index()].last_child)
+    }
+
+    /// The previous sibling of `node`. There is no back link: the node
+    /// just before `node` in document order ends the previous sibling's
+    /// subtree, so this climbs from there — O(depth of that subtree).
+    pub(crate) fn prev_sibling(&self, node: NodeId) -> Option<NodeId> {
+        let parent = self.nodes[node.index()].parent;
+        if parent == NIL || self.nodes[parent as usize].first_child == node.0 {
+            return None;
+        }
+        let mut prev = node.0 - 1;
+        while self.nodes[prev as usize].parent != parent {
+            prev = self.nodes[prev as usize].parent;
+        }
+        Some(NodeId(prev))
     }
 
     /// Iterates over the children of `node` in document order.

@@ -235,6 +235,199 @@ fn group_updates_replay_through_their_security_view_not_as_admin() {
     );
 }
 
+/// Asserts that two (document, TAX index) pairs describe the same tree
+/// with the same source extents and the same index contents. The engines
+/// intern names in different orders, so labels compare by name.
+fn assert_same_state(
+    (doc_a, tax_a): (&smoqe_xml::Document, &smoqe_tax::TaxIndex),
+    (doc_b, tax_b): (&smoqe_xml::Document, &smoqe_tax::TaxIndex),
+) {
+    assert_eq!(doc_a.raw_source(), doc_b.raw_source(), "source bytes");
+    assert_eq!(doc_a.node_count(), doc_b.node_count());
+    let (labels_a, labels_b) = (tax_a.label_index().unwrap(), tax_b.label_index().unwrap());
+    let (values_a, values_b) = (tax_a.value_index().unwrap(), tax_b.value_index().unwrap());
+    let names = |doc: &smoqe_xml::Document, tax: &smoqe_tax::TaxIndex, n| {
+        let mut names: Vec<String> = tax
+            .descendant_labels(n)
+            .iter()
+            .map(|l| doc.label_name(l).to_string())
+            .collect();
+        names.sort();
+        names
+    };
+    for n in doc_a.all_nodes() {
+        assert_eq!(doc_a.name(n), doc_b.name(n), "name of {n:?}");
+        assert_eq!(doc_a.text(n), doc_b.text(n), "text of {n:?}");
+        assert_eq!(doc_a.parent(n), doc_b.parent(n), "parent of {n:?}");
+        assert_eq!(doc_a.first_child(n), doc_b.first_child(n), "child of {n:?}");
+        assert_eq!(
+            doc_a.next_sibling(n),
+            doc_b.next_sibling(n),
+            "sibling of {n:?}"
+        );
+        assert_eq!(
+            doc_a.node_extent(n),
+            doc_b.node_extent(n),
+            "extent of {n:?}"
+        );
+        assert_eq!(
+            doc_a.attributes(n).collect::<Vec<_>>(),
+            doc_b.attributes(n).collect::<Vec<_>>(),
+            "attributes of {n:?}"
+        );
+        assert_eq!(
+            names(doc_a, tax_a, n),
+            names(doc_b, tax_b, n),
+            "descendant types of {n:?}"
+        );
+        assert_eq!(labels_a.subtree_end(n), labels_b.subtree_end(n));
+        assert_eq!(labels_a.level(n), labels_b.level(n));
+        if let (Some(a), Some(b)) = (doc_a.label(n), doc_b.label(n)) {
+            assert_eq!(labels_a.occurrences(a), labels_b.occurrences(b));
+            let text = doc_a.direct_text(n);
+            assert_eq!(
+                values_a.occurrences(a, &text),
+                values_b.occurrences(b, &text),
+                "postings of {n:?} ({text:?})"
+            );
+        }
+    }
+}
+
+/// Satellite (durability stays green and gets faster): recovery replays
+/// the WAL tail through the same splice + dirty-set path as live writes.
+/// After a checkpoint and 60 mixed edits — inserts, replaces, deletes,
+/// multi-target group writes — the recovered engine must equal the one
+/// that never crashed node for node, source extents and all three patched
+/// indexes included; and so must an engine recovered *again* from the
+/// checkpoint that recovery wrote.
+#[test]
+fn recovery_of_sixty_mixed_edits_equals_the_engine_that_never_crashed() {
+    let config = EngineConfig {
+        checkpoint_every: 0,
+        ..EngineConfig::default()
+    };
+    let dir = TempDir::new("mixed-replay");
+    let engine = Engine::recover(config, dir.path()).unwrap();
+    let xml = hospital::generate_document(engine.vocabulary(), 42, 3_000).to_xml();
+    engine.load_dtd(hospital::DTD).unwrap();
+    engine.load_document(&xml).unwrap();
+    engine
+        .register_policy(hospital::GROUP, hospital::POLICY)
+        .unwrap();
+    engine.build_tax_index().unwrap();
+    engine.checkpoint().unwrap();
+
+    let group = engine.session(User::Group(hospital::GROUP.into()));
+    let mut accepted = 0;
+    for i in 0..16 {
+        let patient = format!("hospital/patient[pname = 'M{i}']");
+        engine.update(&marker_insert(i)).unwrap();
+        engine
+            .update(&format!(
+                "insert <visit><treatment><test>mri</test></treatment><date>d{i}</date></visit> \
+                 after {patient}/pname"
+            ))
+            .unwrap();
+        engine
+            .update(&format!(
+                "replace {patient}/visit/treatment[test = 'mri'] with \
+                 <treatment><medication>headache</medication></treatment>"
+            ))
+            .unwrap();
+        accepted += 3;
+        if i % 2 == 1 {
+            engine
+                .update(&format!("delete hospital/patient[pname = 'M{}']", i - 1))
+                .unwrap();
+            accepted += 1;
+        }
+        if i % 3 == 0 {
+            // Every treatment the view shows, in one statement.
+            let report = group
+                .update(
+                    "replace hospital/patient/treatment[medication = 'autism'] with \
+                     <treatment><medication>autism</medication></treatment>",
+                )
+                .unwrap();
+            assert!(report.applied > 1, "a multi-target group write");
+            accepted += 1;
+        }
+    }
+    assert!(accepted >= 60, "{accepted} transactions in the tail");
+    let live = (engine.document().unwrap(), engine.tax_index().unwrap());
+    drop(engine); // abrupt: the tail is only in the WAL
+
+    for boot in 1..=2 {
+        let recovered = Engine::recover(config, dir.path()).unwrap();
+        let state = (
+            recovered.document().unwrap(),
+            recovered.tax_index().unwrap(),
+        );
+        assert_same_state((&live.0, &live.1), (&state.0, &state.1));
+        // And it keeps validating incrementally: the replay's first
+        // update paid the one whole-document pass and marked the result.
+        let report = recovered.update(&marker_insert(100 + boot)).unwrap();
+        assert!(report.validated_nodes <= 8, "{}", report.validated_nodes);
+        recovered
+            .update(&format!(
+                "delete hospital/patient[pname = 'M{}']",
+                100 + boot
+            ))
+            .unwrap();
+    }
+}
+
+/// Satellite: a transaction the schema check rejects — here on its
+/// *final* state, after statements that individually applied — leaves
+/// nothing behind: same snapshot, same generation, the cached plans still
+/// hit, and not one byte in the WAL.
+#[test]
+fn a_rejected_transaction_leaves_snapshot_generation_plans_and_wal_untouched() {
+    let dir = TempDir::new("rejected");
+    let wal = dir.path().join("wal.log");
+    let engine = recover(dir.path());
+    engine.load_dtd(hospital::DTD).unwrap();
+    engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
+    engine.build_tax_index().unwrap();
+    let doc = engine.document_handle(smoqe::DEFAULT_DOCUMENT).unwrap();
+    let admin = engine.session(User::Admin);
+    admin.query("//medication").unwrap();
+
+    let snapshot = engine.document().unwrap();
+    let tax = engine.tax_index().unwrap();
+    let generation = doc.generation();
+    let wal_len = std::fs::metadata(&wal).unwrap().len();
+    let invalidations = engine.cache_metrics().invalidations;
+
+    let err = doc
+        .update_batch(&[
+            // Fine on its own ...
+            "insert <visit><treatment><test>mri</test></treatment><date>d</date></visit> \
+             after hospital/patient[pname = 'Bob']/pname",
+            // ... but this leaves Ann without the name her type requires.
+            "delete hospital/patient[pname = 'Ann']/pname",
+        ])
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            EngineError::Update(smoqe_update::UpdateError::Schema(_))
+        ),
+        "got {err}"
+    );
+    assert!(Arc::ptr_eq(&snapshot, &engine.document().unwrap()));
+    assert!(Arc::ptr_eq(&tax, &engine.tax_index().unwrap()));
+    assert_eq!(doc.generation(), generation);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
+    assert!(admin.query("//medication").unwrap().plan_cached);
+    assert_eq!(engine.cache_metrics().invalidations, invalidations);
+
+    // The next accepted transaction is unaffected by the failed one.
+    assert!(engine.update(&marker_insert(0)).unwrap().validated_nodes <= 8);
+    assert!(std::fs::metadata(&wal).unwrap().len() > wal_len);
+}
+
 /// The deterministic setup used by the corruption tests: returns the data
 /// directory populated with a checkpoint (empty, from initialization) and
 /// a WAL holding the whole history, plus the fingerprint after every

@@ -21,6 +21,7 @@ use smoqe_tax::TaxIndex;
 use smoqe_update::parse_update;
 use smoqe_xml::{delete_subtree, insert_fragment, replace_subtree, SplicePlace};
 use smoqe_xml::{Document, NodeId, Vocabulary};
+use std::sync::Arc;
 
 /// A random structural edit of `doc`: returns the new document and the
 /// span, or `None` when the drawn edit is structurally impossible (e.g.
@@ -91,6 +92,11 @@ proptest! {
         hospital::dtd(&vocab);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut doc = hospital::generate_document(&vocab, seed, 300);
+        if seed % 2 == 0 {
+            // Parsed documents take the table-splice path, generated
+            // (buffer-less) ones the re-emitting path.
+            doc = Document::parse_str(&doc.to_xml(), &vocab).unwrap();
+        }
         let mut tax = TaxIndex::build(&doc);
         // Chain a few edits so patches compose (patch of a patch).
         for _ in 0..3 {
@@ -171,6 +177,54 @@ proptest! {
             prop_assert_eq!(&a.nodes, &b.nodes, "view `{}` diverged (seed {})", q, seed);
         }
         let _ = applied_any;
+    }
+
+    /// Satellite (differential test for the splice): over chains of random
+    /// edits of a parsed document, the table-spliced result equals a fresh
+    /// parse of its own buffer on every accessor, and its edit span equals
+    /// the one the re-emitting path computes on a buffer-less twin.
+    #[test]
+    fn table_spliced_documents_equal_a_reparse_and_the_rebuilt_twin(seed in 0u64..10_000) {
+        let vocab = Vocabulary::new();
+        hospital::dtd(&vocab);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut twin = hospital::generate_document(&vocab, seed, 300);
+        let mut doc = Document::parse_str(&twin.to_xml(), &vocab).unwrap();
+        for step in 0..4 {
+            let mut rng_twin = rng.clone();
+            let (Some((new_doc, span)), Some((new_twin, span_twin))) = (
+                random_edit(&mut rng, &vocab, &doc),
+                random_edit(&mut rng_twin, &vocab, &twin),
+            ) else {
+                continue;
+            };
+            prop_assert_eq!(span, span_twin, "span diverged (seed {}, step {})", seed, step);
+            prop_assert!(new_twin.raw_source().is_none());
+            let buffer = new_doc.shared_buffer().expect("spliced documents keep a buffer");
+            let reparsed = smoqe_xml::parse_buffer(buffer, &vocab).unwrap();
+            prop_assert_eq!(new_doc.node_count(), reparsed.node_count());
+            prop_assert_eq!(new_doc.to_xml(), new_twin.to_xml());
+            for n in reparsed.all_nodes() {
+                prop_assert_eq!(new_doc.kind(n), reparsed.kind(n), "kind of {:?}", n);
+                prop_assert_eq!(new_doc.parent(n), reparsed.parent(n), "parent of {:?}", n);
+                prop_assert_eq!(new_doc.first_child(n), reparsed.first_child(n));
+                prop_assert_eq!(new_doc.next_sibling(n), reparsed.next_sibling(n));
+                prop_assert_eq!(
+                    new_doc.children(n).last(),
+                    reparsed.children(n).last(),
+                    "last child of {:?}", n
+                );
+                prop_assert_eq!(new_doc.node_extent(n), reparsed.node_extent(n));
+                prop_assert_eq!(new_doc.text(n), reparsed.text(n));
+                prop_assert_eq!(new_doc.subtree_size(n), reparsed.subtree_size(n));
+                prop_assert_eq!(
+                    new_doc.attributes(n).collect::<Vec<_>>(),
+                    reparsed.attributes(n).collect::<Vec<_>>()
+                );
+            }
+            doc = new_doc;
+            twin = new_twin;
+        }
     }
 
     /// Group updates only ever touch nodes the security view exposes, and
@@ -451,4 +505,185 @@ fn view_paths_and_source_paths_are_different_worlds() {
         ),
         Err(EngineError::UpdateDenied)
     ));
+}
+
+/// A violation the loaded document already carries, in a subtree of its
+/// own: `Bob` has no `pname`.
+const DOCUMENT_WITH_A_NAMELESS_PATIENT: &str = "<hospital>\
+    <patient><pname>Ann</pname>\
+      <visit><treatment><test>blood</test></treatment><date>d1</date></visit></patient>\
+    <patient>\
+      <visit><treatment><medication>autism</medication></treatment><date>d2</date></visit></patient>\
+    </hospital>";
+
+/// Regression (bugfix satellite): neither `load_dtd` after a document nor
+/// `load_document_tree` validates, so conformance must not be *assumed*
+/// by the incremental check. A document that violates a later-loaded DTD
+/// in subtree A rejects an update touching only subtree B exactly as a
+/// whole-document validation would — typed for the admin, opaque for a
+/// group and byte-identical to the hidden-target denial — until a fixing
+/// update passes the whole-document pass; from then on updates validate
+/// only what they wrote.
+#[test]
+fn conformance_is_never_assumed_only_remembered() {
+    let ann_visit = "insert <visit><treatment><test>mri</test></treatment><date>d3</date></visit> \
+                     after hospital/patient[pname = 'Ann']/pname";
+    for via_tree in [false, true] {
+        let engine = Engine::with_defaults();
+        let doc = engine.open_document("h");
+        if via_tree {
+            // Trees are installed as given, even under a DTD they break.
+            doc.load_dtd(hospital::DTD).unwrap();
+            let tree =
+                Document::parse_str(DOCUMENT_WITH_A_NAMELESS_PATIENT, engine.vocabulary()).unwrap();
+            doc.load_document_tree(tree).unwrap();
+        } else {
+            doc.load_document(DOCUMENT_WITH_A_NAMELESS_PATIENT).unwrap();
+            doc.load_dtd(hospital::DTD).unwrap();
+        }
+        doc.register_policy(hospital::GROUP, hospital::POLICY)
+            .unwrap();
+        let before = doc.document().unwrap();
+        let generation = doc.generation();
+
+        // Admin: the typed schema error of the *untouched* subtree.
+        let err = doc.update(ann_visit).unwrap_err();
+        let whole = doc.dtd().unwrap().validate(&before).unwrap_err();
+        match &err {
+            EngineError::Update(smoqe_update::UpdateError::Schema(e)) => {
+                assert_eq!(e.to_string(), whole.to_string());
+            }
+            other => panic!("expected the schema error, got {other}"),
+        }
+        // Group: the same opaque denial as a hidden or absent target.
+        let group = doc.session(User::Group(hospital::GROUP.into()));
+        let valid_elsewhere = group
+            .update(
+                "replace hospital/patient/treatment[medication = 'autism'] with \
+                 <treatment><medication>autism</medication></treatment>",
+            )
+            .unwrap_err();
+        let hidden = group.update("delete //pname").unwrap_err();
+        let absent = group.update("delete //nothing").unwrap_err();
+        assert!(matches!(valid_elsewhere, EngineError::UpdateDenied));
+        assert_eq!(valid_elsewhere.to_string(), hidden.to_string());
+        assert_eq!(valid_elsewhere.to_string(), absent.to_string());
+        assert!(Arc::ptr_eq(&before, &doc.document().unwrap()));
+        assert_eq!(doc.generation(), generation);
+
+        // The fixing update pays for the whole document and marks it ...
+        let elements = before.element_count();
+        let fixed = doc
+            .update("insert <pname>Bob</pname> before hospital/patient[not(pname)]/visit")
+            .unwrap();
+        assert_eq!(fixed.validated_nodes, elements + 1, "whole-document pass");
+        // ... and the next one checks its parent and its four elements.
+        let report = doc.update(ann_visit).unwrap();
+        assert_eq!(report.validated_nodes, 5, "incremental from here on");
+
+        // Replacing the DTD clears the mark again, whatever the DTD says.
+        doc.load_dtd(hospital::DTD).unwrap();
+        let report = doc.update(ann_visit).unwrap();
+        assert_eq!(report.validated_nodes, elements + 1 + 4 + 4);
+        assert_eq!(doc.update(ann_visit).unwrap().validated_nodes, 5);
+    }
+}
+
+/// Only the final state of a transaction is judged: an intermediate state
+/// may break the schema as long as a later statement mends it — and a
+/// dirty node that a later statement deletes is not judged at all.
+#[test]
+fn a_transaction_may_pass_through_invalid_states() {
+    let engine = Engine::with_defaults();
+    engine.load_dtd(hospital::DTD).unwrap();
+    engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
+    engine.build_tax_index().unwrap();
+    let doc = engine.document_handle(smoqe::DEFAULT_DOCUMENT).unwrap();
+
+    // Bob loses his name, then gets another one.
+    let reports = doc
+        .update_batch(&[
+            "delete hospital/patient[visit/date = '2006-03-14']/pname",
+            "insert <pname>Rob</pname> before hospital/patient[not(pname)]/visit",
+        ])
+        .unwrap();
+    assert_eq!(reports.len(), 2);
+    // Two splice parents (the same patient twice, checked once) plus the
+    // inserted pname.
+    assert_eq!(reports[1].validated_nodes, 2);
+    assert_eq!(
+        engine
+            .session(User::Admin)
+            .query("//patient[pname = 'Rob']")
+            .unwrap()
+            .len(),
+        1
+    );
+
+    // An undeclared element goes in and out again within one transaction.
+    let reports = doc
+        .update_batch(&[
+            "insert <intruder><x/></intruder> into hospital",
+            "delete hospital/intruder",
+        ])
+        .unwrap();
+    assert_eq!(reports[0].validated_nodes, 1, "only the root is left dirty");
+
+    // Left in, the first offender in document order is reported — the
+    // root's child sequence, before the undeclared element itself.
+    let err = doc
+        .update_batch(&["insert <intruder><x/></intruder> into hospital"])
+        .unwrap_err();
+    assert!(err.to_string().contains("children of <hospital>"), "{err}");
+    engine
+        .dtd()
+        .unwrap()
+        .validate(&engine.document().unwrap())
+        .expect("the installed document conforms");
+}
+
+/// The cost of validating an update follows the update: on a 100 000-node
+/// document every transaction checks at most the elements it inserted
+/// plus one splice parent per applied target.
+#[test]
+fn validation_work_is_bounded_by_the_edit_on_a_100k_node_document() {
+    let engine = Engine::with_defaults();
+    let xml = hospital::generate_document(engine.vocabulary(), 11, 100_000).to_xml();
+    engine.load_dtd(hospital::DTD).unwrap();
+    engine.load_document(&xml).unwrap();
+    engine.build_tax_index().unwrap();
+    let doc = engine.document_handle(smoqe::DEFAULT_DOCUMENT).unwrap();
+    let elements_of = |fragment: &str| fragment.matches("</").count();
+
+    let visit = "<visit><treatment><test>mri</test></treatment><date>d</date></visit>";
+    let transactions: [&[String]; 3] = [
+        // One target.
+        &[format!(
+            "insert <patient><pname>Solo</pname>{visit}</patient> into hospital"
+        )],
+        // Many targets, one statement.
+        &[format!("insert {visit} after hospital/patient/pname")],
+        // Several statements, several targets each.
+        &[
+            format!("insert {visit} after hospital/patient[pname = 'Solo']/pname"),
+            "replace hospital/patient[pname = 'Solo']/visit/treatment with \
+             <treatment><medication>autism</medication></treatment>"
+                .to_string(),
+            "delete hospital/patient[pname = 'Solo']/visit".to_string(),
+        ],
+    ];
+    for statements in transactions {
+        let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
+        let reports = doc.update_batch(&refs).unwrap();
+        let mut bound = 0;
+        for (statement, report) in statements.iter().zip(&reports) {
+            bound += report.applied * (1 + elements_of(statement));
+        }
+        let validated = reports[0].validated_nodes;
+        assert!(
+            validated <= bound,
+            "{validated} elements validated, the edit bounds it by {bound}"
+        );
+        assert!(validated > 0 && validated < 20_000, "{validated}");
+    }
 }
