@@ -9,10 +9,13 @@
 //! in that state can accept there — prune. Guards are conservatively
 //! ignored (they can only shrink the set of accepting runs, so ignoring
 //! them under-prunes, never over-prunes); the soundness property is tested
-//! here and end-to-end in the evaluator tests.
+//! here and end-to-end in the evaluator tests. [`required_values`] is the
+//! same analysis for the text values guards compare against, which a value
+//! index can look up.
 
-use crate::mfa::{LabelTest, Nfa, StateId};
+use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, Pred, PredId, StateId};
 use smoqe_xml::{Label, LabelSet};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Per-state label requirement for reaching acceptance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +103,241 @@ pub fn required_labels(nfa: &Nfa, num_labels: usize) -> Vec<Requirement> {
             },
         })
         .collect()
+}
+
+/// A set of labelled text values, sorted: each `(label, text id)` stands
+/// for "an element with this label whose direct text is this".
+type Values = Vec<(Label, u32)>;
+
+/// The text-value counterpart of [`required_labels`], for the top NFA of
+/// an MFA: per state, and per label of the node a run is at, the labelled
+/// text values every accepting continuation needs **at or below that
+/// node** — or that none can accept at all.
+///
+/// Values come from guards. `text() = 'v'` crossed at a node labelled `a`
+/// needs `(a, 'v')` there; `[p]` needs whatever the witness run of `p`
+/// needs from the same node; a conjunction needs the union of its parts, a
+/// disjunction the intersection; negation needs nothing. A value index
+/// answers "does this subtree hold one?" with one binary search, which is
+/// how jump-scan evaluation prunes candidates (and finds the few children
+/// worth stepping into) by the literals a query mentions instead of by
+/// verifying guards everywhere. Empty texts are never required: the value
+/// index only posts non-empty ones.
+#[derive(Clone, Debug)]
+pub struct ValueRequirements {
+    /// The labels transitions mention, sorted: column `i + 1` of the table
+    /// is a node labelled `labels[i]`, column 0 a node of any other label.
+    labels: Vec<Label>,
+    /// Interned texts.
+    texts: Vec<String>,
+    /// The distinct requirements (a handful per plan): the values needed,
+    /// or `None` when no continuation can accept.
+    sets: Vec<Option<Values>>,
+    /// `state * (labels.len() + 1) + column` → index into `sets`. Plans
+    /// are cached by the thousand, so the table stays four bytes a cell.
+    table: Vec<u32>,
+}
+
+impl ValueRequirements {
+    /// What a run in `state` at a node labelled `at` (`None`: a label
+    /// nothing is known about) needs at or below the node: `(label, text)`
+    /// pairs by text id ([`ValueRequirements::text`]), or `None` when no
+    /// accepting continuation exists.
+    pub fn at(&self, state: StateId, at: Option<Label>) -> Option<&[(Label, u32)]> {
+        let width = self.labels.len() + 1;
+        let col = at.map_or(0, |l| column(&self.labels, l));
+        self.sets[self.table[state.index() * width + col] as usize].as_deref()
+    }
+
+    /// The text of a text id.
+    pub fn text(&self, id: u32) -> &str {
+        &self.texts[id as usize]
+    }
+}
+
+fn column(labels: &[Label], label: Label) -> usize {
+    labels.binary_search(&label).map_or(0, |i| i + 1)
+}
+
+/// Computes the [`ValueRequirements`] of `mfa`'s top NFA (and, on the way,
+/// of every predicate NFA its guards reach); `None` when the MFA compares
+/// no text, so nothing can be required. Greatest fixpoint, like
+/// [`required_labels`]: values only shrink along cycles.
+pub fn required_values(mfa: &Mfa) -> Option<ValueRequirements> {
+    if !mfa
+        .preds()
+        .any(|(_, p)| matches!(p, Pred::TextEq(text) if !text.is_empty()))
+    {
+        return None;
+    }
+    let mut labels: Vec<Label> = mfa
+        .nfas()
+        .flat_map(|(_, nfa)| nfa.states().flat_map(|s| nfa.transitions(s)))
+        .filter_map(|t| match t.test {
+            LabelTest::Label(l) => Some(l),
+            LabelTest::Wildcard => None,
+        })
+        .collect();
+    labels.sort_unstable();
+    labels.dedup();
+    let mut analysis = ValueAnalysis {
+        mfa,
+        labels,
+        texts: Vec::new(),
+        tables: vec![None; mfa.nfa_count()],
+    };
+    let mut sets: Vec<Option<Values>> = Vec::new();
+    let table = analysis
+        .table(mfa.top())
+        .iter()
+        .map(|values| match sets.iter().position(|set| set == values) {
+            Some(i) => i as u32,
+            None => {
+                sets.push(values.clone());
+                (sets.len() - 1) as u32
+            }
+        })
+        .collect();
+    Some(ValueRequirements {
+        labels: analysis.labels,
+        texts: analysis.texts,
+        sets,
+        table,
+    })
+}
+
+struct ValueAnalysis<'m> {
+    mfa: &'m Mfa,
+    labels: Vec<Label>,
+    texts: Vec<String>,
+    /// Per NFA, once computed: its requirement table.
+    tables: Vec<Option<Vec<Option<Values>>>>,
+}
+
+impl ValueAnalysis<'_> {
+    fn width(&self) -> usize {
+        self.labels.len() + 1
+    }
+
+    fn table(&mut self, id: NfaId) -> &Vec<Option<Values>> {
+        if self.tables[id.index()].is_none() {
+            let table = self.fixpoint(id);
+            self.tables[id.index()] = Some(table);
+        }
+        self.tables[id.index()].as_ref().expect("just computed")
+    }
+
+    fn fixpoint(&mut self, id: NfaId) -> Vec<Option<Values>> {
+        let mfa = self.mfa;
+        let nfa = mfa.nfa(id);
+        let width = self.width();
+        // What each guard needs where it is crossed, per column; `None`:
+        // the guard can never hold, so its edge is never crossed.
+        let mut guards: HashMap<(PredId, usize), Option<Values>> = HashMap::new();
+        for s in nfa.states() {
+            for g in nfa.eps_edges(s).iter().filter_map(|e| e.guard) {
+                for col in 0..width {
+                    if let Entry::Vacant(slot) = guards.entry((g, col)) {
+                        slot.insert(self.pred(g, col));
+                    }
+                }
+            }
+        }
+        let mut table: Vec<Option<Values>> = vec![None; nfa.state_count() * width];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for s in nfa.states() {
+                for col in 0..width {
+                    let mut new = nfa.is_accept(s).then(Values::new);
+                    for e in nfa.eps_edges(s) {
+                        let Some(after) = &table[e.target.index() * width + col] else {
+                            continue;
+                        };
+                        let needed = match e.guard {
+                            None => after.clone(),
+                            Some(g) => match &guards[&(g, col)] {
+                                None => continue,
+                                Some(at_guard) => union(after, at_guard),
+                            },
+                        };
+                        new = Some(meet(new, needed));
+                    }
+                    for t in nfa.transitions(s) {
+                        let next_col = match t.test {
+                            LabelTest::Label(l) => column(&self.labels, l),
+                            LabelTest::Wildcard => 0,
+                        };
+                        if let Some(after) = &table[t.target.index() * width + next_col] {
+                            new = Some(meet(new, after.clone()));
+                        }
+                    }
+                    let slot = &mut table[s.index() * width + col];
+                    if new != *slot {
+                        *slot = new;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    /// What `pred` holding at a node of column `col` needs at or below it;
+    /// `None` when it can never hold.
+    fn pred(&mut self, pred: PredId, col: usize) -> Option<Values> {
+        match self.mfa.pred(pred) {
+            Pred::True | Pred::Not(_) => Some(Values::new()),
+            Pred::TextEq(text) if text.is_empty() || col == 0 => Some(Values::new()),
+            Pred::TextEq(text) => {
+                let label = self.labels[col - 1];
+                let id = match self.texts.iter().position(|t| t == text) {
+                    Some(i) => i as u32,
+                    None => {
+                        self.texts.push(text.clone());
+                        (self.texts.len() - 1) as u32
+                    }
+                };
+                Some(vec![(label, id)])
+            }
+            Pred::HasPath(sub) => {
+                let start = self.mfa.nfa(*sub).start();
+                let width = self.width();
+                self.table(*sub)[start.index() * width + col].clone()
+            }
+            Pred::And(parts) => {
+                let mut all = Values::new();
+                for &p in parts {
+                    all = union(&all, &self.pred(p, col)?);
+                }
+                Some(all)
+            }
+            Pred::Or(parts) => {
+                let mut common = None;
+                for &p in parts {
+                    if let Some(values) = self.pred(p, col) {
+                        common = Some(meet(common, values));
+                    }
+                }
+                common
+            }
+        }
+    }
+}
+
+fn union(a: &Values, b: &Values) -> Values {
+    let mut out: Values = a.iter().chain(b).copied().collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Intersection with an accumulator (`None` = no alternative seen yet).
+fn meet(acc: Option<Values>, values: Values) -> Values {
+    match acc {
+        None => values,
+        Some(acc) => acc.into_iter().filter(|v| values.contains(v)).collect(),
+    }
 }
 
 /// ε-closure of `states`, ignoring guards (used by type checking and by
@@ -335,6 +573,71 @@ mod tests {
             .collect();
         assert!(!req[nfa.start().index()].satisfiable_within(&only_a));
         assert!(req[nfa.start().index()].satisfiable_within(&both));
+    }
+
+    /// The values the whole query needs below the document root, by name.
+    fn values_from_start(q: &str) -> Vec<(String, String)> {
+        let (vocab, mfa) = top_nfa(q);
+        let Some(reqs) = required_values(&mfa) else {
+            return Vec::new(); // compares no (non-empty) text
+        };
+        let start = mfa.nfa(mfa.top()).start();
+        let mut named: Vec<(String, String)> = reqs
+            .at(start, None)
+            .expect("the query can accept")
+            .iter()
+            .map(|&(l, t)| (vocab.name(l).to_string(), reqs.text(t).to_string()))
+            .collect();
+        named.sort();
+        named
+    }
+
+    #[test]
+    fn required_values_follow_guards() {
+        let pair = |l: &str, t: &str| (l.to_string(), t.to_string());
+        assert_eq!(values_from_start("a/b[c = 'x']/d"), vec![pair("c", "x")]);
+        assert_eq!(values_from_start("a/b[. = 'y']"), vec![pair("b", "y")]);
+        assert_eq!(values_from_start("a[.//c = 'x']"), vec![pair("c", "x")]);
+        assert_eq!(
+            values_from_start("a/b[c = 'x' and e = 'y']"),
+            vec![pair("c", "x"), pair("e", "y")]
+        );
+        // Alternatives keep what they share.
+        assert_eq!(
+            values_from_start("a/(b[c = 'x'] | d[c = 'x'])"),
+            vec![pair("c", "x")]
+        );
+        assert_eq!(
+            values_from_start("a/b[c = 'x' or c = 'x' and e = 'y']"),
+            vec![pair("c", "x")]
+        );
+        // Nothing is needed where a continuation can do without.
+        for q in [
+            "a/(b[c = 'x'] | d[c = 'z'])",
+            "a/b[not(c = 'x')]",
+            "a/b[. = '']",
+            "a/(b[c = 'x'])*",
+        ] {
+            assert!(values_from_start(q).is_empty(), "{q}");
+        }
+    }
+
+    #[test]
+    fn required_values_shrink_as_the_run_advances() {
+        let (vocab, mfa) = top_nfa("a[p = 'v']/b[c = 'x']");
+        let reqs = required_values(&mfa).unwrap();
+        let nfa = mfa.nfa(mfa.top());
+        let l = |n: &str| vocab.lookup(n).unwrap();
+        // After `a`, before its guard: both literals; after the whole
+        // path: nothing.
+        let after_a = eps_closure_unguarded(nfa, &step_unguarded(nfa, &[nfa.start()], l("a")));
+        let needs: Vec<usize> = after_a
+            .iter()
+            .filter_map(|&s| reqs.at(s, Some(l("a"))).map(<[_]>::len))
+            .collect();
+        assert!(needs.contains(&2) && needs.contains(&1), "{needs:?}");
+        assert_eq!(reqs.at(nfa.accept(), Some(l("b"))), Some(&[][..]));
+        assert!(required_values(&top_nfa("a/b").1).is_none());
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //! stay on the NFA side and are only crossed by the evaluator's guard-aware
 //! closure.
 
-use crate::analysis::{eps_closure_unguarded, required_labels, Requirement};
+use crate::analysis::{eps_closure_unguarded, required_labels, required_values, Requirement};
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, StateId};
 use smoqe_xml::Label;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no transition" in dense DFA tables.
 pub const DEAD: u32 = u32::MAX;
@@ -190,6 +190,9 @@ pub struct CompiledMfa {
     width: usize,
     nfas: Vec<CompiledNfa>,
     max_states: usize,
+    /// The [`StepValues`] of the top NFA's DFA, computed on first use:
+    /// only jump-scan evaluation over a value index reads them.
+    step_values: OnceLock<Option<StepValues>>,
 }
 
 impl CompiledMfa {
@@ -242,6 +245,7 @@ impl CompiledMfa {
             width,
             nfas,
             max_states,
+            step_values: OnceLock::new(),
         }
     }
 
@@ -293,10 +297,132 @@ impl CompiledMfa {
         self.max_states
     }
 
+    /// What steps of the top NFA's DFA — exact, or guard-stripped — need
+    /// in text values ([`StepValues`]), computed once per plan on first
+    /// use; `None` when no step needs any (the plan compares no text, or
+    /// the top NFA has no DFA).
+    pub fn step_values(&self) -> Option<&StepValues> {
+        self.step_values
+            .get_or_init(|| StepValues::of(self))
+            .as_ref()
+    }
+
     /// How many of the plan's NFAs run as dense-table DFAs (the rest keep
     /// NFA rows: they carry guards or blew the subset cap).
     pub fn dfa_nfa_count(&self) -> usize {
         self.nfas.iter().filter(|n| n.dfa.is_some()).count()
+    }
+}
+
+/// The text values each step of a plan's top-NFA DFA needs, from
+/// [`required_values`]: for a DFA state and a label column, the
+/// requirements of the NFA states that step **enters**, one list per live
+/// entered state. Every run at the stepped-into node starts in one of
+/// those and closes from there, so their requirements include the guards
+/// the closure crosses at the node itself — which the closed DFA state's
+/// members, some reached only past such a guard, do not. A node holding
+/// none of some list's values below it cannot lead to an answer: the
+/// jump-scan's value gate.
+#[derive(Clone, Debug)]
+pub struct StepValues {
+    width: usize,
+    /// The distinct `(label, text)` values any step needs, by value id.
+    values: Vec<(Label, String)>,
+    /// `state * width + column` → 0 when some entered state needs no
+    /// value, else `1 +` the index of the step's requirement in `needs`.
+    steps: Vec<u32>,
+    /// The distinct step requirements: per live entered state, the ids of
+    /// the values it needs (no lists: nothing can accept).
+    needs: Vec<Vec<Vec<u32>>>,
+}
+
+impl StepValues {
+    fn of(plan: &CompiledMfa) -> Option<StepValues> {
+        let reqs = required_values(plan.mfa())?;
+        let top = plan.nfa(plan.mfa().top());
+        let dfa = top.dfa().or(top.stripped_dfa())?;
+        let width = plan.width();
+        let mut label_of = vec![None; width];
+        for (label, col) in plan.referenced_labels() {
+            label_of[col] = Some(label);
+        }
+        let mut values: Vec<(Label, String)> = Vec::new();
+        let mut value_id = |label: Label, text: &str| -> u32 {
+            match values.iter().position(|(l, t)| *l == label && t == text) {
+                Some(i) => i as u32,
+                None => {
+                    values.push((label, text.to_string()));
+                    (values.len() - 1) as u32
+                }
+            }
+        };
+        let mut needs: Vec<Vec<Vec<u32>>> = Vec::new();
+        let mut steps = Vec::with_capacity(dfa.state_count() * width);
+        for state in 0..dfa.state_count() as u32 {
+            for (col, &label) in label_of.iter().enumerate() {
+                let mut entered: Vec<StateId> = dfa
+                    .members(state)
+                    .iter()
+                    .flat_map(|&m| top.row(m, col).iter().copied())
+                    .collect();
+                entered.sort_unstable();
+                entered.dedup();
+                let mut need = Vec::new();
+                let mut free = entered.is_empty(); // a DEAD step: never taken
+                for s in entered {
+                    match reqs.at(s, label) {
+                        None => {} // no accepting continuation from `s`
+                        Some([]) => free = true,
+                        Some(needed) => need.push(
+                            needed
+                                .iter()
+                                .map(|&(l, text)| value_id(l, reqs.text(text)))
+                                .collect(),
+                        ),
+                    }
+                }
+                steps.push(match free {
+                    true => 0,
+                    false => match needs.iter().position(|n| *n == need) {
+                        Some(i) => i as u32 + 1,
+                        None => {
+                            needs.push(need);
+                            needs.len() as u32
+                        }
+                    },
+                });
+            }
+        }
+        if needs.is_empty() {
+            return None;
+        }
+        Some(StepValues {
+            width,
+            values,
+            steps,
+            needs,
+        })
+    }
+
+    /// What a node stepped into from DFA `state` on column `col` needs:
+    /// `None` when nothing, else, per live entered state, the ids of the
+    /// values it needs ([`StepValues::value`]).
+    pub fn of_step(&self, state: u32, col: usize) -> Option<&[Vec<u32>]> {
+        match self.steps[state as usize * self.width + col] {
+            0 => None,
+            i => Some(&self.needs[i as usize - 1]),
+        }
+    }
+
+    /// Number of distinct values (ids run below it).
+    pub fn value_count(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The `(label, text)` of a value id.
+    pub fn value(&self, id: u32) -> (Label, &str) {
+        let (label, text) = &self.values[id as usize];
+        (*label, text)
     }
 }
 
@@ -603,8 +729,14 @@ mod tests {
 
     #[test]
     fn analysis_counter_moves_once_per_compile() {
-        let before = analysis_runs();
-        let (_, _plan) = plan_for("a/b/c");
-        assert_eq!(analysis_runs(), before + 1);
+        // The counter is process-wide and other tests of this crate compile
+        // plans on parallel threads, which can only add to a delta: one
+        // attempt of a few that sees exactly one compilation settles it.
+        let once = (0..20).any(|_| {
+            let before = analysis_runs();
+            let (_, _plan) = plan_for("a/b/c");
+            analysis_runs() == before + 1
+        });
+        assert!(once, "a compilation must count exactly once");
     }
 }

@@ -7,6 +7,7 @@
 //! cargo run --release -p smoqe-bench --bin experiments -- quick   # small sizes
 //! cargo run --release -p smoqe-bench --bin experiments -- largedoc  # ~100 MB smoke
 //! cargo run --release -p smoqe-bench --bin experiments -- update_scaling  # write path, 1k..1M nodes
+//! cargo run --release -p smoqe-bench --bin experiments -- deny_timing     # how long a refusal takes
 //! ```
 //!
 //! Performance numbers come from the repository's benchmark
@@ -36,7 +37,7 @@ fn main() {
     let selected: Vec<&str> = args
         .iter()
         .map(String::as_str)
-        .filter(|a| a.starts_with('e') || *a == "largedoc" || *a == "update_scaling")
+        .filter(|a| a.starts_with('e') || ["largedoc", "update_scaling", "deny_timing"].contains(a))
         .collect();
     let run = |name: &str| selected.is_empty() || selected.contains(&name);
 
@@ -72,6 +73,96 @@ fn main() {
     if selected.contains(&"update_scaling") {
         update_scaling(quick);
     }
+    // Refusal latency by kind of target (`experiments -- deny_timing
+    // [quick]`).
+    if selected.contains(&"deny_timing") {
+        deny_timing(quick);
+    }
+}
+
+/// Whether a refusal's *time* says what its bytes do not. A group's
+/// refusal is byte-identical whether the target is hidden (`//pname`: no
+/// view type), conditionally hidden (a patient the view does not show
+/// because it took no autism medication) or absent; this prints the
+/// latency distribution of each, for a group update (refused with
+/// `UpdateDenied`) and for a group query (answered with nothing), on a
+/// 100 000-node document (10 000 with `quick`). The three kinds take
+/// turns, so drift of the host spreads over all of them alike. A reported
+/// number, not a gate: the differences are microseconds on a host whose
+/// noise is of the same order.
+fn deny_timing(quick: bool) {
+    println!("## deny_timing  refusal latency by kind of target, as `researchers`\n");
+    let (size, rounds) = if quick {
+        (10_000, 100)
+    } else {
+        (100_000, 1_000)
+    };
+    let engine = smoqe::Engine::with_defaults();
+    let handle = engine.open_document("deny");
+    handle.load_dtd(hospital::DTD).unwrap();
+    let xml = hospital::generate_document(engine.vocabulary(), 7, size).to_xml();
+    handle.load_document(&xml).unwrap();
+    handle.build_tax_index().unwrap();
+    handle
+        .register_policy(hospital::GROUP, hospital::POLICY)
+        .unwrap();
+    // The conditionally hidden patient: present, reachable by a view path,
+    // but without the autism medication the view's condition asks for.
+    handle
+        .update(
+            "insert <patient><pname>H</pname><visit><treatment><medication>Mhidden\
+             </medication></treatment><date>d</date></visit></patient> into hospital",
+        )
+        .unwrap();
+    let targets = [
+        ("hidden", "//pname"),
+        (
+            "cond. hidden",
+            "hospital/patient[treatment/medication = 'Mhidden']",
+        ),
+        (
+            "absent",
+            "hospital/patient[treatment/medication = 'Mabsent']",
+        ),
+    ];
+    let group = handle.session(smoqe::User::Group(hospital::GROUP.into()));
+    let mut table = Table::new(&["op", "target", "n", "p50", "p90", "p99"]);
+    for op in ["update", "query"] {
+        let mut samples: Vec<Vec<std::time::Duration>> = vec![Vec::new(); targets.len()];
+        // Round 0 warms up (plans, the view count) and is not kept.
+        for round in 0..=rounds {
+            for k in 0..targets.len() {
+                let at = (round + k) % targets.len();
+                let path = targets[at].1;
+                let (_, took) = time(|| match op {
+                    "update" => {
+                        let refused = group.update(&format!("delete {path}"));
+                        assert!(matches!(refused, Err(smoqe::EngineError::UpdateDenied)));
+                    }
+                    _ => assert!(group.query(path).expect("query runs").is_empty()),
+                });
+                if round > 0 {
+                    samples[at].push(took);
+                }
+            }
+        }
+        for ((name, _), mut latencies) in targets.iter().zip(samples) {
+            latencies.sort_unstable();
+            let at = |p: f64| {
+                let rank = (p / 100.0 * (latencies.len() - 1) as f64).round() as usize;
+                fmt_duration(latencies[rank])
+            };
+            table.row(vec![
+                op.to_string(),
+                name.to_string(),
+                latencies.len().to_string(),
+                at(50.0),
+                at(90.0),
+                at(99.0),
+            ]);
+        }
+    }
+    println!("{}", table.render());
 }
 
 /// What one accepted update costs as the document grows, layer by layer
@@ -80,7 +171,12 @@ fn main() {
 /// the edit's dirty set next to validation of the whole result — and as a
 /// whole through `DocHandle::update`. The splice and the patch are table
 /// copies (linear in the document, at memcpy speed); the dirty-set
-/// validation does not depend on the document at all.
+/// validation does not depend on the document at all. Beside the admin's
+/// statements, the `researchers` column times a group `Session::update`
+/// of the same three kinds aimed through the view (at the same patient,
+/// found by a medication only it carries): the target is rewritten over
+/// the view and the view is never materialized, so a group write costs
+/// about what an admin write costs.
 fn update_scaling(quick: bool) {
     println!("## update_scaling  insert / replace / delete at one patient, by document size\n");
     let sizes: &[usize] = if quick {
@@ -99,6 +195,7 @@ fn update_scaling(quick: bool) {
         "validate dirty",
         "validate whole",
         "DocHandle::update",
+        "researchers",
     ]);
     for &size in sizes {
         let iters = (2_000_000 / size).clamp(5, 200);
@@ -131,14 +228,43 @@ fn update_scaling(quick: bool) {
                 format!("delete {patient}/visit[treatment/test = 'mri']"),
             ),
         ];
+        // The group's view shows the patient once it took autism; through
+        // the view it is the one with medication `M00`.
+        handle
+            .register_policy(hospital::GROUP, hospital::POLICY)
+            .unwrap();
+        for medication in ["autism", "M00"] {
+            handle
+                .update(&format!(
+                    "insert <visit><treatment><medication>{medication}</medication></treatment>\
+                     <date>2026-01-01</date></visit> after {patient}/pname"
+                ))
+                .unwrap();
+        }
+        let seen = "hospital/patient[treatment/medication = 'M00']";
+        let group_statements = [
+            format!("insert <parent><patient><pname>kin</pname></patient></parent> into {seen}"),
+            format!(
+                "replace {seen}/treatment[medication = 'M00'] with \
+                 <treatment><medication>M00</medication></treatment>"
+            ),
+            format!("delete {seen}/parent"),
+        ];
+        let group = handle.session(smoqe::User::Group(hospital::GROUP.into()));
         // One cycle of the three statements restores the document, so
-        // every iteration times the same three updates.
+        // every iteration times the same three updates. An untimed cycle
+        // first: the group's view count is taken once per document.
         let mut whole = [std::time::Duration::ZERO; 3];
-        for _ in 0..iters {
+        let mut through_view = [std::time::Duration::ZERO; 3];
+        for round in 0..=iters {
             for (slot, (_, statement)) in whole.iter_mut().zip(&statements) {
                 let (report, took) = time(|| handle.update(statement).expect("update applies"));
                 assert!(report.validated_nodes <= 8, "incremental validation");
-                *slot += took;
+                *slot += took * u32::from(round > 0);
+            }
+            for (slot, statement) in through_view.iter_mut().zip(&group_statements) {
+                let (_, took) = time(|| group.update(statement).expect("group update applies"));
+                *slot += took * u32::from(round > 0);
             }
         }
 
@@ -187,6 +313,7 @@ fn update_scaling(quick: bool) {
                 })),
                 fmt_duration(time_mean(iters.min(20), || dtd.validate(&after).unwrap())),
                 fmt_duration(whole[i] / iters as u32),
+                fmt_duration(through_view[i] / iters as u32),
             ]);
         }
     }

@@ -17,6 +17,7 @@
 use crate::engine::{Answer, Engine, Session, UpdateReport, User};
 use crate::error::EngineError;
 use crate::sync::{Mutex, RwLock};
+use crate::viewcount::ViewCounts;
 use smoqe_automata::Mfa;
 use smoqe_tax::TaxIndex;
 use smoqe_view::ViewSpec;
@@ -102,9 +103,11 @@ pub struct DocumentEntry {
     /// view generations are unique per entry lifetime).
     counter: AtomicU64,
     /// Serializes the entry's *writers* (updates, loads, DTD swaps) so a
-    /// read-modify-write update can never race another writer. Readers
-    /// only ever take `Arc` snapshots and never touch this lock.
-    pub(crate) write_serial: Mutex<()>,
+    /// read-modify-write update can never race another writer, and guards
+    /// the one piece of state only writers keep: the groups' view node
+    /// counts, carried from update to update. Readers only ever take `Arc`
+    /// snapshots and never touch this lock.
+    pub(crate) write_serial: Mutex<ViewCounts>,
     /// Set when the entry is removed from the catalog. Sessions still
     /// bound to it keep working, but their plans no longer enter the
     /// shared plan cache — a dropped document must not keep (or regrow)

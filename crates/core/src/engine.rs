@@ -32,15 +32,15 @@ use crate::plancache::{CacheMetrics, PlanCache, PlanKey};
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize, Mfa};
 use smoqe_hype::batch::evaluate_batch_stream_plans_budgeted;
-use smoqe_hype::dom::{evaluate_mfa_plan_budgeted, DomOptions};
+use smoqe_hype::dom::{evaluate_mfa_plan, evaluate_mfa_plan_budgeted, DomOptions};
 use smoqe_hype::stream::StreamOptions;
 use smoqe_hype::{evaluate_jump_frontier_budgeted, jump_available, selectivity_estimate};
 use smoqe_hype::{DriverError, EvalObserver, EvalStats, ExecMode, NoopObserver, WorkBudget};
-use smoqe_rxpath::parse_path;
+use smoqe_rxpath::{parse_path, Path};
 use smoqe_tax::TaxIndex;
 use smoqe_update::{parse_update, UpdateError};
 use smoqe_view::{
-    derive, materialize, materialize_fragment, AccessPolicy, MaterializedView, ViewSpec,
+    derive, materializable, materialize, materialize_fragment, AccessPolicy, ViewSpec,
 };
 use smoqe_xml::{DirtySet, Document, Dtd, NodeId, Vocabulary};
 use std::io::BufRead;
@@ -797,15 +797,10 @@ impl Engine {
             }
         }
         let path = parse_path(query, &self.vocab)?;
-        let mfa = match &spec {
-            None => compile(&path, &self.vocab),
-            Some(spec) => smoqe_rewrite::rewrite(&path, spec),
-        };
-        let mfa = Arc::new(optimize(&mfa));
         // Table compilation (ε-closures, subset DFAs, CSR rows, required
         // labels) happens exactly once per cached plan; every evaluation
         // of the plan — any session, batch lane or thread — reuses it.
-        let mfa = Arc::new(CompiledMfa::from_arc(mfa));
+        let mfa = Arc::new(self.plan_path(&path, spec.as_deref()));
         if cacheable {
             self.plans.insert(key, mfa.clone(), doc_generation);
             // A concurrent drop_document may have marked the entry and
@@ -819,26 +814,68 @@ impl Engine {
         Ok((mfa, false))
     }
 
+    /// Plans a parsed path for one principal: compiled as written for the
+    /// admin (`spec` is `None`), rewritten over the view for a group, then
+    /// optimized and table-compiled. What a plan-cache miss runs, and what
+    /// every update target runs.
+    fn plan_path(&self, path: &Path, spec: Option<&ViewSpec>) -> CompiledMfa {
+        let mfa = match spec {
+            None => compile(path, &self.vocab),
+            Some(spec) => smoqe_rewrite::rewrite(path, spec),
+        };
+        CompiledMfa::from_arc(Arc::new(optimize(&mfa)))
+    }
+
     // ------------------------------------------------------------------
     // Secure updates
     // ------------------------------------------------------------------
 
+    /// Resolves an update's target path on a transaction's working state
+    /// the way a query is answered: planned by [`Engine::plan_path`] —
+    /// outside the plan cache, which the update's own purge would empty
+    /// anyway — and run by the DOM driver over `(doc, tax)`, so the TAX
+    /// label and value indexes answer point targets. For a group the plan
+    /// is the target rewritten over the view: its answers are the source
+    /// origins of the view nodes the target selects, so a hidden, a
+    /// conditionally hidden and an absent target all resolve to nothing.
+    fn resolve_targets(
+        &self,
+        doc: &Document,
+        tax: Option<&TaxIndex>,
+        target: &Path,
+        spec: Option<&ViewSpec>,
+    ) -> Vec<NodeId> {
+        let plan = self.plan_path(target, spec);
+        let mode = pick_mode(doc, tax, &plan, false);
+        let options = DomOptions { tax };
+        let (nodes, _) = evaluate_mfa_plan(doc, &plan, &options, mode, &mut NoopObserver);
+        nodes.into_vec()
+    }
+
     /// Applies a sequence of update statements to `entry` on behalf of
     /// `user`, **all-or-nothing**.
     ///
-    /// * **Target resolution.** Admins resolve targets directly against
-    ///   the document. Group users resolve them against their *security
-    ///   view*: the view is materialized over the snapshot (the same
-    ///   [`smoqe_view::accessible_nodes`] relation that defines read
-    ///   semantics), the target path is evaluated **on the view**, and
-    ///   the selected view nodes map back to their source origins. A
-    ///   hidden node is therefore never selected, and an empty target set
-    ///   — whether the node is hidden, conditionally hidden, or simply
-    ///   absent — yields the same opaque [`EngineError::UpdateDenied`].
+    /// * **Target resolution.** One resolver for every principal
+    ///   (`Engine::resolve_targets`): the target path is planned like a
+    ///   query — compiled for admins, **rewritten over the security view**
+    ///   for group users — and evaluated on the transaction's working
+    ///   document and TAX index. The view is never materialized: a group's
+    ///   targets are the source origins of the view nodes its path selects
+    ///   (`Q′(T) = Q(V(T))`), so a hidden node is never selected, and an
+    ///   empty target set — whether the node is hidden, conditionally
+    ///   hidden, or simply absent — yields the same opaque
+    ///   [`EngineError::UpdateDenied`]. So does a statement after which the
+    ///   view would no longer exist: the root lost the view root's label
+    ///   ([`smoqe_view::materializable`]).
     /// * **Application.** Each statement's targets are applied
     ///   last-to-first (pre-order ids before an edit window are stable),
-    ///   rebuilding the arena per edit and **incrementally patching** the
-    ///   TAX index instead of rebuilding it.
+    ///   splicing the document's tables per edit and **incrementally
+    ///   patching** the TAX index instead of rebuilding it.
+    /// * **Counts.** Reports count the document as the principal sees it:
+    ///   the source for admins, the view for groups. View counts are kept
+    ///   per group under the entry's write lock and carried across every
+    ///   accepted write by the view image of the top-level subtrees it
+    ///   touched (see `crate::viewcount`) — not by recounting the view.
     /// * **Conformance.** The final document is validated against the
     ///   entry's DTD — only the transaction's dirty set (each edit's
     ///   splice parent and inserted nodes, see [`smoqe_xml::DirtySet`])
@@ -877,53 +914,44 @@ impl Engine {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
-        let _writer = entry.write_serial.lock();
+        let mut writer = entry.write_serial.lock();
         let snapshot = entry.snapshot()?;
         let dtd = entry.dtd.read().clone();
         let mut doc: Arc<Document> = snapshot.doc.clone();
         let mut tax: Option<Arc<TaxIndex>> = snapshot.tax.clone();
         let mut reports = Vec::with_capacity(updates.len());
         let mut dirty = DirtySet::default();
-        // One view spec for the whole transaction (group sessions only).
-        let spec = match user {
+        // One view for the whole transaction (group sessions only).
+        let view = match user {
             User::Admin => None,
-            User::Group(group) => Some(entry.view_slot(group)?.0),
+            User::Group(group) => Some((group.as_str(), entry.view_slot(group)?)),
         };
-        // The materialized view of the *current* document state: target
-        // resolution and the report's node counts both read it, and each
-        // post-edit state is materialized exactly once (reused as the
-        // next statement's pre-state). A group update that breaks
-        // materialization itself (e.g. replacing the root with a foreign
-        // type) is opaquely denied — a ViewError message is not part of
-        // the group update contract.
-        let make_view = |doc: &Document| -> Result<Option<MaterializedView>, EngineError> {
-            match &spec {
-                None => Ok(None),
-                Some(spec) => match materialize(spec, doc) {
-                    Ok(view) => Ok(Some(view)),
-                    Err(_) => Err(EngineError::UpdateDenied),
-                },
-            }
+        let spec = view.as_ref().map(|(_, (spec, _))| spec.as_ref());
+        // A write after which the group's view would not exist is opaquely
+        // denied — a ViewError message is not part of the group update
+        // contract. With a fixed spec that is a check of the root's label.
+        let keeps_view = |doc: &Document| match spec {
+            Some(spec) => materializable(spec, doc).map_err(|_| EngineError::UpdateDenied),
+            None => Ok(()),
         };
+        writer.resume(&doc, |group| entry.view_slot(group).ok().map(|(_, g)| g));
         // Group sessions never see source-side node counts: the report
         // counts the document *as the session sees it* (the view), or a
         // delete of a visible node with hidden descendants would leak how
-        // many hidden nodes its subtree held.
-        let visible_count = |doc: &Document, view: &Option<MaterializedView>| match view {
+        // many hidden nodes its subtree held. A count taken here describes
+        // the installed document, so it is kept whatever the transaction
+        // does; the ones carried below are kept only if it commits.
+        let mut nodes_before = match &view {
             None => doc.node_count(),
-            Some(view) => view.doc.node_count(),
+            Some((group, (spec, generation))) => {
+                keeps_view(&doc)?;
+                writer.count(&doc, group, *generation, spec)
+            }
         };
-        let mut view = make_view(&doc)?;
-        let mut nodes_before = visible_count(&doc, &view);
+        let mut counts = writer.clone();
         for text in updates {
             let update = parse_update(text, &self.vocab)?;
-            let targets: Vec<NodeId> = match &view {
-                None => smoqe_rxpath::evaluate(&doc, &update.target).into_vec(),
-                Some(view) => {
-                    let hits = smoqe_rxpath::evaluate(&view.doc, &update.target);
-                    view.origins_of(hits.iter())
-                }
-            };
+            let targets = self.resolve_targets(&doc, tax.as_deref(), &update.target, spec);
             if targets.is_empty() {
                 return Err(match user {
                     User::Admin => EngineError::Update(UpdateError::NoTarget),
@@ -933,10 +961,14 @@ impl Engine {
             let (new_doc, new_tax, spans) =
                 smoqe_update::apply_update(&doc, &update, &targets, tax.as_deref())?;
             spans.iter().for_each(|span| dirty.record(span));
+            keeps_view(&new_doc)?;
+            counts.advance(&doc, &new_doc, &update, &targets, &spans);
             doc = Arc::new(new_doc);
             tax = new_tax.map(Arc::new);
-            view = make_view(&doc)?;
-            let nodes_after = visible_count(&doc, &view);
+            let nodes_after = match &view {
+                None => doc.node_count(),
+                Some((group, _)) => counts.get(group),
+            };
             reports.push(UpdateReport {
                 applied: spans.len(),
                 nodes_before,
@@ -985,6 +1017,7 @@ impl Engine {
             },
             statements: updates.iter().map(|s| s.to_string()).collect(),
         })?;
+        *writer = counts.describing(&doc);
         *entry.source.write() = Some(Arc::new(LoadedSource {
             doc,
             raw: Some(raw),
@@ -1111,7 +1144,7 @@ impl Engine {
                         nodes: Vec::new(),
                         stats: EvalStats::default(),
                         plan_cached: *cached,
-                        mode: pick_mode(&source, plan, observed),
+                        mode: pick_mode(&source.doc, source.tax.as_deref(), plan, observed),
                         xml: None,
                     })
                     .collect();
@@ -1258,17 +1291,21 @@ impl Engine {
     }
 }
 
-/// Picks the DOM traversal for one (plan, snapshot) pair from what the
-/// snapshot shows: jump when its TAX index carries positional lists the
-/// plan can navigate **and** the plan's measured selectivity is at most
+/// Picks the DOM traversal for one plan over a document and the TAX index
+/// built over it: jump when the index carries positional lists the plan
+/// can navigate **and** the plan's measured selectivity is at most
 /// [`JUMP_SELECTIVITY`]; otherwise — no index, no required label, an
 /// unselective estimate — the scan walker. Observed evaluations always
 /// scan (a jump produces no per-node event stream for the observer).
-fn pick_mode(source: &LoadedSource, plan: &CompiledMfa, observed: bool) -> ExecMode {
-    let tax = source.tax.as_deref();
+fn pick_mode(
+    doc: &Document,
+    tax: Option<&TaxIndex>,
+    plan: &CompiledMfa,
+    observed: bool,
+) -> ExecMode {
     if !observed
-        && jump_available(&source.doc, plan, tax)
-        && selectivity_estimate(&source.doc, plan, tax)
+        && jump_available(doc, plan, tax)
+        && selectivity_estimate(doc, plan, tax)
             .measured()
             .is_some_and(|s| s <= JUMP_SELECTIVITY)
     {
@@ -2107,6 +2144,51 @@ mod tests {
             let path = parse_path(q, engine.vocabulary()).unwrap();
             let expected = view.origins_of(smoqe_rxpath::evaluate(&view.doc, &path).iter());
             assert_eq!(group.query(q).unwrap().nodes, expected, "view query `{q}`");
+        }
+    }
+
+    #[test]
+    fn the_target_resolver_answers_what_the_naive_oracles_answer() {
+        // One resolver for every principal: an admin's targets are what
+        // `smoqe_rxpath::evaluate` selects on the document, a group's the
+        // origins of what it selects on the materialized view — whether
+        // the plan scans or jumps on the TAX index.
+        let engine = engine_with_generated();
+        engine
+            .register_policy("researchers", smoqe_view::HOSPITAL_POLICY)
+            .unwrap();
+        let spec = engine.view("researchers").unwrap();
+        let targets = hospital::DOC_QUERIES
+            .iter()
+            .chain(hospital::VIEW_QUERIES)
+            .map(|(_, q)| *q)
+            .chain([
+                "hospital",
+                "hospital/patient[pname = 'Ann']/visit",
+                "hospital/patient[treatment/medication = 'flu']",
+                "//visit[treatment/test = 'mri']/date",
+                "//nothing",
+            ]);
+        for indexed in [false, true] {
+            if indexed {
+                engine.build_tax_index().unwrap();
+            }
+            let doc = engine.document().unwrap();
+            let tax = engine.tax_index();
+            let view = materialize(&spec, &doc).unwrap();
+            for q in targets.clone() {
+                let path = parse_path(q, engine.vocabulary()).unwrap();
+                assert_eq!(
+                    engine.resolve_targets(&doc, tax.as_deref(), &path, None),
+                    smoqe_rxpath::evaluate(&doc, &path).into_vec(),
+                    "admin `{q}`, indexed: {indexed}"
+                );
+                assert_eq!(
+                    engine.resolve_targets(&doc, tax.as_deref(), &path, Some(&spec)),
+                    view.origins_of(smoqe_rxpath::evaluate(&view.doc, &path).iter()),
+                    "group `{q}`, indexed: {indexed}"
+                );
+            }
         }
     }
 

@@ -62,6 +62,7 @@ pub mod tenants;
 pub mod workloads;
 
 mod sync;
+mod viewcount;
 
 pub use catalog::{DocHandle, DocumentEntry};
 pub use config::{DocumentMode, EngineConfig};

@@ -31,6 +31,15 @@
 //!   (label, value) posting lists — plus, for `[b = 'v']` child-witness
 //!   guards, the parents of the witness postings. Occurrences outside
 //!   those lists provably behave as stutters and are never touched.
+//! * Every candidate must also hold the **text values** its continuations
+//!   need ([`smoqe_automata::compile::StepValues`]): a candidate
+//!   whose subtree has no posting of one is discarded with a binary search
+//!   per value, before any guard is verified. Where the wildcard column
+//!   moves the state and every child must be stepped into, the same
+//!   requirements pick the children instead: when each live step needs
+//!   some value, only the children holding its rarest value's postings
+//!   are visited — so `hospital/patient[pname = 'P']/visit`, which walks
+//!   the root's children, costs a few probes, not one per patient.
 //! * Candidates are processed in ascending pre-order; entering or
 //!   discarding a candidate always advances the cursor past its whole
 //!   subtree (`subtree_end`). That ordering is the soundness argument: by
@@ -54,7 +63,7 @@
 use crate::budget::{BudgetMeter, EvalInterrupt, Interrupt, WorkBudget};
 use crate::machine::VIRTUAL_NODE;
 use crate::stats::EvalStats;
-use smoqe_automata::compile::{CompiledMfa, CompiledNfa, DfaTable, DEAD};
+use smoqe_automata::compile::{CompiledMfa, CompiledNfa, DfaTable, StepValues, DEAD};
 use smoqe_automata::guards::{classify_value_guard, ValueGuard};
 use smoqe_automata::{NfaId, Pred, PredId, StateId};
 use smoqe_rxpath::NodeSet;
@@ -471,10 +480,7 @@ pub(crate) fn frontier_setup<'a>(
     if !info.jumpable {
         // Child-stepping root: no candidate lists to share; finish the
         // whole evaluation here.
-        let doc = driver.doc;
-        for c in doc.child_elements(root) {
-            driver.step_into(c.0, state);
-        }
+        driver.step_children(root, state);
         return Some(setup_done(driver));
     }
     if !info.trigger_set.intersects(tax.descendant_labels(root)) {
@@ -664,6 +670,13 @@ fn narrow_trigger(
     }
 }
 
+/// The part of an ascending id list inside `[lo, hi)`.
+fn in_range(list: &[u32], lo: u32, hi: u32) -> &[u32] {
+    let a = list.partition_point(|&x| x < lo);
+    let b = a + list[a..].partition_point(|&x| x < hi);
+    &list[a..b]
+}
+
 pub(crate) struct Jump<'a> {
     doc: &'a Document,
     plan: &'a CompiledMfa,
@@ -684,6 +697,13 @@ pub(crate) struct Jump<'a> {
     exact_memo: HashMap<u32, Rc<Vec<StateId>>>,
     /// Guard verdicts per (predicate, node).
     pred_memo: HashMap<(PredId, u32), bool>,
+    /// The value index and the plan's step requirements, when some step
+    /// needs text values (`None` otherwise — then no candidate is ever
+    /// gated by value).
+    values: Option<(&'a ValueIndex, &'a StepValues)>,
+    /// Per value id of the step requirements, its posting list, looked up
+    /// on first use.
+    postings: Vec<Option<&'a [u32]>>,
     answers: Vec<u32>,
     stats: EvalStats,
     /// Work-budget countdown, ticked per probed candidate and per
@@ -705,6 +725,8 @@ impl<'a> Jump<'a> {
         vi: Option<&'a ValueIndex>,
     ) -> Self {
         let top = plan.mfa().top();
+        let values = vi.zip(plan.step_values());
+        let postings = values.map_or(Vec::new(), |(_, steps)| vec![None; steps.value_count()]);
         Jump {
             doc,
             plan,
@@ -718,6 +740,8 @@ impl<'a> Jump<'a> {
             infos: vec![None; dfa.state_count()],
             exact_memo: HashMap::new(),
             pred_memo: HashMap::new(),
+            values,
+            postings,
             answers: Vec::new(),
             stats: EvalStats {
                 tree_passes: 1,
@@ -766,6 +790,109 @@ impl<'a> Jump<'a> {
             .members(state)
             .iter()
             .any(|&m| req[m.index()].satisfiable_within(available))
+    }
+
+    /// The posting list of value `id` of the plan's step requirements.
+    fn postings(&mut self, id: u32) -> &'a [u32] {
+        if let Some(list) = self.postings[id as usize] {
+            return list;
+        }
+        let (vi, steps) = self
+            .values
+            .expect("only plans with step values have value ids");
+        let (label, text) = steps.value(id);
+        let list = vi.occurrences(label, text);
+        self.postings[id as usize] = Some(list);
+        list
+    }
+
+    /// Whether the subtree `[lo, hi)` of a candidate stepped into from
+    /// `state` on column `col` holds the values some accepting
+    /// continuation needs (see [`StepValues`]): for one live state the
+    /// step entered, a posting of each value that state needs.
+    fn holds_wanted_values(&mut self, state: u32, col: usize, lo: u32, hi: u32) -> bool {
+        let Some((_, steps)) = self.values else {
+            return true;
+        };
+        let Some(needs) = steps.of_step(state, col) else {
+            return true;
+        };
+        needs.iter().any(|ids| {
+            ids.iter()
+                .all(|&id| !in_range(self.postings(id), lo, hi).is_empty())
+        })
+    }
+
+    /// The element children of `node` that can lead to an answer from
+    /// `state`, found through value postings instead of by stepping into
+    /// every child: when only labels the plan mentions move the state, and
+    /// every live state those steps enter needs some text value, a child
+    /// that leads anywhere holds one of those values — the rarest of each
+    /// entered state's — at or below itself. `None` when some child needs
+    /// no value, or the postings outnumber the children.
+    fn children_by_value(&mut self, node: NodeId, state: u32) -> Option<Vec<u32>> {
+        let (_, steps) = self.values?;
+        if self.dfa.step(state, 0) != DEAD {
+            return None; // labels the plan never mentions move the state
+        }
+        let (lo, hi) = (node.0 + 1, self.li.subtree_end(node));
+        let mut sources: Vec<&'a [u32]> = Vec::new();
+        for col in 1..self.plan.width() {
+            if self.dfa.step(state, col) == DEAD {
+                continue;
+            }
+            for ids in steps.of_step(state, col)? {
+                let rarest = ids
+                    .iter()
+                    .map(|&id| in_range(self.postings(id), lo, hi))
+                    .min_by_key(|list| list.len())
+                    .expect("an entered state with requirements needs a value");
+                sources.push(rarest);
+            }
+        }
+        let total: usize = sources.iter().map(|list| list.len()).sum();
+        if total > 16 && total >= self.doc.child_elements(node).count() {
+            return None; // cheaper to step every child
+        }
+        let doc = self.doc;
+        let mut children: Vec<u32> = sources
+            .iter()
+            .flat_map(|list| list.iter())
+            .map(|&hit| {
+                let mut at = NodeId(hit);
+                while let Some(parent) = doc.parent(at) {
+                    if parent == node {
+                        break;
+                    }
+                    at = parent;
+                }
+                at.0
+            })
+            .collect();
+        children.sort_unstable();
+        children.dedup();
+        Some(children)
+    }
+
+    /// Steps the element children of `node` from `state` (a state whose
+    /// wildcard column moves: every child may matter) — only the ones
+    /// value postings point at, when [`Jump::children_by_value`] can tell.
+    fn step_children(&mut self, node: NodeId, state: u32) {
+        match self.children_by_value(node, state) {
+            Some(children) => {
+                for c in children {
+                    self.step_into(c, state);
+                }
+            }
+            None => {
+                // `doc` outlives the driver, so iterating it does not hold
+                // a borrow of `self`.
+                let doc = self.doc;
+                for c in doc.child_elements(node) {
+                    self.step_into(c.0, state);
+                }
+            }
+        }
     }
 
     // -- guard-aware verification ------------------------------------------
@@ -963,12 +1090,15 @@ impl<'a> Jump<'a> {
         }
         let id = NodeId(node);
         let label = self.doc.label(id).expect("candidates are elements");
-        let next = self.dfa.step(state, self.plan.col(label));
+        let col = self.plan.col(label);
+        let next = self.dfa.step(state, col);
         if next == DEAD {
             self.stats.subtrees_skipped_dead += 1;
             return;
         }
-        if !self.satisfiable(next, self.tax.descendant_labels(id)) {
+        if !self.satisfiable(next, self.tax.descendant_labels(id))
+            || !self.holds_wanted_values(state, col, node, self.li.subtree_end(id))
+        {
             self.stats.subtrees_pruned_tax += 1;
             return;
         }
@@ -1019,12 +1149,8 @@ impl<'a> Jump<'a> {
         } else {
             // Wildcard column moves the state: every child matters. Step
             // the element children directly (bounded by this candidate's
-            // fan-out, not by the subtree). `doc` outlives the driver, so
-            // iterating it does not hold a borrow of `self`.
-            let doc = self.doc;
-            for c in doc.child_elements(id) {
-                self.step_into(c.0, state);
-            }
+            // fan-out, not by the subtree).
+            self.step_children(id, state);
         }
     }
 
@@ -1277,6 +1403,57 @@ mod tests {
         check(xml, "//b[d = 'x']");
         check(xml, "//b[. = 'missing']");
         check(xml, "//b[not(. = 'x')]");
+    }
+
+    #[test]
+    fn required_values_prune_and_pick_children() {
+        // `c = 'x'` below a `b` that does not own it, values behind
+        // conjunctions, disjunctions and negations, wildcard steps (which
+        // keep every child live) and recursion: answers stay the scan's.
+        let xml = "<a><b><c>x</c><d>y</d></b><b><c>y</c></b><b><d><c>x</c></d></b>\
+                   <e><c>x</c></e><e><d>w</d></e><b><d>y</d></b><b>x<c>z</c></b><a><b><c>x</c></b></a></a>";
+        for q in [
+            "a/b[c = 'x']",
+            "a/b[c = 'x']/d",
+            "a/b[. = 'x']/c",
+            "a/(b[c = 'x'] | e)",
+            "a/(b[c = 'x'] | e[c = 'x'])",
+            "a/b[not(c = 'x')]",
+            "a/*[c = 'x']",
+            "a/(*[d] | b[c = 'x'])",
+            "a/*[. = 'x']",
+            "a/b[c = 'x' or d = 'y']",
+            "a/b[c = 'x' and d = 'y']",
+            "a/b[d/c = 'x']",
+            "(a)*/b[c = 'x']",
+            "a/b[c = 'missing']",
+        ] {
+            check(xml, q);
+        }
+    }
+
+    #[test]
+    fn a_point_target_under_a_wide_root_visits_only_its_path() {
+        // One child of many holds the literal: the child-stepping root
+        // steps into that child alone, found through the value postings.
+        let mut xml = String::from("<r>");
+        for i in 0..500 {
+            xml.push_str(&format!("<p><n>name{i}</n><v><m>med{i}</m></v></p>"));
+        }
+        xml.push_str("</r>");
+        for q in [
+            "r/p[n = 'name250']/v/m",
+            "r/p/v[m = 'med7']",
+            "r/p[v/m = 'med9']",
+        ] {
+            let (jump, scan) = check(&xml, q);
+            assert!(
+                jump.nodes_visited <= 4 && scan.nodes_visited > 500,
+                "`{q}`: jump visited {}, scan {}",
+                jump.nodes_visited,
+                scan.nodes_visited
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   mode), parsing, printing and well-formedness validation;
 //! * [`typecheck`] — static typing of Regular XPath against a DTD;
 //! * [`materialize`] — V(T) construction with view→source origins, used
-//!   by the equivalence tests and the materialization baseline.
+//!   by the equivalence tests and the materialization baseline, and the
+//!   node counts of V(T) the engine's write path keeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +26,9 @@ pub mod spec;
 pub mod typecheck;
 
 pub use derive::derive;
-pub use materialize::{accessible_nodes, materialize, materialize_fragment, MaterializedView};
+pub use materialize::{
+    accessible_nodes, counts_are_regional, materializable, materialize, materialize_fragment,
+    region_node_count, view_node_count, MaterializedView,
+};
 pub use policy::{AccessPolicy, Ann, PolicyError, HOSPITAL_POLICY};
 pub use spec::{ViewError, ViewSpec};

@@ -13,9 +13,14 @@
 //! Each view node corresponds to (is a copy of) a source node; the
 //! [`MaterializedView`] keeps that origin mapping so view-side answers can
 //! be compared against source-side answers of rewritten queries.
+//!
+//! The same σ-walk also *counts* V(T) without building it
+//! ([`view_node_count`]), and counts what a few top-level subtrees
+//! contribute ([`region_node_count`]) — how the engine's write path keeps
+//! a group's view-side node counts without materializing the view.
 
 use crate::spec::{ViewError, ViewSpec};
-use smoqe_rxpath::evaluate_from;
+use smoqe_rxpath::{evaluate_from, Path};
 use smoqe_xml::{Document, Label, NodeId, TreeBuilder};
 
 /// A materialized view document plus the view→source node mapping.
@@ -42,13 +47,11 @@ impl MaterializedView {
     }
 }
 
-/// Materializes `spec` over `source`, producing V(T).
-///
-/// The caller should have run [`ViewSpec::validate`] against the source
-/// DTD; materialization itself only requires the root to match and σ to be
-/// non-nullable (checked defensively — nullable σ would make V(T)
-/// infinite).
-pub fn materialize(spec: &ViewSpec, source: &Document) -> Result<MaterializedView, ViewError> {
+/// Checks the only ways materializing `spec` over `source` can fail: the
+/// source root must carry the view root's label, and no σ may be nullable
+/// (a nullable σ would make V(T) infinite). The second is a property of
+/// the spec alone, so on a fixed spec this is a root-label check.
+pub fn materializable(spec: &ViewSpec, source: &Document) -> Result<(), ViewError> {
     let vocab = source.vocabulary();
     let view_root_ty = spec.view_dtd().root();
     let src_root_ty = source.label(source.root());
@@ -68,19 +71,27 @@ pub fn materialize(spec: &ViewSpec, source: &Document) -> Result<MaterializedVie
             ));
         }
     }
-    let mut builder = TreeBuilder::new(vocab.clone());
-    let mut origins: Vec<NodeId> = Vec::new();
+    Ok(())
+}
+
+/// Materializes `spec` over `source`, producing V(T).
+///
+/// The caller should have run [`ViewSpec::validate`] against the source
+/// DTD; materialization itself only requires what [`materializable`]
+/// checks.
+pub fn materialize(spec: &ViewSpec, source: &Document) -> Result<MaterializedView, ViewError> {
+    materializable(spec, source)?;
+    let mut sink = Builder::new(source);
     build(
         spec,
         source,
         source.root(),
-        view_root_ty,
-        &mut builder,
-        &mut origins,
+        spec.view_dtd().root(),
+        &mut sink,
     );
-    let doc = builder.finish().expect("balanced by construction");
-    debug_assert_eq!(doc.node_count(), origins.len());
-    Ok(MaterializedView { doc, origins })
+    let view = sink.finish();
+    debug_assert_eq!(view.doc.node_count(), view.origins.len());
+    Ok(view)
 }
 
 /// Materializes only the view subtree rooted at `node` (which must carry
@@ -102,20 +113,17 @@ pub fn materialize_fragment(
             "<fragment root not a view type>".to_string(),
         ));
     }
-    let mut builder = TreeBuilder::new(vocab.clone());
-    let mut origins: Vec<NodeId> = Vec::new();
-    build(spec, source, node, ty, &mut builder, &mut origins);
-    let doc = builder.finish().expect("balanced by construction");
-    Ok(MaterializedView { doc, origins })
+    let mut sink = Builder::new(source);
+    build(spec, source, node, ty, &mut sink);
+    Ok(sink.finish())
 }
 
 /// The set of **source** nodes the view exposes: the origin of every node
 /// of V(T), sorted and deduplicated. This is the accessibility relation
 /// the policy defines — a node outside this set does not exist as far as
-/// the group is concerned — and it is what the engine's secure *update*
-/// path checks write targets against: computed definitionally from the
-/// same materialization that defines read semantics, so reads and writes
-/// can never disagree about what is visible.
+/// the group is concerned. The engine never computes it (its writes
+/// resolve targets by rewriting them over the view); the tests use it as
+/// the definition a resolved write target must fall inside.
 pub fn accessible_nodes(spec: &ViewSpec, source: &Document) -> Result<Vec<NodeId>, ViewError> {
     let view = materialize(spec, source)?;
     let mut nodes = view.origins;
@@ -124,34 +132,189 @@ pub fn accessible_nodes(spec: &ViewSpec, source: &Document) -> Result<Vec<NodeId
     Ok(nodes)
 }
 
+/// `materialize(spec, source)?.doc.node_count()`, without building V(T).
+pub fn view_node_count(spec: &ViewSpec, source: &Document) -> Result<usize, ViewError> {
+    materializable(spec, source)?;
+    let mut count = Counter(0);
+    build(
+        spec,
+        source,
+        source.root(),
+        spec.view_dtd().root(),
+        &mut count,
+    );
+    Ok(count.0)
+}
+
+/// Whether view node counts of `spec` are **regional**: whether an edit
+/// confined to some top-level subtrees of the source (subtrees of the
+/// root's children) changes |V(T)| only by what those subtrees contribute.
+///
+/// The rule: σ paths and their qualifiers are downward-only (a
+/// [`smoqe_rxpath::Path`] has child steps and nothing else), so a view node
+/// whose origin lies in the subtree of top-level child `c` — and the whole
+/// view subtree below it — is a function of the root's label and of `c`'s
+/// subtree alone. V(T) is therefore the root's view node (plus its text,
+/// which no edit below the root changes) and, per top-level child, an
+/// independent contribution ([`region_node_count`]). The one exception is
+/// a σ out of the view root's type that evaluates a qualifier at its own
+/// origin, the root (`.[q]/b`, `(b)*[q]`): that qualifier reads every
+/// top-level subtree, so for such a spec the region of any edit is the
+/// whole document, as it is for every spec when the root is replaced.
+pub fn counts_are_regional(spec: &ViewSpec) -> bool {
+    let root = spec.view_dtd().root();
+    !spec
+        .sigmas()
+        .any(|((parent, _), sigma)| *parent == root && qualifies_context(sigma))
+}
+
+/// Whether `path` can evaluate a qualifier at its context node.
+fn qualifies_context(path: &Path) -> bool {
+    match path {
+        Path::Empty | Path::Label(_) | Path::Wildcard => false,
+        Path::Seq(parts) => {
+            for part in parts {
+                if qualifies_context(part) {
+                    return true;
+                }
+                if !part.nullable() {
+                    return false;
+                }
+            }
+            false
+        }
+        Path::Union(parts) => parts.iter().any(qualifies_context),
+        Path::Star(inner) => qualifies_context(inner),
+        Path::Qualified(inner, _) => inner.nullable() || qualifies_context(inner),
+    }
+}
+
+/// The view nodes that the top-level subtrees `tops` (element children of
+/// `source`'s root, in document order) contribute to V(T) — for a spec
+/// whose counts are regional (see [`counts_are_regional`]), the term those
+/// subtrees add to [`view_node_count`]. Counted over a sub-document made
+/// of the root and those subtrees, so the work is proportional to the
+/// subtrees, not to the document.
+pub fn region_node_count(spec: &ViewSpec, source: &Document, tops: &[NodeId]) -> usize {
+    let Some(root_ty) = source.label(source.root()) else {
+        return 0;
+    };
+    if tops.is_empty() {
+        return 0;
+    }
+    let mut builder = TreeBuilder::new(source.vocabulary().clone());
+    builder.start_element(root_ty);
+    for &top in tops {
+        debug_assert_eq!(source.parent(top), Some(source.root()));
+        copy_subtree(source, top, &mut builder);
+    }
+    builder.end_element();
+    let region = builder.finish().expect("balanced by construction");
+    debug_assert_eq!(root_ty, spec.view_dtd().root(), "materializable source");
+    let mut count = Counter(0);
+    build(spec, &region, region.root(), root_ty, &mut count);
+    // The sub-document's root has no text: it adds exactly its own node.
+    count.0 - 1
+}
+
+fn copy_subtree(source: &Document, node: NodeId, builder: &mut TreeBuilder) {
+    match source.label(node) {
+        None => builder.text(source.text(node).expect("a node without a label is text")),
+        Some(label) => {
+            builder.start_element(label);
+            for child in source.children(node) {
+                copy_subtree(source, child, builder);
+            }
+            builder.end_element();
+        }
+    }
+}
+
+/// Where the σ-walk of [`build`] puts the view nodes it visits.
+trait ViewSink {
+    /// Opens a view element copied from `origin`.
+    fn element(&mut self, ty: Label, origin: NodeId);
+    /// The (non-empty) direct text of the open element's `origin`.
+    fn text(&mut self, text: &str, origin: NodeId);
+    /// Closes the open element.
+    fn end(&mut self);
+}
+
+/// Builds V(T) with its origins.
+struct Builder {
+    builder: TreeBuilder,
+    origins: Vec<NodeId>,
+}
+
+impl Builder {
+    fn new(source: &Document) -> Self {
+        Builder {
+            builder: TreeBuilder::new(source.vocabulary().clone()),
+            origins: Vec::new(),
+        }
+    }
+
+    fn finish(self) -> MaterializedView {
+        let doc = self.builder.finish().expect("balanced by construction");
+        MaterializedView {
+            doc,
+            origins: self.origins,
+        }
+    }
+}
+
+impl ViewSink for Builder {
+    fn element(&mut self, ty: Label, origin: NodeId) {
+        let vid = self.builder.start_element(ty);
+        debug_assert_eq!(vid.index(), self.origins.len());
+        self.origins.push(origin);
+    }
+
+    fn text(&mut self, text: &str, origin: NodeId) {
+        let tid = self.builder.next_node_id();
+        self.builder.text(text);
+        // The builder may merge into a previous text node; only align
+        // origins when a node was actually created.
+        if self.builder.next_node_id() != tid {
+            self.origins.push(origin);
+        }
+    }
+
+    fn end(&mut self) {
+        self.builder.end_element();
+    }
+}
+
+/// Counts the nodes of V(T). The text is placed right after its element
+/// opens, so it never merges and always makes one node.
+struct Counter(usize);
+
+impl ViewSink for Counter {
+    fn element(&mut self, _: Label, _: NodeId) {
+        self.0 += 1;
+    }
+
+    fn text(&mut self, _: &str, _: NodeId) {
+        self.0 += 1;
+    }
+
+    fn end(&mut self) {}
+}
+
 fn build(
     spec: &ViewSpec,
     source: &Document,
     src_node: NodeId,
     ty: Label,
-    builder: &mut TreeBuilder,
-    origins: &mut Vec<NodeId>,
+    sink: &mut impl ViewSink,
 ) {
-    let vid = builder.start_element(ty);
-    debug_assert_eq!(vid.index(), origins.len());
-    origins.push(src_node);
+    sink.element(ty, src_node);
     // Text: if the view type carries text, copy the source node's direct
     // text (concatenated), placed before element children.
     if spec.view_dtd().allows_text(ty) {
-        let mut text = String::new();
-        for c in source.children(src_node) {
-            if let Some(t) = source.text(c) {
-                text.push_str(t);
-            }
-        }
+        let text = source.direct_text_cow(src_node);
         if !text.is_empty() {
-            let tid = builder.next_node_id();
-            builder.text(&text);
-            // The builder may merge into a previous text node; only align
-            // origins when a node was actually created.
-            if builder.next_node_id() != tid {
-                origins.push(src_node);
-            }
+            sink.text(&text, src_node);
         }
     }
     // Children per view type, in canonical (label) order - matching the
@@ -163,10 +326,10 @@ fn build(
         // σ moves strictly downward (non-nullable), so recursion depth is
         // bounded by the source depth.
         for child_src in evaluate_from(source, sigma, &[src_node]).iter() {
-            build(spec, source, child_src, b, builder, origins);
+            build(spec, source, child_src, b, sink);
         }
     }
-    builder.end_element();
+    sink.end();
 }
 
 #[cfg(test)]
@@ -301,6 +464,41 @@ mod tests {
         for n in doc.descendants_or_self(bob) {
             assert!(!set.contains(&n), "Bob's subtree is hidden");
         }
+    }
+
+    #[test]
+    fn counts_agree_with_materialization_and_add_up_by_region() {
+        let (vocab, dtd, spec, doc) = setup();
+        let view = materialize(&spec, &doc).unwrap();
+        assert_eq!(view_node_count(&spec, &doc).unwrap(), view.doc.node_count());
+        // The root's view node plus one term per top-level subtree.
+        assert!(counts_are_regional(&spec));
+        let tops: Vec<NodeId> = doc.child_elements(doc.root()).collect();
+        let each: usize = tops
+            .iter()
+            .map(|&t| region_node_count(&spec, &doc, &[t]))
+            .sum();
+        assert_eq!(1 + each, view.doc.node_count());
+        assert_eq!(
+            1 + region_node_count(&spec, &doc, &tops),
+            view.doc.node_count()
+        );
+        assert_eq!(region_node_count(&spec, &doc, &[]), 0);
+        // A root that is not the view's cannot be counted (or viewed).
+        let other = Document::parse_str("<patient><pname>X</pname></patient>", &vocab).unwrap();
+        assert!(view_node_count(&spec, &other).is_err());
+        assert!(materializable(&spec, &other).is_err());
+        // A σ out of the root that qualifies the root itself reads every
+        // top-level subtree: such counts are not regional.
+        let qualifying = ViewSpec::parse(
+            "<!ELEMENT hospital (patient*)>\n<!ELEMENT patient EMPTY>\n\
+             sigma(hospital, patient) = .[patient/pname = 'Bob']/patient\n",
+            &vocab,
+        )
+        .unwrap();
+        qualifying.validate(&dtd).unwrap();
+        assert!(!counts_are_regional(&qualifying));
+        assert!(counts_are_regional(&ViewSpec::identity(&dtd)));
     }
 
     #[test]

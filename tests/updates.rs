@@ -687,3 +687,401 @@ fn validation_work_is_bounded_by_the_edit_on_a_100k_node_document() {
         assert!(validated > 0 && validated < 20_000, "{validated}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential oracle for the write path
+// ---------------------------------------------------------------------
+
+/// A hand-written view whose root-level σ qualifies its own origin: every
+/// patient is shown iff *some* patient took autism, so an edit of one
+/// top-level patient can change what every other one contributes. Counts
+/// of this view are never regional; the engine recounts it whole.
+const QUALIFIED_SPEC: &str = "\
+<!ELEMENT hospital (patient*)>
+<!ELEMENT patient (treatment*)>
+<!ELEMENT treatment (medication)>
+<!ELEMENT medication (#PCDATA)>
+sigma(hospital, patient) = .[patient/visit/treatment/medication = 'autism']/patient
+sigma(patient, treatment) = visit/treatment
+sigma(treatment, medication) = medication
+";
+
+/// The group registered with [`QUALIFIED_SPEC`].
+const QUALIFIED: &str = "qualified";
+
+/// Per statement: `(applied, nodes_before, nodes_after)`.
+type Reports = Vec<(usize, usize, usize)>;
+
+/// A transaction's reports, or its error's text.
+type Outcome = Result<Reports, String>;
+
+/// The write path as it was before targets were resolved by rewriting,
+/// kept as the oracle: materialize the group's view, evaluate the target
+/// **on the view**, map the hits to their source origins, and recount the
+/// materialized view after every statement (admins evaluate on the
+/// document and count it). Returns the transaction's result and, when it
+/// is accepted, the new document.
+fn oracle_transaction(
+    doc: &Document,
+    dtd: &smoqe_xml::Dtd,
+    spec: Option<&smoqe_view::ViewSpec>,
+    statements: &[String],
+) -> (Outcome, Option<Document>) {
+    let run = || -> Result<(Reports, Document), EngineError> {
+        let view_of = |doc: &Document| match spec {
+            None => Ok(None),
+            Some(spec) => smoqe_view::materialize(spec, doc)
+                .map(Some)
+                .map_err(|_| EngineError::UpdateDenied),
+        };
+        let count = |doc: &Document, view: &Option<smoqe_view::MaterializedView>| match view {
+            None => doc.node_count(),
+            Some(view) => view.doc.node_count(),
+        };
+        let mut doc = doc.clone();
+        let mut view = view_of(&doc)?;
+        let mut reports = Vec::new();
+        for statement in statements {
+            let update = parse_update(statement, doc.vocabulary())?;
+            let targets = match &view {
+                None => evaluate(&doc, &update.target).into_vec(),
+                Some(view) => view.origins_of(evaluate(&view.doc, &update.target).iter()),
+            };
+            if targets.is_empty() {
+                return Err(match spec {
+                    None => EngineError::Update(smoqe_update::UpdateError::NoTarget),
+                    Some(_) => EngineError::UpdateDenied,
+                });
+            }
+            let before = count(&doc, &view);
+            let (next, _, spans) = smoqe_update::apply_update(&doc, &update, &targets, None)?;
+            doc = next;
+            view = view_of(&doc)?;
+            reports.push((spans.len(), before, count(&doc, &view)));
+        }
+        dtd.validate(&doc).map_err(|e| match spec {
+            None => EngineError::Update(smoqe_update::UpdateError::Schema(e)),
+            Some(_) => EngineError::UpdateDenied,
+        })?;
+        Ok((reports, doc))
+    };
+    match run() {
+        Ok((reports, doc)) => (Ok(reports), Some(doc)),
+        Err(e) => (Err(e.to_string()), None),
+    }
+}
+
+/// One random transaction for `who`: one to three statements drawn from
+/// pools that cover conditional-visibility flips (the autism medication
+/// that decides whether a top-level patient is shown goes in or out),
+/// `parent/patient` recursion, top-level inserts and deletes, and root
+/// replacement — by a foreign element (a group's view stops existing, so
+/// the write is denied) and by a same-label one.
+fn random_transaction(rng: &mut StdRng, who: &User) -> Vec<String> {
+    const NAMES: [&str; 8] = ["Ann", "Bob", "Cal", "Dan", "Eve", "Fay", "Gus", "Hal"];
+    const MEDS: [&str; 5] = ["autism", "headache", "flu", "fever", "allergy"];
+    let autism_visit = "<visit><treatment><medication>autism</medication></treatment>\
+                        <date>d</date></visit>";
+    if matches!(who, User::Admin) && rng.random_bool(0.05) {
+        // Through a foreign root and back: the groups' views stop
+        // existing in between, so their carried counts are dropped and
+        // taken afresh by the next group write.
+        return vec![
+            "replace hospital with <clinic/>".to_string(),
+            format!(
+                "replace clinic with <hospital><patient><pname>Ann</pname>{autism_visit}\
+                 </patient></hospital>"
+            ),
+        ];
+    }
+    let len = if rng.random_bool(0.6) {
+        1
+    } else {
+        rng.random_range(2..4usize)
+    };
+    (0..len)
+        .map(|_| {
+            let name = NAMES[rng.random_range(0..NAMES.len())];
+            let med = MEDS[rng.random_range(0..MEDS.len())];
+            let patient = format!(
+                "<patient><pname>{name}</pname><visit><treatment><medication>{med}</medication>\
+                 </treatment><date>d</date></visit></patient>"
+            );
+            let kin = format!("<parent>{patient}</parent>");
+            if matches!(who, User::Admin) {
+                match rng.random_range(0..10u32) {
+                    // Visibility on, and off again.
+                    0 => format!("insert {autism_visit} after hospital/patient[pname = '{name}']/pname"),
+                    1 => format!(
+                        "delete hospital/patient[pname = '{name}']/visit[treatment/medication = 'autism']"
+                    ),
+                    // Top-level inserts and deletes.
+                    2 => format!("insert {patient} into hospital"),
+                    3 => format!("insert {patient} before hospital/patient[pname = '{name}']"),
+                    4 => format!("delete hospital/patient[pname = '{name}']"),
+                    // Recursion through parent/patient.
+                    5 => format!("insert {kin} into hospital/patient[pname = '{name}'][not(parent)]"),
+                    6 => format!("delete hospital/patient/(parent/patient)*[pname = '{name}']/parent"),
+                    7 => format!(
+                        "replace //patient[pname = '{name}']/visit/treatment[medication] with \
+                         <treatment><medication>{med}</medication></treatment>"
+                    ),
+                    // The root, by a foreign element (the schema refuses
+                    // it) and by a same-label one.
+                    8 => "replace hospital with <clinic/>".to_string(),
+                    _ if rng.random_bool(0.1) => format!("replace hospital with <hospital>{patient}</hospital>"),
+                    _ => format!("delete hospital/patient[visit/treatment/medication = '{med}']/visit[treatment/test]"),
+                }
+            } else {
+                match rng.random_range(0..10u32) {
+                    // Visibility off: the last autism treatment goes.
+                    0 => format!(
+                        "replace hospital/patient/treatment[medication = 'autism'] with \
+                         <treatment><medication>{med}</medication></treatment>"
+                    ),
+                    // Top-level inserts and deletes, through the view.
+                    1 => format!("insert {patient} into hospital"),
+                    2 => format!("insert {patient} after hospital/patient[treatment/medication = '{med}']"),
+                    3 => format!("delete hospital/patient[treatment/medication = '{med}']"),
+                    // Recursion through parent/patient.
+                    4 => format!("insert {kin} into hospital/patient[not(parent)]"),
+                    5 => "delete hospital/patient/(parent/patient)*/parent".to_string(),
+                    6 => format!(
+                        "replace hospital/patient/(parent/patient)*/treatment[medication = '{med}'] \
+                         with <treatment><medication>autism</medication></treatment>"
+                    ),
+                    // Hidden targets: denied whatever the document holds.
+                    7 if rng.random_bool(0.5) => "delete //pname".to_string(),
+                    7 => "delete hospital/patient/visit".to_string(),
+                    // The root: a foreign element breaks the view (denied),
+                    // a same-label one is an ordinary write.
+                    8 => "replace hospital with <clinic/>".to_string(),
+                    _ if rng.random_bool(0.1) => format!("replace hospital with <hospital>{patient}</hospital>"),
+                    _ => format!("replace hospital/patient/treatment/medication[text() = '{med}'] with <medication>{med}</medication>"),
+                }
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 40,
+        .. ProptestConfig::default()
+    })]
+
+    /// Satellite: the write path resolves targets by rewriting and carries
+    /// view counts by regional deltas; the oracle materializes the view
+    /// for every statement. Over random hospital documents (generated and
+    /// parsed, with and without a TAX index) and random chains of admin
+    /// and group transactions, every transaction gets the same verdict
+    /// (byte-identical error text), the same `applied` / `nodes_before` /
+    /// `nodes_after` for every statement, and leaves the same document.
+    /// Two groups write: `researchers` (policy S0, regional counts) and
+    /// [`QUALIFIED`] (whole-document counts).
+    #[test]
+    fn writes_equal_the_materializing_oracle(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let engine = Engine::with_defaults();
+        let vocab = engine.vocabulary().clone();
+        let dtd = hospital::dtd(&vocab);
+        engine.load_dtd(hospital::DTD).unwrap();
+        // Shallow documents have many top-level patients, so edits land in
+        // one region of many.
+        let mut config = hospital::generator_config(&vocab, seed, 150 + (seed % 4) as usize * 50);
+        config.max_depth = 6;
+        let generated = smoqe_xml::generate(&dtd, &config).unwrap();
+        let mut oracle = if seed % 2 == 0 {
+            // Parsed documents splice their tables, generated ones re-emit.
+            let xml = generated.to_xml();
+            engine.load_document(&xml).unwrap();
+            Document::parse_str(&xml, &vocab).unwrap()
+        } else {
+            engine.load_document_tree(generated.clone()).unwrap();
+            generated
+        };
+        if seed % 3 != 0 {
+            engine.build_tax_index().unwrap();
+        }
+        engine.register_policy(hospital::GROUP, hospital::POLICY).unwrap();
+        engine.register_view_spec(QUALIFIED, QUALIFIED_SPEC).unwrap();
+        let specs = [
+            engine.view(hospital::GROUP).unwrap(),
+            engine.view(QUALIFIED).unwrap(),
+        ];
+        let users = [
+            User::Admin,
+            User::Group(hospital::GROUP.into()),
+            User::Group(QUALIFIED.into()),
+        ];
+        for step in 0..10 {
+            let which = [0, 0, 1, 1, 1, 2][rng.random_range(0..6usize)];
+            let user = &users[which];
+            let statements = random_transaction(&mut rng, user);
+            let spec = which.checked_sub(1).map(|i| specs[i].as_ref());
+            let (expected, next) = oracle_transaction(&oracle, &dtd, spec, &statements);
+            let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
+            let got: Outcome = engine
+                .session(user.clone())
+                .update_batch(&refs)
+                .map(|reports| {
+                    reports
+                        .iter()
+                        .map(|r| (r.applied, r.nodes_before, r.nodes_after))
+                        .collect()
+                })
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(
+                &got, &expected,
+                "seed {} step {} as {:?}: {:?}", seed, step, user, statements
+            );
+            if let Some(next) = next {
+                oracle = next;
+            }
+            prop_assert_eq!(
+                engine.document().unwrap().to_xml(),
+                oracle.to_xml(),
+                "document after seed {} step {}", seed, step
+            );
+        }
+    }
+}
+
+/// Satellite (recovery with group writes in the tail): recovery replays
+/// the WAL through the same write path, so group transactions that flip
+/// a patient's visibility, grow `parent/patient` chains and span several
+/// statements replay to the engine that never crashed — and the view
+/// count the replay carried is the count of the recovered view, which the
+/// next group write reports as its `nodes_before`.
+#[test]
+fn recovery_replays_visibility_flipping_group_writes() {
+    let dir = std::env::temp_dir().join(format!("smoqe-updates-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = smoqe::EngineConfig {
+        checkpoint_every: 0,
+        ..smoqe::EngineConfig::default()
+    };
+    let engine = Engine::recover(config, &dir).unwrap();
+    let xml = hospital::generate_document(engine.vocabulary(), 42, 2_000).to_xml();
+    engine.load_dtd(hospital::DTD).unwrap();
+    engine.load_document(&xml).unwrap();
+    engine
+        .register_policy(hospital::GROUP, hospital::POLICY)
+        .unwrap();
+    engine.build_tax_index().unwrap();
+    engine.checkpoint().unwrap();
+
+    let group = engine.session(User::Group(hospital::GROUP.into()));
+    let autism =
+        "<visit><treatment><medication>autism</medication></treatment><date>d</date></visit>";
+    let mut flips = 0;
+    for i in 0..12 {
+        // A patient the view shows, findable through it by a medication
+        // nothing else carries.
+        let own = format!(
+            "<visit><treatment><medication>U{i}</medication></treatment><date>d</date></visit>"
+        );
+        engine
+            .update(&format!(
+                "insert <patient><pname>M{i}</pname>{autism}{own}</patient> into hospital"
+            ))
+            .unwrap();
+        let through_view = format!("hospital/patient[treatment/medication = 'U{i}']");
+        group
+            .update(&format!(
+                "insert <parent><patient><pname>kin</pname>{autism}</patient></parent> \
+                 into {through_view}"
+            ))
+            .unwrap();
+        // The group takes the autism treatment away: the patient — and
+        // its parent chain — leaves the view.
+        let off = group
+            .update(&format!(
+                "replace {through_view}/treatment[medication = 'autism'] with \
+                 <treatment><medication>flu</medication></treatment>"
+            ))
+            .unwrap();
+        assert!(
+            off.nodes_after < off.nodes_before,
+            "the patient left the view"
+        );
+        flips += 1;
+        if i % 2 == 0 {
+            // The admin brings it back.
+            engine
+                .update(&format!(
+                    "insert {autism} after hospital/patient[pname = 'M{i}']/pname"
+                ))
+                .unwrap();
+            if i % 4 == 0 {
+                // Two statements, one transaction: a new visible patient
+                // in, the returned one out again.
+                let reports = group
+                    .update_batch(&[
+                        &format!(
+                            "insert <patient><pname>G{i}</pname>{autism}</patient> into hospital"
+                        ),
+                        &format!("delete {through_view}"),
+                    ])
+                    .unwrap();
+                assert_eq!(reports.len(), 2);
+                flips += 1;
+            }
+        }
+    }
+    assert!(flips >= 12);
+    let live = engine.document().unwrap();
+    let live_tax = engine.tax_index().unwrap();
+    drop(engine); // abrupt: the tail is only in the WAL
+
+    // Label ids are per engine: compare descendant types by name.
+    let types = |tax: &TaxIndex, doc: &Document, n: NodeId| {
+        let mut names: Vec<String> = tax
+            .descendant_labels(n)
+            .iter()
+            .map(|l| doc.vocabulary().name(l).to_string())
+            .collect();
+        names.sort();
+        names
+    };
+    for boot in 1..=2 {
+        let recovered = Engine::recover(config, &dir).unwrap();
+        let doc = recovered.document().unwrap();
+        assert_eq!(doc.to_xml(), live.to_xml(), "boot {boot}: the document");
+        let tax = recovered.tax_index().unwrap();
+        for n in doc.all_nodes() {
+            assert_eq!(
+                types(&tax, &doc, n),
+                types(&live_tax, &live, n),
+                "boot {boot}: TAX at {n:?}"
+            );
+        }
+        let spec = recovered.view(hospital::GROUP).unwrap();
+        // The count the replay carried is the recovered view's.
+        let group = recovered.session(User::Group(hospital::GROUP.into()));
+        let report = group
+            .update(&format!(
+                "insert <patient><pname>Z</pname>{autism}<visit><treatment><medication>Z{boot}\
+                 </medication></treatment><date>d</date></visit></patient> into hospital"
+            ))
+            .unwrap();
+        let view_of = |doc: &Document| {
+            smoqe_view::materialize(&spec, doc)
+                .unwrap()
+                .doc
+                .node_count()
+        };
+        assert_eq!(
+            report.nodes_before,
+            view_of(&doc),
+            "boot {boot}: carried count"
+        );
+        assert_eq!(report.nodes_after, view_of(&recovered.document().unwrap()));
+        group
+            .update(&format!(
+                "delete hospital/patient[treatment/medication = 'Z{boot}']"
+            ))
+            .unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
