@@ -9,7 +9,7 @@
 //! in that state can accept there — prune. Guards are conservatively
 //! ignored (they can only shrink the set of accepting runs, so ignoring
 //! them under-prunes, never over-prunes); the soundness property is tested
-//! here and end-to-end in the evaluator tests. [`required_values`] is the
+//! here and end-to-end in the evaluator tests. `required_values` is the
 //! same analysis for the text values guards compare against, which a value
 //! index can look up.
 
@@ -105,9 +105,19 @@ pub fn required_labels(nfa: &Nfa, num_labels: usize) -> Vec<Requirement> {
         .collect()
 }
 
-/// A set of labelled text values, sorted: each `(label, text id)` stands
-/// for "an element with this label whose direct text is this".
-type Values = Vec<(Label, u32)>;
+/// A set of needed values: bit `i` is value id `i`
+/// ([`ValueRequirements::values`]).
+type Values = u64;
+
+/// How many distinct values the analysis tracks. A value past the first
+/// this many is not required of anything: requiring less only prunes less,
+/// which stays sound.
+const TRACKED_VALUES: usize = Values::BITS as usize;
+
+/// The value ids of a set, ascending.
+pub(crate) fn value_ids(values: Values) -> impl Iterator<Item = u32> {
+    (0..Values::BITS).filter(move |&i| values & (1 << i) != 0)
+}
 
 /// The text-value counterpart of [`required_labels`], for the top NFA of
 /// an MFA: per state, and per label of the node a run is at, the labelled
@@ -122,36 +132,32 @@ type Values = Vec<(Label, u32)>;
 /// how jump-scan evaluation prunes candidates (and finds the few children
 /// worth stepping into) by the literals a query mentions instead of by
 /// verifying guards everywhere. Empty texts are never required: the value
-/// index only posts non-empty ones.
+/// index only posts non-empty ones. Transient: a plan keeps only what its
+/// DFA steps need (`crate::compile::StepValues`), which takes the values
+/// over by id.
 #[derive(Clone, Debug)]
-pub struct ValueRequirements {
+pub(crate) struct ValueRequirements {
     /// The labels transitions mention, sorted: column `i + 1` of the table
     /// is a node labelled `labels[i]`, column 0 a node of any other label.
     labels: Vec<Label>,
-    /// Interned texts.
-    texts: Vec<String>,
-    /// The distinct requirements (a handful per plan): the values needed,
-    /// or `None` when no continuation can accept.
-    sets: Vec<Option<Values>>,
-    /// `state * (labels.len() + 1) + column` → index into `sets`. Plans
-    /// are cached by the thousand, so the table stays four bytes a cell.
-    table: Vec<u32>,
+    /// The values guards compare against, by value id: each `(label,
+    /// text)` stands for "an element with this label whose direct text is
+    /// this".
+    pub(crate) values: Vec<(Label, String)>,
+    /// `state * (labels.len() + 1) + column` → the values needed, or
+    /// `None` when no continuation can accept.
+    table: Vec<Option<Values>>,
 }
 
 impl ValueRequirements {
     /// What a run in `state` at a node labelled `at` (`None`: a label
-    /// nothing is known about) needs at or below the node: `(label, text)`
-    /// pairs by text id ([`ValueRequirements::text`]), or `None` when no
-    /// accepting continuation exists.
-    pub fn at(&self, state: StateId, at: Option<Label>) -> Option<&[(Label, u32)]> {
+    /// nothing is known about) needs at or below the node (a set of value
+    /// ids, [`value_ids`]), or `None` when no accepting continuation
+    /// exists.
+    pub(crate) fn at(&self, state: StateId, at: Option<Label>) -> Option<Values> {
         let width = self.labels.len() + 1;
         let col = at.map_or(0, |l| column(&self.labels, l));
-        self.sets[self.table[state.index() * width + col] as usize].as_deref()
-    }
-
-    /// The text of a text id.
-    pub fn text(&self, id: u32) -> &str {
-        &self.texts[id as usize]
+        self.table[state.index() * width + col]
     }
 }
 
@@ -163,7 +169,7 @@ fn column(labels: &[Label], label: Label) -> usize {
 /// of every predicate NFA its guards reach); `None` when the MFA compares
 /// no text, so nothing can be required. Greatest fixpoint, like
 /// [`required_labels`]: values only shrink along cycles.
-pub fn required_values(mfa: &Mfa) -> Option<ValueRequirements> {
+pub(crate) fn required_values(mfa: &Mfa) -> Option<ValueRequirements> {
     if !mfa
         .preds()
         .any(|(_, p)| matches!(p, Pred::TextEq(text) if !text.is_empty()))
@@ -183,25 +189,16 @@ pub fn required_values(mfa: &Mfa) -> Option<ValueRequirements> {
     let mut analysis = ValueAnalysis {
         mfa,
         labels,
-        texts: Vec::new(),
+        values: Vec::new(),
         tables: vec![None; mfa.nfa_count()],
     };
-    let mut sets: Vec<Option<Values>> = Vec::new();
-    let table = analysis
-        .table(mfa.top())
-        .iter()
-        .map(|values| match sets.iter().position(|set| set == values) {
-            Some(i) => i as u32,
-            None => {
-                sets.push(values.clone());
-                (sets.len() - 1) as u32
-            }
-        })
-        .collect();
+    analysis.table(mfa.top());
+    let table = analysis.tables[mfa.top().index()]
+        .take()
+        .expect("just computed");
     Some(ValueRequirements {
         labels: analysis.labels,
-        texts: analysis.texts,
-        sets,
+        values: analysis.values,
         table,
     })
 }
@@ -209,7 +206,8 @@ pub fn required_values(mfa: &Mfa) -> Option<ValueRequirements> {
 struct ValueAnalysis<'m> {
     mfa: &'m Mfa,
     labels: Vec<Label>,
-    texts: Vec<String>,
+    /// Interned values ([`ValueRequirements::values`]).
+    values: Vec<(Label, String)>,
     /// Per NFA, once computed: its requirement table.
     tables: Vec<Option<Vec<Option<Values>>>>,
 }
@@ -249,27 +247,29 @@ impl ValueAnalysis<'_> {
             changed = false;
             for s in nfa.states() {
                 for col in 0..width {
-                    let mut new = nfa.is_accept(s).then(Values::new);
+                    // The intersection over the ways to go on (`None`: no
+                    // way seen yet, or none can accept).
+                    let mut new = nfa.is_accept(s).then_some(0);
                     for e in nfa.eps_edges(s) {
-                        let Some(after) = &table[e.target.index() * width + col] else {
+                        let Some(after) = table[e.target.index() * width + col] else {
                             continue;
                         };
                         let needed = match e.guard {
-                            None => after.clone(),
-                            Some(g) => match &guards[&(g, col)] {
+                            None => after,
+                            Some(g) => match guards[&(g, col)] {
                                 None => continue,
-                                Some(at_guard) => union(after, at_guard),
+                                Some(at_guard) => after | at_guard,
                             },
                         };
-                        new = Some(meet(new, needed));
+                        new = Some(new.map_or(needed, |acc| acc & needed));
                     }
                     for t in nfa.transitions(s) {
                         let next_col = match t.test {
                             LabelTest::Label(l) => column(&self.labels, l),
                             LabelTest::Wildcard => 0,
                         };
-                        if let Some(after) = &table[t.target.index() * width + next_col] {
-                            new = Some(meet(new, after.clone()));
+                        if let Some(after) = table[t.target.index() * width + next_col] {
+                            new = Some(new.map_or(after, |acc| acc & after));
                         }
                     }
                     let slot = &mut table[s.index() * width + col];
@@ -287,56 +287,46 @@ impl ValueAnalysis<'_> {
     /// `None` when it can never hold.
     fn pred(&mut self, pred: PredId, col: usize) -> Option<Values> {
         match self.mfa.pred(pred) {
-            Pred::True | Pred::Not(_) => Some(Values::new()),
-            Pred::TextEq(text) if text.is_empty() || col == 0 => Some(Values::new()),
+            Pred::True | Pred::Not(_) => Some(0),
+            Pred::TextEq(text) if text.is_empty() || col == 0 => Some(0),
             Pred::TextEq(text) => {
                 let label = self.labels[col - 1];
-                let id = match self.texts.iter().position(|t| t == text) {
-                    Some(i) => i as u32,
-                    None => {
-                        self.texts.push(text.clone());
-                        (self.texts.len() - 1) as u32
+                let id = match self
+                    .values
+                    .iter()
+                    .position(|(l, t)| *l == label && t == text)
+                {
+                    Some(i) => i,
+                    None if self.values.len() < TRACKED_VALUES => {
+                        self.values.push((label, text.clone()));
+                        self.values.len() - 1
                     }
+                    None => return Some(0),
                 };
-                Some(vec![(label, id)])
+                Some(1 << id)
             }
             Pred::HasPath(sub) => {
                 let start = self.mfa.nfa(*sub).start();
                 let width = self.width();
-                self.table(*sub)[start.index() * width + col].clone()
+                self.table(*sub)[start.index() * width + col]
             }
             Pred::And(parts) => {
-                let mut all = Values::new();
+                let mut all = 0;
                 for &p in parts {
-                    all = union(&all, &self.pred(p, col)?);
+                    all |= self.pred(p, col)?;
                 }
                 Some(all)
             }
             Pred::Or(parts) => {
-                let mut common = None;
+                let mut common: Option<Values> = None;
                 for &p in parts {
                     if let Some(values) = self.pred(p, col) {
-                        common = Some(meet(common, values));
+                        common = Some(common.map_or(values, |acc| acc & values));
                     }
                 }
                 common
             }
         }
-    }
-}
-
-fn union(a: &Values, b: &Values) -> Values {
-    let mut out: Values = a.iter().chain(b).copied().collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Intersection with an accumulator (`None` = no alternative seen yet).
-fn meet(acc: Option<Values>, values: Values) -> Values {
-    match acc {
-        None => values,
-        Some(acc) => acc.into_iter().filter(|v| values.contains(v)).collect(),
     }
 }
 
@@ -582,11 +572,12 @@ mod tests {
             return Vec::new(); // compares no (non-empty) text
         };
         let start = mfa.nfa(mfa.top()).start();
-        let mut named: Vec<(String, String)> = reqs
-            .at(start, None)
-            .expect("the query can accept")
-            .iter()
-            .map(|&(l, t)| (vocab.name(l).to_string(), reqs.text(t).to_string()))
+        let needed = reqs.at(start, None).expect("the query can accept");
+        let mut named: Vec<(String, String)> = value_ids(needed)
+            .map(|id| {
+                let (l, t) = &reqs.values[id as usize];
+                (vocab.name(*l).to_string(), t.clone())
+            })
             .collect();
         named.sort();
         named
@@ -620,6 +611,14 @@ mod tests {
         ] {
             assert!(values_from_start(q).is_empty(), "{q}");
         }
+        // Past the tracked many, further literals are required of nothing.
+        let many: Vec<String> = (0..TRACKED_VALUES + 6)
+            .map(|i| format!("c = 'x{i}'"))
+            .collect();
+        let q = format!("a/b[{}]", many.join(" and "));
+        let tracked = values_from_start(&q);
+        assert!(!tracked.is_empty() && tracked.len() < TRACKED_VALUES + 6);
+        assert!(tracked.iter().all(|(label, _)| label == "c"));
     }
 
     #[test]
@@ -631,12 +630,12 @@ mod tests {
         // After `a`, before its guard: both literals; after the whole
         // path: nothing.
         let after_a = eps_closure_unguarded(nfa, &step_unguarded(nfa, &[nfa.start()], l("a")));
-        let needs: Vec<usize> = after_a
+        let needs: Vec<u32> = after_a
             .iter()
-            .filter_map(|&s| reqs.at(s, Some(l("a"))).map(<[_]>::len))
+            .filter_map(|&s| reqs.at(s, Some(l("a"))).map(u64::count_ones))
             .collect();
         assert!(needs.contains(&2) && needs.contains(&1), "{needs:?}");
-        assert_eq!(reqs.at(nfa.accept(), Some(l("b"))), Some(&[][..]));
+        assert_eq!(reqs.at(nfa.accept(), Some(l("b"))), Some(0));
         assert!(required_values(&top_nfa("a/b").1).is_none());
     }
 

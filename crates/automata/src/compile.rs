@@ -32,7 +32,9 @@
 //! stay on the NFA side and are only crossed by the evaluator's guard-aware
 //! closure.
 
-use crate::analysis::{eps_closure_unguarded, required_labels, required_values, Requirement};
+use crate::analysis::{
+    eps_closure_unguarded, required_labels, required_values, value_ids, Requirement,
+};
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, StateId};
 use smoqe_xml::Label;
 use std::collections::HashMap;
@@ -56,6 +58,13 @@ static ANALYSIS_RUNS: AtomicU64 = AtomicU64::new(0);
 /// tests assert the counter.
 pub fn analysis_runs() -> u64 {
     ANALYSIS_RUNS.load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`ANALYSIS_RUNS`] counted per thread, so a unit test can pin its own
+    /// compilations while other tests compile on parallel threads.
+    static THREAD_ANALYSIS_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Precomputed ε-closure of one state.
@@ -204,6 +213,8 @@ impl CompiledMfa {
     /// Compiles a plan around an already-shared MFA.
     pub fn from_arc(mfa: Arc<Mfa>) -> Self {
         ANALYSIS_RUNS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_ANALYSIS_RUNS.with(|runs| runs.set(runs.get() + 1));
         let num_labels = mfa.vocabulary().len();
         // Column 0 is reserved for "label not mentioned by this plan":
         // only wildcard transitions can consume those.
@@ -314,10 +325,10 @@ impl CompiledMfa {
     }
 }
 
-/// The text values each step of a plan's top-NFA DFA needs, from
-/// [`required_values`]: for a DFA state and a label column, the
-/// requirements of the NFA states that step **enters**, one list per live
-/// entered state. Every run at the stepped-into node starts in one of
+/// The text values each step of a plan's top-NFA DFA needs, from the
+/// required-values analysis (`crate::analysis`): for a DFA state and a
+/// label column, the requirements of the NFA states that step **enters**,
+/// one list per live entered state. Every run at the stepped-into node starts in one of
 /// those and closes from there, so their requirements include the guards
 /// the closure crosses at the node itself — which the closed DFA state's
 /// members, some reached only past such a guard, do not. A node holding
@@ -326,7 +337,8 @@ impl CompiledMfa {
 #[derive(Clone, Debug)]
 pub struct StepValues {
     width: usize,
-    /// The distinct `(label, text)` values any step needs, by value id.
+    /// The `(label, text)` values the plan's guards compare against, by
+    /// value id (the analysis's ids).
     values: Vec<(Label, String)>,
     /// `state * width + column` → 0 when some entered state needs no
     /// value, else `1 +` the index of the step's requirement in `needs`.
@@ -346,47 +358,35 @@ impl StepValues {
         for (label, col) in plan.referenced_labels() {
             label_of[col] = Some(label);
         }
-        let mut values: Vec<(Label, String)> = Vec::new();
-        let mut value_id = |label: Label, text: &str| -> u32 {
-            match values.iter().position(|(l, t)| *l == label && t == text) {
-                Some(i) => i as u32,
-                None => {
-                    values.push((label, text.to_string()));
-                    (values.len() - 1) as u32
-                }
-            }
-        };
-        let mut needs: Vec<Vec<Vec<u32>>> = Vec::new();
+        // The distinct step requirements as value sets (`masks`), and as
+        // the id lists jump evaluation reads (`needs`), built once per set.
+        let (mut masks, mut needs): (Vec<Vec<u64>>, Vec<Vec<Vec<u32>>>) = (Vec::new(), Vec::new());
+        let (mut entered, mut need) = (Vec::new(), Vec::new());
         let mut steps = Vec::with_capacity(dfa.state_count() * width);
         for state in 0..dfa.state_count() as u32 {
             for (col, &label) in label_of.iter().enumerate() {
-                let mut entered: Vec<StateId> = dfa
-                    .members(state)
-                    .iter()
-                    .flat_map(|&m| top.row(m, col).iter().copied())
-                    .collect();
+                entered.clear();
+                for &m in dfa.members(state) {
+                    entered.extend_from_slice(top.row(m, col));
+                }
                 entered.sort_unstable();
                 entered.dedup();
-                let mut need = Vec::new();
+                need.clear();
                 let mut free = entered.is_empty(); // a DEAD step: never taken
-                for s in entered {
+                for &s in &entered {
                     match reqs.at(s, label) {
                         None => {} // no accepting continuation from `s`
-                        Some([]) => free = true,
-                        Some(needed) => need.push(
-                            needed
-                                .iter()
-                                .map(|&(l, text)| value_id(l, reqs.text(text)))
-                                .collect(),
-                        ),
+                        Some(0) => free = true,
+                        Some(needed) => need.push(needed),
                     }
                 }
                 steps.push(match free {
                     true => 0,
-                    false => match needs.iter().position(|n| *n == need) {
+                    false => match masks.iter().position(|n| *n == need) {
                         Some(i) => i as u32 + 1,
                         None => {
-                            needs.push(need);
+                            masks.push(need.clone());
+                            needs.push(need.iter().map(|&m| value_ids(m).collect()).collect());
                             needs.len() as u32
                         }
                     },
@@ -398,7 +398,7 @@ impl StepValues {
         }
         Some(StepValues {
             width,
-            values,
+            values: reqs.values,
             steps,
             needs,
         })
@@ -729,14 +729,13 @@ mod tests {
 
     #[test]
     fn analysis_counter_moves_once_per_compile() {
-        // The counter is process-wide and other tests of this crate compile
-        // plans on parallel threads, which can only add to a delta: one
-        // attempt of a few that sees exactly one compilation settles it.
-        let once = (0..20).any(|_| {
-            let before = analysis_runs();
-            let (_, _plan) = plan_for("a/b/c");
-            analysis_runs() == before + 1
-        });
-        assert!(once, "a compilation must count exactly once");
+        // Other tests of this crate compile plans on parallel threads, so
+        // the exact delta is pinned on this thread's count; the process-wide
+        // counter must have moved with it.
+        let thread_runs = || THREAD_ANALYSIS_RUNS.with(|runs| runs.get());
+        let (before, process_before) = (thread_runs(), analysis_runs());
+        let (_, _plan) = plan_for("a/b/c");
+        assert_eq!(thread_runs(), before + 1);
+        assert!(analysis_runs() > process_before);
     }
 }

@@ -177,6 +177,14 @@ fn deny_timing(quick: bool) {
 /// found by a medication only it carries): the target is rewritten over
 /// the view and the view is never materialized, so a group write costs
 /// about what an admin write costs.
+///
+/// Each size runs on two shapes of the same patients. `wide` is the
+/// generated document: many top-level patients, so a write touches one
+/// small region and the group's view count is carried by that region's
+/// delta. `narrow` moves them all under one top-level patient: every
+/// write's region is the whole document, so an admin write drops the
+/// group's count and each group statement recounts the view (a σ-walk of
+/// the document) — the write path's worst case for view counts.
 fn update_scaling(quick: bool) {
     println!("## update_scaling  insert / replace / delete at one patient, by document size\n");
     let sizes: &[usize] = if quick {
@@ -186,9 +194,9 @@ fn update_scaling(quick: bool) {
     };
     let visit = "<visit><treatment><test>mri</test></treatment><date>2026-01-01</date></visit>";
     let treatment = "<treatment><test>blood</test></treatment>";
-    let patient = "hospital/patient[pname = 'U00']";
     let mut table = Table::new(&[
         "nodes",
+        "root",
         "op",
         "splice",
         "tax patch",
@@ -203,121 +211,160 @@ fn update_scaling(quick: bool) {
         let dtd = hospital::dtd(&vocab);
         let generated = hospital::generate_document(&vocab, 7, size);
         // Buffer-backed (parsed), with one patient to aim at by name.
-        let doc = splice_unique_patients(&generated, &vocab, 1);
-        let tax = TaxIndex::build(&doc);
-        let target = |doc: &Document, path: &str| {
-            let path = parse_path(path, &vocab).expect("target path parses");
-            naive_evaluate(doc, &path).into_vec()[0]
-        };
-        let fragment = |xml: &str| Document::parse_str(xml, &vocab).expect("fragment parses");
-        let (visit_doc, treatment_doc) = (fragment(visit), fragment(treatment));
+        let wide = splice_unique_patients(&generated, &vocab, 1);
+        let narrow = under_one_patient(&wide, &vocab);
+        for (root, doc, patients) in [
+            ("wide", &wide, "hospital/patient"),
+            ("narrow", &narrow, "hospital/patient/parent/patient"),
+        ] {
+            let patient = format!("{patients}[pname = 'U00']");
+            let tax = TaxIndex::build(doc);
+            let target = |doc: &Document, path: &str| {
+                let path = parse_path(path, &vocab).expect("target path parses");
+                naive_evaluate(doc, &path).into_vec()[0]
+            };
+            let fragment = |xml: &str| Document::parse_str(xml, &vocab).expect("fragment parses");
+            let (visit_doc, treatment_doc) = (fragment(visit), fragment(treatment));
 
-        let engine = smoqe::Engine::with_defaults();
-        let handle = engine.open_document("scaling");
-        handle.load_dtd(hospital::DTD).unwrap();
-        handle.load_document(doc.raw_source().unwrap()).unwrap();
-        handle.build_tax_index().unwrap();
-        let statements = [
-            ("insert", format!("insert {visit} after {patient}/pname")),
-            (
-                "replace",
-                format!("replace {patient}/visit/treatment[test = 'blood'] with {treatment}"),
-            ),
-            (
-                "delete",
-                format!("delete {patient}/visit[treatment/test = 'mri']"),
-            ),
-        ];
-        // The group's view shows the patient once it took autism; through
-        // the view it is the one with medication `M00`.
-        handle
-            .register_policy(hospital::GROUP, hospital::POLICY)
-            .unwrap();
-        for medication in ["autism", "M00"] {
+            let engine = smoqe::Engine::with_defaults();
+            let handle = engine.open_document("scaling");
+            handle.load_dtd(hospital::DTD).unwrap();
+            handle.load_document(doc.raw_source().unwrap()).unwrap();
+            handle.build_tax_index().unwrap();
+            let statements = [
+                ("insert", format!("insert {visit} after {patient}/pname")),
+                (
+                    "replace",
+                    format!("replace {patient}/visit/treatment[test = 'blood'] with {treatment}"),
+                ),
+                (
+                    "delete",
+                    format!("delete {patient}/visit[treatment/test = 'mri']"),
+                ),
+            ];
+            // The group's view shows a top-level patient once it took
+            // autism; through the view it is the one with medication `M00`.
             handle
-                .update(&format!(
-                    "insert <visit><treatment><medication>{medication}</medication></treatment>\
-                     <date>2026-01-01</date></visit> after {patient}/pname"
-                ))
+                .register_policy(hospital::GROUP, hospital::POLICY)
                 .unwrap();
-        }
-        let seen = "hospital/patient[treatment/medication = 'M00']";
-        let group_statements = [
-            format!("insert <parent><patient><pname>kin</pname></patient></parent> into {seen}"),
-            format!(
-                "replace {seen}/treatment[medication = 'M00'] with \
-                 <treatment><medication>M00</medication></treatment>"
-            ),
-            format!("delete {seen}/parent"),
-        ];
-        let group = handle.session(smoqe::User::Group(hospital::GROUP.into()));
-        // One cycle of the three statements restores the document, so
-        // every iteration times the same three updates. An untimed cycle
-        // first: the group's view count is taken once per document.
-        let mut whole = [std::time::Duration::ZERO; 3];
-        let mut through_view = [std::time::Duration::ZERO; 3];
-        for round in 0..=iters {
-            for (slot, (_, statement)) in whole.iter_mut().zip(&statements) {
-                let (report, took) = time(|| handle.update(statement).expect("update applies"));
-                assert!(report.validated_nodes <= 8, "incremental validation");
-                *slot += took * u32::from(round > 0);
+            for medication in ["autism", "M00"] {
+                handle
+                    .update(&format!(
+                        "insert <visit><treatment><medication>{medication}</medication></treatment>\
+                         <date>2026-01-01</date></visit> after {patient}/pname"
+                    ))
+                    .unwrap();
             }
-            for (slot, statement) in through_view.iter_mut().zip(&group_statements) {
-                let (_, took) = time(|| group.update(statement).expect("group update applies"));
-                *slot += took * u32::from(round > 0);
+            let seen = format!("{patients}[treatment/medication = 'M00']");
+            let group_statements = [
+                format!(
+                    "insert <parent><patient><pname>kin</pname></patient></parent> into {seen}"
+                ),
+                format!(
+                    "replace {seen}/treatment[medication = 'M00'] with \
+                     <treatment><medication>M00</medication></treatment>"
+                ),
+                format!("delete {seen}/parent"),
+            ];
+            let group = handle.session(smoqe::User::Group(hospital::GROUP.into()));
+            // One cycle of the three statements restores the document, so
+            // every iteration times the same three updates. An untimed
+            // cycle first: the group's view count is taken once per
+            // document.
+            let mut whole = [std::time::Duration::ZERO; 3];
+            let mut through_view = [std::time::Duration::ZERO; 3];
+            for round in 0..=iters {
+                for (slot, (_, statement)) in whole.iter_mut().zip(&statements) {
+                    let (report, took) = time(|| handle.update(statement).expect("update applies"));
+                    assert!(report.validated_nodes <= 8, "incremental validation");
+                    *slot += took * u32::from(round > 0);
+                }
+                for (slot, statement) in through_view.iter_mut().zip(&group_statements) {
+                    let (_, took) = time(|| group.update(statement).expect("group update applies"));
+                    *slot += took * u32::from(round > 0);
+                }
             }
-        }
 
-        // The same three edits by hand, on the state each one meets.
-        let pname = target(&doc, &format!("{patient}/pname"));
-        let (inserted, insert_span) =
-            insert_fragment(&doc, pname, SplicePlace::After, &visit_doc).unwrap();
-        let inserted_tax = tax.patched(&inserted, &insert_span);
-        let blood = target(
-            &inserted,
-            &format!("{patient}/visit/treatment[test = 'blood']"),
-        );
-        let mri = target(
-            &inserted,
-            &format!("{patient}/visit[treatment/test = 'mri']"),
-        );
-        type Edit<'a> = Box<dyn Fn() -> (Document, EditSpan) + 'a>;
-        let edits: [(&Document, &TaxIndex, Edit); 3] = [
-            (
-                &doc,
-                &tax,
-                Box::new(|| insert_fragment(&doc, pname, SplicePlace::After, &visit_doc).unwrap()),
-            ),
-            (
+            // The same three edits by hand, on the state each one meets.
+            let pname = target(doc, &format!("{patient}/pname"));
+            let (inserted, insert_span) =
+                insert_fragment(doc, pname, SplicePlace::After, &visit_doc).unwrap();
+            let inserted_tax = tax.patched(&inserted, &insert_span);
+            let blood = target(
                 &inserted,
-                &inserted_tax,
-                Box::new(|| replace_subtree(&inserted, blood, &treatment_doc).unwrap()),
-            ),
-            (
+                &format!("{patient}/visit/treatment[test = 'blood']"),
+            );
+            let mri = target(
                 &inserted,
-                &inserted_tax,
-                Box::new(|| delete_subtree(&inserted, mri).unwrap()),
-            ),
-        ];
-        for (i, (before, base_tax, edit)) in edits.iter().enumerate() {
-            let (after, span) = edit();
-            let mut dirty = DirtySet::default();
-            dirty.record(&span);
-            table.row(vec![
-                before.node_count().to_string(),
-                statements[i].0.to_string(),
-                fmt_duration(time_mean(iters, edit)),
-                fmt_duration(time_mean(iters, || base_tax.patched(&after, &span))),
-                fmt_duration(time_mean(iters, || {
-                    dtd.validate_nodes(&after, dirty.nodes()).unwrap()
-                })),
-                fmt_duration(time_mean(iters.min(20), || dtd.validate(&after).unwrap())),
-                fmt_duration(whole[i] / iters as u32),
-                fmt_duration(through_view[i] / iters as u32),
-            ]);
+                &format!("{patient}/visit[treatment/test = 'mri']"),
+            );
+            type Edit<'a> = Box<dyn Fn() -> (Document, EditSpan) + 'a>;
+            let edits: [(&Document, &TaxIndex, Edit); 3] = [
+                (
+                    doc,
+                    &tax,
+                    Box::new(|| {
+                        insert_fragment(doc, pname, SplicePlace::After, &visit_doc).unwrap()
+                    }),
+                ),
+                (
+                    &inserted,
+                    &inserted_tax,
+                    Box::new(|| replace_subtree(&inserted, blood, &treatment_doc).unwrap()),
+                ),
+                (
+                    &inserted,
+                    &inserted_tax,
+                    Box::new(|| delete_subtree(&inserted, mri).unwrap()),
+                ),
+            ];
+            for (i, (before, base_tax, edit)) in edits.iter().enumerate() {
+                let (after, span) = edit();
+                let mut dirty = DirtySet::default();
+                dirty.record(&span);
+                table.row(vec![
+                    before.node_count().to_string(),
+                    root.to_string(),
+                    statements[i].0.to_string(),
+                    fmt_duration(time_mean(iters, edit)),
+                    fmt_duration(time_mean(iters, || base_tax.patched(&after, &span))),
+                    fmt_duration(time_mean(iters, || {
+                        dtd.validate_nodes(&after, dirty.nodes()).unwrap()
+                    })),
+                    fmt_duration(time_mean(iters.min(20), || dtd.validate(&after).unwrap())),
+                    fmt_duration(whole[i] / iters as u32),
+                    fmt_duration(through_view[i] / iters as u32),
+                ]);
+            }
         }
     }
     println!("{}", table.render());
+}
+
+/// `doc` (a hospital document) with all its top-level patients moved under
+/// one new top-level patient, which the researchers' view shows, each in a
+/// `parent` of its own: the root keeps a single child, so every write's
+/// region is the whole document.
+fn under_one_patient(doc: &Document, vocab: &Vocabulary) -> Document {
+    let xml = doc.to_xml();
+    let patients = xml
+        .strip_prefix("<hospital>")
+        .and_then(|rest| rest.strip_suffix("</hospital>"))
+        .expect("a hospital root with patients");
+    // Only top-level patients are siblings: a `parent` holds one.
+    let parents = patients.replace(
+        "</patient><patient>",
+        "</patient></parent><parent><patient>",
+    );
+    Document::parse_str(
+        &format!(
+            "<hospital><patient><pname>top</pname><visit><treatment><medication>autism\
+             </medication></treatment><date>2026-01-01</date></visit><parent>{parents}</parent>\
+             </patient></hospital>"
+        ),
+        vocab,
+    )
+    .expect("the narrowed document parses")
 }
 
 /// Generates a large (~100 MB, or ~10 MB with `quick`) synthetic hospital

@@ -960,9 +960,12 @@ impl Engine {
             }
             let (new_doc, new_tax, spans) =
                 smoqe_update::apply_update(&doc, &update, &targets, tax.as_deref())?;
-            spans.iter().for_each(|span| dirty.record(span));
             keeps_view(&new_doc)?;
-            counts.advance(&doc, &new_doc, &update, &targets, &spans);
+            let mut written = DirtySet::default();
+            spans.iter().for_each(|span| written.record(span));
+            let own = view.as_ref().map(|(group, _)| *group);
+            counts.advance(&doc, &new_doc, &update, &targets, &written, own);
+            dirty.append(&spans, written);
             doc = Arc::new(new_doc);
             tax = new_tax.map(Arc::new);
             let nodes_after = match &view {

@@ -971,7 +971,8 @@ mod tests {
 
     /// Over chains of random valid and invalid edits of a conforming
     /// document, validating only the dirty set gives the verdict — and
-    /// the message — of validating the whole result.
+    /// the message — of validating the whole result. A set built from
+    /// sub-chains recorded on their own and appended is the same set.
     #[test]
     fn dirty_set_validation_agrees_with_whole_document_validation() {
         use crate::edit::{delete_subtree, insert_fragment, replace_subtree};
@@ -1005,6 +1006,8 @@ mod tests {
             };
             dtd.validate(&doc).unwrap();
             let mut dirty = DirtySet::default();
+            let (mut appended, mut sub_chain, mut sub_spans) =
+                (DirtySet::default(), DirtySet::default(), Vec::new());
             for step in 0..rng.random_range(1..5u32) {
                 let elements: Vec<NodeId> =
                     doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
@@ -1046,6 +1049,13 @@ mod tests {
                     continue;
                 };
                 dirty.record(&span);
+                sub_chain.record(&span);
+                sub_spans.push(span);
+                if (seed + u64::from(step)) % 2 == 0 {
+                    appended.append(&sub_spans, std::mem::take(&mut sub_chain));
+                    sub_spans.clear();
+                    assert_eq!(appended.nodes(), dirty.nodes(), "seed {seed} step {step}");
+                }
                 doc = new_doc;
                 // Intermediate states may be invalid; every prefix of the
                 // chain must agree all the same.

@@ -72,6 +72,26 @@ pub struct DirtySet {
 impl DirtySet {
     /// Records the next edit of the chain.
     pub fn record(&mut self, span: &EditSpan) {
+        self.remap(span);
+        if let Some(parent) = span.parent {
+            self.ranges.push(parent.0..parent.0 + 1);
+        }
+        if span.inserted > 0 {
+            self.ranges.push(span.start..span.start + span.inserted);
+        }
+    }
+
+    /// Records a later chain of edits, `spans`, whose own set `later` (the
+    /// same spans recorded into an empty set) the caller already holds:
+    /// the same as recording each span, without recording them twice.
+    pub fn append(&mut self, spans: &[EditSpan], later: DirtySet) {
+        spans.iter().for_each(|span| self.remap(span));
+        self.ranges.extend(later.ranges);
+    }
+
+    /// Moves the recorded ranges into the ids after `span`, forgetting the
+    /// ones it removed.
+    fn remap(&mut self, span: &EditSpan) {
         let (start, end) = (span.start, span.start + span.removed);
         let delta = span.inserted.wrapping_sub(span.removed);
         self.ranges.retain_mut(|r| {
@@ -89,12 +109,6 @@ impl DirtySet {
                 true
             }
         });
-        if let Some(parent) = span.parent {
-            self.ranges.push(parent.0..parent.0 + 1);
-        }
-        if span.inserted > 0 {
-            self.ranges.push(span.start..span.start + span.inserted);
-        }
     }
 
     /// The recorded nodes in document order, each once. Holds text nodes
