@@ -8,11 +8,12 @@
 //! registered for its user groups.
 //!
 //! Every entry carries **generation counters**: the document generation is
-//! bumped whenever the DTD or the document itself is replaced, and each
-//! registered view carries the generation at which it was (re)registered.
-//! The [plan cache](crate::plancache) keys compiled plans by these
-//! generations, so replacing a document, its DTD, or a view invalidates
-//! exactly the affected plans without any cross-lock coordination.
+//! bumped whenever the DTD or the document changes (a load or an accepted
+//! update), and each registered view carries the generation at which it
+//! was (re)registered. The [plan cache](crate::plancache) keys a group's
+//! compiled plans by its view generation, so re-registering a view
+//! retires exactly that group's plans without any cross-lock
+//! coordination; no plan depends on the document generation.
 
 use crate::engine::{Answer, Engine, Session, UpdateReport, User};
 use crate::error::EngineError;
@@ -86,8 +87,8 @@ pub(crate) struct ViewSlot {
 static NEXT_ENTRY_ID: AtomicU64 = AtomicU64::new(0);
 
 /// One named document and everything scoped to it: DTD, source (with its
-/// TAX index), per-group views, and the generation counters driving
-/// plan-cache invalidation.
+/// TAX index), per-group views, and the generation counters (a view's
+/// generation is part of its group's plan-cache keys).
 pub struct DocumentEntry {
     name: String,
     id: u64,
@@ -97,7 +98,7 @@ pub struct DocumentEntry {
     pub(crate) dtd_text: RwLock<Option<Arc<str>>>,
     pub(crate) source: RwLock<Option<Arc<LoadedSource>>>,
     pub(crate) views: RwLock<HashMap<String, ViewSlot>>,
-    /// Bumped on every DTD or document replacement.
+    /// Bumped on every DTD load, document load and accepted update.
     generation: AtomicU64,
     /// Source of view generations (also bumped by document replacement so
     /// view generations are unique per entry lifetime).
@@ -142,8 +143,8 @@ impl DocumentEntry {
         self.id
     }
 
-    /// The current document generation (bumped on DTD/document
-    /// replacement).
+    /// The current document generation (bumped on every DTD load,
+    /// document load and accepted update).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -235,18 +236,14 @@ impl Catalog {
             .ok_or_else(|| EngineError::UnknownDocument(name.to_string()))
     }
 
-    /// Removes `name`, returning whether it existed. Live sessions bound
-    /// to the entry keep their handle; only the catalog forgets it. The
-    /// entry is marked dropped so those sessions stop populating the
+    /// Removes `name`, returning the removed entry's id. Live sessions
+    /// bound to the entry keep their handle; only the catalog forgets it.
+    /// The entry is marked dropped so those sessions stop populating the
     /// shared plan cache.
-    pub(crate) fn remove(&self, name: &str) -> bool {
-        match self.entries.write().remove(name) {
-            Some(entry) => {
-                entry.mark_dropped();
-                true
-            }
-            None => false,
-        }
+    pub(crate) fn remove(&self, name: &str) -> Option<u64> {
+        let entry = self.entries.write().remove(name)?;
+        entry.mark_dropped();
+        Some(entry.id())
     }
 
     /// Every entry, sorted by name (the checkpoint capture order — and
@@ -288,13 +285,14 @@ impl DocHandle {
     }
 
     /// The document's current generation (bumped by every successful
-    /// mutation; plan-cache keys and recovery both depend on it).
+    /// mutation; checkpoints persist it and recovery restores it). Cached
+    /// plans do not depend on it: they survive every mutation.
     pub fn generation(&self) -> u64 {
         self.entry.generation()
     }
 
-    /// Parses and installs the document DTD. Invalidates cached plans for
-    /// this document.
+    /// Parses and installs the document DTD. Cached plans stay valid: a
+    /// plan depends on the query and the view, not on the DTD.
     pub fn load_dtd(&self, dtd_text: &str) -> Result<(), EngineError> {
         self.engine.load_dtd_on(&self.entry, dtd_text)
     }
@@ -305,7 +303,7 @@ impl DocHandle {
     }
 
     /// Loads a document from XML text, validating against the DTD when one
-    /// is installed. Invalidates cached plans for this document.
+    /// is installed. Cached plans stay valid.
     pub fn load_document(&self, xml: &str) -> Result<(), EngineError> {
         self.engine.load_document_on(&self.entry, xml)
     }
@@ -402,9 +400,9 @@ impl DocHandle {
 
     /// Applies one update statement **as an administrator** (no policy
     /// filter): targets are resolved directly against the document. The
-    /// TAX index (if built) is incrementally patched, this entry's
-    /// generation is bumped, and exactly this document's cached plans are
-    /// invalidated. Concurrent readers keep their snapshot.
+    /// TAX index (if built) is incrementally patched and this entry's
+    /// generation is bumped; cached plans stay valid. Concurrent readers
+    /// keep their snapshot.
     pub fn update(&self, update: &str) -> Result<UpdateReport, EngineError> {
         let mut reports = self
             .engine
@@ -416,8 +414,8 @@ impl DocHandle {
     /// statement's targets are resolved against the document as left by
     /// the previous one, nothing is installed until every statement has
     /// applied and the result validates against the DTD, and any failure
-    /// leaves the document (and its index, generation and cached plans)
-    /// exactly as before — all-or-nothing.
+    /// leaves the document (and its index and generation) exactly as
+    /// before — all-or-nothing.
     pub fn update_batch(&self, updates: &[&str]) -> Result<Vec<UpdateReport>, EngineError> {
         self.engine
             .apply_updates_on(&self.entry, &User::Admin, updates)

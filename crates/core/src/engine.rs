@@ -332,11 +332,11 @@ impl Engine {
     /// The in-memory half of a drop (also the replay path — the record
     /// is already in the log then).
     pub(crate) fn drop_document_local(&self, name: &str) -> bool {
-        let existed = self.catalog.remove(name);
-        if existed {
-            self.plans.purge_document(name);
+        let removed = self.catalog.remove(name);
+        if let Some(entry_id) = removed {
+            self.plans.purge_entry(entry_id);
         }
-        existed
+        removed.is_some()
     }
 
     /// The catalog (durability's capture/replay entry point).
@@ -516,7 +516,6 @@ impl Engine {
         }
         drop(source);
         entry.bump_generation();
-        self.plans.purge_document(entry.name());
         Ok(())
     }
 
@@ -532,9 +531,9 @@ impl Engine {
         validated: Option<Arc<Dtd>>,
     ) -> Result<(), EngineError> {
         // A fresh source carries no TAX index (the old one described the
-        // old document) and invalidates the cached plans. The WAL record
-        // goes first, under the same write lock that orders installs, so
-        // log order and install order can never disagree.
+        // old document); cached plans stay valid. The WAL record goes
+        // first, under the same write lock that orders installs, so log
+        // order and install order can never disagree.
         let _writer = entry.write_serial.lock();
         self.durable_log(WalOp::LoadDocument {
             doc: entry.name().to_string(),
@@ -554,7 +553,6 @@ impl Engine {
             conforms,
         }));
         entry.bump_generation();
-        self.plans.purge_document(entry.name());
         Ok(())
     }
 
@@ -747,7 +745,7 @@ impl Engine {
             source,
         };
         entry.views.write().insert(group.to_string(), slot);
-        self.plans.purge_view(entry.name(), group);
+        self.plans.purge_view(entry.id(), group);
         Ok(())
     }
 
@@ -779,15 +777,12 @@ impl Engine {
                 (Some(spec), generation)
             }
         };
-        let doc_generation = entry.generation();
         // Plans of a dropped entry stay out of the shared cache: the drop
         // purged them, and sessions still bound to the entry must not
         // regrow residency for a document the catalog has forgotten.
         let cacheable = !entry.is_dropped();
         let key = PlanKey {
-            document: entry.name().to_string(),
             entry_id: entry.id(),
-            doc_generation,
             scope: PlanKey::scope_of(user, view_generation),
             query: query.to_string(),
         };
@@ -802,13 +797,13 @@ impl Engine {
         // of the plan — any session, batch lane or thread — reuses it.
         let mfa = Arc::new(self.plan_path(&path, spec.as_deref()));
         if cacheable {
-            self.plans.insert(key, mfa.clone(), doc_generation);
+            self.plans.insert(key, mfa.clone());
             // A concurrent drop_document may have marked the entry and
             // purged between the check above and the insert; whichever
             // side purges last wins, so re-checking here closes the race
             // (drop marks before it purges).
             if entry.is_dropped() {
-                self.plans.purge_document(entry.name());
+                self.plans.purge_entry(entry.id());
             }
         }
         Ok((mfa, false))
@@ -831,10 +826,12 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Resolves an update's target path on a transaction's working state
-    /// the way a query is answered: planned by [`Engine::plan_path`] —
-    /// outside the plan cache, which the update's own purge would empty
-    /// anyway — and run by the DOM driver over `(doc, tax)`, so the TAX
-    /// label and value indexes answer point targets. For a group the plan
+    /// the way a query is answered: planned by [`Engine::plan_path`] and
+    /// run by the DOM driver over `(doc, tax)`, so the TAX label and value
+    /// indexes answer point targets. The plan stays out of the plan cache:
+    /// each statement text is unique (it carries its fragment and
+    /// literals), so caching targets would only evict read plans. For a
+    /// group the plan
     /// is the target rewritten over the view: its answers are the source
     /// origins of the view nodes the target selects, so a hidden, a
     /// conditionally hidden and an absent target all resolve to nothing.
@@ -884,8 +881,9 @@ impl Engine {
     ///   into `UpdateDenied` too — a validation message could describe
     ///   content the view hides.
     /// * **Installation.** Only after everything succeeded is the new
-    ///   snapshot swapped in, the entry's generation bumped, and exactly
-    ///   this document's cached plans invalidated. Writers are serialized
+    ///   snapshot swapped in and the entry's generation bumped; cached
+    ///   plans stay valid, since no plan depends on the document's
+    ///   content (see [`crate::plancache`]). Writers are serialized
     ///   on the entry's write lock; readers keep evaluating on their old
     ///   snapshot throughout and are never blocked.
     pub(crate) fn apply_updates_on(
@@ -1029,11 +1027,6 @@ impl Engine {
             conforms: dtd.is_some(),
         }));
         entry.bump_generation();
-        if !entry.is_dropped() {
-            // Dropped entries have no plans in the cache (and purging by
-            // name would hit an unrelated re-opened document).
-            self.plans.purge_document(entry.name());
-        }
         Ok(reports)
     }
 
@@ -1525,8 +1518,8 @@ impl Session {
     /// target is hidden, conditionally hidden, or non-existent fails with
     /// the same opaque [`EngineError::UpdateDenied`] — denials do not
     /// reveal whether anything matched. Accepted updates incrementally
-    /// patch the TAX index, bump only this document's generation (cached
-    /// plans of other documents survive untouched) and never block
+    /// patch the TAX index, bump only this document's generation (every
+    /// cached plan stays valid) and never block
     /// concurrent readers, which finish on their pre-update snapshot.
     pub fn update(&self, update: &str) -> Result<UpdateReport, EngineError> {
         let mut reports = self
@@ -1743,16 +1736,28 @@ mod tests {
     }
 
     #[test]
-    fn document_replacement_invalidates_cached_plans() {
+    fn document_replacement_keeps_cached_plans() {
         let engine = engine_with_sample();
+        let query = "//treatment[medication/text() = 'autism']";
         let session = engine.session(User::Admin);
-        session.query("//medication").unwrap();
-        assert!(session.query("//medication").unwrap().plan_cached);
-        engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
-        assert!(
-            !session.query("//medication").unwrap().plan_cached,
-            "reload must invalidate the cached plan"
-        );
+        assert_eq!(session.query(query).unwrap().len(), 2);
+        assert!(session.query(query).unwrap().plan_cached);
+        let generation = engine
+            .document_handle(DEFAULT_DOCUMENT)
+            .unwrap()
+            .generation();
+        engine
+            .load_document(&hospital::SAMPLE_DOCUMENT.replace("headache", "autism"))
+            .unwrap();
+        engine.load_dtd(hospital::DTD).unwrap();
+        let doc = engine.document_handle(DEFAULT_DOCUMENT).unwrap();
+        assert!(doc.generation() > generation);
+        // The plan cached before the reload and the DTD load is still a
+        // hit, and answers the new document.
+        let after = session.query(query).unwrap();
+        assert!(after.plan_cached, "a reload keeps the cached plan");
+        assert_eq!(after.len(), 4);
+        assert_eq!(engine.cache_metrics().invalidations, 0);
     }
 
     #[test]
@@ -1974,19 +1979,20 @@ mod tests {
         assert!(hosp_admin.query("//medication").unwrap().plan_cached);
         assert!(org_admin.query("//salary").unwrap().plan_cached);
 
-        let invalidations_before = engine.cache_metrics().invalidations;
+        let (hosp_generation, org_generation) = (hosp.generation(), orgdoc.generation());
+        let medications = hosp_admin.query("//medication").unwrap().len();
         hosp.update("delete hospital/patient[pname = 'Bob']")
             .unwrap();
+        assert!(hosp.generation() > hosp_generation);
+        assert_eq!(orgdoc.generation(), org_generation);
 
-        assert!(
-            !hosp_admin.query("//medication").unwrap().plan_cached,
-            "updated document must recompile"
-        );
-        assert!(
-            org_admin.query("//salary").unwrap().plan_cached,
-            "the other document's plans must survive"
-        );
-        assert!(engine.cache_metrics().invalidations > invalidations_before);
+        // Both documents' plans survive the write; the updated document's
+        // plan answers the post-write document.
+        let after = hosp_admin.query("//medication").unwrap();
+        assert!(after.plan_cached, "a write keeps the cached plan");
+        assert_eq!(after.len(), medications - 1, "Bob's one medication is gone");
+        assert!(org_admin.query("//salary").unwrap().plan_cached);
+        assert_eq!(engine.cache_metrics().invalidations, 0);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! One [`Engine`] serves many *named* documents (the [`catalog`]) and many
 //! concurrent users: [`Session`]s are owned, `Send + Sync` handles, and
 //! compiled plans are memoized in a shared [plan cache](plancache) keyed by
-//! document/view generations.
+//! catalog entry, principal (with its view generation) and query text —
+//! writes, reloads and DTD loads keep them.
 //!
 //! The engine also accepts **secure updates** (`insert`/`delete`/`replace`
 //! over Regular XPath targets, [`smoqe_update`]): group sessions may only

@@ -1156,7 +1156,8 @@ pub struct WireStats {
     pub cache_hits: u64,
     /// Plan-cache misses.
     pub cache_misses: u64,
-    /// Generation-staleness invalidations.
+    /// Plans purged because their document was dropped or their group's
+    /// view re-registered.
     pub cache_invalidations: u64,
     /// Capacity evictions.
     pub cache_evictions: u64,

@@ -84,8 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.applied
     );
 
-    // Plans were invalidated for this document only, and fresh queries
-    // see the updated snapshot.
+    // Cached plans survived the writes (a plan depends on the query and
+    // the view, not on the document), and fresh queries see the updated
+    // snapshot.
     println!("cache after updates: {:?}", engine.cache_metrics());
     println!("secure_updates: OK");
     Ok(())

@@ -5,8 +5,8 @@
 //!   answers identical to serial evaluation;
 //! * repeated queries hit the shared plan cache (observable through the
 //!   exposed hit/miss counters);
-//! * replacing a document, its DTD, or a view invalidates exactly the
-//!   affected cached plans;
+//! * re-registering a view retires exactly that group's cached plans,
+//!   while replacing a document or its DTD keeps every plan;
 //! * catalog documents and their user groups are isolated from each other.
 
 use smoqe::workloads::{hospital, org};
@@ -119,20 +119,29 @@ fn repeated_query_is_a_cache_hit() {
 }
 
 #[test]
-fn document_replacement_invalidates_cached_plans() {
+fn document_replacement_keeps_cached_plans() {
+    // A plan depends on the query and the view, never on the document:
+    // a reload keeps it, and it answers the reloaded document.
     let engine = Engine::with_defaults();
     let doc = hospital_doc(&engine, "h");
-    let session = doc.session(User::Admin);
-    session.query("//medication").unwrap();
-    assert!(session.query("//medication").unwrap().plan_cached);
+    let admin = doc.session(User::Admin);
+    let researcher = doc.session(User::Group(hospital::GROUP.into()));
+    let query = "//treatment[medication/text() = 'autism']";
+    assert_eq!(admin.query(query).unwrap().len(), 2);
+    assert_eq!(researcher.query(query).unwrap().len(), 2);
+    let generation = doc.generation();
 
-    doc.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
-    let invalidations = engine.cache_metrics().invalidations;
-    assert!(invalidations >= 1, "reload must invalidate cached plans");
-    assert!(
-        !session.query("//medication").unwrap().plan_cached,
-        "post-reload query must recompile"
-    );
+    doc.load_document(&hospital::SAMPLE_DOCUMENT.replace("headache", "autism"))
+        .unwrap();
+    assert!(doc.generation() > generation);
+    assert_eq!(engine.cache_metrics().invalidations, 0);
+    let admin_after = admin.query(query).unwrap();
+    assert!(admin_after.plan_cached, "a reload keeps the admin plan");
+    assert_eq!(admin_after.len(), 4, "the plan answers the new document");
+    // Bob's and Cal's new autism treatments join the view too.
+    let researcher_after = researcher.query(query).unwrap();
+    assert!(researcher_after.plan_cached, "a reload keeps the view plan");
+    assert_eq!(researcher_after.len(), 4);
 }
 
 #[test]
@@ -362,8 +371,8 @@ fn update_landing_mid_query_leaves_the_reader_on_its_snapshot() {
     let after = session.query("//medication").unwrap();
     assert_eq!(after.len(), pre.len() + 1, "a fresh query sees the update");
     assert!(
-        !after.plan_cached,
-        "the update invalidated this doc's plans"
+        after.plan_cached,
+        "the plan cached before the update is still a hit"
     );
 }
 

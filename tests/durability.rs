@@ -107,7 +107,7 @@ fn a_recovered_engine_is_indistinguishable_from_the_one_that_crashed() {
             .unwrap()
             .generation(),
         generation,
-        "generation counters must survive so cached plans stay correctly keyed"
+        "generation counters must survive recovery"
     );
     assert!(recovered.tax_index().is_some(), "the TAX index is rebuilt");
     for ((_, q), nodes) in hospital::DOC_QUERIES.iter().zip(&admin_before) {

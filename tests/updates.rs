@@ -462,26 +462,40 @@ fn denied_and_accepted_updates_manage_generations_precisely() {
     let session = doc.session(User::Group(hospital::GROUP.into()));
     let admin = doc.session(User::Admin);
 
-    admin.query("//medication").unwrap();
-    assert!(admin.query("//medication").unwrap().plan_cached);
+    let query = "//treatment[medication/text() = 'autism']";
+    assert_eq!(admin.query(query).unwrap().len(), 2);
+    assert_eq!(session.query(query).unwrap().len(), 2);
+    let generation = doc.generation();
 
     // A denied update must not bump the generation or drop plans.
     assert!(matches!(
         session.update("delete //pname"),
         Err(EngineError::UpdateDenied)
     ));
+    assert_eq!(doc.generation(), generation);
     assert!(
-        admin.query("//medication").unwrap().plan_cached,
-        "denied update must not invalidate plans"
+        admin.query(query).unwrap().plan_cached,
+        "denied update must not drop plans"
     );
 
-    // An accepted one invalidates this document's plans...
+    // An accepted one bumps the generation and keeps the plans, which
+    // answer the written document: every treatment the view exposes is
+    // now autism medication.
     session
         .update(
             "replace hospital/patient/treatment/medication with <medication>autism</medication>",
         )
         .unwrap();
-    assert!(!admin.query("//medication").unwrap().plan_cached);
+    assert!(doc.generation() > generation);
+    for (principal, answer) in [
+        ("admin", admin.query(query)),
+        ("group", session.query(query)),
+    ] {
+        let answer = answer.unwrap();
+        assert!(answer.plan_cached, "{principal}: the write kept the plan");
+        assert_eq!(answer.len(), 3, "{principal}: Cal's headache is autism now");
+    }
+    assert_eq!(engine.cache_metrics().invalidations, 0);
 }
 
 #[test]
