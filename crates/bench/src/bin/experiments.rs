@@ -229,7 +229,7 @@ fn update_scaling(quick: bool) {
             let engine = smoqe::Engine::with_defaults();
             let handle = engine.open_document("scaling");
             handle.load_dtd(hospital::DTD).unwrap();
-            handle.load_document(doc.raw_source().unwrap()).unwrap();
+            handle.load_document(doc.raw_source()).unwrap();
             handle.build_tax_index().unwrap();
             let statements = [
                 ("insert", format!("insert {visit} after {patient}/pname")),

@@ -4,7 +4,7 @@
 //! documents, many user groups whose queries are transparently rewritten
 //! against their security views. The catalog is the engine-side realization
 //! of that picture: it maps document *names* to [`DocumentEntry`] values,
-//! each owning its DTD, its raw/stream source, its TAX index and the views
+//! each owning its DTD, its document, its TAX index and the views
 //! registered for its user groups.
 //!
 //! Every entry carries **generation counters**: the document generation is
@@ -24,22 +24,17 @@ use smoqe_tax::TaxIndex;
 use smoqe_view::ViewSpec;
 use smoqe_xml::{Document, Dtd};
 use std::collections::HashMap;
-use std::path::{Path as FsPath, PathBuf};
+use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A loaded document with its streamable backing (if any) and the TAX
-/// index built over exactly this document. Shared out of the entry as one
-/// [`Arc`] snapshot so evaluation never holds entry locks and can never
-/// pair a document with an index built over a different one.
+/// A loaded document and the TAX index built over exactly this document.
+/// Shared out of the entry as one [`Arc`] snapshot so evaluation never
+/// holds entry locks and can never pair a document with an index built
+/// over a different one. Stream mode scans the document's own buffer.
 #[derive(Clone)]
 pub(crate) struct LoadedSource {
     pub(crate) doc: Arc<Document>,
-    /// Raw XML text for streaming mode — the *same* shared buffer the
-    /// document's span nodes reference (no second copy of the input).
-    pub(crate) raw: Option<Arc<str>>,
-    /// File path (kept when loaded from disk) for streaming mode.
-    pub(crate) path: Option<PathBuf>,
     /// TAX index over `doc`, if built or loaded.
     pub(crate) tax: Option<Arc<TaxIndex>>,
     /// Whether `doc` is **known to conform** to the entry's current DTD:

@@ -368,11 +368,7 @@ impl Engine {
                 let (xml, tax) = match &snapshot {
                     None => (None, Vec::new()),
                     Some(source) => {
-                        let xml = source
-                            .raw
-                            .clone()
-                            .unwrap_or_else(|| Arc::from(source.doc.to_xml()))
-                            .to_string();
+                        let xml = source.doc.raw_source().to_string();
                         let mut tax_bytes = Vec::new();
                         if let Some(tax) = &source.tax {
                             tax.save(&mut tax_bytes, self.vocabulary())

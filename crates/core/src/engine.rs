@@ -43,8 +43,7 @@ use smoqe_view::{
     derive, materializable, materialize, materialize_fragment, AccessPolicy, ViewSpec,
 };
 use smoqe_xml::{DirtySet, Document, Dtd, NodeId, Vocabulary};
-use std::io::BufRead;
-use std::path::{Path as FsPath, PathBuf};
+use std::path::Path as FsPath;
 use std::sync::Arc;
 
 /// The catalog name used by the single-document convenience methods
@@ -525,9 +524,6 @@ impl Engine {
         &self,
         entry: &Arc<DocumentEntry>,
         doc: Document,
-        raw: Option<Arc<str>>,
-        path: Option<PathBuf>,
-        log_xml: Arc<str>,
         validated: Option<Arc<Dtd>>,
     ) -> Result<(), EngineError> {
         // A fresh source carries no TAX index (the old one described the
@@ -537,7 +533,7 @@ impl Engine {
         let _writer = entry.write_serial.lock();
         self.durable_log(WalOp::LoadDocument {
             doc: entry.name().to_string(),
-            xml: log_xml.to_string(),
+            xml: doc.raw_source().to_string(),
         })?;
         // The caller read the DTD before taking the write lock; the mark
         // only holds if that is still the entry's DTD.
@@ -547,8 +543,6 @@ impl Engine {
         };
         *entry.source.write() = Some(Arc::new(LoadedSource {
             doc: Arc::new(doc),
-            raw,
-            path,
             tax: None,
             conforms,
         }));
@@ -566,11 +560,7 @@ impl Engine {
         if let Some(dtd) = &dtd {
             dtd.validate(&doc)?;
         }
-        // Streaming mode reads the document's own shared buffer — the
-        // input is held exactly once.
-        let raw = doc.shared_buffer();
-        let log_xml = raw.clone().unwrap_or_else(|| Arc::from(xml));
-        self.install_document(entry, doc, raw, None, log_xml, dtd)
+        self.install_document(entry, doc, dtd)
     }
 
     pub(crate) fn load_document_file_on(
@@ -578,16 +568,14 @@ impl Engine {
         entry: &Arc<DocumentEntry>,
         path: &FsPath,
     ) -> Result<(), EngineError> {
-        let path = path.to_path_buf();
-        let doc = smoqe_xml::parse_file(&path, &self.vocab)?;
+        // Read once: every mode answers from this snapshot, whatever
+        // happens to the file afterwards.
+        let doc = smoqe_xml::parse_file(path, &self.vocab)?;
         let dtd = entry.dtd.read().clone();
         if let Some(dtd) = &dtd {
             dtd.validate(&doc)?;
         }
-        let log_xml = doc
-            .shared_buffer()
-            .unwrap_or_else(|| Arc::from(doc.to_xml()));
-        self.install_document(entry, doc, None, Some(path), log_xml, dtd)
+        self.install_document(entry, doc, dtd)
     }
 
     pub(crate) fn load_document_tree_on(
@@ -595,14 +583,9 @@ impl Engine {
         entry: &Arc<DocumentEntry>,
         doc: Document,
     ) -> Result<(), EngineError> {
-        // Parsed documents already hold their source; programmatically
-        // built trees serialize once to obtain a streamable buffer. Trees
-        // are installed as given, not validated — and not marked as
-        // conforming either.
-        let raw = doc
-            .shared_buffer()
-            .unwrap_or_else(|| Arc::from(doc.to_xml()));
-        self.install_document(entry, doc, Some(raw.clone()), None, raw, None)
+        // Trees are installed as given, not validated — and not marked
+        // as conforming either.
+        self.install_document(entry, doc, None)
     }
 
     pub(crate) fn build_tax_index_on(
@@ -1001,11 +984,6 @@ impl Engine {
                 }
             }
         }
-        // Buffer-spliced updates leave the new document holding its own
-        // serialized source; rebuild-path updates serialize once here.
-        let raw = doc
-            .shared_buffer()
-            .unwrap_or_else(|| Arc::from(doc.to_xml()));
         // Write-ahead: the accepted transaction is logged (statement
         // texts + acting principal) before the snapshot is installed. A
         // crash after this point recovers *with* the transaction; before
@@ -1021,8 +999,6 @@ impl Engine {
         *writer = counts.describing(&doc);
         *entry.source.write() = Some(Arc::new(LoadedSource {
             doc,
-            raw: Some(raw),
-            path: None,
             tax,
             conforms: dtd.is_some(),
         }));
@@ -1249,7 +1225,7 @@ impl Engine {
                 observers.push(&mut *observer);
                 observers.extend(idle.iter_mut().map(|o| o as &mut dyn EvalObserver));
                 let outcome = evaluate_batch_stream_plans_budgeted(
-                    stream_reader(&source)?,
+                    source.doc.raw_source().as_bytes(),
                     &lanes,
                     &self.vocab,
                     &mut observers,
@@ -1311,20 +1287,6 @@ fn pick_mode(
     }
 }
 
-/// Opens the snapshot's serialized form for one sequential scan: the file
-/// it was loaded from, or the text it holds in memory. (The scanner pulls
-/// 64 KiB chunks, so the boxed reader costs two virtual calls per chunk.)
-fn stream_reader(source: &LoadedSource) -> Result<Box<dyn BufRead + '_>, EngineError> {
-    if let Some(path) = &source.path {
-        let file = std::fs::File::open(path).map_err(smoqe_xml::XmlError::Io)?;
-        Ok(Box::new(std::io::BufReader::new(file)))
-    } else if let Some(raw) = &source.raw {
-        Ok(Box::new(raw.as_bytes()))
-    } else {
-        Err(EngineError::NoStreamSource)
-    }
-}
-
 /// Serializes each answer node **safely for `user`**: the raw source
 /// subtree for admins, the view image for group members (hidden
 /// descendants filtered out — serving the raw subtree would leak them).
@@ -1343,7 +1305,11 @@ fn render_xml(
             let spec = entry.view_slot(group)?.0;
             nodes
                 .iter()
-                .map(|&n| Ok(materialize_fragment(&spec, &source.doc, n)?.doc.to_xml()))
+                .map(|&n| {
+                    // A built fragment's buffer is its serialization.
+                    let image = materialize_fragment(&spec, &source.doc, n)?.doc;
+                    Ok(image.raw_source().to_string())
+                })
                 .collect()
         }
     }

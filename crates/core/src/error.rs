@@ -21,8 +21,6 @@ pub enum EngineError {
     UnknownGroup(String),
     /// Direct document access requested without admin rights.
     AccessDenied,
-    /// Streaming evaluation requested but no streamable source exists.
-    NoStreamSource,
     /// A batched evaluation mixed sessions of different documents or
     /// engines — one batch serves one document.
     BatchMismatch,
@@ -54,6 +52,9 @@ impl EngineError {
     /// logs: serializers must never string-match `Display` output (which
     /// is free to change) to recover the variant. Codes are part of the
     /// protocol contract and never renumbered — new variants append.
+    /// Code 9 (`"no_stream_source"`) is retired: every document carries
+    /// the buffer stream mode scans. It stays unassigned and is never
+    /// reused, so an old peer's 9 cannot be read as a different error.
     ///
     /// [`EngineError::UpdateDenied`] deliberately maps hidden,
     /// conditionally-hidden and non-existent targets to **one** code with
@@ -69,7 +70,6 @@ impl EngineError {
             EngineError::UnknownDocument(_) => 6,
             EngineError::UnknownGroup(_) => 7,
             EngineError::AccessDenied => 8,
-            EngineError::NoStreamSource => 9,
             EngineError::BatchMismatch => 10,
             EngineError::Update(_) => 11,
             EngineError::UpdateDenied => 12,
@@ -91,7 +91,6 @@ impl EngineError {
             EngineError::UnknownDocument(_) => "unknown_document",
             EngineError::UnknownGroup(_) => "unknown_group",
             EngineError::AccessDenied => "access_denied",
-            EngineError::NoStreamSource => "no_stream_source",
             EngineError::BatchMismatch => "batch_mismatch",
             EngineError::Update(_) => "update",
             EngineError::UpdateDenied => "update_denied",
@@ -116,9 +115,6 @@ impl fmt::Display for EngineError {
             EngineError::UnknownGroup(g) => write!(f, "no view registered for group '{g}'"),
             EngineError::AccessDenied => {
                 write!(f, "direct document access requires an admin session")
-            }
-            EngineError::NoStreamSource => {
-                write!(f, "streaming mode requires a file or raw-text source")
             }
             EngineError::BatchMismatch => {
                 write!(
@@ -224,7 +220,6 @@ mod tests {
             EngineError::UnknownDocument("d".into()),
             EngineError::UnknownGroup("g".into()),
             EngineError::AccessDenied,
-            EngineError::NoStreamSource,
             EngineError::BatchMismatch,
             EngineError::UpdateDenied,
             EngineError::Update(smoqe_update::UpdateError::NoTarget),
@@ -247,6 +242,10 @@ mod tests {
         );
         assert_eq!(EngineError::Cancelled.code(), 15);
         assert_eq!(EngineError::Cancelled.code_name(), "cancelled");
+        // Code 9 and its name are retired, never reassigned.
+        assert_eq!(EngineError::BatchMismatch.code(), 10);
+        assert!(!codes.contains(&9));
+        assert!(variants.iter().all(|e| e.code_name() != "no_stream_source"));
     }
 
     #[test]

@@ -279,6 +279,36 @@ mod tests {
         dtd2.validate(&doc2).unwrap();
     }
 
+    /// 64-bit FNV-1a: a digest that does not depend on the toolchain.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn generated_hospital_serialization_is_pinned() {
+        // The benchmark builds every document from this text (at depth 8)
+        // and splits it on `</patient><patient>`: a change to how built
+        // documents serialize would change every workload's data.
+        let vocab = Vocabulary::new();
+        let dtd = hospital::dtd(&vocab);
+        let mut config = hospital::generator_config(&vocab, 2006, 100_000);
+        let mut digests = Vec::new();
+        for depth in [config.max_depth, 8] {
+            config.max_depth = depth;
+            let xml = generate(&dtd, &config).unwrap().to_xml();
+            digests.push((xml.len(), fnv1a(xml.as_bytes())));
+        }
+        assert_eq!(
+            digests,
+            vec![
+                (1_392_667, 9_528_954_911_221_246_866),
+                (1_385_376, 4_692_207_709_050_759_634)
+            ]
+        );
+    }
+
     #[test]
     fn all_workload_queries_parse() {
         let vocab = Vocabulary::new();

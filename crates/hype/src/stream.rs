@@ -5,9 +5,9 @@
 //! for the evaluation"*. The same [`Machine`](crate::machine::Machine)
 //! core runs over pull-parser events; differences from DOM mode:
 //!
-//! * node ids are assigned by a document-order counter that mirrors
-//!   [`smoqe_xml::TreeBuilder`]'s numbering (adjacent text events are
-//!   coalesced into one id, exactly like the builder merges them), so
+//! * node ids are assigned by a document-order counter that mirrors a
+//!   parsed [`smoqe_xml::Document`]'s numbering (adjacent text events are
+//!   coalesced into one id, exactly like the parse merges them), so
 //!   stream answers are directly comparable to DOM answers;
 //! * `text()='c'` predicates accumulate character data until their origin
 //!   element closes;

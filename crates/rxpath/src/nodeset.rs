@@ -2,8 +2,8 @@
 
 use smoqe_xml::NodeId;
 
-/// A set of nodes, stored sorted by [`NodeId`] (= document order for trees
-/// built through `TreeBuilder`, which is all trees in this workspace).
+/// A set of nodes, stored sorted by [`NodeId`] (= document order in every
+/// `Document`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeSet {
     nodes: Vec<NodeId>,

@@ -202,6 +202,17 @@ pub fn region_node_count(spec: &ViewSpec, source: &Document, tops: &[NodeId]) ->
     if tops.is_empty() {
         return 0;
     }
+    let region = region_document(source, root_ty, tops);
+    debug_assert_eq!(root_ty, spec.view_dtd().root(), "materializable source");
+    let mut count = Counter(0);
+    build(spec, &region, region.root(), root_ty, &mut count);
+    // The sub-document's root has no text: it adds exactly its own node.
+    count.0 - 1
+}
+
+/// The sub-document [`region_node_count`] counts over: a root labelled
+/// `root_ty` holding copies of the subtrees `tops`.
+fn region_document(source: &Document, root_ty: Label, tops: &[NodeId]) -> Document {
     let mut builder = TreeBuilder::new(source.vocabulary().clone());
     builder.start_element(root_ty);
     for &top in tops {
@@ -209,12 +220,7 @@ pub fn region_node_count(spec: &ViewSpec, source: &Document, tops: &[NodeId]) ->
         copy_subtree(source, top, &mut builder);
     }
     builder.end_element();
-    let region = builder.finish().expect("balanced by construction");
-    debug_assert_eq!(root_ty, spec.view_dtd().root(), "materializable source");
-    let mut count = Counter(0);
-    build(spec, &region, region.root(), root_ty, &mut count);
-    // The sub-document's root has no text: it adds exactly its own node.
-    count.0 - 1
+    builder.finish().expect("balanced by construction")
 }
 
 fn copy_subtree(source: &Document, node: NodeId, builder: &mut TreeBuilder) {
@@ -234,7 +240,9 @@ fn copy_subtree(source: &Document, node: NodeId, builder: &mut TreeBuilder) {
 trait ViewSink {
     /// Opens a view element copied from `origin`.
     fn element(&mut self, ty: Label, origin: NodeId);
-    /// The (non-empty) direct text of the open element's `origin`.
+    /// The direct text of the open element's `origin`, placed right
+    /// after the element opens and never whitespace-only — so it makes
+    /// exactly one text node.
     fn text(&mut self, text: &str, origin: NodeId);
     /// Closes the open element.
     fn end(&mut self);
@@ -271,13 +279,8 @@ impl ViewSink for Builder {
     }
 
     fn text(&mut self, text: &str, origin: NodeId) {
-        let tid = self.builder.next_node_id();
         self.builder.text(text);
-        // The builder may merge into a previous text node; only align
-        // origins when a node was actually created.
-        if self.builder.next_node_id() != tid {
-            self.origins.push(origin);
-        }
+        self.origins.push(origin);
     }
 
     fn end(&mut self) {
@@ -285,8 +288,7 @@ impl ViewSink for Builder {
     }
 }
 
-/// Counts the nodes of V(T). The text is placed right after its element
-/// opens, so it never merges and always makes one node.
+/// Counts the nodes of V(T).
 struct Counter(usize);
 
 impl ViewSink for Counter {
@@ -310,10 +312,11 @@ fn build(
 ) {
     sink.element(ty, src_node);
     // Text: if the view type carries text, copy the source node's direct
-    // text (concatenated), placed before element children.
+    // text (concatenated), placed before element children. Whitespace-only
+    // text is dropped, as a parse of V(T)'s serialization drops it.
     if spec.view_dtd().allows_text(ty) {
         let text = source.direct_text_cow(src_node);
-        if !text.is_empty() {
+        if !text.trim_ascii().is_empty() {
             sink.text(&text, src_node);
         }
     }
@@ -499,6 +502,40 @@ mod tests {
         qualifying.validate(&dtd).unwrap();
         assert!(!counts_are_regional(&qualifying));
         assert!(counts_are_regional(&ViewSpec::identity(&dtd)));
+    }
+
+    #[test]
+    fn built_views_fragments_and_regions_are_canonical() {
+        use smoqe_xml::testing::assert_canonical;
+        use smoqe_xml::{generate, GeneratorConfig};
+        let (vocab, dtd, spec, _) = setup();
+        let medication = vocab.lookup("medication").unwrap();
+        for seed in 0..24 {
+            let config = GeneratorConfig {
+                text_pool: vec!["a & b".into(), "<x>".into(), "plain".into()],
+                ..GeneratorConfig::sized(seed, 600)
+            }
+            .with_text_pool(medication, vec!["autism".into(), "flu & fever".into()]);
+            let doc = generate(&dtd, &config).unwrap();
+            let ctx = format!("seed {seed}");
+            let view = materialize(&spec, &doc).unwrap();
+            assert_canonical(&view.doc, &format!("view; {ctx}"));
+            for vn in view
+                .doc
+                .all_nodes()
+                .filter(|&n| view.doc.is_element(n))
+                .step_by(7)
+            {
+                let fragment = materialize_fragment(&spec, &doc, view.origin(vn)).unwrap();
+                assert_canonical(&fragment.doc, &format!("fragment of {vn:?}; {ctx}"));
+            }
+            let root_ty = doc.label(doc.root()).unwrap();
+            let tops: Vec<NodeId> = doc.child_elements(doc.root()).collect();
+            for chunk in tops.chunks(3) {
+                let region = region_document(&doc, root_ty, chunk);
+                assert_canonical(&region, &format!("region {chunk:?}; {ctx}"));
+            }
+        }
     }
 
     #[test]

@@ -415,6 +415,19 @@ mod tests {
     }
 
     #[test]
+    fn generated_documents_are_canonical() {
+        let (_, dtd) = hospital();
+        for seed in 0..64 {
+            let config = GeneratorConfig {
+                text_pool: vec!["a & b".into(), "x<y".into(), "plain".into()],
+                ..GeneratorConfig::sized(seed, 400)
+            };
+            let doc = generate(&dtd, &config).unwrap();
+            crate::testing::assert_canonical(&doc, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         let (_, dtd) = hospital();
         let config = GeneratorConfig::sized(42, 500);

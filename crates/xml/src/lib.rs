@@ -10,7 +10,8 @@
 //! * [`scanner`](crate::scanner) — the one SWAR-accelerated tokenizer
 //!   behind both DOM and StAX modes, emitting byte-span tokens.
 //! * [`Document`] / [`TreeBuilder`] — a span-based arena DOM over a shared
-//!   `Arc<str>` input buffer; node ids are in document order.
+//!   `Arc<str>` buffer (the input, or the serialization a built document
+//!   writes as it builds); node ids are in document order.
 //! * [`stax::PullParser`] — a StAX-style pull parser over any `BufRead`.
 //! * [`parse`] — DOM parsing built on the scanner.
 //! * [`serialize`] — compact/pretty serialization and an event-driven
@@ -42,6 +43,8 @@ pub mod parse;
 pub mod scanner;
 pub mod serialize;
 pub mod stax;
+#[cfg(any(test, feature = "testing"))]
+pub mod testing;
 pub mod tree;
 
 pub use dtd::{ContentModel, Dtd, HOSPITAL_DTD};

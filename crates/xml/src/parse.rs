@@ -144,8 +144,8 @@ mod tests {
         let vocab = Vocabulary::new();
         let src: Arc<str> = Arc::from("<a><b>hi</b></a>");
         let doc = parse_buffer(src.clone(), &vocab).unwrap();
-        assert!(Arc::ptr_eq(&src, &doc.shared_buffer().unwrap()));
-        assert_eq!(doc.raw_source(), Some("<a><b>hi</b></a>"));
+        assert!(Arc::ptr_eq(&src, &doc.shared_buffer()));
+        assert_eq!(doc.raw_source(), "<a><b>hi</b></a>");
     }
 
     #[test]
@@ -153,13 +153,13 @@ mod tests {
         let vocab = Vocabulary::new();
         let src = "<a><b x=\"1\">hi</b><c/></a>";
         let doc = parse_document(src, &vocab).unwrap();
-        let (rs, re) = doc.node_extent(doc.root()).unwrap();
+        let (rs, re) = doc.node_extent(doc.root());
         assert_eq!(&src[rs..re], src);
         let b = doc.first_child(doc.root()).unwrap();
-        let (bs, be) = doc.node_extent(b).unwrap();
+        let (bs, be) = doc.node_extent(b);
         assert_eq!(&src[bs..be], "<b x=\"1\">hi</b>");
         let c = doc.next_sibling(b).unwrap();
-        let (cs, ce) = doc.node_extent(c).unwrap();
+        let (cs, ce) = doc.node_extent(c);
         assert_eq!(&src[cs..ce], "<c/>");
     }
 

@@ -1,22 +1,23 @@
 //! Span-based XML document trees (the engine's "DOM mode" representation).
 //!
-//! A parsed [`Document`] holds the raw input buffer once (a shared
-//! `Arc<str>`) plus a flat arena of compact per-node records. Element
-//! names and attribute names are interned [`Label`]s; text and attribute
-//! values are **byte spans** into the buffer, so the parse path stores no
-//! per-node owned `String` at all. Content containing entities (or text
-//! merged across CDATA/comment boundaries) keeps its raw span and is
-//! decoded lazily on first access, with the decoded form cached.
+//! Every [`Document`] holds its raw XML text once (a shared `Arc<str>`)
+//! plus a flat arena of compact per-node records. Element names and
+//! attribute names are interned [`Label`]s; text and attribute values are
+//! **byte spans** into the buffer, so no per-node owned `String` is
+//! stored. Content containing entities (or text merged across
+//! CDATA/comment boundaries) keeps its raw span and is decoded lazily on
+//! first access, with the decoded form cached. A parsed document's buffer
+//! is its input; a document built through [`TreeBuilder`]'s programmatic
+//! methods (the generator, the view materializer) writes its canonical
+//! serialization as it builds, so it is the same kind of document.
 //!
 //! Nodes live in a flat arena indexed by [`NodeId`]. Sibling/child links
-//! are stored as compact `u32` fields. Documents built through
-//! [`TreeBuilder`] (which includes everything produced by the parser, the
-//! generator and the view materializer) satisfy the invariant that
-//! **`NodeId` order equals document order**, which the evaluators rely on
-//! to emit answers in document order without sorting.
+//! are stored as compact `u32` fields. Every document satisfies the
+//! invariant that **`NodeId` order equals document order**, which the
+//! evaluators rely on to emit answers in document order without sorting.
 //!
-//! Buffer offsets are `u32`, capping a single parsed document at 4 GB;
-//! the parser rejects larger inputs.
+//! Buffer offsets are `u32`, capping a single document at 4 GB; the
+//! parser rejects larger inputs.
 
 use crate::label::{Label, Vocabulary};
 use std::fmt;
@@ -57,29 +58,24 @@ pub enum NodeKind {
 }
 
 /// How one text node's content is stored. The common case (an
-/// entity-free span) is inline; the rare heap-backed cases live behind
-/// one pointer so the table entry stays at 16 bytes.
+/// entity-free span) is inline; the rare dirty case lives behind one
+/// pointer so the table entry stays at 16 bytes.
 #[derive(Clone, Debug)]
 enum TextRepr {
     /// Entity-free span: the buffer bytes *are* the text (for CDATA, the
     /// inner content span).
     Span { start: u32, end: u32 },
-    /// Entity-bearing or programmatic text (see [`HeapText`]).
-    Heap(Box<HeapText>),
+    /// Everything else (see [`DirtyText`]).
+    Dirty(Box<DirtyText>),
 }
 
-/// The out-of-line text representations.
+/// A raw source region containing entities, CDATA wrappers or interior
+/// comments/PIs (merged pieces); decoded lazily, cached once.
 #[derive(Clone, Debug)]
-enum HeapText {
-    /// Raw source region containing entities, CDATA wrappers or interior
-    /// comments/PIs (merged pieces); decoded lazily, cached once.
-    Dirty {
-        start: u32,
-        end: u32,
-        cache: OnceLock<Box<str>>,
-    },
-    /// Programmatically built text (no backing buffer).
-    Owned(Box<str>),
+struct DirtyText {
+    start: u32,
+    end: u32,
+    cache: OnceLock<Box<str>>,
 }
 
 /// How one attribute value is stored.
@@ -87,7 +83,7 @@ enum HeapText {
 enum AttrValue {
     /// Entity-free span between the quotes.
     Span { start: u32, end: u32 },
-    /// Entity-containing or programmatic value, already decoded.
+    /// Entity-containing value, already decoded.
     Owned(Box<str>),
 }
 
@@ -124,7 +120,7 @@ struct Extent {
 /// [`Document::memory_summary`]). All figures in bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemorySummary {
-    /// The shared raw input buffer (0 for programmatic documents).
+    /// The shared raw buffer (for a built document, its serialization).
     pub buffer_bytes: usize,
     /// The node arena plus the parallel extent table (32 bytes per node
     /// combined: 24 hot + 8 cold).
@@ -133,8 +129,7 @@ pub struct MemorySummary {
     pub text_table_bytes: usize,
     /// The attribute tables (records, not content).
     pub attr_table_bytes: usize,
-    /// Heap bytes of owned (programmatic or entity-bearing-attribute)
-    /// strings.
+    /// Heap bytes of decoded entity-bearing attribute values.
     pub owned_bytes: usize,
     /// Heap bytes of lazily-materialized entity-decode caches.
     pub entity_cache_bytes: usize,
@@ -181,9 +176,9 @@ impl fmt::Display for MemorySummary {
 #[derive(Clone)]
 pub struct Document {
     vocab: Vocabulary,
-    /// The raw source the spans point into; `None` for programmatic
-    /// documents. Shared (not copied) across snapshots and clones.
-    buffer: Option<Arc<str>>,
+    /// The raw source the spans point into. Shared (not copied) across
+    /// snapshots and clones.
+    buffer: Arc<str>,
     nodes: Vec<NodeData>,
     /// Source extents, parallel to `nodes` (cold: only edits and
     /// `node_extent` read them).
@@ -256,32 +251,20 @@ impl Document {
         matches!(self.nodes[node.index()].kind, NodeKind::Element(_))
     }
 
-    #[inline]
-    fn buffer_str(&self) -> &str {
-        self.buffer
-            .as_deref()
-            .expect("span representation implies a backing buffer")
-    }
-
     fn resolve_text(&self, t: u32) -> &str {
         match &self.texts[t as usize] {
-            TextRepr::Span { start, end } => &self.buffer_str()[*start as usize..*end as usize],
-            TextRepr::Heap(h) => match h.as_ref() {
-                HeapText::Owned(s) => s,
-                HeapText::Dirty { start, end, cache } => cache.get_or_init(|| {
-                    crate::scanner::decode_text_region(
-                        &self.buffer_str()[*start as usize..*end as usize],
-                    )
+            TextRepr::Span { start, end } => &self.buffer[*start as usize..*end as usize],
+            TextRepr::Dirty(d) => d.cache.get_or_init(|| {
+                crate::scanner::decode_text_region(&self.buffer[d.start as usize..d.end as usize])
                     .into_boxed_str()
-                }),
-            },
+            }),
         }
     }
 
     fn resolve_attr<'a>(&'a self, a: &'a AttrValue) -> &'a str {
         match a {
             AttrValue::Owned(s) => s,
-            AttrValue::Span { start, end } => &self.buffer_str()[*start as usize..*end as usize],
+            AttrValue::Span { start, end } => &self.buffer[*start as usize..*end as usize],
         }
     }
 
@@ -497,53 +480,43 @@ impl Document {
             .filter(move |&n| self.label(n) == Some(label))
     }
 
-    /// The shared raw source buffer this document's spans point into
-    /// (`None` for programmatic documents). Cloning is an `Arc` bump:
-    /// snapshots and spliced generations share the bytes.
-    pub fn shared_buffer(&self) -> Option<Arc<str>> {
+    /// The shared raw source buffer this document's spans point into.
+    /// Cloning is an `Arc` bump: snapshots and spliced generations share
+    /// the bytes.
+    pub fn shared_buffer(&self) -> Arc<str> {
         self.buffer.clone()
     }
 
-    /// The raw source text (`None` for programmatic documents).
-    pub fn raw_source(&self) -> Option<&str> {
-        self.buffer.as_deref()
+    /// The raw source text. For a document built through
+    /// [`TreeBuilder`]'s programmatic methods it equals
+    /// [`Document::to_xml`].
+    pub fn raw_source(&self) -> &str {
+        &self.buffer
     }
 
     /// The source extent of `node` — for elements, from the `<` of the
     /// start tag to one past the `>` of the end tag (or `/>`); for text
-    /// nodes, the full raw region. `None` for programmatic documents.
-    pub fn node_extent(&self, node: NodeId) -> Option<(usize, usize)> {
-        self.buffer.as_ref()?;
+    /// nodes, the full raw region.
+    pub fn node_extent(&self, node: NodeId) -> (usize, usize) {
         let e = &self.extents[node.index()];
-        if e.end == 0 {
-            return None;
-        }
-        Some((e.start as usize, e.end as usize))
+        (e.start as usize, e.end as usize)
     }
 
     /// Byte-level memory accounting: the shared buffer, the compact span
     /// tables, and any lazily-materialized entity caches.
     pub fn memory_summary(&self) -> MemorySummary {
         let mut s = MemorySummary {
-            buffer_bytes: self.buffer.as_deref().map_or(0, str::len),
+            buffer_bytes: self.buffer.len(),
             node_table_bytes: self.nodes.capacity() * std::mem::size_of::<NodeData>()
                 + self.extents.capacity() * std::mem::size_of::<Extent>(),
             text_table_bytes: self.texts.capacity() * std::mem::size_of::<TextRepr>(),
             ..MemorySummary::default()
         };
         for t in &self.texts {
-            match t {
-                TextRepr::Span { .. } => {}
-                TextRepr::Heap(h) => {
-                    s.text_table_bytes += std::mem::size_of::<HeapText>();
-                    match h.as_ref() {
-                        HeapText::Owned(b) => s.owned_bytes += b.len(),
-                        HeapText::Dirty { cache, .. } => {
-                            if let Some(b) = cache.get() {
-                                s.entity_cache_bytes += b.len();
-                            }
-                        }
-                    }
+            if let TextRepr::Dirty(d) = t {
+                s.text_table_bytes += std::mem::size_of::<DirtyText>();
+                if let Some(b) = d.cache.get() {
+                    s.entity_cache_bytes += b.len();
                 }
             }
         }
@@ -639,10 +612,19 @@ impl Iterator for Descendants<'_> {
 /// Incrementally builds a [`Document`] in document order.
 ///
 /// The builder enforces well-formedness: exactly one root element, matched
-/// start/end calls, text only inside elements. The plain
-/// `start_element`/`text`/`attribute` methods build programmatic (owned)
-/// documents; the parser uses the `*_spanned` / `text_piece` variants
-/// against a backing buffer installed with [`TreeBuilder::with_buffer`].
+/// start/end calls, text only inside elements, attributes only in a start
+/// tag. The public `start_element` / `attribute` / `text` / `end_element`
+/// methods write the document's canonical serialization (the bytes
+/// [`crate::serialize::to_string`] produces) as they go and record spans
+/// into it, so [`TreeBuilder::finish`] returns a document whose buffer is
+/// that serialization — the same document a parse of it would give. The
+/// parser records spans into its input through the crate-internal
+/// `*_spanned` / `text_piece` methods, the one path every node takes.
+///
+/// Two rules follow from "the same document a parse would give":
+/// whitespace-only text is dropped unless more text follows in the same
+/// run (a parse drops whitespace-only character data), and adjacent
+/// `text` calls make one text node.
 ///
 /// ```
 /// use smoqe_xml::{TreeBuilder, Vocabulary};
@@ -657,28 +639,34 @@ impl Iterator for Descendants<'_> {
 /// b.end_element();
 /// let doc = b.finish().unwrap();
 /// assert_eq!(doc.node_count(), 3);
+/// assert_eq!(doc.raw_source(), "<a><b>hi</b></a>");
 /// ```
 pub struct TreeBuilder {
     doc: Document,
+    /// What the public methods have written: the serialization so far,
+    /// which `finish` installs as the buffer. Stays empty on the parse
+    /// path, whose spans point into the buffer the document already holds.
+    out: String,
+    /// Whitespace-only text not yet written: written if more text follows
+    /// in the same run, dropped if markup does.
+    held_space: String,
+    /// Whether the innermost open element's start tag still lacks its
+    /// `>`: it takes attributes, and closes as `/>` if nothing follows.
+    tag_open: bool,
     stack: Vec<u32>,
     finished_root: bool,
 }
 
 impl TreeBuilder {
-    /// Creates a builder producing a programmatic (bufferless) document
-    /// over `vocab`.
+    /// Creates a builder writing a new document over `vocab`.
     pub fn new(vocab: Vocabulary) -> Self {
-        Self::build(vocab, None)
+        Self::with_buffer(vocab, Arc::default())
     }
 
     /// Creates a builder whose span-based nodes reference `buffer`.
-    pub fn with_buffer(vocab: Vocabulary, buffer: Arc<str>) -> Self {
-        Self::build(vocab, Some(buffer))
-    }
-
-    fn build(vocab: Vocabulary, buffer: Option<Arc<str>>) -> Self {
-        TreeBuilder {
-            doc: Document {
+    pub(crate) fn with_buffer(vocab: Vocabulary, buffer: Arc<str>) -> Self {
+        Self::reopen(
+            Document {
                 vocab,
                 buffer,
                 nodes: Vec::new(),
@@ -688,15 +676,21 @@ impl TreeBuilder {
                 names: Arc::from(Vec::new()),
                 root: NIL,
             },
-            stack: Vec::new(),
-            finished_root: false,
-        }
+            Vec::new(),
+        )
     }
 
-    /// Pre-allocates space for `n` nodes.
-    pub fn reserve(&mut self, n: usize) {
-        self.doc.nodes.reserve(n);
-        self.doc.extents.reserve(n);
+    /// A builder appending spanned nodes to `doc` inside the open
+    /// elements `stack`.
+    pub(crate) fn reopen(doc: Document, stack: Vec<u32>) -> Self {
+        TreeBuilder {
+            doc,
+            out: String::new(),
+            held_space: String::new(),
+            tag_open: false,
+            stack,
+            finished_root: false,
+        }
     }
 
     fn push_node(&mut self, kind: NodeKind, span_start: u32, span_end: u32) -> u32 {
@@ -726,13 +720,39 @@ impl TreeBuilder {
         id
     }
 
+    /// The offset of the next byte written: spans are `u32`.
+    fn written(&self) -> u32 {
+        u32::try_from(self.out.len()).expect("a built document exceeds the 4 GB span-offset limit")
+    }
+
+    /// Writes the name of `label`.
+    fn write_name(&mut self, label: Label) {
+        if label.index() >= self.doc.names.len() {
+            self.doc.names = self.doc.vocab.snapshot().into();
+        }
+        self.out.push_str(&self.doc.names[label.index()]);
+    }
+
+    /// Ends the open start tag, if any, before content is written.
+    fn close_start_tag(&mut self) {
+        if std::mem::take(&mut self.tag_open) {
+            self.out.push('>');
+        }
+    }
+
     /// Opens an element with the given label.
     pub fn start_element(&mut self, label: Label) -> NodeId {
-        self.start_element_spanned(label, 0)
+        self.held_space.clear();
+        self.close_start_tag();
+        let start = self.written();
+        self.out.push('<');
+        self.write_name(label);
+        self.tag_open = true;
+        self.start_element_spanned(label, start)
     }
 
     /// Opens an element whose start tag begins at buffer offset `start`.
-    pub fn start_element_spanned(&mut self, label: Label, start: u32) -> NodeId {
+    pub(crate) fn start_element_spanned(&mut self, label: Label, start: u32) -> NodeId {
         assert!(
             !(self.stack.is_empty() && self.finished_root),
             "document may only have one root element"
@@ -753,37 +773,38 @@ impl TreeBuilder {
 
     /// [`TreeBuilder::start_element_named`] with the start tag's buffer
     /// offset.
-    pub fn start_element_named_spanned(&mut self, name: &str, start: u32) -> NodeId {
+    pub(crate) fn start_element_named_spanned(&mut self, name: &str, start: u32) -> NodeId {
         let l = self.doc.vocab.intern(name);
         self.start_element_spanned(l, start)
     }
 
-    /// Adds an attribute to the currently open element. The name is
-    /// interned; the value is stored owned (use
-    /// [`TreeBuilder::attribute_spanned`] on the parse path).
+    /// Adds an attribute to the element just opened. The name is interned.
     ///
     /// # Panics
-    /// Panics if no element is open.
+    /// Panics unless the innermost open element has no content yet.
     pub fn attribute(&mut self, name: &str, value: &str) {
-        self.push_attr(name, AttrValue::Owned(value.into()));
+        assert!(self.tag_open, "attribute outside of an open start tag");
+        self.out.push(' ');
+        self.out.push_str(name);
+        self.out.push_str("=\"");
+        let start = self.written();
+        crate::serialize::escape_attr(value, &mut self.out);
+        let end = self.written();
+        self.out.push('"');
+        // Escaping only lengthens: an unchanged length is an unchanged value.
+        let clean = (end - start) as usize == value.len();
+        self.attribute_spanned(name, value, clean.then_some((start, end)));
     }
 
     /// Adds an attribute whose entity-free value occupies
     /// `span` = `(start, end)` in the backing buffer; `None` stores the
     /// decoded value owned (entity-bearing values).
-    pub fn attribute_spanned(&mut self, name: &str, value: &str, span: Option<(u32, u32)>) {
-        let v = match span {
-            Some((start, end)) => {
-                debug_assert!(self.doc.buffer.is_some(), "span attribute without buffer");
-                AttrValue::Span { start, end }
-            }
+    pub(crate) fn attribute_spanned(&mut self, name: &str, value: &str, span: Option<(u32, u32)>) {
+        let cur = *self.stack.last().expect("attribute outside of element");
+        let value = match span {
+            Some((start, end)) => AttrValue::Span { start, end },
             None => AttrValue::Owned(value.into()),
         };
-        self.push_attr(name, v);
-    }
-
-    fn push_attr(&mut self, name: &str, value: AttrValue) {
-        let cur = *self.stack.last().expect("attribute outside of element");
         let name = self.doc.vocab.intern(name);
         self.doc
             .attrs
@@ -792,43 +813,45 @@ impl TreeBuilder {
             .push(AttrRecord { name, value });
     }
 
-    /// Appends a text node to the currently open element. Empty strings are
-    /// ignored; adjacent text is merged.
+    /// Appends text to the currently open element: a new text node, or
+    /// more of the one the previous call made. Empty strings are ignored;
+    /// whitespace-only text is held back until non-whitespace text of the
+    /// same run follows, and dropped if markup comes first.
     ///
     /// # Panics
     /// Panics if no element is open.
     pub fn text(&mut self, content: &str) {
+        let cur = *self.stack.last().expect("text outside of root element");
         if content.is_empty() {
             return;
         }
-        let cur = *self.stack.last().expect("text outside of root element");
-        // Merge with a trailing text sibling to keep the tree canonical.
         let last = self.doc.nodes[cur as usize].last_child;
-        if last != NIL {
-            if let NodeKind::Text(t) = self.doc.nodes[last as usize].kind {
-                match &mut self.doc.texts[t as usize] {
-                    TextRepr::Heap(h) => match h.as_mut() {
-                        HeapText::Owned(s) => {
-                            let mut owned = std::mem::take(s).into_string();
-                            owned.push_str(content);
-                            *s = owned.into_boxed_str();
-                        }
-                        HeapText::Dirty { .. } => {
-                            unreachable!("owned and span text building do not mix")
-                        }
-                    },
-                    TextRepr::Span { .. } => {
-                        unreachable!("owned and span text building do not mix")
-                    }
-                }
-                return;
-            }
+        let extends = last != NIL && !self.doc.is_element(NodeId(last));
+        if !extends && content.bytes().all(|b| b.is_ascii_whitespace()) {
+            self.held_space.push_str(content);
+            return;
         }
-        let t = self.doc.texts.len() as u32;
-        self.doc
-            .texts
-            .push(TextRepr::Heap(Box::new(HeapText::Owned(content.into()))));
-        self.push_node(NodeKind::Text(t), 0, 0);
+        self.close_start_tag();
+        let start = self.written();
+        let held = std::mem::take(&mut self.held_space);
+        self.out.push_str(&held);
+        crate::serialize::escape_text(content, &mut self.out);
+        let end = self.written();
+        let clean = (end - start) as usize == held.len() + content.len();
+        self.text_piece(content, start, end, clean.then_some((start, end)));
+        let NodeKind::Text(t) = self.doc.nodes[self.doc.nodes.len() - 1].kind else {
+            unreachable!("text_piece appends or extends the last node, a text node")
+        };
+        if let TextRepr::Dirty(d) = &self.doc.texts[t as usize] {
+            // Pre-fill the decode cache: the decoded text is at hand.
+            let decoded = if extends {
+                let region = &self.out[d.start as usize..d.end as usize];
+                crate::scanner::decode_text_region(region)
+            } else {
+                held + content
+            };
+            let _ = d.cache.set(decoded.into_boxed_str());
+        }
     }
 
     /// Appends one scanned text piece (see
@@ -837,8 +860,13 @@ impl TreeBuilder {
     /// equal `decoded` (entity-free). Adjacent pieces merge into one text
     /// node whose raw region covers both; merged or entity-bearing nodes
     /// decode lazily on first access.
-    pub fn text_piece(&mut self, decoded: &str, start: u32, end: u32, clean: Option<(u32, u32)>) {
-        debug_assert!(self.doc.buffer.is_some(), "text_piece without buffer");
+    pub(crate) fn text_piece(
+        &mut self,
+        decoded: &str,
+        start: u32,
+        end: u32,
+        clean: Option<(u32, u32)>,
+    ) {
         if decoded.is_empty() {
             return;
         }
@@ -846,23 +874,35 @@ impl TreeBuilder {
         let last = self.doc.nodes[cur as usize].last_child;
         if last != NIL {
             if let NodeKind::Text(t) = self.doc.nodes[last as usize].kind {
-                // Merge: the node's raw region grows to cover both pieces
-                // (its outer extent, so region decode never starts inside
-                // a CDATA wrapper); decoding becomes lazy.
-                let outer_start = self.doc.extents[last as usize].start;
-                self.doc.texts[t as usize] = TextRepr::Heap(Box::new(HeapText::Dirty {
-                    start: outer_start,
-                    end,
-                    cache: OnceLock::new(),
-                }));
-                self.doc.extents[last as usize].end = end;
+                let extent = &mut self.doc.extents[last as usize];
+                let text = &mut self.doc.texts[t as usize];
+                match text {
+                    // Clean character data continued by more of it (built
+                    // documents write a run in pieces): still one span.
+                    TextRepr::Span { end: e, .. }
+                        if *e == extent.end && clean == Some((*e, end)) =>
+                    {
+                        *e = end
+                    }
+                    // Otherwise the node's raw region grows to cover both
+                    // pieces (its outer extent, so region decode never
+                    // starts inside a CDATA wrapper); decoding becomes lazy.
+                    _ => {
+                        *text = TextRepr::Dirty(Box::new(DirtyText {
+                            start: extent.start,
+                            end,
+                            cache: OnceLock::new(),
+                        }))
+                    }
+                }
+                extent.end = end;
                 return;
             }
         }
         let t = self.doc.texts.len() as u32;
         let repr = match clean {
             Some((cs, ce)) => TextRepr::Span { start: cs, end: ce },
-            None => TextRepr::Heap(Box::new(HeapText::Dirty {
+            None => TextRepr::Dirty(Box::new(DirtyText {
                 start,
                 end,
                 cache: OnceLock::new(),
@@ -877,32 +917,33 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if no element is open.
     pub fn end_element(&mut self) {
-        self.end_element_spanned(0);
+        let id = *self
+            .stack
+            .last()
+            .expect("end_element without start_element");
+        self.held_space.clear();
+        if std::mem::take(&mut self.tag_open) {
+            self.out.push_str("/>");
+        } else {
+            let NodeKind::Element(label) = self.doc.nodes[id as usize].kind else {
+                unreachable!("only elements are open")
+            };
+            self.out.push_str("</");
+            self.write_name(label);
+            self.out.push('>');
+        }
+        let end = self.written();
+        self.end_element_spanned(end);
     }
 
     /// Closes the most recently opened element, recording one past the
     /// `>` of its end tag as the element's extent end.
-    pub fn end_element_spanned(&mut self, end: u32) {
+    pub(crate) fn end_element_spanned(&mut self, end: u32) {
         let id = self.stack.pop().expect("end_element without start_element");
         self.doc.extents[id as usize].end = end;
         if self.stack.is_empty() {
             self.finished_root = true;
         }
-    }
-
-    /// Number of currently open elements.
-    pub fn open_depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// The vocabulary the built document interns labels against.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.doc.vocab
-    }
-
-    /// The id the *next* created node will receive (document order).
-    pub fn next_node_id(&self) -> NodeId {
-        NodeId(self.doc.nodes.len() as u32)
     }
 
     /// Finishes the build, returning the document.
@@ -918,7 +959,15 @@ impl TreeBuilder {
                 "document has no root element".to_string(),
             ));
         }
-        self.doc.names = self.doc.vocab.snapshot().into();
+        if !self.out.is_empty() {
+            // Built, not parsed: the serialization is the buffer.
+            self.doc.buffer = Arc::from(self.out);
+        }
+        if self.doc.names.len() != self.doc.vocab.len() {
+            // Writing names took a snapshot; the vocabulary is append-only,
+            // so an equal length means it is still current.
+            self.doc.names = self.doc.vocab.snapshot().into();
+        }
         // Drop the doubling slack: the tables are immutable from here on
         // (edits build a fresh document), so capacity == length.
         self.doc.nodes.shrink_to_fit();
@@ -1064,13 +1113,118 @@ mod tests {
     }
 
     #[test]
-    fn programmatic_documents_have_no_buffer() {
+    fn built_documents_hold_their_serialization_and_extents() {
         let (_, doc) = sample();
-        assert!(doc.raw_source().is_none());
-        assert!(doc.node_extent(doc.root()).is_none());
+        let xml = "<a><b>one</b><c><b>two</b></c></a>";
+        assert_eq!(doc.raw_source(), xml);
+        let c = doc.last_child(doc.root()).unwrap();
+        let (cs, ce) = doc.node_extent(c);
+        assert_eq!(&xml[cs..ce], "<c><b>two</b></c>");
         let s = doc.memory_summary();
-        assert_eq!(s.buffer_bytes, 0);
-        assert!(s.owned_bytes > 0);
+        assert_eq!(s.buffer_bytes, xml.len());
+        assert_eq!(s.owned_bytes, 0);
+        crate::testing::assert_canonical(&doc, "sample");
+    }
+
+    /// Builds `<a>` with `f` filling it in.
+    fn build_in_a(f: impl FnOnce(&mut TreeBuilder)) -> Document {
+        let mut b = TreeBuilder::new(Vocabulary::new());
+        b.start_element_named("a");
+        f(&mut b);
+        b.end_element();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn adjacent_text_calls_make_one_canonical_node() {
+        for pieces in [
+            &["x", "y"][..],
+            &["x", " ", "y"],
+            &["a<", "&b", ">c"],
+            &["clean", "&dirty"],
+            &["&dirty", "clean"],
+            &["one", "two", "three"],
+        ] {
+            let doc = build_in_a(|b| pieces.iter().for_each(|p| b.text(p)));
+            assert_eq!(doc.node_count(), 2, "{pieces:?}");
+            let t = doc.first_child(doc.root()).unwrap();
+            assert_eq!(doc.text(t), Some(pieces.concat().as_str()));
+            crate::testing::assert_canonical(&doc, &format!("{pieces:?}"));
+        }
+    }
+
+    #[test]
+    fn escaped_text_and_attributes_are_canonical_and_decoded() {
+        let doc = build_in_a(|b| {
+            b.attribute("k", "say \"hi\" & <go>");
+            b.attribute("plain", "v");
+            b.text("x < y & z > w");
+            b.start_element_named("e");
+            b.attribute("q", "'");
+            b.end_element();
+            b.text("tail");
+        });
+        assert_eq!(
+            doc.raw_source(),
+            "<a k=\"say &quot;hi&quot; &amp; &lt;go>\" plain=\"v\">\
+             x &lt; y &amp; z &gt; w<e q=\"'\"/>tail</a>"
+        );
+        let t = doc.first_child(doc.root()).unwrap();
+        // Entity-bearing text is decoded as it is built, not on first use.
+        assert_eq!(
+            doc.memory_summary().entity_cache_bytes,
+            "x < y & z > w".len()
+        );
+        assert_eq!(doc.text(t), Some("x < y & z > w"));
+        assert_eq!(doc.attribute(doc.root(), "k"), Some("say \"hi\" & <go>"));
+        crate::testing::assert_canonical(&doc, "escapes");
+    }
+
+    #[test]
+    fn whitespace_only_text_is_dropped_as_a_parse_drops_it() {
+        let cases: [(&[&str], &str); 5] = [
+            (&["  "], "<a/>"),
+            (&[" ", "\n\t"], "<a/>"),
+            (&["  ", "x"], "<a>  x</a>"),
+            (&["x", "  "], "<a>x  </a>"),
+            (&["", "\n"], "<a/>"),
+        ];
+        for (pieces, xml) in cases {
+            let doc = build_in_a(|b| pieces.iter().for_each(|p| b.text(p)));
+            assert_eq!(doc.raw_source(), xml, "{pieces:?}");
+            crate::testing::assert_canonical(&doc, xml);
+        }
+        // Held-back whitespace before markup goes; after text it stays.
+        let doc = build_in_a(|b| {
+            b.text(" ");
+            b.start_element_named("b");
+            b.end_element();
+            b.text("t ");
+            b.start_element_named("c");
+            b.end_element();
+            b.text("\n");
+        });
+        assert_eq!(doc.raw_source(), "<a><b/>t <c/></a>");
+        crate::testing::assert_canonical(&doc, "around markup");
+    }
+
+    #[test]
+    #[should_panic(expected = "open start tag")]
+    fn attribute_after_content_panics() {
+        build_in_a(|b| {
+            b.text("x");
+            b.attribute("k", "v");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "open start tag")]
+    fn attribute_after_a_child_panics() {
+        build_in_a(|b| {
+            b.start_element_named("b");
+            b.end_element();
+            b.attribute("k", "v");
+        });
     }
 
     #[test]

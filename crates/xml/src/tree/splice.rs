@@ -14,6 +14,7 @@
 //! scan of the document.
 
 use super::*;
+use crate::edit::EditError;
 use crate::parse::DomSink;
 use crate::scanner::{scan, Scanner};
 use std::ops::Range;
@@ -89,13 +90,10 @@ impl TextRepr {
                 start: shift(*start, delta),
                 end: shift(*end, delta),
             },
-            TextRepr::Heap(h) => TextRepr::Heap(Box::new(match h.as_ref() {
-                HeapText::Dirty { start, end, cache } => HeapText::Dirty {
-                    start: shift(*start, delta),
-                    end: shift(*end, delta),
-                    cache: cache.clone(),
-                },
-                HeapText::Owned(s) => HeapText::Owned(s.clone()),
+            TextRepr::Dirty(d) => TextRepr::Dirty(Box::new(DirtyText {
+                start: shift(d.start, delta),
+                end: shift(d.end, delta),
+                cache: d.cache.clone(),
             })),
         }
     }
@@ -131,15 +129,18 @@ impl Document {
             .unwrap_or(0)
     }
 
-    /// The document `edit` turns this one into, or `None` when this
-    /// document has no backing buffer, the result would pass the 4 GB
-    /// span limit, or the written bytes do not scan as balanced content.
-    pub(crate) fn spliced(&self, edit: &Splice<'_>) -> Option<Document> {
-        let old_buf = self.buffer.as_deref()?;
+    /// The document `edit` turns this one into, or
+    /// [`EditError::SpanLimit`] when it would pass the 4 GB span limit.
+    ///
+    /// # Panics
+    /// Panics if the written bytes do not scan as balanced content: edits
+    /// write a well-formed document's serialization.
+    pub(crate) fn spliced(&self, edit: &Splice<'_>) -> Result<Document, EditError> {
+        let old_buf: &str = &self.buffer;
         let (lo, hi) = (edit.nodes.start as usize, edit.nodes.end as usize);
         let new_len = old_buf.len() - edit.cut.len() + edit.insert.len();
         if new_len > u32::MAX as usize {
-            return None;
+            return Err(EditError::SpanLimit);
         }
         let bytes_delta = (new_len as u32).wrapping_sub(old_buf.len() as u32);
 
@@ -181,10 +182,10 @@ impl Document {
             }
         }
         let mut sink = DomSink {
-            builder: TreeBuilder {
-                doc: Document {
+            builder: TreeBuilder::reopen(
+                Document {
                     vocab: self.vocab.clone(),
-                    buffer: Some(buffer.clone()),
+                    buffer: buffer.clone(),
                     nodes,
                     extents,
                     texts,
@@ -196,19 +197,19 @@ impl Document {
                         NIL
                     },
                 },
-                stack: edit.parent.iter().map(|p| p.0).collect(),
-                finished_root: false,
-            },
+                edit.parent.iter().map(|p| p.0).collect(),
+            ),
         };
         if !edit.scan.is_empty() {
             let mut scanner =
                 Scanner::content_range(&buffer[edit.scan.clone()], edit.scan.start as u64);
-            scan(&mut scanner, &mut sink).ok()?;
+            scan(&mut scanner, &mut sink).expect("an edit writes balanced content");
         }
         let TreeBuilder { mut doc, stack, .. } = sink.builder;
-        if stack.len() != usize::from(edit.parent.is_some()) || doc.root == NIL {
-            return None;
-        }
+        assert!(
+            stack.len() == usize::from(edit.parent.is_some()) && doc.root != NIL,
+            "an edit writes balanced content"
+        );
         let nodes_delta = (doc.nodes.len() as u32).wrapping_sub(hi as u32);
         let texts_delta = (doc.texts.len() as u32).wrapping_sub(texts_hi as u32);
 
@@ -230,12 +231,9 @@ impl Document {
             },
         }));
         doc.extents
-            .extend(self.extents[hi..].iter().map(|e| match e.end {
-                0 => *e, // no recorded extent (node built without a span)
-                _ => Extent {
-                    start: shift(e.start, bytes_delta),
-                    end: shift(e.end, bytes_delta),
-                },
+            .extend(self.extents[hi..].iter().map(|e| Extent {
+                start: shift(e.start, bytes_delta),
+                end: shift(e.end, bytes_delta),
             }));
         doc.texts.extend(
             self.texts[texts_hi..]
@@ -271,9 +269,7 @@ impl Document {
             let mut ancestor = p.0;
             while ancestor != NIL {
                 let a = ancestor as usize;
-                if doc.extents[a].end != 0 {
-                    doc.extents[a].end = shift(doc.extents[a].end, bytes_delta);
-                }
+                doc.extents[a].end = shift(doc.extents[a].end, bytes_delta);
                 let node = &mut doc.nodes[a];
                 node.next_sibling = shift_link(node.next_sibling, nodes_delta);
                 if ancestor != p.0 && node.last_child as usize >= hi {
@@ -290,6 +286,6 @@ impl Document {
         doc.nodes.shrink_to_fit();
         doc.extents.shrink_to_fit();
         doc.texts.shrink_to_fit();
-        Some(doc)
+        Ok(doc)
     }
 }

@@ -4,18 +4,19 @@
 //! attribute values are materialized lazily. These tests pin down the
 //! tricky span boundaries (entities, split CDATA, empty elements, quoted
 //! attribute values) and check — differentially, against a document
-//! rebuilt from pull events into *owned* strings (the pre-span
-//! representation) — that `string_value`, `direct_text` and `to_xml` are
-//! byte-for-byte identical on random documents.
+//! rebuilt from decoded pull events through `TreeBuilder`, which writes
+//! its own canonical bytes instead of reusing the source's — that
+//! `string_value`, `direct_text` and `to_xml` are byte-for-byte identical
+//! on random documents.
 
 use proptest::prelude::*;
 use smoqe_xml::stax::{PullParser, XmlEvent};
 use smoqe_xml::{Document, TreeBuilder, Vocabulary};
 
-/// Rebuilds `xml` into a document of **owned** strings by replaying pull
-/// events through the programmatic `TreeBuilder` path — exactly the
-/// pre-refactor string-arena representation. Node numbering matches the
-/// span-backed parse by the DOM/StAX parity invariant.
+/// Rebuilds `xml` by replaying its decoded pull events through the
+/// `TreeBuilder` methods, which re-escape every value into a buffer of
+/// their own. Node numbering matches the span-backed parse by the
+/// DOM/StAX parity invariant.
 fn owned_rebuild(xml: &str, vocab: &Vocabulary) -> Document {
     let mut b = TreeBuilder::new(vocab.clone());
     let mut p = PullParser::from_str(xml);
@@ -35,8 +36,8 @@ fn owned_rebuild(xml: &str, vocab: &Vocabulary) -> Document {
     b.finish().expect("oracle rebuild is well-formed")
 }
 
-/// Asserts the span-backed parse of `xml` agrees with the owned-string
-/// oracle on every accessor the engine uses.
+/// Asserts the span-backed parse of `xml` agrees with the rebuilt oracle
+/// on every accessor the engine uses.
 fn assert_span_parse_matches_owned(xml: &str) {
     let vocab = Vocabulary::new();
     let spanned = Document::parse_str(xml, &vocab).expect("span parse");
@@ -118,10 +119,10 @@ fn empty_elements_have_tight_extents() {
     let src = "<a><b/><c></c></a>";
     let doc = Document::parse_str(src, &vocab).unwrap();
     let b = doc.first_child(doc.root()).unwrap();
-    let (bs, be) = doc.node_extent(b).unwrap();
+    let (bs, be) = doc.node_extent(b);
     assert_eq!(&src[bs..be], "<b/>");
     let c = doc.next_sibling(b).unwrap();
-    let (cs, ce) = doc.node_extent(c).unwrap();
+    let (cs, ce) = doc.node_extent(c);
     assert_eq!(&src[cs..ce], "<c></c>");
 }
 
@@ -194,7 +195,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     /// Random documents: the span-backed parse agrees byte-for-byte with
-    /// the owned-string oracle on every accessor.
+    /// the rebuilt oracle on every accessor.
     #[test]
     fn span_parse_matches_owned_rebuild(seed in 0u64..1_000_000) {
         let xml = random_document(seed);
@@ -239,9 +240,16 @@ fn random_text(rng: &mut Rng, out: &mut String) {
 
 fn random_cdata(rng: &mut Rng, out: &mut String) {
     const BODIES: &[&str] = &["", "raw", "a < b & c", "]x", "x]", "<tag>", "  "];
+    let body = BODIES[rng.below(BODIES.len() as u64) as usize];
     out.push_str("<![CDATA[");
-    out.push_str(BODIES[rng.below(BODIES.len() as u64) as usize]);
+    out.push_str(body);
     out.push_str("]]>");
+    if !body.is_empty() && body.trim().is_empty() {
+        // Whitespace-only CDATA alone is a text node a parse keeps but no
+        // builder writes (it would serialize to whitespace a parse drops),
+        // so it is always continued by text here.
+        random_text(rng, out);
+    }
 }
 
 fn random_attrs(rng: &mut Rng, out: &mut String) {

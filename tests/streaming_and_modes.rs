@@ -48,6 +48,26 @@ fn file_backed_streaming_matches_dom() {
 }
 
 #[test]
+fn stream_engines_answer_from_the_loaded_snapshot_not_the_file() {
+    // A loaded file is read once. Overwriting it afterwards must not move
+    // a stream engine's answers away from its own snapshot (the DOM, the
+    // TAX index, the WAL and checkpoints all describe that snapshot).
+    let path = temp_dir().join("overwritten-after-load.xml");
+    std::fs::write(&path, "<a><b>x</b><b>y</b></a>").unwrap();
+    let dom = Engine::new(EngineConfig::default());
+    dom.load_document_file(&path).unwrap();
+    let stream = Engine::new(EngineConfig::streaming());
+    stream.load_document_file(&path).unwrap();
+    std::fs::write(&path, "<a><c/><c/><c/><b>z</b></a>").unwrap();
+    let a = dom.session(User::Admin).query_serialized("a/b").unwrap();
+    let b = stream.session(User::Admin).query_serialized("a/b").unwrap();
+    assert_eq!(a.nodes, b.nodes);
+    assert_eq!(a.xml, b.xml);
+    assert_eq!(a.xml.unwrap(), ["<b>x</b>", "<b>y</b>"]);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn streaming_engine_from_string_source() {
     let e = Engine::new(EngineConfig::streaming());
     e.load_dtd(org::DTD).unwrap();
