@@ -8,6 +8,7 @@
 //! cargo run --release -p smoqe-bench --bin experiments -- largedoc  # ~100 MB smoke
 //! cargo run --release -p smoqe-bench --bin experiments -- update_scaling  # write path, 1k..1M nodes
 //! cargo run --release -p smoqe-bench --bin experiments -- deny_timing     # how long a refusal takes
+//! cargo run --release -p smoqe-bench --bin experiments -- jump_vs_scan    # jump vs TAX-less scan, pooled queries
 //! ```
 //!
 //! Performance numbers come from the repository's benchmark
@@ -37,7 +38,10 @@ fn main() {
     let selected: Vec<&str> = args
         .iter()
         .map(String::as_str)
-        .filter(|a| a.starts_with('e') || ["largedoc", "update_scaling", "deny_timing"].contains(a))
+        .filter(|a| {
+            a.starts_with('e')
+                || ["largedoc", "update_scaling", "deny_timing", "jump_vs_scan"].contains(a)
+        })
         .collect();
     let run = |name: &str| selected.is_empty() || selected.contains(&name);
 
@@ -78,6 +82,93 @@ fn main() {
     if selected.contains(&"deny_timing") {
         deny_timing(quick);
     }
+    // Jump against the TAX-less scan on the unselective pool
+    // (`experiments -- jump_vs_scan [quick]`).
+    if selected.contains(&"jump_vs_scan") {
+        jump_vs_scan(quick);
+    }
+}
+
+/// What jumping buys on the benchmark's unselective pool: the six admin
+/// document queries, the six `researchers` view queries and
+/// `//visit/date`, each asked of an engine with a TAX index (which picks
+/// its mode as it always does — jump for every plan here) and of one
+/// without (which can only scan). The document is the `view_scan` body:
+/// the hospital generator at seed 2006 and depth 8, 100 000 nodes (10 000
+/// with `quick`). Prints visits, guard probes and the mean latency of each
+/// side; answers must agree.
+fn jump_vs_scan(quick: bool) {
+    println!("## jump_vs_scan  the pooled queries, TAX index (jump) vs none (scan)\n");
+    let (size, iters) = if quick { (10_000, 5) } else { (100_000, 40) };
+    let load = |tax: bool| {
+        let engine = smoqe::Engine::with_defaults();
+        let vocab = engine.vocabulary();
+        let mut config = hospital::generator_config(vocab, 2006, size);
+        config.max_depth = 8;
+        let xml = smoqe_xml::generate(&hospital::dtd(vocab), &config)
+            .unwrap()
+            .to_xml();
+        let handle = engine.open_document("pool");
+        handle.load_dtd(hospital::DTD).unwrap();
+        handle.load_document(&xml).unwrap();
+        handle
+            .register_policy(hospital::GROUP, hospital::POLICY)
+            .unwrap();
+        if tax {
+            handle.build_tax_index().unwrap();
+        }
+        (engine, handle)
+    };
+    let (_indexed_engine, indexed) = load(true);
+    let (_plain_engine, plain) = load(false);
+    let mut pool: Vec<(smoqe::User, &str)> = hospital::DOC_QUERIES
+        .iter()
+        .map(|(_, q)| (smoqe::User::Admin, *q))
+        .collect();
+    let group = smoqe::User::Group(hospital::GROUP.into());
+    pool.extend(
+        hospital::VIEW_QUERIES
+            .iter()
+            .map(|(_, q)| (group.clone(), *q)),
+    );
+    pool.push((smoqe::User::Admin, "//visit/date"));
+    let mut table = Table::new(&[
+        "who",
+        "query",
+        "answers",
+        "mode",
+        "visited",
+        "guard probes",
+        "time",
+        "scan visited",
+        "scan time",
+        "time / scan",
+    ]);
+    for (user, query) in pool {
+        let fast = indexed.session(user.clone());
+        let slow = plain.session(user.clone());
+        let a = fast.query(query).unwrap();
+        let b = slow.query(query).unwrap();
+        assert_eq!(a.nodes, b.nodes, "jump and scan disagree on `{query}`");
+        let t_fast = time_mean(iters, || fast.query(query).unwrap());
+        let t_slow = time_mean(iters, || slow.query(query).unwrap());
+        table.row(vec![
+            match user {
+                smoqe::User::Admin => "admin".to_string(),
+                smoqe::User::Group(_) => "group".to_string(),
+            },
+            query.chars().take(48).collect(),
+            a.nodes.len().to_string(),
+            format!("{:?}", a.mode),
+            a.stats.nodes_visited.to_string(),
+            a.stats.guard_probes.to_string(),
+            fmt_duration(t_fast),
+            b.stats.nodes_visited.to_string(),
+            fmt_duration(t_slow),
+            format!("{:.2}", t_fast.as_secs_f64() / t_slow.as_secs_f64()),
+        ]);
+    }
+    println!("{}", table.render());
 }
 
 /// Whether a refusal's *time* says what its bytes do not. A group's

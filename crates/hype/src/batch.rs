@@ -58,6 +58,10 @@ struct Lane<'a> {
     skip_from: Option<usize>,
     recorders: Vec<Recorder>,
     finished_xml: HashMap<u32, String>,
+    /// Bytes held in `recorders` and `finished_xml`, kept as a running
+    /// total: summing the buffers per end tag made a scan quadratic in its
+    /// answer count.
+    buffered: usize,
     peak_buffered: usize,
 }
 
@@ -69,8 +73,22 @@ impl<'a> Lane<'a> {
             skip_from: None,
             recorders: Vec::new(),
             finished_xml: HashMap::new(),
+            buffered: 0,
             peak_buffered: 0,
         }
+    }
+
+    /// Applies `write` to every open recorder, counting what it adds.
+    fn record(
+        &mut self,
+        mut write: impl FnMut(&mut Recorder) -> Result<(), XmlError>,
+    ) -> Result<(), XmlError> {
+        for r in self.recorders.iter_mut().filter(|r| !r.done) {
+            let before = r.writer.sink().len();
+            write(r)?;
+            self.buffered += r.writer.sink().len() - before;
+        }
+        Ok(())
     }
 
     fn on_start(
@@ -83,12 +101,13 @@ impl<'a> Lane<'a> {
         observer: &mut dyn EvalObserver,
     ) -> Result<(), XmlError> {
         if self.options.want_xml {
-            for r in self.recorders.iter_mut().filter(|r| !r.done) {
+            self.record(|r| {
                 r.writer.start_element(name)?;
                 for a in attributes {
                     r.writer.attribute(&a.name, &a.value)?;
                 }
-            }
+                Ok(())
+            })?;
         }
         if self.skip_from.is_some() {
             return Ok(());
@@ -102,6 +121,7 @@ impl<'a> Lane<'a> {
                 for a in attributes {
                     w.attribute(&a.name, &a.value)?;
                 }
+                self.buffered += w.sink().len();
                 self.recorders.push(Recorder {
                     node: cand,
                     depth,
@@ -118,9 +138,7 @@ impl<'a> Lane<'a> {
 
     fn on_text(&mut self, content: &str) -> Result<(), XmlError> {
         if self.options.want_xml {
-            for r in self.recorders.iter_mut().filter(|r| !r.done) {
-                r.writer.text(content)?;
-            }
+            self.record(|r| r.writer.text(content))?;
         }
         if self.skip_from.is_none() {
             self.machine.text(content);
@@ -131,16 +149,15 @@ impl<'a> Lane<'a> {
     fn on_end(&mut self, depth: usize, observer: &mut dyn EvalObserver) -> Result<(), XmlError> {
         if self.options.want_xml {
             let mut newly_done = false;
-            for r in self.recorders.iter_mut().filter(|r| !r.done) {
+            self.record(|r| {
                 r.writer.end_element()?;
                 if r.depth == depth {
                     r.done = true;
                     newly_done = true;
                 }
-            }
-            let buffered: usize = self.recorders.iter().map(|r| r.writer.sink().len()).sum();
-            let finished: usize = self.finished_xml.values().map(String::len).sum();
-            self.peak_buffered = self.peak_buffered.max(buffered + finished);
+                Ok(())
+            })?;
+            self.peak_buffered = self.peak_buffered.max(self.buffered);
             if newly_done {
                 let finished_xml = &mut self.finished_xml;
                 self.recorders.retain_mut(|r| {
@@ -396,6 +413,34 @@ mod tests {
             "<a><b><a><b><a/></b></a></b></a>",
             &["(a/b)*/a", "//a", "a/b"],
         );
+    }
+
+    #[test]
+    fn peak_buffered_bytes_match_a_brute_force_count() {
+        // Nothing a recorder buffers is released before the scan ends, so
+        // the peak is every candidate's serialized subtree — nested
+        // candidates count once per enclosing recorder. `b[c]` buffers
+        // every `b` while its guard is pending.
+        let xml = "<a><b><c/><b>x<b/></b></b><b>y</b><d><b><c>z</c></b><b/></d></a>";
+        let vocab = Vocabulary::new();
+        let doc = Document::parse_str(xml, &vocab).unwrap();
+        for (query, candidates) in [
+            ("//b", "//b"),
+            ("a/b", "a/b"),
+            ("//b/b", "//b/b"),
+            ("//b[c]", "//b"),
+            ("a/d/b[not(c)]", "a/d/b"),
+            ("zzz", "zzz"),
+        ] {
+            let out = check_batch(xml, &[query]);
+            let mfa = compile(&parse_path(candidates, &vocab).unwrap(), &vocab);
+            let brute: usize = evaluate_mfa(&doc, &mfa)
+                .0
+                .iter()
+                .map(|n| smoqe_xml::serialize::subtree_to_string(&doc, n).len())
+                .sum();
+            assert_eq!(out.outcomes[0].peak_buffered_bytes, brute, "`{query}`");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! evaluation runs at most one check interval of extra events before it
 //! abandons. Abandonment is safe by construction — evaluators only read
 //! immutable snapshots and write evaluator-local state (machine frames,
-//! candidate sets, per-driver memos), so dropping them mid-scan cannot
+//! candidate sets, per-driver ancestor paths), so dropping them mid-scan cannot
 //! corrupt anything shared; the partial [`EvalStats`] travel out in the
 //! interrupt for observability.
 

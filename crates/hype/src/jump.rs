@@ -20,10 +20,18 @@
 //!   and skips everything between.
 //! * On guarded plans, answers and guard verdicts are **re-verified
 //!   exactly** at each candidate: the guard-aware state set of a node is
-//!   reconstructed along its ancestor chain (memoized), `text()='v'`
-//!   guards compare the document text, and `HasPath` guards run a
-//!   TAX-pruned witness search over the candidate's subtree. Verification
-//!   work is counted in [`EvalStats::guard_probes`], not `nodes_visited`.
+//!   stepped and closed from its parent's, `text()='v'` guards compare the
+//!   document text, and `HasPath` guards run a TAX-pruned witness search
+//!   over the candidate's subtree (one table read per step when the
+//!   sub-NFA is guard-free). The sets kept are those of the **ancestor
+//!   path**: candidates are verified in ascending pre-order (see the last
+//!   bullet), so once a candidate lies past a node's subtree no later one
+//!   can need that node's set. The path is a stack of sets in one flat
+//!   arena — popped past each finished subtree, extended by the chain
+//!   between its top and the candidate — and a verdict lives only as long
+//!   as the closure that asked for it. Nothing in verification hashes or
+//!   allocates per node. Verification work is counted in
+//!   [`EvalStats::guard_probes`], not `nodes_visited`.
 //! * When a trigger's post-step states are reachable **only** through a
 //!   recognized value guard (`text()='v'` shapes, see
 //!   [`smoqe_automata::guards`]), the trigger is **narrowed**: instead of
@@ -44,7 +52,10 @@
 //!   discarding a candidate always advances the cursor past its whole
 //!   subtree (`subtree_end`). That ordering is the soundness argument: by
 //!   the time a candidate is reached, every ancestor between it and the
-//!   jump origin is a stutter, so the origin state applies verbatim.
+//!   jump origin is a stutter, so the origin state applies verbatim. It
+//!   holds for the serial drivers and inside every chunk of a shared
+//!   frontier ([`crate::frontier`], whose per-chunk drivers start with an
+//!   empty ancestor path), and verification asserts it in debug builds.
 //!
 //! TAX pruning applies exactly as in scan mode: a candidate whose stepped
 //! state has no label requirement satisfiable within the subtree's
@@ -69,7 +80,6 @@ use smoqe_automata::{NfaId, Pred, PredId, StateId};
 use smoqe_rxpath::NodeSet;
 use smoqe_tax::{LabelIndex, TaxIndex, ValueIndex};
 use smoqe_xml::{Document, Label, LabelSet, NodeId};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The navigation DFA of `plan`'s top NFA: the exact subset DFA when the
@@ -375,7 +385,7 @@ pub(crate) struct RegionPlan<'a> {
 
 impl<'a> RegionPlan<'a> {
     /// A fresh driver for one frontier chunk of this plan. Drivers are
-    /// thread-local (memos, budget meter and all); a plan split across
+    /// thread-local (ancestor path, budget meter and all); a plan split across
     /// chunks gets one per chunk.
     pub(crate) fn driver(&self, meter: BudgetMeter) -> Jump<'a> {
         Jump::new(
@@ -447,27 +457,24 @@ pub(crate) fn frontier_setup<'a>(
         driver.stats.subtrees_skipped_dead += 1;
         return Some(setup_done(driver));
     }
-    if !driver.satisfiable(state, tax.descendant_labels(root)) {
+    if !continues_below(tax, driver.compiled, dfa.members(state), root.0) {
         driver.stats.subtrees_pruned_tax += 1;
         return Some(setup_done(driver));
     }
-    let verified = if exact {
-        None
+    let root_accepts = if exact {
+        dfa.accept(state)
     } else {
-        let set = driver.exact_set(root.0);
-        if set.is_empty() {
-            driver.stats.subtrees_skipped_dead += 1;
-            return Some(setup_done(driver));
+        match driver.exact_set(root.0) {
+            Some(accepting) => accepting,
+            None => {
+                driver.stats.subtrees_skipped_dead += 1;
+                return Some(setup_done(driver));
+            }
         }
-        Some(set)
     };
     // Mirror `enter` on the root, without descending.
     driver.stats.nodes_visited += 1;
     driver.stats.max_depth = driver.stats.max_depth.max(li.level(root) as usize + 1);
-    let root_accepts = match &verified {
-        None => dfa.accept(state),
-        Some(set) => set.binary_search(&driver.accept).is_ok(),
-    };
     if root_accepts {
         driver.answers.push(root.0);
     }
@@ -677,6 +684,100 @@ fn in_range(list: &[u32], lo: u32, hi: u32) -> &[u32] {
     &list[a..b]
 }
 
+/// Whether some state of `states` (ε-closed, of `nfa`) has an accepting
+/// continuation that fits in the labels below `node` — the per-subtree
+/// TAX gate the scan walker's `preview` applies, for candidates and
+/// witness steps alike (checking ε-closed states is equivalent to
+/// checking the pre-closure transition targets: requirements only grow
+/// along ε-edges).
+fn continues_below(tax: &TaxIndex, nfa: &CompiledNfa, states: &[StateId], node: u32) -> bool {
+    if node == VIRTUAL_NODE {
+        return true;
+    }
+    let req = nfa.required();
+    let avail = tax.descendant_labels(NodeId(node));
+    states
+        .iter()
+        .any(|s| req[s.index()].satisfiable_within(avail))
+}
+
+/// Epoch-marked scratch for one guard-aware closure — the
+/// `ClosureBuilder` idiom of [`crate::machine`]. A `HasPath` witness
+/// search can run inside a closure and close sets of its own, so the
+/// driver keeps a pool: one scratch per nesting level, taken and returned
+/// around each closure.
+#[derive(Default)]
+struct ClosureScratch {
+    /// Epoch per NFA state: states marked with the current epoch are in
+    /// the closure (or queued for it).
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Verdicts of predicates at the closure's node, by predicate id,
+    /// valid where `verdict_mark` holds the current epoch: a guard is
+    /// probed at most once per closure.
+    verdict_mark: Vec<u32>,
+    verdict: Vec<bool>,
+    /// The closure's states, in discovery order.
+    out: Vec<StateId>,
+    /// The seed before [`Jump::close`], the work list during it.
+    work: Vec<StateId>,
+}
+
+impl ClosureScratch {
+    fn begin(&mut self, states: usize, preds: usize) {
+        if self.mark.len() < states {
+            self.mark.resize(states, 0);
+        }
+        if self.verdict_mark.len() < preds {
+            self.verdict_mark.resize(preds, 0);
+            self.verdict.resize(preds, false);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: forget every mark rather than mistake an old one.
+            self.mark.fill(0);
+            self.verdict_mark.fill(0);
+            self.epoch = 1;
+        }
+        self.out.clear();
+        self.work.clear();
+    }
+
+    /// Marks `s`, returning whether it was new to this closure.
+    fn mark(&mut self, s: StateId) -> bool {
+        let fresh = self.mark[s.index()] != self.epoch;
+        self.mark[s.index()] = self.epoch;
+        fresh
+    }
+
+    fn contains(&self, s: StateId) -> bool {
+        self.mark[s.index()] == self.epoch
+    }
+}
+
+/// One node of the ancestor path: its guard-aware state set, kept while
+/// candidates fall inside its subtree.
+struct PathEntry {
+    node: u32,
+    /// End of the node's subtree (exclusive); `u32::MAX` for the virtual
+    /// document node.
+    end: u32,
+    /// The state set, `path_sets[start..start + len]`; empty means every
+    /// run is dormant at the node.
+    start: u32,
+    len: u32,
+    /// Whether the set holds the top NFA's accept state.
+    accepting: bool,
+}
+
+impl PathEntry {
+    /// `None` when the machine is dormant at the node, else whether the
+    /// node is an answer.
+    fn verdict(&self) -> Option<bool> {
+        (self.len > 0).then_some(self.accepting)
+    }
+}
+
 pub(crate) struct Jump<'a> {
     doc: &'a Document,
     plan: &'a CompiledMfa,
@@ -692,11 +793,25 @@ pub(crate) struct Jump<'a> {
     /// The top NFA's accept state (verification checks membership).
     accept: StateId,
     infos: Vec<Option<Rc<StateInfo>>>,
-    /// Guard-aware state set per node, reconstructed along ancestor
-    /// chains. An empty set means the machine is dormant at the node.
-    exact_memo: HashMap<u32, Rc<Vec<StateId>>>,
-    /// Guard verdicts per (predicate, node).
-    pred_memo: HashMap<(PredId, u32), bool>,
+    /// The ancestor path of the latest verified candidate, outermost
+    /// (the virtual document node) first; see [`Jump::exact_set`].
+    path: Vec<PathEntry>,
+    /// The path's state sets, back to back in path order.
+    path_sets: Vec<StateId>,
+    /// Reused buffer: the nodes between the path and a new candidate.
+    chain: Vec<u32>,
+    /// The latest candidate verified (checks the ascending order the
+    /// ancestor path relies on).
+    last_verified: u32,
+    /// Pooled closure scratch, one per nesting level.
+    closures: Vec<ClosureScratch>,
+    /// Witness search stack of guarded `HasPath` sub-NFAs: `(node, start,
+    /// len)` of the node's state set in `witness_sets`. Nested searches
+    /// work above the entries of the search they run inside.
+    witness: Vec<(u32, u32, u32)>,
+    witness_sets: Vec<StateId>,
+    /// Witness search stack of guard-free sub-NFAs: `(node, DFA state)`.
+    dfa_witness: Vec<(u32, u32)>,
     /// The value index and the plan's step requirements, when some step
     /// needs text values (`None` otherwise — then no candidate is ever
     /// gated by value).
@@ -738,8 +853,14 @@ impl<'a> Jump<'a> {
             vi,
             accept: plan.mfa().nfa(top).accept(),
             infos: vec![None; dfa.state_count()],
-            exact_memo: HashMap::new(),
-            pred_memo: HashMap::new(),
+            path: Vec::new(),
+            path_sets: Vec::new(),
+            chain: Vec::new(),
+            last_verified: 0,
+            closures: Vec::new(),
+            witness: Vec::new(),
+            witness_sets: Vec::new(),
+            dfa_witness: Vec::new(),
             values,
             postings,
             answers: Vec::new(),
@@ -777,19 +898,6 @@ impl<'a> Jump<'a> {
         ));
         self.infos[state as usize] = Some(info.clone());
         info
-    }
-
-    /// Whether any accepting continuation from `state` fits in a subtree
-    /// offering `available` labels — the same per-subtree TAX gate the
-    /// scan walker's `preview` applies (checking the ε-closed subset
-    /// members is equivalent to checking the pre-closure transition
-    /// targets: requirements only grow along ε-edges).
-    fn satisfiable(&self, state: u32, available: &LabelSet) -> bool {
-        let req = self.compiled.required();
-        self.dfa
-            .members(state)
-            .iter()
-            .any(|&m| req[m.index()].satisfiable_within(available))
     }
 
     /// The posting list of value `id` of the plan's step requirements.
@@ -897,105 +1005,141 @@ impl<'a> Jump<'a> {
 
     // -- guard-aware verification ------------------------------------------
 
-    /// The exact (guard-aware) top-NFA state set at `node`, reconstructed
-    /// along the ancestor chain and memoized. Empty means every run is
-    /// dormant at the node — nothing at or below it can match.
-    fn exact_set(&mut self, node: u32) -> Rc<Vec<StateId>> {
-        if let Some(s) = self.exact_memo.get(&node) {
-            return s.clone();
-        }
-        // Walk up to the nearest memoized ancestor (or the virtual node),
-        // then fold the chain back down. Iterative: document depth may
-        // exceed the stack.
-        let mut chain: Vec<u32> = Vec::new();
-        let mut cur = node;
-        let mut set: Rc<Vec<StateId>> = loop {
-            if let Some(s) = self.exact_memo.get(&cur) {
-                break s.clone();
-            }
-            chain.push(cur);
-            if cur == VIRTUAL_NODE {
-                // Base case: guard-aware start closure at the virtual
-                // document node (matching `Machine::begin`).
-                let top = self.plan.mfa().top();
-                let start = self.plan.mfa().nfa(top).start();
-                let base = self.close_guard_aware(top, vec![start], VIRTUAL_NODE);
-                let rc = Rc::new(base);
-                self.exact_memo.insert(VIRTUAL_NODE, rc.clone());
-                chain.pop();
-                break rc;
-            }
-            cur = self
-                .doc
-                .parent(NodeId(cur))
-                .map(|p| p.0)
-                .unwrap_or(VIRTUAL_NODE);
-        };
-        for &n in chain.iter().rev() {
-            let computed = if set.is_empty() {
-                Vec::new() // dormancy is hereditary
-            } else {
-                let label = self.doc.label(NodeId(n)).expect("elements only");
-                let col = self.plan.col(label);
-                let mut seed: Vec<StateId> = set
-                    .iter()
-                    .flat_map(|&s| self.compiled.row(s, col).iter().copied())
-                    .collect();
-                seed.sort_unstable();
-                seed.dedup();
-                if seed.is_empty() {
-                    Vec::new()
-                } else {
-                    let top = self.plan.mfa().top();
-                    self.close_guard_aware(top, seed, n)
-                }
-            };
-            let rc = Rc::new(computed);
-            self.exact_memo.insert(n, rc.clone());
-            set = rc;
-        }
-        set
+    /// Takes a closure scratch from the pool, sized for this plan.
+    fn scratch(&mut self) -> ClosureScratch {
+        let mut b = self.closures.pop().unwrap_or_default();
+        b.begin(self.plan.max_states(), self.plan.mfa().pred_count());
+        b
     }
 
-    /// Guard-aware ε-closure of `seed` in `nfa_id` at `node`: guarded
-    /// edges are crossed iff their predicate holds at the node. Returns a
-    /// sorted state set.
-    fn close_guard_aware(&mut self, nfa_id: NfaId, seed: Vec<StateId>, node: u32) -> Vec<StateId> {
-        let plan: &'a CompiledMfa = self.plan;
-        let nfa = plan.mfa().nfa(nfa_id);
-        let mut seen = vec![false; nfa.state_count()];
-        let mut out = Vec::new();
-        let mut work = seed;
-        for s in &work {
-            seen[s.index()] = true;
+    /// The exact (guard-aware) top-NFA verdict at `node`: `None` when
+    /// every run is dormant there — nothing at or below it can match —
+    /// else whether `node` is an answer.
+    ///
+    /// Every driver verifies candidates in ascending pre-order, so the
+    /// sets worth keeping are those of the current candidate's ancestors:
+    /// a stack. Entries whose subtree ends at or before `node` can never
+    /// be asked for again and are popped; what remains is an ancestor
+    /// chain of `node`, and only the part of it below the path's top is
+    /// computed — each node's set from its parent's, stepped and closed.
+    fn exact_set(&mut self, node: u32) -> Option<bool> {
+        debug_assert!(
+            node >= self.last_verified,
+            "candidates must be verified in ascending pre-order ({node} after {})",
+            self.last_verified
+        );
+        self.last_verified = node;
+        if self.path.is_empty() {
+            // The virtual document node: the start state closed there,
+            // as in `Machine::begin`.
+            let top = self.plan.mfa().top();
+            let mut b = self.scratch();
+            b.work.push(self.plan.mfa().nfa(top).start());
+            self.push_path(VIRTUAL_NODE, u32::MAX, b);
         }
-        while let Some(s) = work.pop() {
-            out.push(s);
+        while let Some(entry) = self.path.last().filter(|e| e.end <= node) {
+            self.path_sets.truncate(entry.start as usize);
+            self.path.pop();
+        }
+        let top = self.path.last().expect("the virtual node is never popped");
+        if top.node == node || top.len == 0 {
+            return top.verdict(); // dormancy is hereditary
+        }
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.clear();
+        let mut cur = node;
+        while cur != top.node {
+            chain.push(cur);
+            cur = self.doc.parent(NodeId(cur)).map_or(VIRTUAL_NODE, |p| p.0);
+        }
+        for &n in chain.iter().rev() {
+            let parent = self.path.last().expect("the path holds the parent");
+            if parent.len == 0 {
+                break;
+            }
+            let set = parent.start as usize..(parent.start + parent.len) as usize;
+            let col = self
+                .plan
+                .col(self.doc.label(NodeId(n)).expect("elements only"));
+            let mut b = self.scratch();
+            for &s in &self.path_sets[set] {
+                b.work.extend_from_slice(self.compiled.row(s, col));
+            }
+            self.push_path(n, self.li.subtree_end(NodeId(n)), b);
+        }
+        self.chain = chain;
+        // `node`'s entry, or its dormant ancestor's.
+        self.path.last().expect("the path is never empty").verdict()
+    }
+
+    /// Closes the seed in `b` guard-aware at `node` and pushes the result
+    /// as the path's new top.
+    fn push_path(&mut self, node: u32, end: u32, mut b: ClosureScratch) {
+        if !b.work.is_empty() {
+            self.close(self.plan.mfa().top(), &mut b, node);
+        }
+        self.path.push(PathEntry {
+            node,
+            end,
+            start: self.path_sets.len() as u32,
+            len: b.out.len() as u32,
+            accepting: b.contains(self.accept),
+        });
+        self.path_sets.extend_from_slice(&b.out);
+        self.closures.push(b);
+    }
+
+    /// Guard-aware ε-closure in `nfa_id` at `node` of the seed in
+    /// `b.work`: guarded edges are crossed iff their predicate holds at
+    /// the node. Leaves the closure in `b.out` (and marked in `b`).
+    fn close(&mut self, nfa_id: NfaId, b: &mut ClosureScratch, node: u32) {
+        let plan: &'a CompiledMfa = self.plan;
+        let compiled = plan.nfa(nfa_id);
+        b.work.sort_unstable();
+        b.work.dedup();
+        if b.work.iter().all(|&s| !compiled.closure(s).guarded) {
+            // No guard is reachable: the precomputed closures are exact.
+            while let Some(s) = b.work.pop() {
+                for &t in &compiled.closure(s).states {
+                    if b.mark(t) {
+                        b.out.push(t);
+                    }
+                }
+            }
+            return;
+        }
+        let nfa = plan.mfa().nfa(nfa_id);
+        for i in 0..b.work.len() {
+            let s = b.work[i];
+            b.mark(s);
+        }
+        while let Some(s) = b.work.pop() {
+            b.out.push(s);
             for e in nfa.eps_edges(s) {
-                if seen[e.target.index()] {
+                if b.contains(e.target) {
                     continue;
                 }
                 let cross = match e.guard {
                     None => true,
-                    Some(g) => self.holds(g, node),
+                    Some(g) => self.holds(g, node, b),
                 };
                 if cross {
-                    seen[e.target.index()] = true;
-                    work.push(e.target);
+                    b.mark(e.target);
+                    b.work.push(e.target);
                 }
             }
         }
-        out.sort_unstable();
-        out
     }
 
-    /// Whether predicate `pred` holds at `node` (memoized). Matches the
+    /// Whether predicate `pred` holds at `node`, the node of the closure
+    /// `verdicts` belongs to (which remembers each verdict). Matches the
     /// machine's semantics exactly: `text()='v'` compares the node's
     /// direct text (the virtual node has none), `HasPath` searches the
     /// node's subtree for a witness.
-    fn holds(&mut self, pred: PredId, node: u32) -> bool {
-        if let Some(&v) = self.pred_memo.get(&(pred, node)) {
-            return v;
+    fn holds(&mut self, pred: PredId, node: u32, verdicts: &mut ClosureScratch) -> bool {
+        let i = pred.index();
+        if verdicts.verdict_mark[i] == verdicts.epoch {
+            return verdicts.verdict[i];
         }
         self.stats.guard_probes += 1;
         let plan: &'a CompiledMfa = self.plan;
@@ -1009,68 +1153,133 @@ impl<'a> Jump<'a> {
                 }
             }
             Pred::HasPath(sub) => self.has_path(*sub, node),
-            Pred::Not(p) => !self.holds(*p, node),
-            Pred::And(ps) => ps.iter().all(|&p| self.holds(p, node)),
-            Pred::Or(ps) => ps.iter().any(|&p| self.holds(p, node)),
+            Pred::Not(p) => !self.holds(*p, node, verdicts),
+            Pred::And(ps) => ps.iter().all(|&p| self.holds(p, node, verdicts)),
+            Pred::Or(ps) => ps.iter().any(|&p| self.holds(p, node, verdicts)),
         };
-        self.pred_memo.insert((pred, node), v);
+        verdicts.verdict_mark[i] = verdicts.epoch;
+        verdicts.verdict[i] = v;
         v
     }
 
+    /// Ticks the budget meter once per witness step: witness walks can
+    /// span whole hidden subtrees, so a deadline cuts them off like any
+    /// other traversal (the caller's verdict is discarded along with the
+    /// evaluation). Returns whether the budget fired.
+    fn witness_tick(&mut self) -> bool {
+        if let Some(kind) = self.meter.tick() {
+            self.interrupted = Some(kind);
+        }
+        self.interrupted.is_some()
+    }
+
     /// Whether a downward path from `origin` matches sub-NFA `sub`:
-    /// TAX-pruned subset simulation over the subtree, accepting at the
+    /// TAX-pruned depth-first search of the subtree, accepting at the
     /// origin itself for nullable paths (the machine's accept-at-spawn).
+    /// Guard-free sub-NFAs step their dense DFA, as `Machine::spawn` does.
     fn has_path(&mut self, sub: NfaId, origin: u32) -> bool {
         let plan: &'a CompiledMfa = self.plan;
+        let compiled = plan.nfa(sub);
+        if let Some(dfa) = compiled.dfa() {
+            return self.has_path_dfa(compiled, dfa, origin);
+        }
         let nfa = plan.mfa().nfa(sub);
-        let compiled_sub = plan.nfa(sub);
         let accept = nfa.accept();
-        let start_set = self.close_guard_aware(sub, vec![nfa.start()], origin);
-        if start_set.binary_search(&accept).is_ok() {
+        let mut b = self.scratch();
+        b.work.push(nfa.start());
+        self.close(sub, &mut b, origin);
+        let mut found = b.contains(accept);
+        let (stack_base, sets_base) = (self.witness.len(), self.witness_sets.len());
+        if !found && continues_below(self.tax, compiled, &b.out, origin) {
+            self.witness
+                .push((origin, sets_base as u32, b.out.len() as u32));
+            self.witness_sets.extend_from_slice(&b.out);
+        }
+        self.closures.push(b);
+        let doc = self.doc;
+        while !found && self.witness.len() > stack_base && !self.witness_tick() {
+            let (n, start, len) = self.witness.pop().expect("above the base");
+            // Everything above this entry belongs to finished subtrees.
+            self.witness_sets.truncate((start + len) as usize);
+            let set = start as usize..(start + len) as usize;
+            found = if n == VIRTUAL_NODE {
+                self.witness_child(sub, set, doc.root())
+            } else {
+                doc.child_elements(NodeId(n))
+                    .any(|c| self.witness_child(sub, set.clone(), c))
+            };
+        }
+        self.witness.truncate(stack_base);
+        self.witness_sets.truncate(sets_base);
+        found
+    }
+
+    /// One step of [`Jump::has_path`]'s search into child `c` from the
+    /// parent's set `witness_sets[set]`: whether `c` accepts; if not and
+    /// an accepting continuation fits below it, `c` is queued.
+    fn witness_child(&mut self, sub: NfaId, set: std::ops::Range<usize>, c: NodeId) -> bool {
+        let plan: &'a CompiledMfa = self.plan;
+        let compiled = plan.nfa(sub);
+        let col = plan.col(self.doc.label(c).expect("child_elements yields elements"));
+        let mut b = self.scratch();
+        for &s in &self.witness_sets[set] {
+            b.work.extend_from_slice(compiled.row(s, col));
+        }
+        let mut accepted = false;
+        if !b.work.is_empty() {
+            self.close(sub, &mut b, c.0);
+            accepted = b.contains(plan.mfa().nfa(sub).accept());
+            if !accepted && continues_below(self.tax, compiled, &b.out, c.0) {
+                let start = self.witness_sets.len() as u32;
+                self.witness.push((c.0, start, b.out.len() as u32));
+                self.witness_sets.extend_from_slice(&b.out);
+            }
+        }
+        self.closures.push(b);
+        accepted
+    }
+
+    /// [`Jump::has_path`] for a guard-free sub-NFA: one table read per
+    /// step, nothing to close and no guard to probe.
+    fn has_path_dfa(&mut self, compiled: &CompiledNfa, dfa: &DfaTable, origin: u32) -> bool {
+        let start = dfa.start();
+        if dfa.accept(start) {
             return true;
         }
-        let mut stack: Vec<(u32, Vec<StateId>)> = vec![(origin, start_set)];
-        while let Some((n, set)) = stack.pop() {
-            // Witness walks can span whole hidden subtrees; tick so a
-            // deadline cuts them off like any other traversal (the
-            // caller's verdict is discarded along with the evaluation).
-            if let Some(kind) = self.meter.tick() {
-                self.interrupted = Some(kind);
+        let (doc, plan, tax) = (self.doc, self.plan, self.tax);
+        if !continues_below(tax, compiled, dfa.members(start), origin) {
+            return false;
+        }
+        // Whether child `c` accepts from state `q`; queues it when an
+        // accepting continuation fits below it.
+        let step = |walk: &mut Vec<(u32, u32)>, q: u32, c: NodeId| {
+            let next = dfa.step(q, plan.col(doc.label(c).expect("elements only")));
+            if next == DEAD {
                 return false;
             }
-            let children: Vec<NodeId> = if n == VIRTUAL_NODE {
-                vec![self.doc.root()]
-            } else {
-                self.doc.child_elements(NodeId(n)).collect()
-            };
-            for c in children {
-                let label = self.doc.label(c).expect("child_elements yields elements");
-                let col = plan.col(label);
-                let mut seed: Vec<StateId> = set
-                    .iter()
-                    .flat_map(|&s| compiled_sub.row(s, col).iter().copied())
-                    .collect();
-                if seed.is_empty() {
-                    continue; // the run is dormant below this child
-                }
-                seed.sort_unstable();
-                seed.dedup();
-                let closed = self.close_guard_aware(sub, seed, c.0);
-                if closed.binary_search(&accept).is_ok() {
-                    return true;
-                }
-                // Descend only if an accepting continuation fits below.
-                let req = compiled_sub.required();
-                let avail = self.tax.descendant_labels(c);
-                if closed
-                    .iter()
-                    .any(|&s| req[s.index()].satisfiable_within(avail))
-                {
-                    stack.push((c.0, closed));
-                }
+            if dfa.accept(next) {
+                return true;
             }
+            if continues_below(tax, compiled, dfa.members(next), c.0) {
+                walk.push((c.0, next));
+            }
+            false
+        };
+        // No guard inside: this search never nests, so it owns the stack.
+        let mut walk = std::mem::take(&mut self.dfa_witness);
+        walk.clear();
+        walk.push((origin, start));
+        let mut found = false;
+        while !found && !walk.is_empty() && !self.witness_tick() {
+            let (n, q) = walk.pop().expect("not empty");
+            found = if n == VIRTUAL_NODE {
+                step(&mut walk, q, doc.root())
+            } else {
+                doc.child_elements(NodeId(n)).any(|c| step(&mut walk, q, c))
+            };
         }
-        false
+        self.dfa_witness = walk;
+        found
     }
 
     // -- navigation --------------------------------------------------------
@@ -1096,36 +1305,34 @@ impl<'a> Jump<'a> {
             self.stats.subtrees_skipped_dead += 1;
             return;
         }
-        if !self.satisfiable(next, self.tax.descendant_labels(id))
+        if !continues_below(self.tax, self.compiled, self.dfa.members(next), node)
             || !self.holds_wanted_values(state, col, node, self.li.subtree_end(id))
         {
             self.stats.subtrees_pruned_tax += 1;
             return;
         }
-        if self.exact {
-            self.enter(node, next, None);
+        let accepting = if self.exact {
+            self.dfa.accept(next)
         } else {
-            let set = self.exact_set(node);
-            if set.is_empty() {
-                self.stats.subtrees_skipped_dead += 1;
-                return;
+            match self.exact_set(node) {
+                Some(accepting) => accepting,
+                None => {
+                    self.stats.subtrees_skipped_dead += 1;
+                    return;
+                }
             }
-            self.enter(node, next, Some(set));
-        }
+        };
+        self.enter(node, next, accepting);
     }
 
     /// Visits `node` (stepped to live navigation state `state`), records
-    /// it if accepting — per the DFA when exact, per the verified state
+    /// it if `accepting` — per the DFA when exact, per the verified state
     /// set otherwise — and processes its subtree.
-    fn enter(&mut self, node: u32, state: u32, verified: Option<Rc<Vec<StateId>>>) {
+    fn enter(&mut self, node: u32, state: u32, accepting: bool) {
         let id = NodeId(node);
         self.stats.nodes_visited += 1;
         // The scan walker counts the virtual document frame in its depth.
         self.stats.max_depth = self.stats.max_depth.max(self.li.level(id) as usize + 1);
-        let accepting = match &verified {
-            None => self.dfa.accept(state),
-            Some(set) => set.binary_search(&self.accept).is_ok(),
-        };
         if accepting {
             self.answers.push(node);
         }

@@ -315,9 +315,9 @@ fn print_explain(
     let mfa = doc.plan(user, query)?;
     let plan = smoqe_automata::compile::CompiledMfa::compile(&mfa);
     let Ok(tree) = doc.document() else {
-        // Stream mode holds no DOM: mode is all there is to report.
+        // No document is loaded: mode is all there is to report.
         eprintln!(
-            "explain `{query}`: mode = {}; no DOM snapshot, no index statistics",
+            "explain `{query}`: mode = {}; no document loaded, no index statistics",
             mode_name(mode)
         );
         return Ok(());
@@ -427,9 +427,10 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         answer = session.query(query)?;
     }
     eprintln!(
-        "{} answer(s); visited {} nodes, |Cans| = {}, pruned {} (dead) + {} (TAX){}{}",
+        "{} answer(s); visited {} nodes, {} guard probes, |Cans| = {}, pruned {} (dead) + {} (TAX){}{}",
         answer.len(),
         answer.stats.nodes_visited,
+        answer.stats.guard_probes,
         answer.stats.cans_size,
         answer.stats.subtrees_skipped_dead,
         answer.stats.subtrees_pruned_tax,
