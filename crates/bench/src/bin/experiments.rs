@@ -9,6 +9,7 @@
 //! cargo run --release -p smoqe-bench --bin experiments -- update_scaling  # write path, 1k..1M nodes
 //! cargo run --release -p smoqe-bench --bin experiments -- deny_timing     # how long a refusal takes
 //! cargo run --release -p smoqe-bench --bin experiments -- jump_vs_scan    # jump vs TAX-less scan, pooled queries
+//! cargo run --release -p smoqe-bench --bin experiments -- stream_lanes    # the ingest_stream batch, lane by lane
 //! ```
 //!
 //! Performance numbers come from the repository's benchmark
@@ -18,11 +19,15 @@ use smoqe::workloads::hospital;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_bench::{
-    fmt_duration, splice_unique_patients, time, time_mean, HospitalSetup, OrgSetup, Table,
+    fmt_duration, splice_unique_patients, time, time_mean, CountingAlloc, HospitalSetup, OrgSetup,
+    Table,
 };
 use smoqe_hype::dom::{evaluate_mfa_plan, evaluate_mfa_with, DomOptions};
 use smoqe_hype::stream::{evaluate_stream, StreamOptions};
-use smoqe_hype::{evaluate_mfa, evaluate_mfa_twopass_report, ExecMode, NoopObserver};
+use smoqe_hype::{
+    evaluate_batch_stream_plans_budgeted, evaluate_mfa, evaluate_mfa_twopass_report, ExecMode,
+    NoopObserver, WorkBudget,
+};
 use smoqe_rewrite::{rewrite, rewrite_direct};
 use smoqe_rxpath::{evaluate as naive_evaluate, parse_path};
 use smoqe_tax::TaxIndex;
@@ -32,6 +37,10 @@ use smoqe_xml::{
     EditSpan, SplicePlace, Vocabulary,
 };
 
+// `stream_lanes` reports heap allocations per lane.
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "quick");
@@ -40,7 +49,14 @@ fn main() {
         .map(String::as_str)
         .filter(|a| {
             a.starts_with('e')
-                || ["largedoc", "update_scaling", "deny_timing", "jump_vs_scan"].contains(a)
+                || [
+                    "largedoc",
+                    "update_scaling",
+                    "deny_timing",
+                    "jump_vs_scan",
+                    "stream_lanes",
+                ]
+                .contains(a)
         })
         .collect();
     let run = |name: &str| selected.is_empty() || selected.contains(&name);
@@ -87,6 +103,135 @@ fn main() {
     if selected.contains(&"jump_vs_scan") {
         jump_vs_scan(quick);
     }
+    // What each lane of a shared StAX scan costs (`experiments --
+    // stream_lanes [quick]`).
+    if selected.contains(&"stream_lanes") {
+        stream_lanes(quick);
+    }
+}
+
+/// What each lane of the benchmark's `ingest_stream` batch costs: the
+/// eight `researchers` queries over the `ingest_stream`-shaped document
+/// (100 000 nodes, 10 000 with `quick`), each streamed alone through the
+/// shared-scan driver — visits, predicate instances, runs spawned, heap
+/// allocations and mean time — then all eight in one scan, beside a
+/// tokenize-only pass (the same driver with no lane) and the engine's own
+/// `query_batch` on a streaming engine. Answers of every lane must equal
+/// the engine's.
+fn stream_lanes(quick: bool) {
+    println!("## stream_lanes  the ingest_stream batch, lane by lane, as `researchers`\n");
+    let (size, iters) = if quick { (10_000, 5) } else { (100_000, 20) };
+    let xml = smoqe_bench::ingest_document(size);
+    let engine = smoqe::Engine::new(smoqe::EngineConfig::streaming());
+    let handle = engine.open_document("wards");
+    handle.load_dtd(hospital::DTD).unwrap();
+    handle.load_document(&xml).unwrap();
+    handle
+        .register_policy(hospital::GROUP, hospital::POLICY)
+        .unwrap();
+    let session = handle.session(smoqe::User::Group(hospital::GROUP.into()));
+    let queries = smoqe_bench::ingest_batch();
+    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let plans: Vec<CompiledMfa> = texts
+        .iter()
+        .map(|q| CompiledMfa::compile(&session.plan(q).unwrap()))
+        .collect();
+    let vocab = engine.vocabulary();
+    let scan = |lanes: &[&CompiledMfa]| {
+        let lanes: Vec<(&CompiledMfa, StreamOptions)> = lanes
+            .iter()
+            .map(|&plan| (plan, StreamOptions::default()))
+            .collect();
+        let mut observers: Vec<NoopObserver> = vec![NoopObserver; lanes.len()];
+        let mut observers: Vec<&mut dyn smoqe_hype::EvalObserver> = observers
+            .iter_mut()
+            .map(|o| o as &mut dyn smoqe_hype::EvalObserver)
+            .collect();
+        let before = smoqe_bench::allocations();
+        let out = evaluate_batch_stream_plans_budgeted(
+            xml.as_bytes(),
+            &lanes,
+            vocab,
+            &mut observers,
+            &WorkBudget::unlimited(),
+        )
+        .unwrap();
+        (out, smoqe_bench::allocations() - before)
+    };
+    let expected = session.query_batch(&texts).unwrap();
+    let mut table = Table::new(&[
+        "query",
+        "answers",
+        "visits",
+        "instances",
+        "runs",
+        "allocations",
+        "time alone",
+    ]);
+    for ((query, plan), answer) in texts.iter().zip(&plans).zip(&expected.answers) {
+        let (out, allocations) = scan(&[plan]);
+        let lane = &out.outcomes[0];
+        let ids: Vec<u32> = answer.nodes.iter().map(|n| n.0).collect();
+        assert_eq!(lane.answers, ids, "lane and engine disagree on `{query}`");
+        table.row(vec![
+            query.chars().take(56).collect(),
+            lane.answers.len().to_string(),
+            lane.stats.nodes_visited.to_string(),
+            lane.stats.pred_instances.to_string(),
+            lane.stats.runs_spawned.to_string(),
+            allocations.to_string(),
+            fmt_duration(time_mean(iters, || scan(&[plan]))),
+        ]);
+    }
+    let all: Vec<&CompiledMfa> = plans.iter().collect();
+    let (batched, batch_allocations) = scan(&all);
+    let (_, tokenize_allocations) = scan(&[]);
+    let stat = |f: fn(&smoqe_hype::EvalStats) -> usize| -> String {
+        batched
+            .outcomes
+            .iter()
+            .map(|o| f(&o.stats))
+            .sum::<usize>()
+            .to_string()
+    };
+    table.row(vec![
+        format!("all {} in one scan", plans.len()),
+        stat(|s| s.answers),
+        stat(|s| s.nodes_visited),
+        stat(|s| s.pred_instances),
+        stat(|s| s.runs_spawned),
+        batch_allocations.to_string(),
+        fmt_duration(time_mean(iters, || scan(&all))),
+    ]);
+    table.row(vec![
+        "tokenize only (no lane)".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        tokenize_allocations.to_string(),
+        fmt_duration(time_mean(iters, || scan(&[]))),
+    ]);
+    table.row(vec![
+        "engine query_batch".into(),
+        expected
+            .answers
+            .iter()
+            .map(|a| a.len())
+            .sum::<usize>()
+            .to_string(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        fmt_duration(time_mean(iters, || session.query_batch(&texts).unwrap())),
+    ]);
+    println!(
+        "document: {} bytes, {} parser events per scan\n",
+        xml.len(),
+        batched.events
+    );
+    println!("{}", table.render());
 }
 
 /// What jumping buys on the benchmark's unselective pool: the six admin

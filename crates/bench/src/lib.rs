@@ -8,7 +8,113 @@
 use smoqe::workloads::{hospital, org};
 use smoqe_view::{derive, AccessPolicy, ViewSpec};
 use smoqe_xml::{Document, Dtd, Vocabulary};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
+
+/// A global allocator that counts, per thread, the allocations and
+/// reallocations it serves. Install it with `#[global_allocator]` in a
+/// binary and read [`allocations`] before and after the work measured.
+pub struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counter is a const-initialized thread-local `Cell`,
+// which itself never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Allocations (and reallocations) the calling thread has made so far
+/// through [`CountingAlloc`]; always 0 where it is not the global
+/// allocator.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// The `ingest_stream` batch of the repository's benchmark: the six
+/// `researchers` view queries and two point shapes on the unique
+/// medications of [`ingest_document`], all asked as `researchers`.
+pub fn ingest_batch() -> Vec<String> {
+    let mut queries: Vec<String> = hospital::VIEW_QUERIES
+        .iter()
+        .map(|(_, q)| q.to_string())
+        .collect();
+    queries.push(format!(
+        "hospital/patient/treatment[medication = '{}']",
+        unique_medication(0)
+    ));
+    queries.push(format!(
+        "hospital/patient[treatment/medication = '{}']/treatment",
+        unique_medication(1)
+    ));
+    queries
+}
+
+fn unique_medication(i: usize) -> String {
+    format!("M{i:02}")
+}
+
+/// The shape of the `ingest_stream` document: the hospital generator at
+/// seed 2006 and depth 8, about `nodes` nodes, with eight top-level
+/// patients spliced in at evenly spaced boundaries, each carrying an
+/// autism medication (so policy S0 shows it) and a medication literal no
+/// other patient has ([`ingest_batch`]'s point queries find them).
+pub fn ingest_document(nodes: usize) -> String {
+    const UNIQUES: usize = 8;
+    let vocab = Vocabulary::new();
+    let mut config = hospital::generator_config(&vocab, 2006, nodes);
+    config.max_depth = 8;
+    let base = smoqe_xml::generate(&hospital::dtd(&vocab), &config)
+        .expect("hospital DTD generates")
+        .to_xml();
+    let mut slots: Vec<usize> = base
+        .match_indices("</patient><patient>")
+        .map(|(at, _)| at + "</patient>".len())
+        .collect();
+    slots.push(base.rfind("</hospital>").expect("hospital root element"));
+    let mut out = String::with_capacity(base.len() + UNIQUES * 256);
+    let mut copied = 0;
+    for i in 0..UNIQUES {
+        let at = slots[i * slots.len() / UNIQUES];
+        out.push_str(&base[copied..at]);
+        copied = at;
+        out.push_str(&format!(
+            "<patient><pname>U{i:02}</pname>\
+             <visit><treatment><medication>autism</medication></treatment><date>2006-01-11</date></visit>\
+             <visit><treatment><medication>{}</medication></treatment><date>2006-02-07</date></visit>\
+             </patient>",
+            unique_medication(i)
+        ));
+    }
+    out.push_str(&base[copied..]);
+    out
+}
 
 /// A fully prepared hospital scenario at a given document size.
 pub struct HospitalSetup {

@@ -114,11 +114,10 @@ pub struct Answer {
     /// picked the jump scan or the tree walk for this query (see
     /// [`JUMP_SELECTIVITY`]).
     pub mode: ExecMode,
-    /// Serialized answer subtrees, safe for the asking principal: always
-    /// present from a stream engine and from the `*_serialized` /
-    /// [`Session::query_xml`] fronts, `None` from a DOM engine's plain
-    /// `query` / `query_batch` (render on demand with
-    /// [`Answer::serialize_with`]).
+    /// Serialized answer subtrees, safe for the asking principal: present
+    /// from the `*_serialized` / [`Session::query_xml`] fronts, `None`
+    /// from a plain `query` / `query_batch` on either engine mode (render
+    /// on demand with [`Answer::serialize_with`]).
     pub xml: Option<Vec<String>>,
 }
 
@@ -159,9 +158,12 @@ impl Answer {
 /// * **Stream engine — one shared scan:** every plan rides **one**
 ///   sequential parse of the document. `events` is the total parser event
 ///   count of that scan — the same count a *single* streamed query
-///   reports, which is the proof the pass was shared — and every answer
-///   carries its serialized XML: raw source subtrees for admin sessions,
-///   the access-controlled view rendering for group sessions.
+///   reports, which is the proof the pass was shared.
+///
+/// On either mode an answer carries its serialized XML only when the
+/// caller asked for it ([`Session::query_batch_serialized`]): raw source
+/// subtrees for admin sessions, the access-controlled view rendering for
+/// group sessions.
 #[derive(Debug)]
 pub struct BatchAnswer {
     /// One answer per query, in input order.
@@ -1070,10 +1072,10 @@ impl Engine {
 
     /// The one query pipeline: takes the entry's **one** source snapshot
     /// (document + TAX index travel together inside the `LoadedSource`),
-    /// evaluates every plan against it under `budget`, and — when
-    /// `serialize` is set, and always on a stream engine — renders each
-    /// answer's XML from that same snapshot, safely for the plan's
-    /// principal (raw subtrees for admins, the view image for groups).
+    /// evaluates every plan against it under `budget`, and — only when
+    /// `serialize` is set — renders each answer's XML from that same
+    /// snapshot, safely for the plan's principal (raw subtrees for
+    /// admins, the view image for groups).
     /// Node ids are only meaningful relative to the snapshot they were
     /// computed on, so nothing downstream may take another one.
     ///
@@ -1208,15 +1210,15 @@ impl Engine {
                 answers
             }
             DocumentMode::Stream => {
-                // Only admin lanes buffer subtree XML during the scan;
-                // group answers are rendered through their view from the
-                // snapshot's DOM below (the raw buffered subtrees would
-                // leak hidden descendants and be discarded anyway). Node
-                // ids are mode-independent by the parity invariant.
+                // When XML is asked for, admin lanes buffer it during the
+                // scan; group answers are rendered through their view from
+                // the snapshot's DOM below (the raw buffered subtrees
+                // would leak hidden descendants and be discarded anyway).
+                // Node ids are mode-independent by the parity invariant.
                 let lanes: Vec<(&CompiledMfa, StreamOptions)> = plans
                     .iter()
                     .map(|(user, plan, _)| {
-                        let want_xml = matches!(user, User::Admin);
+                        let want_xml = serialize && matches!(user, User::Admin);
                         (plan.as_ref(), StreamOptions { want_xml })
                     })
                     .collect();
@@ -1252,7 +1254,7 @@ impl Engine {
                     .collect()
             }
         };
-        if serialize || self.config.mode == DocumentMode::Stream {
+        if serialize {
             for ((user, _, _), answer) in plans.iter().zip(&mut answers) {
                 if answer.xml.is_none() {
                     answer.xml = Some(render_xml(entry, user, &source, &answer.nodes)?);
@@ -1593,7 +1595,7 @@ mod tests {
                 .unwrap();
             let b = stream
                 .session(User::Group("researchers".into()))
-                .query(q)
+                .query_serialized(q)
                 .unwrap();
             assert_eq!(a.nodes, b.nodes, "query {q}");
             assert!(b.xml.is_some());
@@ -1797,7 +1799,9 @@ mod tests {
         engine.load_document(org::SAMPLE_DOCUMENT).unwrap();
         engine.register_policy("staff", org::POLICY).unwrap();
         let session = engine.session(User::Group("staff".into()));
-        let batch = session.query_batch(&["//review", "//ename"]).unwrap();
+        let batch = session
+            .query_batch_serialized(&["//review", "//ename"])
+            .unwrap();
         let reviews = batch.answers[0].xml.as_ref().unwrap();
         assert_eq!(reviews.len(), 2);
         for xml in reviews {
@@ -2037,7 +2041,7 @@ mod tests {
             .unwrap();
         // Streaming needs a raw source: the update must have regenerated it.
         let admin = engine.session(User::Admin);
-        let answer = admin.query("//patient").unwrap();
+        let answer = admin.query_serialized("//patient").unwrap();
         assert_eq!(answer.len(), 3); // Ann, Pat (nested), Bob
         assert!(answer.xml.is_some(), "stream mode serializes answers");
     }

@@ -278,6 +278,10 @@ pub fn evaluate_batch_stream_plans_budgeted<R: BufRead>(
         .map(|&(plan, options)| Lane::new(plan, options))
         .collect();
     let mut parser = PullParser::new(reader);
+    // The labels of the names this scan has met: interning takes the
+    // vocabulary's lock, which concurrent scans would contend on once per
+    // start tag; the scan takes it once per distinct name instead.
+    let mut labels: HashMap<Box<str>, Label> = HashMap::new();
     for (lane, obs) in lanes.iter_mut().zip(observers.iter_mut()) {
         lane.machine.begin(&mut **obs);
     }
@@ -310,11 +314,17 @@ pub fn evaluate_batch_stream_plans_budgeted<R: BufRead>(
                 let node = next_id;
                 next_id += 1;
                 depth += 1;
-                // Interning takes a shared lock on the vocabulary; inside
-                // a subtree every lane is skipping, no automaton needs the
-                // label, so keep the skip path lock-free.
+                // Inside a subtree every lane is skipping, no automaton
+                // needs the label.
                 let label = if lanes.iter().any(|l| l.skip_from.is_none()) {
-                    Some(vocab.intern(name))
+                    Some(match labels.get(name) {
+                        Some(&label) => label,
+                        None => {
+                            let label = vocab.intern(name);
+                            labels.insert(name.into(), label);
+                            label
+                        }
+                    })
                 } else {
                     None
                 };

@@ -34,28 +34,31 @@ pub enum Tag {
     Formula(FId),
 }
 
-/// One term of a conjunction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum FTerm {
+/// One term of a formula node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum FTerm {
     /// Truth of a predicate instance.
     Inst(InstId),
     /// Truth of another formula node.
     Sub(FId),
 }
 
-/// A formula node.
-#[derive(Clone, Debug)]
-pub enum FNode {
-    /// Conjunction of terms.
-    And(Vec<FTerm>),
-    /// Disjunction of sub-formulas.
-    Or(Vec<FId>),
+/// A formula node: the conjunction (`all`) or disjunction of `len`
+/// consecutive terms starting at `start` in the arena's flat term list.
+#[derive(Clone, Copy, Debug)]
+struct FNode {
+    all: bool,
+    start: u32,
+    len: u32,
 }
 
-/// Arena of formula nodes built during one evaluation.
+/// Arena of formula nodes built during one evaluation: nodes and their
+/// terms live in two flat vectors, so a formula costs no allocation of
+/// its own.
 #[derive(Default, Debug)]
 pub struct FormulaArena {
     nodes: Vec<FNode>,
+    terms: Vec<FTerm>,
 }
 
 impl FormulaArena {
@@ -75,28 +78,33 @@ impl FormulaArena {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, node: FNode) -> FId {
-        self.nodes.push(node);
-        FId((self.nodes.len() - 1) as u32)
+    /// Appends a node over `terms`.
+    fn push(&mut self, all: bool, terms: impl IntoIterator<Item = FTerm>) -> Tag {
+        let start = self.terms.len();
+        self.terms.extend(terms);
+        self.nodes.push(FNode {
+            all,
+            start: start as u32,
+            len: (self.terms.len() - start) as u32,
+        });
+        Tag::Formula(FId((self.nodes.len() - 1) as u32))
     }
 
     /// Conjunction of a base tag with one pending instance.
     pub fn and_inst(&mut self, base: Tag, inst: InstId) -> Tag {
         match base {
-            Tag::True => Tag::Formula(self.push(FNode::And(vec![FTerm::Inst(inst)]))),
-            Tag::Formula(f) => {
-                Tag::Formula(self.push(FNode::And(vec![FTerm::Sub(f), FTerm::Inst(inst)])))
-            }
+            Tag::True => self.push(true, [FTerm::Inst(inst)]),
+            Tag::Formula(f) => self.push(true, [FTerm::Sub(f), FTerm::Inst(inst)]),
         }
     }
 
     /// Disjunction of an already-sorted, deduplicated id slice (`None` =
     /// empty disjunction = false, which callers treat as "no tag").
     pub fn or_sorted(&mut self, parts: &[FId]) -> Option<Tag> {
-        match parts.len() {
-            0 => None,
-            1 => Some(Tag::Formula(parts[0])),
-            _ => Some(Tag::Formula(self.push(FNode::Or(parts.to_vec())))),
+        match parts {
+            [] => None,
+            [only] => Some(Tag::Formula(*only)),
+            _ => Some(self.push(false, parts.iter().map(|&f| FTerm::Sub(f)))),
         }
     }
 
@@ -110,46 +118,25 @@ impl FormulaArena {
         }
     }
 
+    /// Three-valued conjunction or disjunction: a false term decides a
+    /// conjunction, a true one a disjunction; an unknown term leaves the
+    /// node unknown unless another decides it.
     fn eval_node(&self, f: FId, truths: &[Option<bool>]) -> Option<bool> {
-        match &self.nodes[f.0 as usize] {
-            FNode::And(terms) => {
-                let mut all_known = true;
-                for t in terms {
-                    match self.eval_term(*t, truths) {
-                        Some(false) => return Some(false),
-                        Some(true) => {}
-                        None => all_known = false,
-                    }
-                }
-                if all_known {
-                    Some(true)
-                } else {
-                    None
-                }
-            }
-            FNode::Or(subs) => {
-                let mut all_known = true;
-                for s in subs {
-                    match self.eval_node(*s, truths) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => all_known = false,
-                    }
-                }
-                if all_known {
-                    Some(false)
-                } else {
-                    None
-                }
+        let node = self.nodes[f.0 as usize];
+        let terms = &self.terms[node.start as usize..(node.start + node.len) as usize];
+        let mut all_known = true;
+        for &t in terms {
+            let value = match t {
+                FTerm::Inst(i) => truths[i],
+                FTerm::Sub(sub) => self.eval_node(sub, truths),
+            };
+            match value {
+                Some(v) if v != node.all => return Some(v),
+                Some(_) => {}
+                None => all_known = false,
             }
         }
-    }
-
-    fn eval_term(&self, t: FTerm, truths: &[Option<bool>]) -> Option<bool> {
-        match t {
-            FTerm::Inst(i) => truths[i],
-            FTerm::Sub(f) => self.eval_node(f, truths),
-        }
+        all_known.then_some(node.all)
     }
 }
 

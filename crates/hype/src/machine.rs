@@ -7,8 +7,8 @@
 //! `Cans` then selects the answer. The same core drives both the DOM
 //! walker and the StAX stream evaluator — the only differences are how
 //! `text() = 'c'` tests are resolved (eagerly via the tree vs. by
-//! accumulation) and whether subtrees can be skipped (random access vs.
-//! sequential scan).
+//! matching text as it arrives) and whether subtrees can be skipped
+//! (random access vs. sequential scan).
 //!
 //! ## Execution
 //!
@@ -19,7 +19,23 @@
 //! rows instead of scanning transition lists, the per-node predicate
 //! spawn cache is an epoch-marked array (no hashing), and the guard-aware
 //! closure uses a dense epoch-marked builder. Nothing in the per-event
-//! path touches a `HashMap` or allocates beyond pooled scratch.
+//! path touches a `HashMap` or allocates beyond pooled scratch, guarded
+//! plans included:
+//!
+//! * validity formulas live in one flat arena (nodes plus a term list);
+//! * a predicate run's slot and stacks are recycled once the node that
+//!   spawned it closes, and state sets and frames come from pools;
+//! * a streamed `text()='c'` instance is a byte offset into the plan's
+//!   own literal, advanced as text arrives;
+//! * `and`/`or` instances and `HasPath` accept lists are ranges and
+//!   chains in flat vectors.
+//!
+//! What still grows with a pass, by doubling, is what HyPE must keep until
+//! the final Cans pass: one entry per predicate instance (its kind and
+//! its truth), the formulas and accept links that refer to instances,
+//! `Cans` and the answers. The stream test
+//! `crates/bench/tests/stream_allocations.rs` holds a lane to under one
+//! allocation per 50 visited nodes.
 //!
 //! [`ExecMode`] names the *driver* strategy on top of this one machine —
 //! walk the tree ([`ExecMode::Compiled`]) or hop between candidate
@@ -40,10 +56,11 @@
 //!   `True` and allocate nothing.
 //! * A **predicate instance** is a predicate pinned to the node where a
 //!   guarded ε-edge was traversed. `HasPath` instances own a run;
-//!   `text()='c'` instances either resolve eagerly (DOM) or accumulate
-//!   text (StAX); `not/and/or` combine sub-instances. Every instance
-//!   resolves no later than when the traversal leaves its origin node, so
-//!   the final Cans pass sees only resolved instances.
+//!   `text()='c'` instances either resolve eagerly (DOM) or match the
+//!   arriving text against the literal (StAX); `not/and/or` combine
+//!   sub-instances. Every instance resolves no later than when the
+//!   traversal leaves its origin node, so the final Cans pass sees only
+//!   resolved instances.
 
 use crate::cans::{Cans, FId, FormulaArena, InstId, Tag};
 use crate::observer::EvalObserver;
@@ -96,34 +113,36 @@ enum InstRef {
     Pending(InstId),
 }
 
+/// End of a `HasPath` instance's accept chain.
+const NO_ACCEPT: u32 = u32::MAX;
+
 #[derive(Debug)]
-enum InstKind {
+enum InstKind<'a> {
     TextEq {
-        /// Accumulated text, capped at `target.len() + 1` bytes.
-        buf: String,
-        target: String,
+        /// The plan's own literal.
+        literal: &'a [u8],
+        /// Bytes of `literal` the text seen so far matched; `None` once
+        /// the text diverged from it or ran past its end.
+        matched: Option<usize>,
         /// Frame depth of the origin element: only its *direct* text
         /// counts (`text() = 'c'` compares direct text content).
         depth: usize,
     },
     HasPath {
-        /// Validity tags of accept events collected by the run.
-        accepts: Vec<Tag>,
+        /// Head of the chain in [`Machine::accepts`] of validity tags the
+        /// run accepted under ([`NO_ACCEPT`] when empty).
+        accepts: u32,
     },
     Not {
         sub: InstId,
     },
-    And {
-        subs: Vec<InstId>,
+    /// Conjunction (`all`) or disjunction of the `len` pending
+    /// sub-instances at `start` in [`Machine::inst_subs`].
+    Junction {
+        all: bool,
+        start: u32,
+        len: u32,
     },
-    Or {
-        subs: Vec<InstId>,
-    },
-}
-
-#[derive(Debug)]
-struct Instance {
-    kind: InstKind,
 }
 
 type RunId = usize;
@@ -132,37 +151,26 @@ type RunId = usize;
 /// sets are small).
 type ActiveSet = Vec<(StateId, Tag)>;
 
-/// Per-run stack of active levels: dense DFA states for guard-free NFAs,
-/// tagged state sets otherwise.
-#[derive(Debug)]
-enum RunStack {
-    Dfa(Vec<u32>),
-    Sets(Vec<ActiveSet>),
-}
-
-impl RunStack {
-    fn clear(&mut self) {
-        match self {
-            RunStack::Dfa(v) => v.clear(),
-            RunStack::Sets(v) => v.clear(),
-        }
-    }
-}
-
+/// A run slot. Slots of predicate runs are recycled once the node that
+/// spawned them closes, stacks and all, so a pass allocates run stacks
+/// only up to the number of runs alive at once.
 #[derive(Debug)]
 struct Run {
     nfa: NfaId,
     /// Owning instance; `None` for the top (selection) run.
     inst: Option<InstId>,
     dead: bool,
-    stack: RunStack,
+    /// One dense state per open level when the NFA runs as a DFA.
+    dfa: Vec<u32>,
+    /// One tagged state set per open level otherwise.
+    sets: Vec<ActiveSet>,
 }
 
 struct Frame {
     node: u32,
     /// Runs whose stacks we pushed at this level (popped symmetric).
     stepped: Vec<RunId>,
-    /// Runs spawned at this node (finalized when it closes).
+    /// Runs spawned at this node (freed when it closes).
     spawned_runs: Vec<RunId>,
     /// Instances spawned at this node (resolved when it closes).
     opened: Vec<InstId>,
@@ -246,8 +254,20 @@ pub struct Machine<'a> {
     set_pool: Vec<ActiveSet>,
     seed_buf: Vec<(StateId, Tag)>,
     runs: Vec<Run>,
-    insts: Vec<Instance>,
+    /// Run slots whose spawn node has closed, ready for reuse.
+    free_runs: Vec<RunId>,
+    insts: Vec<InstKind<'a>>,
     truths: Vec<Option<bool>>,
+    /// `(tag, next)` links of every `HasPath` instance's accept chain.
+    accepts: Vec<(Tag, u32)>,
+    /// Sub-instance lists of every [`InstKind::Junction`], back to back.
+    inst_subs: Vec<InstId>,
+    /// Scratch: pending parts of the junctions being spawned (nested
+    /// spawns stack their parts above their parent's).
+    junction_parts: Vec<InstId>,
+    /// Scratch for [`Machine::resolve_opened`]'s fixpoint.
+    pending: Vec<InstId>,
+    unresolved: Vec<InstId>,
     arena: FormulaArena,
     cans: Cans,
     immediate: Vec<u32>,
@@ -282,8 +302,8 @@ pub struct Machine<'a> {
 
 impl<'a> Machine<'a> {
     /// Creates a machine for `plan`. `text_resolver` enables eager
-    /// `text()='c'` resolution (DOM mode); without it, text is
-    /// accumulated from `text` events (StAX mode).
+    /// `text()='c'` resolution (DOM mode); without it, `text` events are
+    /// matched against the literal as they arrive (StAX mode).
     pub fn new(plan: &'a CompiledMfa, text_resolver: Option<&'a TextResolver<'a>>) -> Self {
         let pred_count = plan.mfa().pred_count();
         let simple_dfa = if pred_count == 0 {
@@ -304,8 +324,14 @@ impl<'a> Machine<'a> {
             set_pool: Vec::new(),
             seed_buf: Vec::new(),
             runs: Vec::new(),
+            free_runs: Vec::new(),
             insts: Vec::new(),
             truths: Vec::new(),
+            accepts: Vec::new(),
+            inst_subs: Vec::new(),
+            junction_parts: Vec::new(),
+            pending: Vec::new(),
+            unresolved: Vec::new(),
             arena: FormulaArena::new(),
             cans: Cans::new(),
             immediate: Vec::new(),
@@ -324,7 +350,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Whether any `text()='c'` instance is still accumulating (stream
+    /// Whether any `text()='c'` instance is still awaiting text (stream
     /// drivers must keep feeding text while this holds).
     pub fn has_open_texteq(&self) -> bool {
         !self.open_texteq.is_empty()
@@ -338,12 +364,6 @@ impl<'a> Machine<'a> {
     /// Mutable access to the statistics (drivers add prune counters).
     pub fn stats_mut(&mut self) -> &mut EvalStats {
         &mut self.stats
-    }
-
-    /// Whether `nfa` executes as a dense-table DFA in this machine.
-    #[inline]
-    fn dfa_kind(&self, nfa: NfaId) -> bool {
-        self.plan.nfa(nfa).dfa().is_some()
     }
 
     /// Starts a fresh per-node spawn-cache window.
@@ -392,6 +412,59 @@ impl<'a> Machine<'a> {
         self.set_pool.pop().unwrap_or_default()
     }
 
+    /// A run slot for `nfa`, recycled when one is free. Its stacks are
+    /// empty.
+    fn new_run(&mut self, nfa: NfaId, inst: Option<InstId>) -> RunId {
+        match self.free_runs.pop() {
+            Some(r) => {
+                let run = &mut self.runs[r];
+                run.nfa = nfa;
+                run.inst = inst;
+                run.dead = false;
+                r
+            }
+            None => {
+                self.runs.push(Run {
+                    nfa,
+                    inst,
+                    dead: false,
+                    dfa: Vec::new(),
+                    sets: Vec::new(),
+                });
+                self.runs.len() - 1
+            }
+        }
+    }
+
+    /// Kills run `r` and returns its slot (and its sets) for reuse. Only
+    /// called when the run's spawn node closes: every frame that could
+    /// still name it has closed before.
+    fn free_run(&mut self, r: RunId) {
+        let run = &mut self.runs[r];
+        run.dead = true;
+        run.dfa.clear();
+        for mut set in run.sets.drain(..) {
+            set.clear();
+            self.set_pool.push(set);
+        }
+        self.free_runs.push(r);
+    }
+
+    /// Extends the top frame's live list with the runs spawned at its
+    /// node that are still alive, and reports whether anything is live.
+    fn finish_frame(&mut self) -> bool {
+        let runs = &self.runs;
+        let frame = self.frames.last_mut().expect("a frame is open");
+        frame.live.extend(
+            frame
+                .spawned_runs
+                .iter()
+                .copied()
+                .filter(|&r| !runs[r].dead),
+        );
+        !frame.live.is_empty()
+    }
+
     /// Starts the traversal: pushes the virtual document frame and seeds
     /// the selection run.
     pub fn begin(&mut self, observer: &mut dyn EvalObserver) {
@@ -414,46 +487,23 @@ impl<'a> Machine<'a> {
         self.frames.push(frame);
         let top = self.mfa.top();
         self.reset_spawn_cache();
-        if self.dfa_kind(top) {
-            // An accept at the virtual node would select the document
-            // node, which is not an element answer — dropped, matching
-            // the reference evaluator.
-            let start = self.plan.nfa(top).dfa().expect("dfa kind").start();
-            self.runs.push(Run {
-                nfa: top,
-                inst: None,
-                dead: false,
-                stack: RunStack::Dfa(vec![start]),
-            });
-            let frame = self.frames.last_mut().expect("virtual frame");
-            frame.live = vec![0];
+        let run = self.new_run(top, None);
+        self.frames
+            .last_mut()
+            .expect("virtual frame")
+            .live
+            .push(run);
+        // An accept at the virtual node would select the document node,
+        // which is not an element answer — dropped, matching the
+        // reference evaluator.
+        if let Some(dfa) = self.plan.nfa(top).dfa() {
+            self.runs[run].dfa.push(dfa.start());
             return;
         }
-        self.runs.push(Run {
-            nfa: top,
-            inst: None,
-            dead: false,
-            stack: RunStack::Sets(Vec::new()),
-        });
-        let mut new_runs = Vec::new();
         let start = self.mfa.nfa(top).start();
-        let set = self.closure(
-            top,
-            &[(start, Tag::True)],
-            VIRTUAL_NODE,
-            &mut new_runs,
-            observer,
-        );
-        // Top-run accepts at the virtual node are dropped (see above).
-        match &mut self.runs[0].stack {
-            RunStack::Sets(stack) => stack.push(set),
-            RunStack::Dfa(_) => unreachable!("top run built as Sets"),
-        }
-        let mut live = vec![0];
-        live.extend(new_runs.iter().copied().filter(|&r| !self.runs[r].dead));
-        let frame = self.frames.last_mut().expect("virtual frame");
-        frame.spawned_runs = new_runs;
-        frame.live = live;
+        let set = self.closure(top, &[(start, Tag::True)], VIRTUAL_NODE, observer);
+        self.runs[run].sets.push(set);
+        self.finish_frame();
     }
 
     /// Pre-enter check: can any live run make progress in a subtree whose
@@ -501,10 +551,9 @@ impl<'a> Machine<'a> {
             }
             let compiled = plan.nfa(run.nfa);
             let req = compiled.required();
-            match &run.stack {
-                RunStack::Dfa(stack) => {
-                    let cur = *stack.last().expect("live dfa run has a state");
-                    let dfa = compiled.dfa().expect("dfa-kind run");
+            match compiled.dfa() {
+                Some(dfa) => {
+                    let cur = *run.dfa.last().expect("live dfa run has a state");
                     let next = dfa.step(cur, col);
                     if next == DEAD {
                         continue;
@@ -526,8 +575,8 @@ impl<'a> Machine<'a> {
                         }
                     }
                 }
-                RunStack::Sets(stack) => {
-                    let Some(top) = stack.last() else {
+                None => {
+                    let Some(top) = run.sets.last() else {
                         continue;
                     };
                     for &(s, _) in top {
@@ -577,53 +626,42 @@ impl<'a> Machine<'a> {
             std::mem::take(&mut self.frames.last_mut().expect("enter before begin").live);
         let frame = self.take_frame(node);
         self.frames.push(frame);
-        let mut new_runs = Vec::new();
         for &r in &parent_live {
             if self.runs[r].dead {
                 continue;
             }
             let nfa_id = self.runs[r].nfa;
-            match &self.runs[r].stack {
-                RunStack::Dfa(stack) => {
-                    // Dense fast path: one table read steps the whole
-                    // (ε-closed) state set.
-                    let cur = *stack.last().expect("live dfa run has a state");
-                    let dfa = plan.nfa(nfa_id).dfa().expect("dfa-kind run");
-                    let next = dfa.step(cur, col);
-                    if next == DEAD {
-                        continue; // dormant below this node
-                    }
-                    if dfa.accept(next) {
-                        self.accept_true(r, node, observer);
-                    }
-                    match &mut self.runs[r].stack {
-                        RunStack::Dfa(stack) => stack.push(next),
-                        RunStack::Sets(_) => unreachable!("run kind is fixed"),
+            let compiled = plan.nfa(nfa_id);
+            if let Some(dfa) = compiled.dfa() {
+                // Dense fast path: one table read steps the whole
+                // (ε-closed) state set.
+                let cur = *self.runs[r].dfa.last().expect("live dfa run has a state");
+                let next = dfa.step(cur, col);
+                if next == DEAD {
+                    continue; // dormant below this node
+                }
+                if dfa.accept(next) {
+                    self.accept_true(r, node, observer);
+                }
+                self.runs[r].dfa.push(next);
+            } else {
+                // Step on the label through the precomputed rows.
+                let top = self.runs[r].sets.last().expect("live run has a set");
+                let mut seed = std::mem::take(&mut self.seed_buf);
+                seed.clear();
+                for &(s, tag) in top {
+                    for &t in compiled.row(s, col) {
+                        seed.push((t, tag));
                     }
                 }
-                RunStack::Sets(stack) => {
-                    // Step on the label through the precomputed rows.
-                    let top = stack.last().expect("live run has a set");
-                    let mut seed = std::mem::take(&mut self.seed_buf);
-                    seed.clear();
-                    let compiled = plan.nfa(nfa_id);
-                    for &(s, tag) in top {
-                        for &t in compiled.row(s, col) {
-                            seed.push((t, tag));
-                        }
-                    }
-                    if seed.is_empty() {
-                        self.seed_buf = seed;
-                        continue; // dormant below this node
-                    }
-                    let set = self.closure(nfa_id, &seed, node, &mut new_runs, observer);
+                if seed.is_empty() {
                     self.seed_buf = seed;
-                    self.process_accept(r, &set, node, observer);
-                    match &mut self.runs[r].stack {
-                        RunStack::Sets(stack) => stack.push(set),
-                        RunStack::Dfa(_) => unreachable!("run kind is fixed"),
-                    }
+                    continue; // dormant below this node
                 }
+                let set = self.closure(nfa_id, &seed, node, observer);
+                self.seed_buf = seed;
+                self.process_accept(r, &set, node, observer);
+                self.runs[r].sets.push(set);
             }
             let frame = self.frames.last_mut().expect("frame just pushed");
             frame.stepped.push(r);
@@ -634,15 +672,7 @@ impl<'a> Machine<'a> {
         // Restore the parent's live list.
         let depth_frames = self.frames.len();
         self.frames[depth_frames - 2].live = parent_live;
-        let live_new: Vec<RunId> = new_runs
-            .iter()
-            .copied()
-            .filter(|&r| !self.runs[r].dead)
-            .collect();
-        let frame = self.frames.last_mut().expect("frame just pushed");
-        frame.spawned_runs = new_runs;
-        frame.live.extend(live_new);
-        !frame.live.is_empty()
+        self.finish_frame()
     }
 
     /// The lean `enter`: one table read, no frames, no run lists. Only
@@ -741,8 +771,9 @@ impl<'a> Machine<'a> {
                         self.runs[r].dead = true;
                     }
                     Tag::Formula(_) => {
-                        if let InstKind::HasPath { accepts } = &mut self.insts[inst].kind {
-                            accepts.push(tag);
+                        if let InstKind::HasPath { accepts } = &mut self.insts[inst] {
+                            self.accepts.push((tag, *accepts));
+                            *accepts = (self.accepts.len() - 1) as u32;
                         }
                     }
                 }
@@ -751,35 +782,28 @@ impl<'a> Machine<'a> {
     }
 
     /// Feeds character data (stream mode; DOM drivers may skip text nodes
-    /// entirely since `text()='c'` resolves eagerly there).
+    /// entirely since `text()='c'` resolves eagerly there). Each open
+    /// `text()='c'` instance of the current element matches `content`
+    /// against the rest of its literal in place: text split into several
+    /// events, at any byte, matches exactly when its concatenation does.
     pub fn text(&mut self, content: &str) {
-        if self.open_texteq.is_empty() {
-            return;
-        }
         let here = self.frames.len();
-        // Iterate by index: resolution never happens here, only appends.
-        for idx in 0..self.open_texteq.len() {
-            let inst = self.open_texteq[idx];
-            if let InstKind::TextEq { buf, target, depth } = &mut self.insts[inst].kind {
+        let content = content.as_bytes();
+        for &inst in &self.open_texteq {
+            if let InstKind::TextEq {
+                literal,
+                matched,
+                depth,
+            } = &mut self.insts[inst]
+            {
                 if *depth != here {
                     continue; // not direct text of the origin element
                 }
-                let cap = target.len() + 1;
-                if buf.len() < cap {
-                    let room = cap - buf.len();
-                    let take = content
-                        .char_indices()
-                        .map(|(i, c)| i + c.len_utf8())
-                        .take_while(|&end| end <= room)
-                        .last()
-                        .unwrap_or(0);
-                    buf.push_str(&content[..take]);
-                    if take < content.len() && buf.len() < cap {
-                        // Remaining content overflows the cap: mark by
-                        // exceeding the target length with a placeholder.
-                        buf.push('\u{0}');
-                    }
-                }
+                *matched = matched.and_then(|m| {
+                    literal[m..]
+                        .starts_with(content)
+                        .then_some(m + content.len())
+                });
             }
         }
     }
@@ -795,23 +819,17 @@ impl<'a> Machine<'a> {
             observer.leave_node(frame.node);
         }
         for &r in &frame.stepped {
-            match &mut self.runs[r].stack {
-                RunStack::Dfa(stack) => {
-                    stack.pop();
-                }
-                RunStack::Sets(stack) => {
-                    if let Some(set) = stack.pop() {
-                        let mut set = set;
-                        set.clear();
-                        self.set_pool.push(set);
-                    }
-                }
+            // A run uses exactly one of its two stacks; the other is empty.
+            let run = &mut self.runs[r];
+            run.dfa.pop();
+            if let Some(mut set) = run.sets.pop() {
+                set.clear();
+                self.set_pool.push(set);
             }
         }
         self.resolve_opened(&frame.opened, observer);
         for &r in &frame.spawned_runs {
-            self.runs[r].stack.clear();
-            self.runs[r].dead = true;
+            self.free_run(r);
         }
         self.recycle_frame(frame);
     }
@@ -820,78 +838,71 @@ impl<'a> Machine<'a> {
     /// all within the now-closed subtree, so a fixpoint over the opened
     /// list terminates.
     fn resolve_opened(&mut self, opened: &[InstId], observer: &mut dyn EvalObserver) {
-        let mut pending: Vec<InstId> = opened
-            .iter()
-            .copied()
-            .filter(|&i| self.truths[i].is_none())
-            .collect();
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut unresolved = std::mem::take(&mut self.unresolved);
+        pending.clear();
+        pending.extend(opened.iter().copied().filter(|&i| self.truths[i].is_none()));
         while !pending.is_empty() {
             let mut progressed = false;
-            let mut still: Vec<InstId> = Vec::new();
+            unresolved.clear();
             for &i in &pending {
                 if self.truths[i].is_some() {
                     progressed = true;
                     continue;
                 }
-                let value = match &self.insts[i].kind {
-                    InstKind::TextEq { buf, target, .. } => Some(buf == target),
-                    InstKind::HasPath { accepts } => {
-                        let mut verdict = Some(false);
-                        for &tag in accepts {
-                            match self.arena.eval(tag, &self.truths) {
-                                Some(true) => {
-                                    verdict = Some(true);
-                                    break;
-                                }
-                                Some(false) => {}
-                                None => verdict = None,
-                            }
-                        }
-                        verdict
-                    }
-                    InstKind::Not { sub } => self.truths[*sub].map(|b| !b),
-                    InstKind::And { subs } => {
-                        let mut verdict = Some(true);
-                        for &s in subs {
-                            match self.truths[s] {
-                                Some(false) => {
-                                    verdict = Some(false);
-                                    break;
-                                }
-                                Some(true) => {}
-                                None => verdict = None,
-                            }
-                        }
-                        verdict
-                    }
-                    InstKind::Or { subs } => {
-                        let mut verdict = Some(false);
-                        for &s in subs {
-                            match self.truths[s] {
-                                Some(true) => {
-                                    verdict = Some(true);
-                                    break;
-                                }
-                                Some(false) => {}
-                                None => verdict = None,
-                            }
-                        }
-                        verdict
-                    }
-                };
-                match value {
+                match self.verdict(i) {
                     Some(v) => {
                         self.resolve_instance(i, v, observer);
                         progressed = true;
                     }
-                    None => still.push(i),
+                    None => unresolved.push(i),
                 }
             }
             assert!(
-                progressed || still.is_empty(),
+                progressed || unresolved.is_empty(),
                 "instance dependency cycle (evaluator bug)"
             );
-            pending = still;
+            std::mem::swap(&mut pending, &mut unresolved);
+        }
+        self.pending = pending;
+        self.unresolved = unresolved;
+    }
+
+    /// The truth of instance `i` from what has resolved so far (`None`
+    /// while it depends on an unresolved instance).
+    fn verdict(&self, i: InstId) -> Option<bool> {
+        match self.insts[i] {
+            InstKind::TextEq {
+                literal, matched, ..
+            } => Some(matched == Some(literal.len())),
+            InstKind::HasPath { accepts } => {
+                let mut verdict = Some(false);
+                let mut at = accepts;
+                while at != NO_ACCEPT {
+                    let (tag, next) = self.accepts[at as usize];
+                    match self.arena.eval(tag, &self.truths) {
+                        Some(true) => return Some(true),
+                        Some(false) => {}
+                        None => verdict = None,
+                    }
+                    at = next;
+                }
+                verdict
+            }
+            InstKind::Not { sub } => self.truths[sub].map(|b| !b),
+            InstKind::Junction { all, start, len } => {
+                let mut verdict = Some(all);
+                for &s in &self.inst_subs[start as usize..(start + len) as usize] {
+                    match self.truths[s] {
+                        // A false part decides a conjunction, a true
+                        // part a disjunction.
+                        Some(v) if v != all => return Some(v),
+                        Some(_) => {}
+                        None => verdict = None,
+                    }
+                }
+                verdict
+            }
         }
     }
 
@@ -901,7 +912,7 @@ impl<'a> Machine<'a> {
         }
         self.truths[inst] = Some(value);
         observer.instance_resolved(inst, value);
-        if matches!(self.insts[inst].kind, InstKind::TextEq { .. }) {
+        if matches!(self.insts[inst], InstKind::TextEq { .. }) {
             if let Some(pos) = self.open_texteq.iter().position(|&x| x == inst) {
                 self.open_texteq.swap_remove(pos);
             }
@@ -924,7 +935,7 @@ impl<'a> Machine<'a> {
         assert!(self.frames.is_empty(), "unbalanced enter/leave");
         self.stats.cans_size = self.cans.len();
         self.stats.formula_nodes = self.arena.len();
-        let mut answers = self.immediate.clone();
+        let mut answers = std::mem::take(&mut self.immediate);
         for c in self.cans.iter() {
             let kept = self
                 .arena
@@ -944,14 +955,13 @@ impl<'a> Machine<'a> {
     // -- closure with guard pickup -----------------------------------------
 
     /// Guard-aware ε-closure of `seed` at `node`. Spawns predicate
-    /// instances for guards it crosses; newly created `HasPath` runs are
-    /// appended to `new_runs`.
+    /// instances for guards it crosses; newly created `HasPath` runs join
+    /// the top frame's `spawned_runs`.
     fn closure(
         &mut self,
         nfa_id: NfaId,
         seed: &[(StateId, Tag)],
         node: u32,
-        new_runs: &mut Vec<RunId>,
         observer: &mut dyn EvalObserver,
     ) -> ActiveSet {
         // Fast path: all-True seeds whose closures cross no guard edge.
@@ -977,7 +987,7 @@ impl<'a> Machine<'a> {
             out.sort_unstable_by_key(|&(s, _)| s);
             return out;
         }
-        self.closure_slow(nfa_id, seed, node, new_runs, observer)
+        self.closure_slow(nfa_id, seed, node, observer)
     }
 
     /// Guarded slow path: dense epoch-marked builder, no hashing.
@@ -986,7 +996,6 @@ impl<'a> Machine<'a> {
         nfa_id: NfaId,
         seed: &[(StateId, Tag)],
         node: u32,
-        new_runs: &mut Vec<RunId>,
         observer: &mut dyn EvalObserver,
     ) -> ActiveSet {
         let mfa: &'a Mfa = self.mfa;
@@ -1010,7 +1019,7 @@ impl<'a> Machine<'a> {
             for e in nfa.eps_edges(s) {
                 let tag = match e.guard {
                     None => cur,
-                    Some(g) => match self.spawn(g, node, new_runs, observer) {
+                    Some(g) => match self.spawn(g, node, observer) {
                         InstRef::Resolved(true) => cur,
                         InstRef::Resolved(false) => continue,
                         InstRef::Pending(i) => self.arena.and_inst(cur, i),
@@ -1039,27 +1048,22 @@ impl<'a> Machine<'a> {
     }
 
     /// Instantiates predicate `pred` at `node` (cached per node).
-    fn spawn(
-        &mut self,
-        pred: PredId,
-        node: u32,
-        new_runs: &mut Vec<RunId>,
-        observer: &mut dyn EvalObserver,
-    ) -> InstRef {
+    fn spawn(&mut self, pred: PredId, node: u32, observer: &mut dyn EvalObserver) -> InstRef {
         if let Some(r) = self.spawn_lookup(pred) {
             return r;
         }
-        let result = match self.mfa.pred(pred) {
+        let mfa: &'a Mfa = self.mfa;
+        let result = match mfa.pred(pred) {
             Pred::True => InstRef::Resolved(true),
-            Pred::TextEq(target) => {
+            Pred::TextEq(literal) => {
                 if let Some(resolver) = self.text_resolver {
-                    InstRef::Resolved(resolver(node).as_ref() == target.as_str())
+                    InstRef::Resolved(resolver(node).as_ref() == literal.as_str())
                 } else {
                     let depth = self.frames.len();
                     let i = self.new_instance(
                         InstKind::TextEq {
-                            buf: String::new(),
-                            target: target.clone(),
+                            literal: literal.as_bytes(),
+                            matched: Some(0),
                             depth,
                         },
                         node,
@@ -1071,50 +1075,30 @@ impl<'a> Machine<'a> {
             }
             Pred::HasPath(sub_nfa) => {
                 let sub_nfa = *sub_nfa;
-                let i = self.new_instance(
-                    InstKind::HasPath {
-                        accepts: Vec::new(),
-                    },
-                    node,
-                    observer,
-                );
-                let run_id = self.runs.len();
+                let i = self.new_instance(InstKind::HasPath { accepts: NO_ACCEPT }, node, observer);
                 self.stats.runs_spawned += 1;
                 // Cache before the recursive closure so diamond-shaped
                 // sharing reuses the same instance.
                 self.spawn_store(pred, InstRef::Pending(i));
-                if self.dfa_kind(sub_nfa) {
-                    let plan = self.plan;
-                    let dfa = plan.nfa(sub_nfa).dfa().expect("dfa kind");
+                let run_id = self.new_run(sub_nfa, Some(i));
+                if let Some(dfa) = self.plan.nfa(sub_nfa).dfa() {
                     let start = dfa.start();
-                    let accepting = dfa.accept(start);
-                    self.runs.push(Run {
-                        nfa: sub_nfa,
-                        inst: Some(i),
-                        dead: false,
-                        stack: RunStack::Dfa(vec![start]),
-                    });
-                    if accepting {
+                    self.runs[run_id].dfa.push(start);
+                    if dfa.accept(start) {
                         // Accept at the spawn node resolves on the spot.
                         self.accept_true(run_id, node, observer);
                     }
                 } else {
-                    self.runs.push(Run {
-                        nfa: sub_nfa,
-                        inst: Some(i),
-                        dead: false,
-                        stack: RunStack::Sets(Vec::new()),
-                    });
-                    let start = self.mfa.nfa(sub_nfa).start();
-                    let set =
-                        self.closure(sub_nfa, &[(start, Tag::True)], node, new_runs, observer);
+                    let start = mfa.nfa(sub_nfa).start();
+                    let set = self.closure(sub_nfa, &[(start, Tag::True)], node, observer);
                     self.process_accept(run_id, &set, node, observer);
-                    match &mut self.runs[run_id].stack {
-                        RunStack::Sets(stack) => stack.push(set),
-                        RunStack::Dfa(_) => unreachable!("run kind is fixed"),
-                    }
+                    self.runs[run_id].sets.push(set);
                 }
-                new_runs.push(run_id);
+                self.frames
+                    .last_mut()
+                    .expect("spawn inside a frame")
+                    .spawned_runs
+                    .push(run_id);
                 if let Some(v) = self.truths[i] {
                     // Accept with a constant-true tag resolved it on the
                     // spot.
@@ -1124,78 +1108,69 @@ impl<'a> Machine<'a> {
                 }
                 return InstRef::Pending(i);
             }
-            Pred::Not(sub) => {
-                let sub = *sub;
-                match self.spawn(sub, node, new_runs, observer) {
-                    InstRef::Resolved(b) => InstRef::Resolved(!b),
-                    InstRef::Pending(si) => InstRef::Pending(self.new_instance(
-                        InstKind::Not { sub: si },
-                        node,
-                        observer,
-                    )),
+            Pred::Not(sub) => match self.spawn(*sub, node, observer) {
+                InstRef::Resolved(b) => InstRef::Resolved(!b),
+                InstRef::Pending(si) => {
+                    InstRef::Pending(self.new_instance(InstKind::Not { sub: si }, node, observer))
                 }
-            }
-            Pred::And(subs) => {
-                let subs = subs.clone();
-                let mut pending = Vec::new();
-                let mut value = Some(true);
-                for s in subs {
-                    match self.spawn(s, node, new_runs, observer) {
-                        InstRef::Resolved(false) => {
-                            value = Some(false);
-                            break;
-                        }
-                        InstRef::Resolved(true) => {}
-                        InstRef::Pending(i) => pending.push(i),
-                    }
-                }
-                match (value, pending.is_empty()) {
-                    (Some(false), _) => InstRef::Resolved(false),
-                    (_, true) => InstRef::Resolved(true),
-                    _ => InstRef::Pending(self.new_instance(
-                        InstKind::And { subs: pending },
-                        node,
-                        observer,
-                    )),
-                }
-            }
-            Pred::Or(subs) => {
-                let subs = subs.clone();
-                let mut pending = Vec::new();
-                let mut value = Some(false);
-                for s in subs {
-                    match self.spawn(s, node, new_runs, observer) {
-                        InstRef::Resolved(true) => {
-                            value = Some(true);
-                            break;
-                        }
-                        InstRef::Resolved(false) => {}
-                        InstRef::Pending(i) => pending.push(i),
-                    }
-                }
-                match (value, pending.is_empty()) {
-                    (Some(true), _) => InstRef::Resolved(true),
-                    (_, true) => InstRef::Resolved(false),
-                    _ => InstRef::Pending(self.new_instance(
-                        InstKind::Or { subs: pending },
-                        node,
-                        observer,
-                    )),
-                }
-            }
+            },
+            Pred::And(parts) => self.spawn_junction(true, parts, node, observer),
+            Pred::Or(parts) => self.spawn_junction(false, parts, node, observer),
         };
         self.spawn_store(pred, result);
         result
     }
 
+    /// Instantiates the conjunction (`all`) or disjunction of `parts` at
+    /// `node`: decided on the spot when a part resolves to the deciding
+    /// value or none stays pending, else an instance over the pending
+    /// parts.
+    fn spawn_junction(
+        &mut self,
+        all: bool,
+        parts: &[PredId],
+        node: u32,
+        observer: &mut dyn EvalObserver,
+    ) -> InstRef {
+        let base = self.junction_parts.len();
+        let mut decided = None;
+        for &part in parts {
+            match self.spawn(part, node, observer) {
+                InstRef::Resolved(v) if v != all => {
+                    decided = Some(v);
+                    break;
+                }
+                InstRef::Resolved(_) => {}
+                InstRef::Pending(i) => self.junction_parts.push(i),
+            }
+        }
+        let result = match decided {
+            Some(v) => InstRef::Resolved(v),
+            None if self.junction_parts.len() == base => InstRef::Resolved(all),
+            None => {
+                let start = self.inst_subs.len() as u32;
+                self.inst_subs
+                    .extend_from_slice(&self.junction_parts[base..]);
+                let len = self.inst_subs.len() as u32 - start;
+                InstRef::Pending(self.new_instance(
+                    InstKind::Junction { all, start, len },
+                    node,
+                    observer,
+                ))
+            }
+        };
+        self.junction_parts.truncate(base);
+        result
+    }
+
     fn new_instance(
         &mut self,
-        kind: InstKind,
+        kind: InstKind<'a>,
         node: u32,
         observer: &mut dyn EvalObserver,
     ) -> InstId {
         let id = self.insts.len();
-        self.insts.push(Instance { kind });
+        self.insts.push(kind);
         self.truths.push(None);
         self.stats.pred_instances += 1;
         observer.instance_spawned(id, node);

@@ -9,8 +9,9 @@
 //!   parsed [`smoqe_xml::Document`]'s numbering (adjacent text events are
 //!   coalesced into one id, exactly like the parse merges them), so
 //!   stream answers are directly comparable to DOM answers;
-//! * `text()='c'` predicates accumulate character data until their origin
-//!   element closes;
+//! * `text()='c'` predicates match the origin element's direct character
+//!   data against the literal as it arrives, and resolve when the element
+//!   closes;
 //! * subtrees whose runs all died are skipped *logically* (the events are
 //!   still read — it is a sequential scan — but no automaton work is
 //!   done);

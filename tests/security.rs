@@ -66,7 +66,7 @@ fn stream_mode_answers_are_also_filtered() {
     e.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
     e.register_policy("g", hospital::POLICY).unwrap();
     let session = e.session(User::Group("g".into()));
-    let ans = session.query("hospital/patient").unwrap();
+    let ans = session.query_serialized("hospital/patient").unwrap();
     for xml in ans.xml.unwrap() {
         assert!(!xml.contains("pname"), "stream leaked pname: {xml}");
         assert!(!xml.contains("date"), "stream leaked date: {xml}");

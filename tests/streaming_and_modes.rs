@@ -74,7 +74,7 @@ fn streaming_engine_from_string_source() {
     e.load_document(org::SAMPLE_DOCUMENT).unwrap();
     e.register_policy("staff", org::POLICY).unwrap();
     let s = e.session(User::Group("staff".into()));
-    let reviews = s.query("//review").unwrap();
+    let reviews = s.query_serialized("//review").unwrap();
     // Only public reviews are visible (2 of 3 in the sample).
     assert_eq!(reviews.len(), 2);
     for xml in reviews.xml.unwrap() {
