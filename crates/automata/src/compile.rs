@@ -30,12 +30,15 @@
 //!
 //! Predicates (`cans` spawning semantics) are untouched: guarded ε-edges
 //! stay on the NFA side and are only crossed by the evaluator's guard-aware
-//! closure.
+//! closure. Which of them are child chains
+//! ([`crate::guards::ChildChain`]) is classified once per plan, on first
+//! use ([`CompiledMfa::chains`]), like the jump-scan step values.
 
 use crate::analysis::{
     eps_closure_unguarded, required_labels, required_values, value_ids, Requirement,
 };
-use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, StateId};
+use crate::guards::{classify_chain, ChildChain};
+use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, PredId, StateId};
 use smoqe_xml::Label;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,6 +205,9 @@ pub struct CompiledMfa {
     /// The [`StepValues`] of the top NFA's DFA, computed on first use:
     /// only jump-scan evaluation over a value index reads them.
     step_values: OnceLock<Option<StepValues>>,
+    /// The [`ChildChain`] shape of each predicate, by predicate id,
+    /// classified on first use: only jump-scan verification reads them.
+    chains: OnceLock<Box<[Option<ChildChain>]>>,
 }
 
 impl CompiledMfa {
@@ -257,6 +263,7 @@ impl CompiledMfa {
             nfas,
             max_states,
             step_values: OnceLock::new(),
+            chains: OnceLock::new(),
         }
     }
 
@@ -316,6 +323,18 @@ impl CompiledMfa {
         self.step_values
             .get_or_init(|| StepValues::of(self))
             .as_ref()
+    }
+
+    /// The [`ChildChain`] shape of every predicate, indexed by
+    /// [`PredId`] (`None` for predicates of any other shape), classified
+    /// once per plan on first use — an evaluation pays one lookup per
+    /// guard.
+    pub fn chains(&self) -> &[Option<ChildChain>] {
+        self.chains.get_or_init(|| {
+            (0..self.mfa.pred_count())
+                .map(|i| classify_chain(&self.mfa, PredId(i as u32)))
+                .collect()
+        })
     }
 
     /// How many of the plan's NFAs run as dense-table DFAs (the rest keep
@@ -725,6 +744,43 @@ mod tests {
         let any_guarded =
             (0..compiled.state_count()).any(|i| compiled.closure(StateId(i as u32)).guarded);
         assert!(any_guarded, "the qualifier guard must be visible");
+    }
+
+    #[test]
+    fn chains_are_classified_once_per_plan_by_predicate() {
+        let (vocab, plan) = plan_for("a[b/c = 'v' and not(d)]/e[(b)*/c or *//c or b[c]/d or b]");
+        let l = |n: &str| vocab.lookup(n).unwrap();
+        let chains = plan.chains();
+        assert_eq!(chains.len(), plan.mfa().pred_count());
+        let mut found: Vec<&ChildChain> = chains.iter().flatten().collect();
+        found.sort_by_key(|c| c.labels.len());
+        // `d`, `b` (one-step) and `b/c = 'v'`; the star, the descendant
+        // step and the nested guard (`b[c]/d`) are not chains — but `c`,
+        // inside the nested guard, is.
+        let want = [
+            ChildChain {
+                labels: vec![l("d")],
+                value: None,
+            },
+            ChildChain {
+                labels: vec![l("c")],
+                value: None,
+            },
+            ChildChain {
+                labels: vec![l("b")],
+                value: None,
+            },
+            ChildChain {
+                labels: vec![l("b"), l("c")],
+                value: Some("v".into()),
+            },
+        ];
+        for chain in &want {
+            assert!(found.contains(&chain), "{chain:?} missing from {found:?}");
+        }
+        assert_eq!(found.len(), want.len(), "{found:?}");
+        // The same slice on every call: classified once.
+        assert!(std::ptr::eq(chains, plan.chains()));
     }
 
     #[test]

@@ -1,23 +1,43 @@
-//! Value-guard classification for jump-scan trigger narrowing.
+//! Guard classification for jump-scan evaluation.
 //!
-//! Jump-scan evaluation wants to know when a guarded ε-edge's predicate
-//! pins a node's *text value*: those guards translate into posting-list
-//! lookups on the (label, value) index instead of subtree walks. Two shapes
-//! cover the canonical forms `build.rs` emits:
+//! Jump-scan evaluation wants to know two things about a guarded ε-edge's
+//! predicate: whether it is a **child chain** — a witness path of plain
+//! child steps, answerable from the positional index without a witness
+//! search — and whether it pins a node's *text value*, so trigger lists
+//! can narrow to (label, value) posting lists. Both come from one matcher
+//! over the canonical forms `build.rs` emits:
 //!
+//! * `[l1/…/lk]` and `[l1/…/lk = 'v']` compile to a [`Pred::HasPath`]
+//!   whose sub-NFA is one line `start --l1--> … --lk--> mid
+//!   (--ε[TextEq(v)]-->) accept`, possibly with unguarded ε-edges in
+//!   between: a [`ChildChain`] ([`classify_chain`]).
 //! * `[. = 'v']` / `[text() = 'v']` compiles to a bare [`Pred::TextEq`] —
-//!   the guarded node itself must carry the text ([`ValueGuard::SelfText`]).
-//! * `[b = 'v']` compiles to a [`Pred::HasPath`] whose sub-NFA is exactly
-//!   `start --Label(b)--> mid --ε[TextEq(v)]--> accept` — some *child*
-//!   labelled `b` must carry the text ([`ValueGuard::ChildText`]).
+//!   the guarded node itself must carry the text
+//!   ([`ValueGuard::SelfText`]).
+//! * A one-step chain with a value, `[b = 'v']`, is the other value
+//!   shape: some *child* labelled `b` must carry the text
+//!   ([`ValueGuard::ChildText`]).
 //!
-//! Anything else (deeper witness paths, negation, disjunction, wildcard
-//! steps) classifies as `None` and the caller falls back to unnarrowed
-//! triggers. The check is purely structural, so a rewritten plan whose
-//! sub-NFA happens to match the shape benefits too.
+//! Anything else (stars, unions, wildcard steps, nested guards, negation,
+//! disjunction) classifies as `None`: the caller falls back to a witness
+//! search, or to unnarrowed triggers. The check is purely structural, so a
+//! rewritten plan whose sub-NFA happens to match the shape benefits too.
 
-use crate::mfa::{LabelTest, Mfa, Nfa, Pred, PredId};
+use crate::mfa::{LabelTest, Mfa, Pred, PredId};
 use smoqe_xml::Label;
+
+/// A `HasPath` guard whose witness path is `l1/…/lk` (`k ≥ 1`), optionally
+/// ending in `text() = 'v'`, recognized by [`classify_chain`]. It holds at
+/// a node `n` iff some element labelled `lk` lies exactly `k` levels below
+/// `n`, its `k − 1` ancestors below `n` carry `l1 … l(k−1)`, and — for a
+/// value chain — its direct text equals the value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChildChain {
+    /// The child steps, outermost first; never empty.
+    pub labels: Vec<Label>,
+    /// The direct text the last step's element must carry.
+    pub value: Option<String>,
+}
 
 /// A predicate that pins a text value, recognized by
 /// [`classify_value_guard`].
@@ -34,48 +54,68 @@ pub enum ValueGuard {
 /// only posts nodes with non-empty direct text, so narrowing on `""` would
 /// drop real witnesses.
 pub fn classify_value_guard(mfa: &Mfa, pred: PredId) -> Option<ValueGuard> {
-    match mfa.pred(pred) {
-        Pred::TextEq(v) if !v.is_empty() => Some(ValueGuard::SelfText(v.clone())),
-        Pred::HasPath(sub) => classify_child_text(mfa, mfa.nfa(*sub)),
+    value_guard(mfa, pred, classify_chain(mfa, pred).as_ref())
+}
+
+/// [`classify_value_guard`] for a predicate whose chain shape is already
+/// known (`chain`, as [`classify_chain`] gives it — a compiled plan keeps
+/// them): `[b = 'v']` is the one-step chain with a value.
+pub fn value_guard(mfa: &Mfa, pred: PredId, chain: Option<&ChildChain>) -> Option<ValueGuard> {
+    match (mfa.pred(pred), chain) {
+        (Pred::TextEq(v), _) if !v.is_empty() => Some(ValueGuard::SelfText(v.clone())),
+        (
+            _,
+            Some(ChildChain {
+                labels,
+                value: Some(v),
+            }),
+        ) if labels.len() == 1 && !v.is_empty() => {
+            Some(ValueGuard::ChildText(labels[0], v.clone()))
+        }
         _ => None,
     }
 }
 
-/// Matches the exact `start --Label(b)--> mid --ε[TextEq(v)]--> accept`
-/// shape (three distinct states, no other edges).
-fn classify_child_text(mfa: &Mfa, nfa: &Nfa) -> Option<ValueGuard> {
-    if nfa.state_count() != 3 {
+/// Classifies `pred` as a child chain: a `HasPath` whose sub-NFA, walked
+/// from its start, offers exactly one way out of every state until the
+/// accept — a label step, an unguarded (or `true`) ε-edge, or, after the
+/// last label step, one `text() = 'v'` guard.
+pub fn classify_chain(mfa: &Mfa, pred: PredId) -> Option<ChildChain> {
+    let Pred::HasPath(sub) = mfa.pred(pred) else {
         return None;
-    }
-    let start = nfa.start();
-    let accept = nfa.accept();
-    if !nfa.eps_edges(start).is_empty() || nfa.transitions(start).len() != 1 {
-        return None;
-    }
-    let step = nfa.transitions(start)[0];
-    let label = match step.test {
-        LabelTest::Label(l) => l,
-        LabelTest::Wildcard => return None,
     };
-    let mid = step.target;
-    if mid == start || mid == accept || start == accept {
-        return None;
+    let nfa = mfa.nfa(*sub);
+    let (mut labels, mut value) = (Vec::new(), None);
+    let mut s = nfa.start();
+    // A line visits each state once: a longer walk has looped.
+    for _ in 0..nfa.state_count() {
+        if s == nfa.accept() {
+            // Reaching the accept is the witness; what follows it cannot
+            // make the path exist any less.
+            return (!labels.is_empty()).then_some(ChildChain { labels, value });
+        }
+        match (nfa.transitions(s), nfa.eps_edges(s)) {
+            ([t], []) if value.is_none() => {
+                let LabelTest::Label(l) = t.test else {
+                    return None;
+                };
+                labels.push(l);
+                s = t.target;
+            }
+            ([], [e]) => {
+                match e.guard.map(|g| mfa.pred(g)) {
+                    None | Some(Pred::True) => {}
+                    Some(Pred::TextEq(v)) if value.is_none() && !labels.is_empty() => {
+                        value = Some(v.clone());
+                    }
+                    _ => return None,
+                }
+                s = e.target;
+            }
+            _ => return None,
+        }
     }
-    if !nfa.transitions(mid).is_empty() || nfa.eps_edges(mid).len() != 1 {
-        return None;
-    }
-    let eps = nfa.eps_edges(mid)[0];
-    if eps.target != accept {
-        return None;
-    }
-    let guard = eps.guard?;
-    if !nfa.eps_edges(accept).is_empty() || !nfa.transitions(accept).is_empty() {
-        return None;
-    }
-    match mfa.pred(guard) {
-        Pred::TextEq(v) if !v.is_empty() => Some(ValueGuard::ChildText(label, v.clone())),
-        _ => None,
-    }
+    None
 }
 
 #[cfg(test)]

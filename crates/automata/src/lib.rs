@@ -11,9 +11,11 @@
 //!   ([`compile`]);
 //! * [`analysis`] — required-label analysis powering TAX pruning, plus
 //!   reachability and guard-free simulation helpers;
-//! * [`guards`] — value-guard classification ([`classify_value_guard`]):
-//!   recognizes `text() = 'v'`-shaped predicates so jump-scan can narrow
-//!   trigger sets to (label, value) posting lists;
+//! * [`guards`] — guard classification: child-chain guards
+//!   ([`classify_chain`], `[l1/…/lk]` and `[l1/…/lk = 'v']`), which
+//!   jump-scan answers from the positional index, and the value guards
+//!   derived from them ([`classify_value_guard`]), which narrow trigger
+//!   sets to (label, value) posting lists;
 //! * [`optimize`] — trimming + cross-arena garbage collection
 //!   ([`optimize::optimize`]), the "optimization techniques" the demo
 //!   toggles;
@@ -35,5 +37,5 @@ pub mod optimize;
 
 pub use build::{compile, compile_qualifier, Builder};
 pub use compile::CompiledMfa;
-pub use guards::{classify_value_guard, ValueGuard};
+pub use guards::{classify_chain, classify_value_guard, value_guard, ChildChain, ValueGuard};
 pub use mfa::{EpsEdge, LabelTest, Mfa, MfaStats, Nfa, NfaId, Pred, PredId, StateId, Transition};

@@ -245,14 +245,9 @@ fn stream_lanes(quick: bool) {
 fn jump_vs_scan(quick: bool) {
     println!("## jump_vs_scan  the pooled queries, TAX index (jump) vs none (scan)\n");
     let (size, iters) = if quick { (10_000, 5) } else { (100_000, 40) };
+    let xml = smoqe_bench::view_scan_document(size);
     let load = |tax: bool| {
         let engine = smoqe::Engine::with_defaults();
-        let vocab = engine.vocabulary();
-        let mut config = hospital::generator_config(vocab, 2006, size);
-        config.max_depth = 8;
-        let xml = smoqe_xml::generate(&hospital::dtd(vocab), &config)
-            .unwrap()
-            .to_xml();
         let handle = engine.open_document("pool");
         handle.load_dtd(hospital::DTD).unwrap();
         handle.load_document(&xml).unwrap();
@@ -266,17 +261,6 @@ fn jump_vs_scan(quick: bool) {
     };
     let (_indexed_engine, indexed) = load(true);
     let (_plain_engine, plain) = load(false);
-    let mut pool: Vec<(smoqe::User, &str)> = hospital::DOC_QUERIES
-        .iter()
-        .map(|(_, q)| (smoqe::User::Admin, *q))
-        .collect();
-    let group = smoqe::User::Group(hospital::GROUP.into());
-    pool.extend(
-        hospital::VIEW_QUERIES
-            .iter()
-            .map(|(_, q)| (group.clone(), *q)),
-    );
-    pool.push((smoqe::User::Admin, "//visit/date"));
     let mut table = Table::new(&[
         "who",
         "query",
@@ -289,7 +273,7 @@ fn jump_vs_scan(quick: bool) {
         "scan time",
         "time / scan",
     ]);
-    for (user, query) in pool {
+    for (user, query) in smoqe_bench::view_scan_pool() {
         let fast = indexed.session(user.clone());
         let slow = plain.session(user.clone());
         let a = fast.query(query).unwrap();

@@ -6,6 +6,7 @@
 //! workloads through this module so parameters stay consistent.
 
 use smoqe::workloads::{hospital, org};
+use smoqe::User;
 use smoqe_view::{derive, AccessPolicy, ViewSpec};
 use smoqe_xml::{Document, Dtd, Vocabulary};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,6 +79,35 @@ pub fn ingest_batch() -> Vec<String> {
 
 fn unique_medication(i: usize) -> String {
     format!("M{i:02}")
+}
+
+/// The `view_scan` pool: the admin document queries, the `researchers`
+/// view queries and `//visit/date` — thirteen queries, each with the
+/// principal that asks it.
+pub fn view_scan_pool() -> Vec<(User, &'static str)> {
+    let group = User::Group(hospital::GROUP.into());
+    let mut pool: Vec<(User, &str)> = hospital::DOC_QUERIES
+        .iter()
+        .map(|(_, q)| (User::Admin, *q))
+        .collect();
+    pool.extend(
+        hospital::VIEW_QUERIES
+            .iter()
+            .map(|(_, q)| (group.clone(), *q)),
+    );
+    pool.push((User::Admin, "//visit/date"));
+    pool
+}
+
+/// The `view_scan` body: the hospital generator at seed 2006 and depth 8,
+/// about `nodes` nodes.
+pub fn view_scan_document(nodes: usize) -> String {
+    let vocab = Vocabulary::new();
+    let mut config = hospital::generator_config(&vocab, 2006, nodes);
+    config.max_depth = 8;
+    smoqe_xml::generate(&hospital::dtd(&vocab), &config)
+        .expect("hospital DTD generates")
+        .to_xml()
 }
 
 /// The shape of the `ingest_stream` document: the hospital generator at

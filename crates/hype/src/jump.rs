@@ -20,18 +20,28 @@
 //!   and skips everything between.
 //! * On guarded plans, answers and guard verdicts are **re-verified
 //!   exactly** at each candidate: the guard-aware state set of a node is
-//!   stepped and closed from its parent's, `text()='v'` guards compare the
-//!   document text, and `HasPath` guards run a TAX-pruned witness search
-//!   over the candidate's subtree (one table read per step when the
-//!   sub-NFA is guard-free). The sets kept are those of the **ancestor
+//!   stepped and closed from its parent's, and `text()='v'` guards compare
+//!   the document text. A **child-chain** `HasPath` guard — `[l1/…/lk]`,
+//!   maybe `= 'v'` ([`smoqe_automata::guards::ChildChain`], classified once
+//!   per plan) — is answered from the index by a reverse semi-join: some
+//!   `lk` occurrence (a `(lk, v)` posting, for a value chain) `k` levels
+//!   below the candidate, under ancestors labelled `l1 … l(k−1)`, with the
+//!   text compared. One cursor per guard gallops through that list as
+//!   probes ascend, and an occurrence at or below the chain's depth skips
+//!   its target-level ancestor's whole subtree. Every other `HasPath`
+//!   guard (stars, unions, wildcard or descendant steps, nested guards)
+//!   runs a TAX-pruned witness search over the candidate's subtree (one
+//!   table read per step when the sub-NFA is guard-free). The sets kept
+//!   are those of the **ancestor
 //!   path**: candidates are verified in ascending pre-order (see the last
 //!   bullet), so once a candidate lies past a node's subtree no later one
 //!   can need that node's set. The path is a stack of sets in one flat
 //!   arena — popped past each finished subtree, extended by the chain
 //!   between its top and the candidate — and a verdict lives only as long
-//!   as the closure that asked for it. Nothing in verification hashes or
-//!   allocates per node. Verification work is counted in
-//!   [`EvalStats::guard_probes`], not `nodes_visited`.
+//!   as the closure that asked for it. Nothing in verification or
+//!   navigation hashes or allocates per node: region lists, evidence and
+//!   picked children live on driver-owned stacks. Verification work is
+//!   counted in [`EvalStats::guard_probes`], not `nodes_visited`.
 //! * When a trigger's post-step states are reachable **only** through a
 //!   recognized value guard (`text()='v'` shapes, see
 //!   [`smoqe_automata::guards`]), the trigger is **narrowed**: instead of
@@ -75,7 +85,7 @@ use crate::budget::{BudgetMeter, EvalInterrupt, Interrupt, WorkBudget};
 use crate::machine::VIRTUAL_NODE;
 use crate::stats::EvalStats;
 use smoqe_automata::compile::{CompiledMfa, CompiledNfa, DfaTable, StepValues, DEAD};
-use smoqe_automata::guards::{classify_value_guard, ValueGuard};
+use smoqe_automata::guards::{value_guard, ChildChain, ValueGuard};
 use smoqe_automata::{NfaId, Pred, PredId, StateId};
 use smoqe_rxpath::NodeSet;
 use smoqe_tax::{LabelIndex, TaxIndex, ValueIndex};
@@ -318,8 +328,9 @@ pub fn start_region_triggers(
 /// Returns `None` when the plan is not eligible or `tax` has no
 /// positional index for `doc` (callers fall back to the scan walker) —
 /// budgeting never changes eligibility. The driver checks the budget
-/// once per probed candidate (and per `HasPath` witness step) and
-/// abandons with its partial counters when the budget interrupts.
+/// once per probed candidate (and per `HasPath` witness step or chain
+/// list element) and abandons with its partial counters when the budget
+/// interrupts.
 pub fn evaluate_jump_budgeted(
     doc: &Document,
     plan: &CompiledMfa,
@@ -636,7 +647,7 @@ fn narrow_trigger(
         for e in nfa.eps_edges(s) {
             let cross = match e.guard {
                 None => true,
-                Some(g) => match classify_value_guard(plan.mfa(), g) {
+                Some(g) => match value_guard(plan.mfa(), g, plan.chains()[g.index()].as_ref()) {
                     Some(ValueGuard::SelfText(v)) => {
                         if !self_values.contains(&v) {
                             self_values.push(v);
@@ -682,6 +693,55 @@ fn in_range(list: &[u32], lo: u32, hi: u32) -> &[u32] {
     let a = list.partition_point(|&x| x < lo);
     let b = a + list[a..].partition_point(|&x| x < hi);
     &list[a..b]
+}
+
+/// The first index at or after `from` whose id is at least `target`, in
+/// an ascending id list: a doubling search from `from`, then a binary
+/// search of the last doubling — a hop of `d` elements costs `O(log d)`.
+fn gallop(list: &[u32], from: usize, target: u32) -> usize {
+    if from >= list.len() || list[from] >= target {
+        return from;
+    }
+    // `list[lo] < target`; `hi` is past the end or at an id `>= target`.
+    let (mut lo, mut step) = (from, 1);
+    let mut hi = from + 1;
+    while hi < list.len() && list[hi] < target {
+        lo = hi;
+        step *= 2;
+        hi = lo + step;
+    }
+    let hi = hi.min(list.len());
+    lo + 1 + list[lo + 1..hi].partition_point(|&x| x < target)
+}
+
+/// Sorts `list[from..]` and drops its repeats, in place.
+fn sort_dedup_from(list: &mut Vec<u32>, from: usize) {
+    list[from..].sort_unstable();
+    let mut kept = from;
+    for i in from..list.len() {
+        if kept == from || list[i] != list[kept - 1] {
+            list[kept] = list[i];
+            kept += 1;
+        }
+    }
+    list.truncate(kept);
+}
+
+/// Whether `m`, an occurrence of `chain`'s last label at the chain's
+/// depth below the guarded node, completes the chain: its ancestors up to
+/// that node carry the earlier labels, and its direct text is the value.
+fn chain_matches(doc: &Document, chain: &ChildChain, m: NodeId) -> bool {
+    let mut at = m;
+    for &label in chain.labels.iter().rev().skip(1) {
+        at = doc.parent(at).expect("the chain's depth is below the node");
+        if doc.label(at) != Some(label) {
+            return false;
+        }
+    }
+    chain
+        .value
+        .as_ref()
+        .is_none_or(|v| doc.direct_text_cow(m).as_ref() == v.as_str())
 }
 
 /// Whether some state of `states` (ε-closed, of `nfa`) has an accepting
@@ -755,6 +815,14 @@ impl ClosureScratch {
     }
 }
 
+/// A child-chain guard's candidate list (looked up on its first probe)
+/// and the position the last probe left in it.
+#[derive(Clone, Copy, Default)]
+struct ChainCursor<'a> {
+    list: Option<&'a [u32]>,
+    at: usize,
+}
+
 /// One node of the ancestor path: its guard-aware state set, kept while
 /// candidates fall inside its subtree.
 struct PathEntry {
@@ -812,6 +880,20 @@ pub(crate) struct Jump<'a> {
     witness_sets: Vec<StateId>,
     /// Witness search stack of guard-free sub-NFAs: `(node, DFA state)`.
     dfa_witness: Vec<(u32, u32)>,
+    /// One cursor per child-chain guard, by predicate id (sized on the
+    /// first chain probe).
+    chain_cursors: Vec<ChainCursor<'a>>,
+    /// The source lists of the nested `jump_scan` regions with their
+    /// cursors, each region's above its enclosing region's.
+    scan_lists: Vec<(&'a [u32], usize)>,
+    /// The child-evidence candidates of the nested regions, back to back.
+    evidence: Vec<u32>,
+    /// Scratch of one `children_by_value` call: the posting lists it
+    /// picked.
+    child_sources: Vec<&'a [u32]>,
+    /// The children `step_children` steps into, per nesting level, back to
+    /// back.
+    children: Vec<u32>,
     /// The value index and the plan's step requirements, when some step
     /// needs text values (`None` otherwise — then no candidate is ever
     /// gated by value).
@@ -821,8 +903,9 @@ pub(crate) struct Jump<'a> {
     postings: Vec<Option<&'a [u32]>>,
     answers: Vec<u32>,
     stats: EvalStats,
-    /// Work-budget countdown, ticked per probed candidate and per
-    /// `HasPath` witness step (unarmed by default — one branch).
+    /// Work-budget countdown, ticked per probed candidate, per `HasPath`
+    /// witness step and per chain list element (unarmed by default — one
+    /// branch).
     meter: BudgetMeter,
     /// Set once the meter fires; every later probe returns immediately,
     /// so the whole recursion unwinds within one check interval.
@@ -861,6 +944,11 @@ impl<'a> Jump<'a> {
             witness: Vec::new(),
             witness_sets: Vec::new(),
             dfa_witness: Vec::new(),
+            chain_cursors: Vec::new(),
+            scan_lists: Vec::new(),
+            evidence: Vec::new(),
+            child_sources: Vec::new(),
+            children: Vec::new(),
             values,
             postings,
             answers: Vec::new(),
@@ -936,37 +1024,42 @@ impl<'a> Jump<'a> {
     /// every child: when only labels the plan mentions move the state, and
     /// every live state those steps enter needs some text value, a child
     /// that leads anywhere holds one of those values — the rarest of each
-    /// entered state's — at or below itself. `None` when some child needs
-    /// no value, or the postings outnumber the children.
-    fn children_by_value(&mut self, node: NodeId, state: u32) -> Option<Vec<u32>> {
-        let (_, steps) = self.values?;
+    /// entered state's — at or below itself. Pushes them, ascending, onto
+    /// `children` and returns `true`; returns `false` (pushing nothing)
+    /// when some child needs no value, or the postings outnumber the
+    /// children.
+    fn children_by_value(&mut self, node: NodeId, state: u32) -> bool {
+        let Some((_, steps)) = self.values else {
+            return false;
+        };
         if self.dfa.step(state, 0) != DEAD {
-            return None; // labels the plan never mentions move the state
+            return false; // labels the plan never mentions move the state
         }
         let (lo, hi) = (node.0 + 1, self.li.subtree_end(node));
-        let mut sources: Vec<&'a [u32]> = Vec::new();
+        self.child_sources.clear();
         for col in 1..self.plan.width() {
             if self.dfa.step(state, col) == DEAD {
                 continue;
             }
-            for ids in steps.of_step(state, col)? {
+            let Some(needs) = steps.of_step(state, col) else {
+                return false;
+            };
+            for ids in needs {
                 let rarest = ids
                     .iter()
                     .map(|&id| in_range(self.postings(id), lo, hi))
                     .min_by_key(|list| list.len())
                     .expect("an entered state with requirements needs a value");
-                sources.push(rarest);
+                self.child_sources.push(rarest);
             }
         }
-        let total: usize = sources.iter().map(|list| list.len()).sum();
+        let total: usize = self.child_sources.iter().map(|list| list.len()).sum();
         if total > 16 && total >= self.doc.child_elements(node).count() {
-            return None; // cheaper to step every child
+            return false; // cheaper to step every child
         }
-        let doc = self.doc;
-        let mut children: Vec<u32> = sources
-            .iter()
-            .flat_map(|list| list.iter())
-            .map(|&hit| {
+        let (doc, base) = (self.doc, self.children.len());
+        for j in 0..self.child_sources.len() {
+            for &hit in self.child_sources[j] {
                 let mut at = NodeId(hit);
                 while let Some(parent) = doc.parent(at) {
                     if parent == node {
@@ -974,31 +1067,32 @@ impl<'a> Jump<'a> {
                     }
                     at = parent;
                 }
-                at.0
-            })
-            .collect();
-        children.sort_unstable();
-        children.dedup();
-        Some(children)
+                self.children.push(at.0);
+            }
+        }
+        sort_dedup_from(&mut self.children, base);
+        true
     }
 
     /// Steps the element children of `node` from `state` (a state whose
     /// wildcard column moves: every child may matter) — only the ones
     /// value postings point at, when [`Jump::children_by_value`] can tell.
     fn step_children(&mut self, node: NodeId, state: u32) {
-        match self.children_by_value(node, state) {
-            Some(children) => {
-                for c in children {
-                    self.step_into(c, state);
-                }
+        let base = self.children.len();
+        if self.children_by_value(node, state) {
+            // Each child's own stepping works above `end`.
+            let end = self.children.len();
+            for i in base..end {
+                let c = self.children[i];
+                self.step_into(c, state);
             }
-            None => {
-                // `doc` outlives the driver, so iterating it does not hold
-                // a borrow of `self`.
-                let doc = self.doc;
-                for c in doc.child_elements(node) {
-                    self.step_into(c.0, state);
-                }
+            self.children.truncate(base);
+        } else {
+            // `doc` outlives the driver, so iterating it does not hold
+            // a borrow of `self`.
+            let doc = self.doc;
+            for c in doc.child_elements(node) {
+                self.step_into(c.0, state);
             }
         }
     }
@@ -1152,7 +1246,10 @@ impl<'a> Jump<'a> {
                     self.doc.direct_text_cow(NodeId(node)).as_ref() == t.as_str()
                 }
             }
-            Pred::HasPath(sub) => self.has_path(*sub, node),
+            Pred::HasPath(sub) => match &plan.chains()[i] {
+                Some(chain) => self.chain_holds(pred, chain, node),
+                None => self.has_path(*sub, node),
+            },
             Pred::Not(p) => !self.holds(*p, node, verdicts),
             Pred::And(ps) => ps.iter().all(|&p| self.holds(p, node, verdicts)),
             Pred::Or(ps) => ps.iter().any(|&p| self.holds(p, node, verdicts)),
@@ -1162,8 +1259,9 @@ impl<'a> Jump<'a> {
         v
     }
 
-    /// Ticks the budget meter once per witness step: witness walks can
-    /// span whole hidden subtrees, so a deadline cuts them off like any
+    /// Ticks the budget meter once per witness step or chain list
+    /// element: witness walks and chain probes can span whole hidden
+    /// subtrees, so a deadline cuts them off like any
     /// other traversal (the caller's verdict is discarded along with the
     /// evaluation). Returns whether the budget fired.
     fn witness_tick(&mut self) -> bool {
@@ -1171,6 +1269,70 @@ impl<'a> Jump<'a> {
             self.interrupted = Some(kind);
         }
         self.interrupted.is_some()
+    }
+
+    /// Whether child-chain guard `pred` (`l1/…/lk`, maybe `= 'v'`) holds at
+    /// `node`, by a reverse semi-join on the index: some candidate `m` —
+    /// from the `(lk, v)` postings of a value chain, else `lk`'s
+    /// occurrences — lies in `node`'s subtree exactly `k` levels down,
+    /// under ancestors labelled `l(k−1) … l1`, with direct text `v` for a
+    /// value chain (the comparison rejects hash collisions). A candidate
+    /// at or below the target level settles its target-level ancestor's
+    /// whole subtree, which the cursor then skips; a shallower one is
+    /// stepped over. One budget tick per list element.
+    fn chain_holds(&mut self, pred: PredId, chain: &ChildChain, node: u32) -> bool {
+        let (doc, li) = (self.doc, self.li);
+        // Depths count the virtual document node as 0.
+        let (lo, hi, depth) = if node == VIRTUAL_NODE {
+            (0, li.node_count() as u32, 0)
+        } else {
+            let id = NodeId(node);
+            (node + 1, li.subtree_end(id), li.level(id) + 1)
+        };
+        let target = depth + chain.labels.len() as u32;
+        if self.chain_cursors.is_empty() {
+            let preds = self.plan.mfa().pred_count();
+            self.chain_cursors.resize(preds, ChainCursor::default());
+        }
+        let ChainCursor { list, at } = self.chain_cursors[pred.index()];
+        let list = list.unwrap_or_else(|| {
+            let last = *chain.labels.last().expect("chains are never empty");
+            match (&chain.value, self.vi) {
+                (Some(v), Some(vi)) if !v.is_empty() => vi.occurrences(last, v),
+                _ => li.occurrences(last),
+            }
+        });
+        // Probes mostly ascend, so the cursor gallops forward. It searches
+        // again only when it already stands past `lo`: after a probe of an
+        // enclosing node, or of a later one by a nested witness search.
+        let mut at = if at > 0 && list[at - 1] >= lo {
+            list[..at].partition_point(|&m| m < lo)
+        } else {
+            gallop(list, at, lo)
+        };
+        let mut found = false;
+        while at < list.len() && list[at] < hi && !self.witness_tick() {
+            let m = NodeId(list[at]);
+            let m_depth = li.level(m) + 1;
+            if m_depth < target {
+                at += 1;
+                continue;
+            }
+            let mut anchor = m;
+            for _ in target..m_depth {
+                anchor = doc.parent(anchor).expect("below `node`, so not the root");
+            }
+            if m_depth == target && chain_matches(doc, chain, m) {
+                found = true;
+                break;
+            }
+            at = gallop(list, at + 1, li.subtree_end(anchor));
+        }
+        self.chain_cursors[pred.index()] = ChainCursor {
+            list: Some(list),
+            at,
+        };
+        found
     }
 
     /// Whether a downward path from `origin` matches sub-NFA `sub`:
@@ -1369,37 +1531,44 @@ impl<'a> Jump<'a> {
         // later witnesses in pre-order — a merged cursor over the raw
         // evidence lists would probe ancestors after their descendants
         // and break the ascending-candidate invariant.
-        let evidence = self.evidence_candidates(lo, hi, info);
+        let mut evidence = std::mem::take(&mut self.evidence);
+        let evidence_base = evidence.len();
+        self.evidence_candidates(lo, hi, info, &mut evidence);
+        sort_dedup_from(&mut evidence, evidence_base);
+        let evidence_end = evidence.len();
+        self.evidence = evidence;
         // Per-source sorted lists (a handful — the labels and values the
         // plan mentions) with monotone cursors: the region cursor only
         // ever advances, so each list index advances amortized O(1)
-        // instead of restarting a binary search per candidate.
-        let li = self.li;
-        let vi = self.vi;
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(info.sources.len() + 1);
+        // instead of restarting a binary search per candidate. Nested
+        // regions push theirs above `lists_end` and truncate back.
+        let lists_base = self.scan_lists.len();
         for src in &info.sources {
             match src {
-                TriggerSource::Full(label) => lists.push(li.occurrences(*label)),
+                TriggerSource::Full(label) => {
+                    let list = self.li.occurrences(*label);
+                    self.scan_lists
+                        .push((list, list.partition_point(|&x| x < lo)));
+                }
                 TriggerSource::Narrowed {
                     label, self_values, ..
                 } => {
-                    let vi = vi.expect("narrowed triggers require a value index");
+                    let vi = self.vi.expect("narrowed triggers require a value index");
                     for v in self_values {
-                        lists.push(vi.occurrences(*label, v));
+                        let list = vi.occurrences(*label, v);
+                        self.scan_lists
+                            .push((list, list.partition_point(|&x| x < lo)));
                     }
                 }
             }
         }
-        lists.push(&evidence);
-        let mut idx: Vec<usize> = lists
-            .iter()
-            .map(|list| list.partition_point(|&x| x < lo))
-            .collect();
+        let lists_end = self.scan_lists.len();
+        let mut ev = evidence_base;
         let mut cursor = lo;
         while cursor < hi {
             // Next candidate at or after the cursor: min over the lists.
             let mut next = u32::MAX;
-            for (list, i) in lists.iter().zip(idx.iter_mut()) {
+            for (list, i) in &mut self.scan_lists[lists_base..lists_end] {
                 while *i < list.len() && list[*i] < cursor {
                     *i += 1;
                 }
@@ -1407,8 +1576,14 @@ impl<'a> Jump<'a> {
                     next = next.min(list[*i]);
                 }
             }
+            while ev < evidence_end && self.evidence[ev] < cursor {
+                ev += 1;
+            }
+            if ev < evidence_end {
+                next = next.min(self.evidence[ev]);
+            }
             if next >= hi {
-                return; // no candidate left in the region
+                break; // no candidate left in the region
             }
             // All of `next`'s ancestors inside the region stutter: any
             // probed ancestor would have been the earlier candidate and
@@ -1416,17 +1591,18 @@ impl<'a> Jump<'a> {
             // out occurrences provably behave as stutters.
             self.step_into(next, state);
             if self.interrupted.is_some() {
-                return;
+                break;
             }
             cursor = self.li.subtree_end(NodeId(next));
         }
+        self.scan_lists.truncate(lists_base);
+        self.evidence.truncate(evidence_base);
     }
 
-    /// Sorted, deduplicated candidates in `[lo, hi)` drawn from child-
+    /// Appends to `out` the candidates in `[lo, hi)` drawn from child-
     /// witness postings: parents (with the trigger label) of witness
-    /// occurrences in the region.
-    fn evidence_candidates(&self, lo: u32, hi: u32, info: &StateInfo) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
+    /// occurrences in the region, unsorted and possibly repeated.
+    fn evidence_candidates(&self, lo: u32, hi: u32, info: &StateInfo, out: &mut Vec<u32>) {
         for src in &info.sources {
             let TriggerSource::Narrowed {
                 label,
@@ -1438,10 +1614,7 @@ impl<'a> Jump<'a> {
             };
             let vi = self.vi.expect("narrowed triggers require a value index");
             for (p, v) in child_values {
-                let list = vi.occurrences(*p, v);
-                let a = list.partition_point(|&x| x < lo);
-                let b = list.partition_point(|&x| x < hi);
-                for &e in &list[a..b] {
+                for &e in in_range(vi.occurrences(*p, v), lo, hi) {
                     let Some(parent) = self.doc.parent(NodeId(e)) else {
                         continue;
                     };
@@ -1454,9 +1627,6 @@ impl<'a> Jump<'a> {
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// All candidates of one jumpable region, materialized: full trigger
@@ -1465,23 +1635,19 @@ impl<'a> Jump<'a> {
     /// `jump_scan`'s incremental min-probe considers exactly this set —
     /// the frontier materializes it to merge candidates across plans.
     fn region_candidates(&self, lo: u32, hi: u32, info: &StateInfo) -> Vec<u32> {
-        let mut out = self.evidence_candidates(lo, hi, info);
-        let push_range = |out: &mut Vec<u32>, list: &[u32]| {
-            let a = list.partition_point(|&x| x < lo);
-            let b = list.partition_point(|&x| x < hi);
-            out.extend_from_slice(&list[a..b]);
-        };
+        let mut out = Vec::new();
+        self.evidence_candidates(lo, hi, info, &mut out);
         for src in &info.sources {
             match src {
                 TriggerSource::Full(label) => {
-                    push_range(&mut out, self.li.occurrences(*label));
+                    out.extend_from_slice(in_range(self.li.occurrences(*label), lo, hi));
                 }
                 TriggerSource::Narrowed {
                     label, self_values, ..
                 } => {
                     let vi = self.vi.expect("narrowed triggers require a value index");
                     for v in self_values {
-                        push_range(&mut out, vi.occurrences(*label, v));
+                        out.extend_from_slice(in_range(vi.occurrences(*label, v), lo, hi));
                     }
                 }
             }
@@ -1722,6 +1888,94 @@ mod tests {
             stats.nodes_visited
         );
         check(&xml, "//p[n = 'Ann']");
+    }
+
+    #[test]
+    fn chain_guards_count_only_occurrences_at_their_depth() {
+        // `c` occurs at the chain's depth, above it and below it, under
+        // the wrong parent, with split and wrong text; `b` nests in `b`,
+        // so probes at nested candidates send the cursor back.
+        let xml = "<r><a><c>v</c><b><b><c>v</c></b></b></a>\
+                   <a><b><c>v</c><c>w</c></b><c>v</c></a>\
+                   <a><b><x><c>v</c></x></b><x><c>v</c></x></a>\
+                   <a><b><c>v<y/></c></b><b><c><![CDATA[v]]></c></b></a>\
+                   <a><b><b><b><c>w</c></b><c>v</c></b></b></a></r>";
+        for q in [
+            "r/a[b/c]",
+            "r/a[b/c = 'v']",
+            "r/a[b/c = 'w']",
+            "//b[b/c]",
+            "//b[b/c = 'v']",
+            "//b[b/b/c = 'w']",
+            "r/a[not(b/c = 'v')]",
+            "//*[b/c = 'v' or c]",
+            "r/a[b/b/c and c = 'v']",
+            "r/a[x/c = 'v']/b",
+            "r[a/b/c = 'w']/a",
+            "r/a[b/b]",
+            "//b[b/b/c]",
+        ] {
+            check(xml, q);
+            // Without a value index, value chains draw their candidates
+            // from the label occurrences instead of the postings.
+            let vocab = Vocabulary::new();
+            let doc = Document::parse_str(xml, &vocab).unwrap();
+            let tax = TaxIndex::build(&doc);
+            let plan = CompiledMfa::compile(&compile(&parse_path(q, &vocab).unwrap(), &vocab));
+            let (dfa, exact) = nav(&plan).unwrap();
+            let li = tax.label_index().unwrap();
+            let mut driver = Jump::new(&doc, &plan, dfa, exact, &tax, li, None);
+            driver.step_into(doc.root().0, dfa.start());
+            let (scan, _) = evaluate_mfa_plan(
+                &doc,
+                &plan,
+                &DomOptions::default(),
+                ExecMode::Compiled,
+                &mut NoopObserver,
+            );
+            assert_eq!(driver.finish().0, scan, "`{q}` without a value index");
+        }
+    }
+
+    #[test]
+    fn a_chain_probe_is_budgeted_per_list_element() {
+        use std::time::{Duration, Instant};
+        // One `a` holds 100 000 children `b` — occurrences of the chain's
+        // last label one level above its depth — before its one witness.
+        let xml = format!(
+            "<r><a>{}<x><b/></x></a><a><b/></a></r>",
+            "<b/>".repeat(100_000)
+        );
+        let vocab = Vocabulary::new();
+        let doc = Document::parse_str(&xml, &vocab).unwrap();
+        let tax = TaxIndex::build(&doc);
+        let path = parse_path("r/a[x/b]", &vocab).unwrap();
+        let plan = CompiledMfa::compile(&compile(&path, &vocab));
+        let (answers, stats) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        assert_eq!(answers.into_vec(), vec![NodeId(1)]);
+        assert_eq!(stats.guard_probes, 2, "one probe per `a`");
+        check(&xml, "r/a[x/b]");
+        // Past its deadline, the probe stops within one check interval:
+        // the driver ticks twice before it (the root, the first `a`), so
+        // the cursor stands at most one interval into the list.
+        let interval = 64;
+        let budget = WorkBudget {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            cancel: None,
+            check_interval: interval,
+        };
+        let (dfa, exact) = nav(&plan).unwrap();
+        let li = tax.label_index().unwrap();
+        let mut driver = Jump::new(&doc, &plan, dfa, exact, &tax, li, tax.value_index())
+            .with_meter(budget.meter());
+        driver.step_into(doc.root().0, dfa.start());
+        let interrupt = driver.take_interrupt().expect("the expired deadline fires");
+        assert_eq!(interrupt.kind, Interrupt::DeadlineExceeded);
+        let moved = driver.chain_cursors.iter().map(|c| c.at).max().unwrap();
+        assert!(
+            moved <= interval as usize,
+            "the probe read {moved} list elements past its deadline"
+        );
     }
 
     #[test]

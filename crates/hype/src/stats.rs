@@ -26,9 +26,11 @@ pub struct EvalStats {
     /// Formula nodes allocated for validity tracking.
     pub formula_nodes: usize,
     /// Guard evaluations performed outside the main traversal (jump-scan
-    /// verification probes: text comparisons and `HasPath` witness walks
-    /// at candidate nodes). Zero for scan evaluations, where guards
-    /// resolve inside the single pass.
+    /// verification probes at candidate nodes: text comparisons,
+    /// child-chain semi-joins on the index and `HasPath` witness walks).
+    /// A child-chain probe counts once, its text comparison included; a
+    /// witness walk also counts the guards it checks on its way. Zero for
+    /// scan evaluations, where guards resolve inside the single pass.
     pub guard_probes: usize,
     /// Maximum depth reached.
     pub max_depth: usize,
