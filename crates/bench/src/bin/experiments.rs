@@ -398,6 +398,14 @@ fn deny_timing(quick: bool) {
 /// the view and the view is never materialized, so a group write costs
 /// about what an admin write costs.
 ///
+/// The `bulk delete` column is one admin statement with many targets —
+/// every patient's `visit[treatment/test = 'mri']`, `k` of them —
+/// timed once on a freshly loaded engine, next to a single-target delete
+/// (`1:`) timed once just before it: a statement splices the tables once
+/// whatever its number of targets, so it should cost about what the
+/// single-target delete costs, not `k` times that. With `quick` it must
+/// also allocate within a constant of the single-target delete.
+///
 /// Each size runs on two shapes of the same patients. `wide` is the
 /// generated document: many top-level patients, so a write touches one
 /// small region and the group's view count is carried by that region's
@@ -408,7 +416,8 @@ fn deny_timing(quick: bool) {
 fn update_scaling(quick: bool) {
     println!("## update_scaling  insert / replace / delete at one patient, by document size\n");
     let sizes: &[usize] = if quick {
-        &[1_000]
+        // 10k: enough mri visits for the bulk delete's allocation check.
+        &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000, 1_000_000]
     };
@@ -424,6 +433,7 @@ fn update_scaling(quick: bool) {
         "validate whole",
         "DocHandle::update",
         "researchers",
+        "bulk delete",
     ]);
     for &size in sizes {
         let iters = (2_000_000 / size).clamp(5, 200);
@@ -505,6 +515,46 @@ fn update_scaling(quick: bool) {
                 }
             }
 
+            // One statement at every mri visit, on a fresh engine, beside
+            // a single-target delete timed the same way just before it
+            // (both after two untimed cycles of the admin statements).
+            let bulk = {
+                let engine = smoqe::Engine::with_defaults();
+                let fresh = engine.open_document("bulk");
+                fresh.load_dtd(hospital::DTD).unwrap();
+                fresh.load_document(doc.raw_source()).unwrap();
+                fresh.build_tax_index().unwrap();
+                for _ in 0..2 {
+                    for (_, statement) in &statements {
+                        fresh.update(statement).unwrap();
+                    }
+                }
+                fresh.update(&statements[0].1).unwrap();
+                let before = smoqe_bench::allocations();
+                let (_, single_took) = time(|| fresh.update(&statements[2].1).unwrap());
+                let single = smoqe_bench::allocations() - before;
+                let before = smoqe_bench::allocations();
+                let (report, took) = time(|| {
+                    fresh
+                        .update(&format!("delete {patients}/visit[treatment/test = 'mri']"))
+                        .expect("the bulk delete applies")
+                });
+                let made = smoqe_bench::allocations() - before;
+                if quick {
+                    assert!(
+                        made <= single + 64,
+                        "a {}-target delete made {made} allocations, a single-target one {single}",
+                        report.applied
+                    );
+                }
+                format!(
+                    "{} (k={}; 1: {})",
+                    fmt_duration(took),
+                    report.applied,
+                    fmt_duration(single_took)
+                )
+            };
+
             // The same three edits by hand, on the state each one meets.
             let pname = target(doc, &format!("{patient}/pname"));
             let (inserted, insert_span) =
@@ -554,6 +604,11 @@ fn update_scaling(quick: bool) {
                     fmt_duration(time_mean(iters.min(20), || dtd.validate(&after).unwrap())),
                     fmt_duration(whole[i] / iters as u32),
                     fmt_duration(through_view[i] / iters as u32),
+                    if statements[i].0 == "delete" {
+                        bulk.clone()
+                    } else {
+                        "-".to_string()
+                    },
                 ]);
             }
         }

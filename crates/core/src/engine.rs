@@ -849,10 +849,11 @@ impl Engine {
     ///   [`EngineError::UpdateDenied`]. So does a statement after which the
     ///   view would no longer exist: the root lost the view root's label
     ///   ([`smoqe_view::materializable`]).
-    /// * **Application.** Each statement's targets are applied
+    /// * **Application.** Each statement's targets are applied as if
     ///   last-to-first (pre-order ids before an edit window are stable),
-    ///   splicing the document's tables per edit and **incrementally
-    ///   patching** the TAX index instead of rebuilding it.
+    ///   in one splice of the document's tables per statement, and the
+    ///   TAX index is **incrementally patched** in one pass instead of
+    ///   rebuilt (`smoqe_update::apply_update`).
     /// * **Counts.** Reports count the document as the principal sees it:
     ///   the source for admins, the view for groups. View counts are kept
     ///   per group under the entry's write lock and carried across every

@@ -15,6 +15,7 @@
 //! required labels with a subtree's available labels to decide pruning.
 
 use crate::labelindex::LabelIndex;
+use crate::remap::Remap;
 use crate::valueindex::ValueIndex;
 use smoqe_xml::{Document, EditSpan, LabelSet, NodeId, Vocabulary};
 use std::collections::HashMap;
@@ -101,45 +102,48 @@ impl TaxIndex {
     /// Incrementally maintains the index across one structural edit: the
     /// index over the **pre-edit** document plus the [`EditSpan`] an edit
     /// of `smoqe_xml::edit` reported yields the index over `new_doc`
-    /// without a full rebuild.
-    ///
-    /// Node ids are pre-order positions, so an edit changes one contiguous
-    /// id window: per-node set assignments before the window are reused
-    /// verbatim, assignments after it are reused shifted, sets for the
-    /// inserted window are computed bottom-up over just that window, and
-    /// only the ancestor chain of the splice point is recomputed (those
-    /// are the only nodes outside the window whose descendants changed).
-    /// Cost is O(window + ancestors' fan-out) set work plus a copy of the
-    /// per-node assignment vector and of the interned set table (small by
-    /// the index's own compression argument), instead of
-    /// [`TaxIndex::build`]'s full bottom-up pass — see the
-    /// `update_maintenance` bench for the gap.
+    /// without a full rebuild. The one-window case of
+    /// [`TaxIndex::patched_all`].
     pub fn patched(&self, new_doc: &Document, span: &EditSpan) -> TaxIndex {
-        let start = span.start as usize;
-        let removed = span.removed as usize;
-        let inserted = span.inserted as usize;
-        debug_assert_eq!(
-            self.node_sets.len() - removed + inserted,
-            new_doc.node_count(),
-            "edit span does not describe this document pair"
-        );
+        self.patched_all(new_doc, std::slice::from_ref(span))
+    }
+
+    /// Maintains the index across one statement's edit in one pass over
+    /// each of its tables: `windows` are the disjoint windows the edit
+    /// spliced, last first (`smoqe_xml::Edited::windows`).
+    ///
+    /// Node ids are pre-order positions, so the per-node set assignments
+    /// of the kept segments between windows are reused verbatim (set ids
+    /// do not move), sets for the windows' new nodes are computed
+    /// bottom-up over just those nodes, and only the ancestors of the
+    /// windows' parents are recomputed, each once (those are the only
+    /// nodes outside the windows whose descendants changed). The label
+    /// and value indexes splice the same way (see
+    /// [`LabelIndex::patched`], [`ValueIndex::patched`]). Cost: a copy of
+    /// the per-node arrays and of each occurrence and posting list, plus
+    /// set work on the windows and the ancestors' children — instead of
+    /// [`TaxIndex::build`]'s full bottom-up pass (the `update_scaling`
+    /// experiment times it).
+    pub fn patched_all(&self, new_doc: &Document, windows: &[EditSpan]) -> TaxIndex {
+        let remap = Remap::new(new_doc, windows);
         debug_assert!(self.sets[0].is_empty(), "set 0 is the empty set");
 
         let mut sets = self.sets.clone();
         let num_labels = (self.num_labels as usize).max(new_doc.vocabulary().len());
-
-        let mut node_sets = Vec::with_capacity(new_doc.node_count());
-        node_sets.extend_from_slice(&self.node_sets[..start]);
-        // Placeholder (empty set) for the inserted window; text nodes and
-        // leaf elements keep it, matching `build`.
-        node_sets.resize(start + inserted, 0);
-        node_sets.extend_from_slice(&self.node_sets[start + removed..]);
+        // Placeholder (empty set) for the windows; text nodes and leaf
+        // elements keep it, matching `build`.
+        let mut node_sets =
+            remap.splice_table(&self.node_sets, new_doc.node_count(), 0, |out, kept, _| {
+                out.extend_from_slice(kept)
+            });
 
         // Dedup recomputed sets by linear scan: the set table is small by
         // design, and only window + ancestor nodes are recomputed, so a
-        // scan beats re-hashing the whole table up front.
+        // scan beats re-hashing the whole table up front. One accumulator
+        // serves every node (it is as long as any set, so it never grows).
+        let mut acc = LabelSet::with_capacity(num_labels);
         let mut assign = |node_sets: &mut Vec<u32>, node: NodeId| {
-            let mut acc = LabelSet::with_capacity(num_labels);
+            acc.clear();
             let mut nonempty = false;
             for c in new_doc.children(node) {
                 if let Some(l) = new_doc.label(c) {
@@ -154,38 +158,35 @@ impl TaxIndex {
                 match sets.iter().position(|s| *s == acc) {
                     Some(id) => id as u32,
                     None => {
-                        sets.push(acc);
+                        sets.push(acc.clone());
                         (sets.len() - 1) as u32
                     }
                 }
             };
         };
 
-        // The inserted window is one whole subtree: descending id order
-        // visits children before parents, and every child of a window
-        // node lies inside the window.
-        for raw in (start..start + inserted).rev() {
-            let node = NodeId(raw as u32);
-            if new_doc.is_element(node) {
-                assign(&mut node_sets, node);
+        // Each window's new nodes are whole subtrees: descending id order
+        // visits children before parents.
+        for fresh in remap.fresh() {
+            for raw in fresh.rev() {
+                let node = NodeId(raw);
+                if new_doc.is_element(node) {
+                    assign(&mut node_sets, node);
+                }
             }
         }
-        // Ancestors of the splice point (nearest first, so each uses the
-        // already-corrected sets of its children).
-        let mut ancestor = span.parent;
-        while let Some(a) = ancestor {
-            assign(&mut node_sets, a);
-            ancestor = new_doc.parent(a);
+        // The windows' ancestors, descending: each sees its children's
+        // sets already corrected.
+        for &a in &remap.ancestors {
+            assign(&mut node_sets, NodeId(a));
         }
 
         TaxIndex {
             sets,
             node_sets,
             num_labels: num_labels as u32,
-            // The positional indexes ride along (each with its own
-            // full-rebuild fallback for root-touching spans).
-            labels: self.labels.as_ref().map(|li| li.patched(new_doc, span)),
-            values: self.values.as_ref().map(|vi| vi.patched(new_doc, span)),
+            labels: self.labels.as_ref().map(|li| li.spliced(new_doc, &remap)),
+            values: self.values.as_ref().map(|vi| vi.spliced(new_doc, &remap)),
         }
     }
 

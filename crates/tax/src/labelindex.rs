@@ -20,6 +20,7 @@
 //! the document root invalidates every positional invariant at once, so
 //! that case falls back to a full rebuild instead of splicing.
 
+use crate::remap::Remap;
 use smoqe_xml::{Document, EditSpan, Label, NodeId};
 
 /// Positional index over one document: per-label sorted pre-order id
@@ -74,103 +75,75 @@ impl LabelIndex {
     /// every positional invariant with it, so it falls back to a full
     /// [`LabelIndex::build`] instead of splicing.
     pub fn patched(&self, new_doc: &Document, span: &EditSpan) -> LabelIndex {
-        let Some(parent) = span.parent else {
+        self.spliced(new_doc, &Remap::new(new_doc, std::slice::from_ref(span)))
+    }
+
+    /// [`LabelIndex::patched`] across every window of `remap` in one pass
+    /// over each array and each occurrence list.
+    pub(crate) fn spliced(&self, new_doc: &Document, remap: &Remap) -> LabelIndex {
+        if remap.root_replaced {
             return LabelIndex::build(new_doc);
-        };
-        let start = span.start as usize;
-        let removed = span.removed as usize;
-        let inserted = span.inserted as usize;
+        }
         let new_n = new_doc.node_count();
-        debug_assert_eq!(
-            self.subtree_end.len() - removed + inserted,
-            new_n,
-            "edit span does not describe this document pair"
-        );
-        let delta = inserted as i64 - removed as i64;
-        let shift = |v: u32| (v as i64 + delta) as u32;
 
         // -- subtree ends ------------------------------------------------
-        // Pre-window nodes whose subtree reaches past the splice point are
-        // exactly the splice ancestors (pre-order ranges nest); shifting
-        // them here is provisional, the ancestor walk below recomputes
-        // them exactly (which also covers the `end == start` append-into
-        // case, where the parent's subtree grows without having contained
-        // the window).
-        let mut subtree_end = Vec::with_capacity(new_n);
-        subtree_end.extend(self.subtree_end[..start].iter().map(|&e| {
-            if e as usize > start {
-                shift(e)
-            } else {
-                e
+        // A kept node's end moves with it; the ends of the windows' nodes
+        // and of their ancestors (the kept nodes whose subtrees changed)
+        // are recomputed from their last child, children first.
+        let mut subtree_end = remap.splice_table(&self.subtree_end, new_n, 0, |out, kept, d| {
+            out.extend(kept.iter().map(|&e| e.wrapping_add(d)))
+        });
+        let end_of = |subtree_end: &[u32], node: NodeId| {
+            new_doc
+                .last_child(node)
+                .map_or(node.0 + 1, |c| subtree_end[c.index()])
+        };
+        for fresh in remap.fresh() {
+            for raw in fresh.rev() {
+                subtree_end[raw as usize] = end_of(&subtree_end, NodeId(raw));
             }
-        }));
-        subtree_end.resize(start + inserted, 0);
-        subtree_end.extend(
-            self.subtree_end[start + removed..]
-                .iter()
-                .map(|&e| shift(e)),
-        );
-        // The inserted window is one whole subtree: descending order sees
-        // children (all inside the window) before parents.
-        for raw in (start..start + inserted).rev() {
-            let node = NodeId(raw as u32);
-            let mut end = raw as u32 + 1;
-            for c in new_doc.children(node) {
-                end = end.max(subtree_end[c.index()]);
-            }
-            subtree_end[raw] = end;
         }
-        // Ancestors of the splice point, nearest first.
-        let mut ancestor = Some(parent);
-        while let Some(a) = ancestor {
-            let mut end = a.0 + 1;
-            for c in new_doc.children(a) {
-                end = end.max(subtree_end[c.index()]);
-            }
-            subtree_end[a.index()] = end;
-            ancestor = new_doc.parent(a);
+        for &a in &remap.ancestors {
+            subtree_end[a as usize] = end_of(&subtree_end, NodeId(a));
         }
 
         // -- levels ------------------------------------------------------
-        // Depths outside the window are untouched by a splice; window
+        // Depths outside the windows are untouched by a splice; window
         // nodes hang off already-correct parents (inside the window or the
         // splice parent).
-        let mut level = Vec::with_capacity(new_n);
-        level.extend_from_slice(&self.level[..start]);
-        level.resize(start + inserted, 0);
-        level.extend_from_slice(&self.level[start + removed..]);
-        for raw in start..start + inserted {
-            let p = new_doc
-                .parent(NodeId(raw as u32))
-                .expect("window nodes hang below the splice parent");
-            level[raw] = level[p.index()] + 1;
+        let mut level = remap.splice_table(&self.level, new_n, 0, |out, kept, _| {
+            out.extend_from_slice(kept)
+        });
+        for fresh in remap.fresh() {
+            for raw in fresh {
+                let p = new_doc
+                    .parent(NodeId(raw))
+                    .expect("window nodes hang below the splice parent");
+                level[raw as usize] = level[p.index()] + 1;
+            }
         }
 
         // -- occurrence lists --------------------------------------------
-        // Per label: ids before the window survive verbatim, window ids
-        // are collected fresh, tail ids shift — and the three segments
-        // concatenate in sorted order by construction.
-        let num_labels = new_doc.vocabulary().len().max(self.lists.len());
-        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(num_labels);
-        let mut tails: Vec<usize> = Vec::with_capacity(num_labels);
-        for old in 0..num_labels {
-            let old_list: &[u32] = self.lists.get(old).map(Vec::as_slice).unwrap_or(&[]);
-            let keep = old_list.partition_point(|&x| (x as usize) < start);
-            let tail = old_list.partition_point(|&x| (x as usize) < start + removed);
-            let mut v = Vec::with_capacity(keep + (old_list.len() - tail));
-            v.extend_from_slice(&old_list[..keep]);
-            lists.push(v);
-            tails.push(tail);
-        }
-        for raw in start..start + inserted {
-            if let Some(l) = new_doc.label(NodeId(raw as u32)) {
-                lists[l.index()].push(raw as u32);
+        // Per label: kept ids move, window ids are collected fresh, and
+        // the two merge in sorted order.
+        let mut fresh: Vec<(u32, u32)> = Vec::with_capacity(remap.fresh().map(|r| r.len()).sum());
+        for raw in remap.fresh().flatten() {
+            if let Some(l) = new_doc.label(NodeId(raw)) {
+                fresh.push((l.0, raw));
             }
         }
-        for (old, tail) in tails.into_iter().enumerate() {
-            let old_list: &[u32] = self.lists.get(old).map(Vec::as_slice).unwrap_or(&[]);
-            lists[old].extend(old_list[tail..].iter().map(|&x| shift(x)));
-        }
+        fresh.sort_unstable();
+        let num_labels = new_doc.vocabulary().len().max(self.lists.len());
+        let lists = (0..num_labels as u32)
+            .map(|label| {
+                let old: &[u32] = self.lists.get(label as usize).map_or(&[], Vec::as_slice);
+                let from = fresh.partition_point(|&(l, _)| l < label);
+                let to = fresh.partition_point(|&(l, _)| l <= label);
+                let mut list = Vec::with_capacity(old.len() + (to - from));
+                remap.splice_list(old, fresh[from..to].iter().map(|&(_, id)| id), &mut list);
+                list
+            })
+            .collect();
 
         LabelIndex {
             lists,

@@ -27,6 +27,7 @@
 pub mod index;
 pub mod labelindex;
 pub mod persist;
+mod remap;
 pub mod valueindex;
 
 pub use index::TaxIndex;

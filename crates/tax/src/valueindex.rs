@@ -20,11 +20,11 @@
 //! string.
 //!
 //! Built in the same descending pass as [`crate::LabelIndex`], maintained
-//! incrementally through [`ValueIndex::patched`] (same contiguous-window
-//! splice, plus a re-key of the splice parent — the only node outside the
-//! window whose direct text could change), and reattached after
-//! persistence like the label index.
+//! incrementally through [`ValueIndex::patched`] (the same window splice
+//! as the label index's), and reattached after persistence like the label
+//! index.
 
+use crate::remap::Remap;
 use smoqe_xml::{Document, EditSpan, Label, NodeId};
 use std::collections::HashMap;
 
@@ -72,10 +72,8 @@ pub struct ValueIndex {
     /// that label whose direct text hashes to that key. Lists are never
     /// empty.
     lists: HashMap<(u32, u64), Vec<u32>>,
-    /// Per node: its posting key ([`UNPOSTED`] when the node posts
-    /// nothing). Lets [`ValueIndex::patched`] re-key the splice parent
-    /// without the pre-edit document.
-    node_key: Vec<u64>,
+    /// Number of nodes of the indexed document.
+    nodes: usize,
 }
 
 impl ValueIndex {
@@ -84,11 +82,9 @@ impl ValueIndex {
     pub fn build(doc: &Document) -> ValueIndex {
         let n = doc.node_count();
         let mut lists: HashMap<(u32, u64), Vec<u32>> = HashMap::new();
-        let mut node_key = vec![UNPOSTED; n];
         for raw in (0..n as u32).rev() {
             let node = NodeId(raw);
             let key = key_of(doc, node);
-            node_key[raw as usize] = key;
             if key == UNPOSTED {
                 continue;
             }
@@ -98,106 +94,73 @@ impl ValueIndex {
         for list in lists.values_mut() {
             list.reverse(); // descending pass pushed ids in reverse
         }
-        ValueIndex { lists, node_key }
+        ValueIndex { lists, nodes: n }
     }
 
     /// Incrementally maintains the index across one structural edit (same
     /// contract as [`crate::LabelIndex::patched`]): splice the contiguous
     /// id window out of every posting list, collect the window's fresh
-    /// postings, shift the tails — and re-key the splice **parent**, the
-    /// only node outside the window whose direct text can change (its set
-    /// of text children is the only one the splice touches). Root
-    /// replacement rewrites every id, so it falls back to a rebuild.
+    /// postings, shift the tails. Nothing outside the window is re-keyed:
+    /// the only such node whose set of text children a splice touches is
+    /// its parent, and its concatenated direct text is invariant under
+    /// the supported edits (they write and remove elements; a boundary
+    /// text merge preserves the concatenation). Root replacement rewrites
+    /// every id, so it falls back to a rebuild.
     pub fn patched(&self, new_doc: &Document, span: &EditSpan) -> ValueIndex {
-        let Some(parent) = span.parent else {
+        self.spliced(new_doc, &Remap::new(new_doc, std::slice::from_ref(span)))
+    }
+
+    /// [`ValueIndex::patched`] across every window of `remap` in one pass
+    /// over each posting list.
+    pub(crate) fn spliced(&self, new_doc: &Document, remap: &Remap) -> ValueIndex {
+        if remap.root_replaced {
             return ValueIndex::build(new_doc);
-        };
-        let start = span.start as usize;
-        let removed = span.removed as usize;
-        let inserted = span.inserted as usize;
-        let new_n = new_doc.node_count();
-        debug_assert_eq!(
-            self.node_key.len() - removed + inserted,
-            new_n,
-            "edit span does not describe this document pair"
-        );
-        let delta = inserted as i64 - removed as i64;
-        let shift = |v: u32| (v as i64 + delta) as u32;
-
-        // Per key: keep the pre-window prefix now, remember where the tail
-        // begins, append shifted tails after the window postings land so
-        // each list stays sorted by construction (prefix < window < tail).
-        let mut lists: HashMap<(u32, u64), Vec<u32>> =
-            HashMap::with_capacity(self.lists.len() + inserted);
-        let mut tails: Vec<((u32, u64), usize)> = Vec::with_capacity(self.lists.len());
-        for (&k, old_list) in &self.lists {
-            let keep = old_list.partition_point(|&x| (x as usize) < start);
-            let tail = old_list.partition_point(|&x| (x as usize) < start + removed);
-            if keep > 0 {
-                lists.insert(k, old_list[..keep].to_vec());
-            }
-            if tail < old_list.len() {
-                tails.push((k, tail));
-            }
         }
-
-        // -- node keys ---------------------------------------------------
-        let mut node_key = Vec::with_capacity(new_n);
-        node_key.extend_from_slice(&self.node_key[..start]);
-        node_key.resize(start + inserted, UNPOSTED);
-        node_key.extend_from_slice(&self.node_key[start + removed..]);
-
-        // -- splice-parent re-key ----------------------------------------
-        // `parent` precedes the window (span contract), so its id is valid
-        // in both documents and its old postings sit in some kept prefix.
-        // Under the current element-only edit ops its concatenated direct
-        // text is actually invariant (a boundary text merge preserves the
-        // concatenation), but re-keying one node is cheap and keeps this
-        // code correct on its own terms.
-        let old_key = self.node_key[parent.index()];
-        let new_key = key_of(new_doc, parent);
-        if old_key != new_key {
-            node_key[parent.index()] = new_key;
-            let label = new_doc.label(parent).expect("splice parent is an element");
-            if old_key != UNPOSTED {
-                if let Some(list) = lists.get_mut(&(label.0, old_key)) {
-                    if let Ok(pos) = list.binary_search(&parent.0) {
-                        list.remove(pos);
-                        if list.is_empty() {
-                            lists.remove(&(label.0, old_key));
-                        }
-                    }
-                }
-            }
-            if new_key != UNPOSTED {
-                let list = lists.entry((label.0, new_key)).or_default();
-                let pos = list.partition_point(|&x| x < parent.0);
-                list.insert(pos, parent.0);
-            }
-        }
-
-        // -- window postings ---------------------------------------------
-        for (raw, slot) in node_key.iter_mut().enumerate().skip(start).take(inserted) {
-            let node = NodeId(raw as u32);
+        let mut fresh: Vec<((u32, u64), u32)> = Vec::new();
+        for raw in remap.fresh().flatten() {
+            let node = NodeId(raw);
             let key = key_of(new_doc, node);
-            *slot = key;
-            if key == UNPOSTED {
-                continue;
+            if key != UNPOSTED {
+                let label = new_doc.label(node).expect("posted nodes are elements");
+                fresh.push(((label.0, key), raw));
             }
-            let label = new_doc.label(node).expect("posted nodes are elements");
-            lists.entry((label.0, key)).or_default().push(raw as u32);
         }
-
-        // -- shifted tails -----------------------------------------------
-        for (k, tail) in tails {
-            let old_list = &self.lists[&k];
-            lists
-                .entry(k)
-                .or_default()
-                .extend(old_list[tail..].iter().map(|&x| shift(x)));
+        fresh.sort_unstable();
+        fn ids(postings: &[((u32, u64), u32)]) -> impl Iterator<Item = u32> + '_ {
+            postings.iter().map(|&(_, id)| id)
         }
-
-        ValueIndex { lists, node_key }
+        let mut lists: HashMap<(u32, u64), Vec<u32>> =
+            HashMap::with_capacity(self.lists.len() + fresh.len());
+        for (&k, old) in &self.lists {
+            let from = fresh.partition_point(|&(f, _)| f < k);
+            let to = from + fresh[from..].partition_point(|&(f, _)| f == k);
+            let mut list = Vec::with_capacity(old.len() + (to - from));
+            remap.splice_list(old, ids(&fresh[from..to]), &mut list);
+            if !list.is_empty() {
+                lists.insert(k, list);
+            }
+        }
+        for postings in fresh.chunk_by(|a, b| a.0 == b.0) {
+            let k = postings[0].0;
+            if !self.lists.contains_key(&k) {
+                lists.insert(k, ids(postings).collect());
+            }
+        }
+        debug_assert!(
+            remap.ancestors.iter().all(|&a| {
+                let node = NodeId(a);
+                let key = key_of(new_doc, node);
+                key == UNPOSTED
+                    || lists[&(new_doc.label(node).expect("an element").0, key)]
+                        .binary_search(&a)
+                        .is_ok()
+            }),
+            "a splice leaves the direct text of the nodes around it as it was"
+        );
+        ValueIndex {
+            lists,
+            nodes: new_doc.node_count(),
+        }
     }
 
     /// Sorted pre-order ids of elements labelled `label` whose direct text
@@ -216,7 +179,7 @@ impl ValueIndex {
 
     /// Number of nodes covered.
     pub fn node_count(&self) -> usize {
-        self.node_key.len()
+        self.nodes
     }
 
     /// Number of distinct `(label, value)` posting lists.
@@ -245,15 +208,13 @@ impl ValueIndex {
         out
     }
 
-    /// Approximate in-memory footprint in bytes: posting ids, per-list
-    /// key/header overhead, and the per-node key array.
+    /// Approximate in-memory footprint in bytes: posting ids and per-list
+    /// key/header overhead.
     pub fn memory_bytes(&self) -> usize {
-        let list_bytes: usize = self
-            .lists
+        self.lists
             .values()
             .map(|l| l.len() * 4 + std::mem::size_of::<((u32, u64), Vec<u32>)>())
-            .sum();
-        list_bytes + self.node_key.len() * 8
+            .sum()
     }
 }
 
@@ -306,7 +267,6 @@ mod tests {
         let mut want: HashMap<(u32, u64), Vec<u32>> = HashMap::new();
         for n in d.all_nodes() {
             let key = key_of(d, n);
-            assert_eq!(idx.node_key[n.index()], key, "node key of {n:?}");
             if key != UNPOSTED {
                 let label = d.label(n).unwrap();
                 want.entry((label.0, key)).or_default().push(n.0);
@@ -455,7 +415,9 @@ mod tests {
         assert!(stats.contains(&(c, 1, 1)));
         assert_eq!(idx.distinct_postings(), 3);
         assert_eq!(idx.total_occurrences(), 4);
-        assert!(idx.memory_bytes() >= 4 * 4 + idx.node_count() * 8);
+        // Postings and list headers only: no per-node term.
+        let header = std::mem::size_of::<((u32, u64), Vec<u32>)>();
+        assert_eq!(idx.memory_bytes(), 4 * 4 + 3 * header);
     }
 
     #[test]

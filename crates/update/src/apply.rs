@@ -4,22 +4,27 @@
 use crate::ast::{InsertPos, Update, UpdateKind};
 use crate::error::UpdateError;
 use smoqe_tax::TaxIndex;
-use smoqe_xml::{delete_subtree, insert_fragment, replace_subtree, SplicePlace};
-use smoqe_xml::{Document, EditSpan, NodeId};
+use smoqe_xml::{edit_targets, Document, Edit, EditSpan, Edited, NodeId, SplicePlace};
 
 /// Applies `update` at every node of `targets` (which must be sorted
 /// ascending in document order and belong to `doc`), producing the new
-/// document and, when an index is supplied, a **incrementally patched**
-/// TAX index over it. Also returns the [`EditSpan`] of every edit, one per
-/// target in application order — what a caller needs to re-validate only
-/// what the update wrote (see `smoqe_xml::DirtySet`).
+/// document and, when an index is supplied, an **incrementally patched**
+/// TAX index over it. Also returns the [`EditSpan`] of every target, last
+/// target first — what a caller needs to re-validate only what the update
+/// wrote (see `smoqe_xml::DirtySet`).
 ///
-/// Targets are processed last-to-first: every edit changes one contiguous
-/// pre-order id window, so ids *before* the window — including every
-/// not-yet-processed target — stay valid across the edit. A target that
-/// contains another (nested selection) is simply applied after its
-/// descendant, which matches "apply the operation at every selected
-/// node" semantics.
+/// The result is that of applying the update target by target, last to
+/// first: every edit changes one contiguous pre-order id window, so ids
+/// *before* the window — including every not-yet-processed target — stay
+/// valid across it. A target that contains another (nested selection) is
+/// edited after its descendant, which matches "apply the operation at
+/// every selected node" semantics: a delete or replace of the outer
+/// target drops whatever the inner edit wrote, and inserts land at both.
+/// The statement costs **one** splice of the document's tables and one
+/// patch of the index, whatever the number of targets
+/// (`smoqe_xml::edit_targets`, `TaxIndex::patched_all`): nested targets
+/// fold into the outer window, and the spans are those the
+/// target-at-a-time fold reports.
 ///
 /// Nothing here checks policy or schema conformance; callers resolve and
 /// authorize `targets` and validate the result. The function is
@@ -33,29 +38,17 @@ pub fn apply_update(
     if targets.is_empty() {
         return Err(UpdateError::NoTarget);
     }
-    debug_assert!(
-        targets.windows(2).all(|w| w[0] < w[1]),
-        "targets must be sorted ascending and deduplicated"
-    );
-    let mut state: Option<(Document, Option<TaxIndex>)> = None;
-    let mut spans = Vec::with_capacity(targets.len());
-    for &target in targets.iter().rev() {
-        let (cur_doc, cur_tax) = match &state {
-            None => (doc, tax),
-            Some((d, t)) => (d, t.as_ref()),
-        };
-        let (new_doc, span) = match &update.kind {
-            UpdateKind::Delete => delete_subtree(cur_doc, target)?,
-            UpdateKind::Replace { fragment } => replace_subtree(cur_doc, target, fragment)?,
-            UpdateKind::Insert { fragment, pos } => {
-                insert_fragment(cur_doc, target, place(*pos), fragment)?
-            }
-        };
-        let new_tax = cur_tax.map(|t| t.patched(&new_doc, &span));
-        state = Some((new_doc, new_tax));
-        spans.push(span);
-    }
-    let (new_doc, new_tax) = state.expect("at least one target was applied");
+    let edit = match &update.kind {
+        UpdateKind::Delete => Edit::Delete,
+        UpdateKind::Replace { fragment } => Edit::Replace(fragment),
+        UpdateKind::Insert { fragment, pos } => Edit::Insert(place(*pos), fragment),
+    };
+    let Edited {
+        doc: new_doc,
+        spans,
+        windows,
+    } = edit_targets(doc, targets, edit)?;
+    let new_tax = tax.map(|t| t.patched_all(&new_doc, &windows));
     Ok((new_doc, new_tax, spans))
 }
 

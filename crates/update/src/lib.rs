@@ -10,11 +10,13 @@
 //!   `replace <path> with <fragment>` — with an AST ([`ast`]) and a parser
 //!   ([`parse_update`]) whose target expressions go through the `rxpath`
 //!   lexer/parser, so queries and update targets share one syntax;
-//! * **application** ([`apply_update`]): targets are applied
-//!   last-to-first in document order (pre-order ids before an edit window
-//!   are stable, so earlier targets stay valid), each edit rebuilds the
-//!   arena through `smoqe_xml::edit`, and when a TAX index rides along it
-//!   is **incrementally patched** per edit instead of rebuilt.
+//! * **application** ([`apply_update`]): the result is that of applying
+//!   the targets last-to-first in document order (pre-order ids before an
+//!   edit window are stable, so earlier targets stay valid), made in one
+//!   splice of the document's tables per statement through
+//!   `smoqe_xml::edit_targets`; when a TAX index rides along it is
+//!   **incrementally patched** in one pass per statement instead of
+//!   rebuilt.
 //!
 //! Policy enforcement (which targets a group session may touch) lives in
 //! the engine (`smoqe::Session::update`): accessibility is decided against

@@ -7,24 +7,28 @@
 //! **splicing**, of the buffer and of the tables: the new raw buffer is
 //! the old one with the edit's bytes cut out and the serialized fragment
 //! written in, only the written bytes are scanned, and the node, extent
-//! and text tables are the old ones copied around that window with ids
-//! and offsets shifted (`tree::splice`). An update therefore costs a copy
-//! of the document's tables plus work proportional to the edit — never a
-//! re-parse. Every document has a buffer (a built one holds its
-//! serialization), so this is the only edit path. Every invariant holds
-//! by construction, and what must *not* be recomputed from scratch
-//! follows from the returned
-//! [`EditSpan`]: the TAX index is patched from it (see
-//! `smoqe_tax::TaxIndex::patched`), and schema validation re-checks only
-//! the [`DirtySet`] a chain of spans adds up to.
+//! and text tables are the old ones copied around the edit's windows with
+//! ids and offsets shifted (`tree::splice`). A statement edits all its
+//! targets in **one** such pass ([`edit_targets`]; the single-target
+//! functions are its one-target case), so it costs one copy of the
+//! document's tables plus work proportional to what it wrote — never a
+//! re-parse, and never a copy per target. Every document has a buffer (a
+//! built one holds its serialization), so this is the only edit path.
+//! Every invariant holds by construction, and what must *not* be
+//! recomputed from scratch follows from the returned [`EditSpan`]s: the
+//! TAX index is patched from the windows in one pass (see
+//! `smoqe_tax::TaxIndex::patched_all`), and schema validation re-checks
+//! only the [`DirtySet`] the chain of per-target spans adds up to.
 //!
-//! Because node ids are pre-order positions, every supported edit changes
-//! one **contiguous id window**: nodes before the window keep their ids,
-//! nodes after it shift by `inserted - removed`, and the only nodes whose
-//! *descendant structure* changes are the ancestors of the splice point.
-//! [`EditSpan`] records exactly that.
+//! Because node ids are pre-order positions, every supported edit of one
+//! target changes one **contiguous id window**: nodes before the window
+//! keep their ids, nodes after it shift by `inserted - removed`, and the
+//! only nodes whose *descendant structure* changes are the ancestors of
+//! the splice point. [`EditSpan`] records exactly that; a statement's
+//! edit is a chain of them, one per target, last target first — or,
+//! equally, the chain of its disjoint windows.
 
-use crate::tree::{Document, NodeId, Splice};
+use crate::tree::{Cut, Document, NodeId, Splice, Window};
 use std::fmt;
 
 /// The contiguous pre-order id window an edit changed.
@@ -164,19 +168,39 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// The edit to perform at a target node. Fragments are stand-alone
-/// documents (their root element is what gets spliced in); their labels
-/// are re-interned into the edited document's vocabulary, so a fragment
-/// parsed against any vocabulary is safe to splice.
-enum Op<'a> {
+/// The edit a statement makes at every one of its targets. Fragments are
+/// stand-alone documents (their root element is what gets spliced in);
+/// their labels are re-interned into the edited document's vocabulary,
+/// so a fragment parsed against any vocabulary is safe to splice.
+#[derive(Clone, Copy)]
+pub enum Edit<'a> {
+    /// Delete the target's subtree.
     Delete,
+    /// Replace the target's subtree with the fragment (replacing the root
+    /// is allowed — the fragment becomes the new root).
     Replace(&'a Document),
+    /// Insert the fragment into, before or after the target.
     Insert(SplicePlace, &'a Document),
+}
+
+/// What [`edit_targets`] made of a document.
+pub struct Edited {
+    /// The edited document.
+    pub doc: Document,
+    /// One span per target, last target first: the chain a
+    /// target-at-a-time fold reports, each span in the ids of the
+    /// document the ones before it produced (see [`EditSpan`]).
+    pub spans: Vec<EditSpan>,
+    /// The disjoint windows the one pass spliced, last first: a chain of
+    /// spans taking the old document to the new one like `spans`, but
+    /// with no window inside or across another. What an index patches in
+    /// one pass (`smoqe_tax::TaxIndex::patched_all`).
+    pub windows: Vec<EditSpan>,
 }
 
 /// Deletes the subtree rooted at `target`.
 pub fn delete_subtree(doc: &Document, target: NodeId) -> Result<(Document, EditSpan), EditError> {
-    splice(doc, target, &Op::Delete)
+    edit_one(doc, target, Edit::Delete)
 }
 
 /// Replaces the subtree rooted at `target` with `fragment` (replacing the
@@ -186,7 +210,7 @@ pub fn replace_subtree(
     target: NodeId,
     fragment: &Document,
 ) -> Result<(Document, EditSpan), EditError> {
-    splice(doc, target, &Op::Replace(fragment))
+    edit_one(doc, target, Edit::Replace(fragment))
 }
 
 /// Inserts `fragment` into/before/after `target`.
@@ -196,128 +220,401 @@ pub fn insert_fragment(
     place: SplicePlace,
     fragment: &Document,
 ) -> Result<(Document, EditSpan), EditError> {
-    splice(doc, target, &Op::Insert(place, fragment))
+    edit_one(doc, target, Edit::Insert(place, fragment))
 }
 
-/// Applies `op` at `target` by splicing `doc`'s tables (see
-/// [`Document::spliced`]): this function works out the edit's id window
-/// and *which bytes* it cuts and writes; the tables follow from that.
+/// [`edit_targets`] at one target.
+fn edit_one(
+    doc: &Document,
+    target: NodeId,
+    edit: Edit<'_>,
+) -> Result<(Document, EditSpan), EditError> {
+    let Edited { doc, mut spans, .. } = edit_targets(doc, &[target], edit)?;
+    Ok((doc, spans.pop().expect("one span per target")))
+}
+
+/// Applies `edit` at every node of `targets` (sorted ascending, no
+/// duplicates) in **one splice of `doc`'s tables** (see
+/// [`Document::spliced`]): this function works out the windows — which
+/// ids and which bytes the edit cuts and writes — and the tables follow
+/// from them, each copied once whatever the number of targets.
 ///
-/// The new buffer is `old[..cut.start] + insert + old[cut.end..]`. For
-/// deletes, the cut also swallows the *invisible gap* between the target
-/// and its siblings (comments, processing instructions and
-/// whitespace-only runs that produced no node), so that a dropped
-/// whitespace run can never concatenate with kept text and resurface.
-/// When that leaves two text siblings adjacent, both join the scanned
-/// window and come back as the one merged node a parse would produce.
-fn splice(doc: &Document, target: NodeId, op: &Op<'_>) -> Result<(Document, EditSpan), EditError> {
-    if target.index() >= doc.node_count() {
-        return Err(EditError::UnknownTarget(target));
-    }
-    if !doc.is_element(target) {
-        return Err(EditError::TextTarget(target));
-    }
-    match op {
-        Op::Delete if target == doc.root() => return Err(EditError::RootRemoval),
-        Op::Insert(SplicePlace::Before | SplicePlace::After, _) if target == doc.root() => {
-            return Err(EditError::RootSibling)
+/// The result is the one a target-at-a-time fold gives, last target
+/// first (ids before an edit stay valid across it): each target is
+/// edited in the document as the later targets left it. So a target
+/// nested in another target is edited first, then dropped with its
+/// ancestor by a delete or replace (its window folds into the outer one),
+/// while inserts at nested targets all land. Both chains of spans that
+/// describe the edit are returned (see [`Edited`]).
+///
+/// The new buffer is `doc`'s with every cut written. For deletes, a cut
+/// also swallows the *invisible gap* between the target and its siblings
+/// (comments, processing instructions and whitespace-only runs that
+/// produced no node), so that a dropped whitespace run can never
+/// concatenate with kept text and resurface; deleted siblings with only
+/// gaps between them share one cut. When a delete leaves two text
+/// siblings adjacent, both join the scanned window and come back as the
+/// one merged node a parse would produce; windows that share such a text,
+/// or whose kept neighbour another window removed, are joined into one.
+///
+/// # Errors
+/// The first target, from the last, that the edit cannot apply to (see
+/// [`EditError`]); or [`EditError::SpanLimit`].
+///
+/// # Panics
+/// Panics unless `targets` is sorted ascending without duplicates.
+pub fn edit_targets(
+    doc: &Document,
+    targets: &[NodeId],
+    edit: Edit<'_>,
+) -> Result<Edited, EditError> {
+    assert!(
+        targets.windows(2).all(|w| w[0] < w[1]),
+        "targets must be sorted ascending and deduplicated"
+    );
+    for &target in targets.iter().rev() {
+        if target.index() >= doc.node_count() {
+            return Err(EditError::UnknownTarget(target));
         }
-        _ => {}
+        if !doc.is_element(target) {
+            return Err(EditError::TextTarget(target));
+        }
+        match edit {
+            Edit::Delete if target == doc.root() => return Err(EditError::RootRemoval),
+            Edit::Insert(SplicePlace::Before | SplicePlace::After, _) if target == doc.root() => {
+                return Err(EditError::RootSibling)
+            }
+            _ => {}
+        }
+    }
+    let xml = match edit {
+        Edit::Delete => String::new(),
+        Edit::Replace(f) | Edit::Insert(_, f) => f.to_xml(),
+    };
+    let written = Written::of(&xml, doc.vocabulary());
+    let (spans, planned) = match edit {
+        Edit::Delete => plan_delete(doc, targets),
+        Edit::Replace(_) => plan_replace(doc, targets, &written),
+        Edit::Insert(place, _) => plan_insert(doc, targets, place, &written),
+    };
+
+    let mut splice = Splice::new(
+        planned
+            .iter()
+            .map(|p| Cut {
+                range: p.cut.clone(),
+                insert: &xml,
+                close: p.close,
+            })
+            .collect(),
+    );
+    let mut windows: Vec<Window> = Vec::with_capacity(planned.len());
+    for (i, p) in planned.into_iter().enumerate() {
+        let scan = match p.scan {
+            Scan::Nothing => 0..0,
+            Scan::Written => {
+                let at = splice.written_at(i) + usize::from(p.close.is_some());
+                at..at + xml.len()
+            }
+            Scan::Merged(r) => splice.start_offset(r.start)..splice.end_offset(r.end),
+        };
+        let w = Window {
+            nodes: p.nodes,
+            parent: p.parent,
+            prev: p.prev,
+            scan,
+            new_nodes: p.new_nodes,
+            new_texts: p.new_texts,
+            cuts_end: i + 1,
+        };
+        match windows.last_mut() {
+            // `w` shares a merged text with the window before it, or the
+            // kept sibling it follows is gone: one window.
+            Some(last)
+                if w.nodes.start < last.nodes.end
+                    || w.prev.is_some_and(|q| last.nodes.contains(&q.0)) =>
+            {
+                debug_assert_eq!(last.parent, w.parent, "joined windows are siblings");
+                let shared = u32::from(w.nodes.start < last.nodes.end);
+                last.nodes.end = w.nodes.end;
+                last.scan = match (last.scan.is_empty(), w.scan.is_empty()) {
+                    (true, _) => w.scan,
+                    (false, true) => last.scan.clone(),
+                    (false, false) => last.scan.start..w.scan.end,
+                };
+                last.new_nodes += w.new_nodes - shared;
+                last.new_texts += w.new_texts - shared;
+                last.cuts_end = w.cuts_end;
+            }
+            _ => windows.push(w),
+        }
+    }
+    splice.windows = windows;
+    let new_doc = doc.spliced(&splice)?;
+    let windows = splice
+        .windows
+        .iter()
+        .rev()
+        .map(|w| EditSpan {
+            start: w.nodes.start,
+            removed: w.nodes.len() as u32,
+            inserted: w.new_nodes,
+            parent: w.parent,
+        })
+        .collect();
+    Ok(Edited {
+        doc: new_doc,
+        spans,
+        windows,
+    })
+}
+
+/// What the scan of a planned window covers.
+enum Scan {
+    /// Nothing: the window only removes.
+    Nothing,
+    /// The fragment its cut writes.
+    Written,
+    /// Two text siblings a delete joins, by their old extents.
+    Merged(std::ops::Range<usize>),
+}
+
+/// One window as planned: one cut, before joining (see [`Window`]).
+struct Planned<'a> {
+    nodes: std::ops::Range<u32>,
+    parent: Option<NodeId>,
+    prev: Option<NodeId>,
+    cut: std::ops::Range<usize>,
+    close: Option<&'a str>,
+    scan: Scan,
+    new_nodes: u32,
+    new_texts: u32,
+}
+
+/// The nodes a fragment's serialization scans as: what each insert or
+/// replace window receives.
+struct Written {
+    nodes: u32,
+    texts: u32,
+}
+
+impl Written {
+    /// Counts by parsing `xml` — the parse every window's scan repeats
+    /// (a fragment's own tree can differ: a whitespace-only CDATA text
+    /// serializes as whitespace a parse drops).
+    fn of(xml: &str, vocab: &crate::label::Vocabulary) -> Written {
+        if xml.is_empty() {
+            return Written { nodes: 0, texts: 0 };
+        }
+        let parsed = Document::parse_str(xml, vocab).expect("a fragment serializes to a document");
+        Written {
+            nodes: parsed.node_count() as u32,
+            texts: parsed.text_count() as u32,
+        }
+    }
+}
+
+/// The index range of the targets strictly inside target `i`'s subtree,
+/// which ends before id `end`.
+fn inside(targets: &[NodeId], i: usize, end: u32) -> std::ops::Range<usize> {
+    i + 1..i + 1 + targets[i + 1..].partition_point(|u| u.0 < end)
+}
+
+/// Index past target `i` and every target nested in it.
+fn skip_nested(doc: &Document, targets: &[NodeId], i: usize) -> usize {
+    inside(targets, i, doc.subtree_end(targets[i])).end
+}
+
+/// The old extent of `node`.
+fn extent(doc: &Document, node: NodeId) -> std::ops::Range<usize> {
+    let (s, e) = doc.node_extent(node);
+    s..e
+}
+
+fn is_text(doc: &Document, node: Option<NodeId>) -> bool {
+    node.is_some_and(|n| !doc.is_element(n))
+}
+
+/// Deletes: a target's span counts its subtree as the later targets left
+/// it (minus what nested targets removed), plus a text sibling it joins.
+/// Windows are the maximal runs of adjacent top-level targets, each with
+/// one gap-swallowing cut.
+fn plan_delete<'a>(doc: &Document, targets: &[NodeId]) -> (Vec<EditSpan>, Vec<Planned<'a>>) {
+    let k = targets.len();
+    // `removed_from[i]`: nodes removed by targets `i..`; `kept_next[i]`:
+    // target `i`'s first following sibling no target removes.
+    let mut removed_from = vec![0u64; k + 1];
+    let mut kept_next: Vec<Option<NodeId>> = vec![None; k];
+    let mut spans = Vec::with_capacity(k);
+    for i in (0..k).rev() {
+        let t = targets[i];
+        let end = doc.subtree_end(t);
+        let nested = inside(targets, i, end);
+        let next = doc.next_sibling(t);
+        kept_next[i] = match next.map(|s| targets[i + 1..].binary_search(&s)) {
+            Some(Ok(j)) => kept_next[i + 1 + j],
+            _ => next,
+        };
+        let joins = is_text(doc, kept_next[i]) && is_text(doc, doc.prev_sibling(t));
+        let removed = u64::from(end - t.0)
+            - (removed_from[nested.start] - removed_from[nested.end])
+            + u64::from(joins);
+        removed_from[i] = removed_from[i + 1] + removed;
+        spans.push(EditSpan {
+            start: t.0,
+            removed: removed as u32,
+            inserted: 0,
+            parent: doc.parent(t),
+        });
     }
 
-    let subtree = doc.subtree_size(target) as u32;
-    let (start, removed) = match op {
-        Op::Delete | Op::Replace(_) => (target.0, subtree),
-        Op::Insert(SplicePlace::Before, _) => (target.0, 0),
-        Op::Insert(SplicePlace::After | SplicePlace::Into, _) => (target.0 + subtree, 0),
-    };
-    let parent = match op {
-        Op::Insert(SplicePlace::Into, _) => Some(target),
-        _ => doc.parent(target),
-    };
-    let mut span = EditSpan {
-        start,
-        removed,
-        inserted: 0,
-        parent,
-    };
     let buf = doc.raw_source();
-    let (ext_s, ext_e) = doc.node_extent(target);
-    let window = span.start..span.start + span.removed;
-    let (xml, expected_nodes) = match op {
-        Op::Delete => (String::new(), 0),
-        Op::Replace(f) | Op::Insert(_, f) => (f.to_xml(), f.node_count()),
-    };
-    // The fragment written at byte `at`, after the sibling `prev`.
-    let written = |at: usize, prev: Option<NodeId>| Splice {
-        nodes: window.clone(),
-        parent: span.parent,
-        prev,
-        cut: at..at,
-        insert: &xml,
-        scan: at..at + xml.len(),
-        expected_nodes,
-    };
-    let rewritten_tag;
-    let edit = match op {
-        Op::Delete => {
-            let parent = span.parent.expect("the root is never deleted");
-            let (par_s, par_e) = doc.node_extent(parent);
-            let prev = doc.prev_sibling(target);
-            let next = doc.next_sibling(target);
-            let cut_start = match prev {
-                Some(p) => doc.node_extent(p).1,
-                None => tag_content_start(buf, par_s),
-            };
-            let cut_end = match next {
-                Some(n) => doc.node_extent(n).0,
-                None => close_tag_start(buf, par_e),
-            };
-            let mut edit = Splice {
-                cut: cut_start..cut_end,
-                ..written(cut_start, prev)
-            };
-            if let (Some(p), Some(n)) = (prev, next) {
-                if !doc.is_element(p) && !doc.is_element(n) {
-                    // The text siblings around the target become adjacent.
-                    edit.nodes = p.0..n.0 + 1;
-                    edit.prev = doc.prev_sibling(p);
-                    edit.scan = doc.node_extent(p).0..doc.node_extent(n).1 - edit.cut.len();
-                    edit.expected_nodes = 1;
-                    span.removed += 1;
-                }
-            }
-            edit
+    let mut planned = Vec::with_capacity(k);
+    let mut i = 0;
+    while i < k {
+        let (first, mut last) = (targets[i], targets[i]);
+        i = skip_nested(doc, targets, i);
+        while i < k && doc.next_sibling(last) == Some(targets[i]) {
+            last = targets[i];
+            i = skip_nested(doc, targets, i);
         }
-        Op::Replace(_) => Splice {
-            cut: ext_s..ext_e,
-            ..written(ext_s, doc.prev_sibling(target))
-        },
-        Op::Insert(SplicePlace::Before, _) => written(ext_s, doc.prev_sibling(target)),
-        Op::Insert(SplicePlace::After, _) => written(ext_e, Some(target)),
-        Op::Insert(SplicePlace::Into, _) => {
-            let prev = doc.last_child(target);
-            if buf.as_bytes()[ext_e - 2] == b'/' {
-                // Self-closing target: rewrite `<b .../>` as
-                // `<b ...>fragment</b>`.
-                let name = doc.name(target).expect("edit targets are elements");
-                rewritten_tag = format!(">{xml}</{name}>");
-                Splice {
-                    cut: ext_e - 2..ext_e,
-                    insert: &rewritten_tag,
-                    ..written(ext_e - 1, prev)
-                }
-            } else {
-                written(close_tag_start(buf, ext_e), prev)
-            }
-        }
-    };
-    let new_doc = doc.spliced(&edit)?;
-    if !matches!(op, Op::Delete) {
-        let kept = doc.node_count() - edit.nodes.len();
-        span.inserted = (new_doc.node_count() - kept) as u32;
+        let parent = doc.parent(first).expect("the root is never deleted");
+        let (prev, next) = (doc.prev_sibling(first), doc.next_sibling(last));
+        let within = extent(doc, parent);
+        let cut = match prev {
+            Some(p) => extent(doc, p).end,
+            None => tag_content_start(buf, within.start),
+        }..match next {
+            Some(n) => extent(doc, n).start,
+            None => close_tag_start(buf, within.end),
+        };
+        planned.push(match (prev, next) {
+            // The text siblings around the run become adjacent.
+            (Some(p), Some(n)) if is_text(doc, prev) && is_text(doc, next) => Planned {
+                nodes: p.0..n.0 + 1,
+                parent: Some(parent),
+                prev: doc.prev_sibling(p),
+                cut,
+                close: None,
+                scan: Scan::Merged(extent(doc, p).start..extent(doc, n).end),
+                new_nodes: 1,
+                new_texts: 1,
+            },
+            _ => Planned {
+                nodes: first.0..doc.subtree_end(last),
+                parent: Some(parent),
+                prev,
+                cut,
+                close: None,
+                scan: Scan::Nothing,
+                new_nodes: 0,
+                new_texts: 0,
+            },
+        });
     }
-    Ok((new_doc, span))
+    (spans, planned)
+}
+
+/// Replaces: a target's span counts its subtree as the nested targets'
+/// replacements left it. Windows are the top-level targets' subtrees.
+fn plan_replace<'a>(
+    doc: &Document,
+    targets: &[NodeId],
+    written: &Written,
+) -> (Vec<EditSpan>, Vec<Planned<'a>>) {
+    let k = targets.len();
+    // `grown_from[i]`: nodes removed minus nodes written by targets `i..`.
+    let mut grown_from = vec![0i64; k + 1];
+    let mut spans = Vec::with_capacity(k);
+    for i in (0..k).rev() {
+        let t = targets[i];
+        let end = doc.subtree_end(t);
+        let nested = inside(targets, i, end);
+        let removed = i64::from(end - t.0) - (grown_from[nested.start] - grown_from[nested.end]);
+        grown_from[i] = grown_from[i + 1] + removed - i64::from(written.nodes);
+        spans.push(EditSpan {
+            start: t.0,
+            removed: removed as u32,
+            inserted: written.nodes,
+            parent: doc.parent(t),
+        });
+    }
+    let mut planned = Vec::with_capacity(k);
+    let mut i = 0;
+    while i < k {
+        let t = targets[i];
+        i = skip_nested(doc, targets, i);
+        planned.push(Planned {
+            nodes: t.0..doc.subtree_end(t),
+            parent: doc.parent(t),
+            prev: doc.prev_sibling(t),
+            cut: extent(doc, t),
+            close: None,
+            scan: Scan::Written,
+            new_nodes: written.nodes,
+            new_texts: written.texts,
+        });
+    }
+    (spans, planned)
+}
+
+/// Inserts: a target's span starts after its subtree as the nested
+/// targets' insertions grew it (into/after). Every target has a window,
+/// empty of old nodes; windows go in buffer order.
+fn plan_insert<'a>(
+    doc: &'a Document,
+    targets: &[NodeId],
+    place: SplicePlace,
+    written: &Written,
+) -> (Vec<EditSpan>, Vec<Planned<'a>>) {
+    let k = targets.len();
+    let buf = doc.raw_source();
+    let mut spans = Vec::with_capacity(k);
+    let mut planned = Vec::with_capacity(k);
+    for (i, &t) in targets.iter().enumerate() {
+        let end = doc.subtree_end(t);
+        let grown = written.nodes * inside(targets, i, end).len() as u32;
+        let ext = extent(doc, t);
+        let (start, at, parent, prev) = match place {
+            SplicePlace::Before => (t.0, ext.start, doc.parent(t), doc.prev_sibling(t)),
+            SplicePlace::After => (end + grown, ext.end, doc.parent(t), Some(t)),
+            SplicePlace::Into => (end + grown, ext.end, Some(t), doc.last_child(t)),
+        };
+        spans.push(EditSpan {
+            start,
+            removed: 0,
+            inserted: written.nodes,
+            parent,
+        });
+        let window = if place == SplicePlace::Before {
+            t.0
+        } else {
+            end
+        };
+        let (cut, close) = match place {
+            // Self-closing target: rewrite `<b .../>` as
+            // `<b ...>fragment</b>`.
+            SplicePlace::Into if buf.as_bytes()[at - 2] == b'/' => (at - 2..at, doc.name(t)),
+            SplicePlace::Into => {
+                let at = close_tag_start(buf, at);
+                (at..at, None)
+            }
+            _ => (at..at, None),
+        };
+        planned.push(Planned {
+            nodes: window..window,
+            parent,
+            prev,
+            cut,
+            close,
+            scan: Scan::Written,
+            new_nodes: written.nodes,
+            new_texts: written.texts,
+        });
+    }
+    spans.reverse();
+    planned.sort_unstable_by_key(|p| p.cut.start);
+    (spans, planned)
 }
 
 /// Offset just past the `>` closing the start tag that begins at

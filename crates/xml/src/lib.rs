@@ -49,7 +49,8 @@ pub mod tree;
 
 pub use dtd::{ContentModel, Dtd, HOSPITAL_DTD};
 pub use edit::{
-    delete_subtree, insert_fragment, replace_subtree, DirtySet, EditError, EditSpan, SplicePlace,
+    delete_subtree, edit_targets, insert_fragment, replace_subtree, DirtySet, Edit, EditError,
+    EditSpan, Edited, SplicePlace,
 };
 pub use error::XmlError;
 pub use generate::{generate, generate_to_writer, GeneratorConfig};

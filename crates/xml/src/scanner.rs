@@ -171,7 +171,7 @@ pub struct Scanner<R: BufRead> {
     attr_spans: Vec<AttrSpan>,
 }
 
-impl Scanner<&[u8]> {
+impl<'a> Scanner<&'a [u8]> {
     /// Scans an in-memory string.
     #[allow(clippy::should_implement_trait)] // not fallible-parse semantics
     pub fn from_str(input: &str) -> Scanner<&[u8]> {
@@ -189,12 +189,26 @@ impl Scanner<&[u8]> {
     /// real names are never empty, so no end tag in the range can close
     /// it, and "exactly the nameless element is open" is what tells the
     /// end of a range from a truncated document.
-    pub(crate) fn content_range(range: &str, base: u64) -> Scanner<&[u8]> {
+    pub(crate) fn content_range(range: &'a str, base: u64) -> Scanner<&'a [u8]> {
         let mut scanner = Scanner::new(range.as_bytes());
-        scanner.offset = base;
-        scanner.open_lens.push(0);
-        scanner.seen_root = true;
+        scanner.restart_range(range, base);
         scanner
+    }
+
+    /// Points the scanner at another content range (see
+    /// [`Scanner::content_range`]), keeping its scratch buffers: one
+    /// scanner serves every window of a table splice.
+    pub(crate) fn restart_range(&mut self, range: &'a str, base: u64) {
+        self.reader = range.as_bytes();
+        self.buf.clear();
+        self.pos = 0;
+        self.offset = base;
+        self.open_names.clear();
+        self.open_lens.clear();
+        self.open_lens.push(0);
+        self.seen_root = true;
+        self.finished = false;
+        self.pending_end = false;
     }
 }
 

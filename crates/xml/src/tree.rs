@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 pub use crate::scanner::Attribute;
 
 mod splice;
-pub(crate) use splice::Splice;
+pub(crate) use splice::{Cut, Splice, Window};
 
 /// Index of a node in a [`Document`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,25 +57,28 @@ pub enum NodeKind {
     Text(u32),
 }
 
-/// How one text node's content is stored. The common case (an
-/// entity-free span) is inline; the rare dirty case lives behind one
-/// pointer so the table entry stays at 16 bytes.
-#[derive(Clone, Debug)]
+/// How one text node's content is stored: a plain `Copy` column entry,
+/// so an edit copies the text table as it copies the node table. The
+/// common case (an entity-free span) is inline; the rare dirty case is an
+/// index into the document's side table of [`DirtyText`]s.
+#[derive(Clone, Copy, Debug)]
 enum TextRepr {
     /// Entity-free span: the buffer bytes *are* the text (for CDATA, the
     /// inner content span).
     Span { start: u32, end: u32 },
-    /// Everything else (see [`DirtyText`]).
-    Dirty(Box<DirtyText>),
+    /// Everything else: an index into [`Document`]'s `dirty` table, which
+    /// holds these entries in text order.
+    Dirty(u32),
 }
 
 /// A raw source region containing entities, CDATA wrappers or interior
-/// comments/PIs (merged pieces); decoded lazily, cached once.
+/// comments/PIs (merged pieces); decoded lazily, cached once. Cloning
+/// shares a filled cache instead of copying it.
 #[derive(Clone, Debug)]
 struct DirtyText {
     start: u32,
     end: u32,
-    cache: OnceLock<Box<str>>,
+    cache: OnceLock<Arc<str>>,
 }
 
 /// How one attribute value is stored.
@@ -184,6 +187,8 @@ pub struct Document {
     /// `node_extent` read them).
     extents: Vec<Extent>,
     texts: Vec<TextRepr>,
+    /// The regions of [`TextRepr::Dirty`] texts, in text order.
+    dirty: Vec<DirtyText>,
     /// Sparse: most elements have no attributes.
     attrs: std::collections::HashMap<u32, Vec<AttrRecord>>,
     /// Label-indexed name snapshot taken at build time, so
@@ -215,6 +220,11 @@ impl Document {
             .iter()
             .filter(|n| matches!(n.kind, NodeKind::Element(_)))
             .count()
+    }
+
+    /// Number of text nodes.
+    pub(crate) fn text_count(&self) -> usize {
+        self.texts.len()
     }
 
     /// The kind of `node`.
@@ -254,10 +264,15 @@ impl Document {
     fn resolve_text(&self, t: u32) -> &str {
         match &self.texts[t as usize] {
             TextRepr::Span { start, end } => &self.buffer[*start as usize..*end as usize],
-            TextRepr::Dirty(d) => d.cache.get_or_init(|| {
-                crate::scanner::decode_text_region(&self.buffer[d.start as usize..d.end as usize])
-                    .into_boxed_str()
-            }),
+            TextRepr::Dirty(i) => {
+                let d = &self.dirty[*i as usize];
+                d.cache.get_or_init(|| {
+                    crate::scanner::decode_text_region(
+                        &self.buffer[d.start as usize..d.end as usize],
+                    )
+                    .into()
+                })
+            }
         }
     }
 
@@ -324,7 +339,7 @@ impl Document {
 
     /// The last child of `node`.
     #[inline]
-    pub(crate) fn last_child(&self, node: NodeId) -> Option<NodeId> {
+    pub fn last_child(&self, node: NodeId) -> Option<NodeId> {
         wrap(self.nodes[node.index()].last_child)
     }
 
@@ -509,17 +524,16 @@ impl Document {
             buffer_bytes: self.buffer.len(),
             node_table_bytes: self.nodes.capacity() * std::mem::size_of::<NodeData>()
                 + self.extents.capacity() * std::mem::size_of::<Extent>(),
-            text_table_bytes: self.texts.capacity() * std::mem::size_of::<TextRepr>(),
+            text_table_bytes: self.texts.capacity() * std::mem::size_of::<TextRepr>()
+                + self.dirty.len() * std::mem::size_of::<DirtyText>(),
+            entity_cache_bytes: self
+                .dirty
+                .iter()
+                .filter_map(|d| d.cache.get())
+                .map(|b| b.len())
+                .sum(),
             ..MemorySummary::default()
         };
-        for t in &self.texts {
-            if let TextRepr::Dirty(d) = t {
-                s.text_table_bytes += std::mem::size_of::<DirtyText>();
-                if let Some(b) = d.cache.get() {
-                    s.entity_cache_bytes += b.len();
-                }
-            }
-        }
         for recs in self.attrs.values() {
             s.attr_table_bytes += recs.capacity() * std::mem::size_of::<AttrRecord>();
             for r in recs {
@@ -672,6 +686,7 @@ impl TreeBuilder {
                 nodes: Vec::new(),
                 extents: Vec::new(),
                 texts: Vec::new(),
+                dirty: Vec::new(),
                 attrs: std::collections::HashMap::new(),
                 names: Arc::from(Vec::new()),
                 root: NIL,
@@ -842,15 +857,16 @@ impl TreeBuilder {
         let NodeKind::Text(t) = self.doc.nodes[self.doc.nodes.len() - 1].kind else {
             unreachable!("text_piece appends or extends the last node, a text node")
         };
-        if let TextRepr::Dirty(d) = &self.doc.texts[t as usize] {
+        if let TextRepr::Dirty(i) = self.doc.texts[t as usize] {
             // Pre-fill the decode cache: the decoded text is at hand.
+            let d = &self.doc.dirty[i as usize];
             let decoded = if extends {
                 let region = &self.out[d.start as usize..d.end as usize];
                 crate::scanner::decode_text_region(region)
             } else {
                 held + content
             };
-            let _ = d.cache.set(decoded.into_boxed_str());
+            let _ = d.cache.set(decoded.into());
         }
     }
 
@@ -875,8 +891,7 @@ impl TreeBuilder {
         if last != NIL {
             if let NodeKind::Text(t) = self.doc.nodes[last as usize].kind {
                 let extent = &mut self.doc.extents[last as usize];
-                let text = &mut self.doc.texts[t as usize];
-                match text {
+                match &mut self.doc.texts[t as usize] {
                     // Clean character data continued by more of it (built
                     // documents write a run in pieces): still one span.
                     TextRepr::Span { end: e, .. }
@@ -887,12 +902,20 @@ impl TreeBuilder {
                     // Otherwise the node's raw region grows to cover both
                     // pieces (its outer extent, so region decode never
                     // starts inside a CDATA wrapper); decoding becomes lazy.
-                    _ => {
-                        *text = TextRepr::Dirty(Box::new(DirtyText {
+                    TextRepr::Dirty(i) => {
+                        self.doc.dirty[*i as usize] = DirtyText {
                             start: extent.start,
                             end,
                             cache: OnceLock::new(),
-                        }))
+                        }
+                    }
+                    text => {
+                        *text = TextRepr::Dirty(self.doc.dirty.len() as u32);
+                        self.doc.dirty.push(DirtyText {
+                            start: extent.start,
+                            end,
+                            cache: OnceLock::new(),
+                        });
                     }
                 }
                 extent.end = end;
@@ -902,11 +925,14 @@ impl TreeBuilder {
         let t = self.doc.texts.len() as u32;
         let repr = match clean {
             Some((cs, ce)) => TextRepr::Span { start: cs, end: ce },
-            None => TextRepr::Dirty(Box::new(DirtyText {
-                start,
-                end,
-                cache: OnceLock::new(),
-            })),
+            None => {
+                self.doc.dirty.push(DirtyText {
+                    start,
+                    end,
+                    cache: OnceLock::new(),
+                });
+                TextRepr::Dirty(self.doc.dirty.len() as u32 - 1)
+            }
         };
         self.doc.texts.push(repr);
         self.push_node(NodeKind::Text(t), start, end);
@@ -973,6 +999,7 @@ impl TreeBuilder {
         self.doc.nodes.shrink_to_fit();
         self.doc.extents.shrink_to_fit();
         self.doc.texts.shrink_to_fit();
+        self.doc.dirty.shrink_to_fit();
         for recs in self.doc.attrs.values_mut() {
             recs.shrink_to_fit();
         }
@@ -1001,8 +1028,9 @@ mod tests {
     }
 
     #[test]
-    fn text_records_are_16_bytes() {
-        assert_eq!(std::mem::size_of::<TextRepr>(), 16);
+    fn text_records_are_12_bytes() {
+        // A plain column entry: two offsets, or a side-table index.
+        assert_eq!(std::mem::size_of::<TextRepr>(), 12);
     }
 
     #[test]

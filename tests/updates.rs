@@ -21,7 +21,7 @@ use smoqe_tax::TaxIndex;
 use smoqe_update::parse_update;
 use smoqe_xml::serialize::escape_text;
 use smoqe_xml::testing::{assert_same_document, assert_span_contract};
-use smoqe_xml::{delete_subtree, insert_fragment, replace_subtree, SplicePlace};
+use smoqe_xml::{delete_subtree, insert_fragment, replace_subtree, Edit, SplicePlace};
 use smoqe_xml::{Document, NodeId, Vocabulary};
 use std::sync::Arc;
 
@@ -132,6 +132,217 @@ fn assert_label_index_matches(tax: &TaxIndex, doc: &Document) {
             li.occurrences(label),
             want.as_slice(),
             "occurrence list of label {raw}"
+        );
+    }
+}
+
+fn random_statement<'f>(rng: &mut StdRng, fragment: &'f Document) -> Edit<'f> {
+    match rng.random_range(0..5) {
+        0 => Edit::Delete,
+        1 => Edit::Replace(fragment),
+        2 => Edit::Insert(SplicePlace::Into, fragment),
+        3 => Edit::Insert(SplicePlace::Before, fragment),
+        _ => Edit::Insert(SplicePlace::After, fragment),
+    }
+}
+
+/// Random mixed content: elements `a`–`d` nested in one another, text
+/// (plain, with entities, in CDATA) between siblings, comments, PIs,
+/// whitespace gaps and attributes.
+fn mixed_markup(rng: &mut StdRng) -> String {
+    fn element(rng: &mut StdRng, depth: u32, out: &mut String) {
+        let name = ["a", "b", "c", "d"][rng.random_range(0..4usize)];
+        out.push('<');
+        out.push_str(name);
+        for attr in [" k=\"v\"", " q='x &amp; y'"] {
+            if rng.random_bool(0.2) {
+                out.push_str(attr);
+            }
+        }
+        if depth == 0 || rng.random_bool(0.2) {
+            out.push_str(if rng.random_bool(0.5) { "/>" } else { " />" });
+            return;
+        }
+        out.push('>');
+        for _ in 0..rng.random_range(0..8u32) {
+            match rng.random_range(0..10u32) {
+                0 | 1 => out.push_str("text"),
+                2 => out.push_str("x &amp; y"),
+                3 => out.push_str("<![CDATA[ raw <&> ]]>"),
+                4 => out.push_str("<!-- note -->"),
+                5 => out.push_str("<?pi data?>"),
+                6 => out.push_str("\n  "),
+                _ => {
+                    element(rng, depth - 1, out);
+                    if rng.random_bool(0.5) {
+                        out.push_str(["tail", "<![CDATA[t]]>"][rng.random_range(0..2usize)]);
+                    }
+                }
+            }
+        }
+        out.push_str("</");
+        out.push_str(name);
+        out.push('>');
+    }
+    let mut out = String::from("<?xml version=\"1.0\"?>\n<!-- head -->\n<r>");
+    for _ in 0..rng.random_range(1..6u32) {
+        element(rng, 4, &mut out);
+        if rng.random_bool(0.5) {
+            out.push_str(["t", "&lt;u&gt;", "<![CDATA[v]]>"][rng.random_range(0..3usize)]);
+        }
+    }
+    out.push_str("</r>\n<!-- tail -->\n");
+    out
+}
+
+fn mixed_fragment(rng: &mut StdRng) -> String {
+    [
+        "<b/>",
+        "<c k=\"1\">in &amp; out</c>",
+        "<b><d>t</d>u<c/></b>",
+    ][rng.random_range(0..3usize)]
+    .to_string()
+}
+
+/// Targets for one statement: every element of one label (nested
+/// targets), every element child of one element (adjacent runs), or a
+/// random subset — sometimes with the root.
+fn random_targets(rng: &mut StdRng, doc: &Document) -> Vec<NodeId> {
+    let elements: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
+    let mut targets: Vec<NodeId> = match rng.random_range(0..3) {
+        0 => {
+            let label = doc.label(elements[rng.random_range(0..elements.len())]);
+            elements
+                .iter()
+                .copied()
+                .filter(|&n| doc.label(n) == label)
+                .collect()
+        }
+        1 => {
+            let parent = elements[rng.random_range(0..elements.len())];
+            doc.child_elements(parent).collect()
+        }
+        _ => elements
+            .iter()
+            .copied()
+            .filter(|_| rng.random_bool(0.3))
+            .collect(),
+    };
+    if targets.is_empty() || rng.random_bool(0.05) {
+        targets.insert(0, doc.root());
+        targets.dedup();
+    }
+    targets
+}
+
+/// Checks one statement in one pass against the target-at-a-time fold.
+fn check_one_pass(
+    doc: &Document,
+    targets: &[NodeId],
+    statement: Edit<'_>,
+    dtd: Option<&smoqe_xml::Dtd>,
+    ctx: &str,
+) {
+    use smoqe_update::{apply_update, InsertPos, Update, UpdateKind};
+    let vocab = doc.vocabulary();
+    let kind = match statement {
+        Edit::Delete => UpdateKind::Delete,
+        Edit::Replace(f) => UpdateKind::Replace {
+            fragment: f.clone(),
+        },
+        Edit::Insert(place, f) => UpdateKind::Insert {
+            fragment: f.clone(),
+            pos: match place {
+                SplicePlace::Into => InsertPos::Into,
+                SplicePlace::Before => InsertPos::Before,
+                SplicePlace::After => InsertPos::After,
+            },
+        },
+    };
+    // `apply_update` is handed its targets; the path is never evaluated.
+    let update = Update {
+        kind,
+        target: smoqe_rxpath::Path::Label(doc.label(doc.root()).unwrap()),
+    };
+    let tax = TaxIndex::build(doc);
+    // The fold: one single-target edit at a time, last target first.
+    let mut folded = Ok((doc.clone(), Vec::new()));
+    for &target in targets.iter().rev() {
+        let Ok((cur, spans)) = &mut folded else { break };
+        let edited = match statement {
+            Edit::Delete => delete_subtree(cur, target),
+            Edit::Replace(f) => replace_subtree(cur, target, f),
+            Edit::Insert(place, f) => insert_fragment(cur, target, place, f),
+        };
+        match edited {
+            Ok((next, span)) => {
+                spans.push(span);
+                *cur = next;
+            }
+            Err(e) => folded = Err(e),
+        }
+    }
+    match (apply_update(doc, &update, targets, Some(&tax)), folded) {
+        (Err(e), Err(f)) => assert!(
+            matches!(e, smoqe_update::UpdateError::Edit(ref e) if *e == f),
+            "errors differ: {e} vs {f}; {ctx}"
+        ),
+        (Ok((one, one_tax, spans)), Ok((fold_doc, fold_spans))) => {
+            let one_tax = one_tax.expect("an index rides along");
+            assert_eq!(spans.len(), targets.len(), "applied = targets; {ctx}");
+            assert_eq!(spans, fold_spans, "spans; {ctx}");
+            assert_same_document(&one, &fold_doc, &format!("against the fold; {ctx}"));
+            let reparsed = smoqe_xml::parse_buffer(one.shared_buffer(), vocab).unwrap();
+            assert_same_document(&one, &reparsed, &format!("against a parse; {ctx}"));
+            assert_tax_matches_rebuild(&one_tax, &one, ctx);
+            if let Some(dtd) = dtd {
+                let mut dirty = smoqe_xml::DirtySet::default();
+                spans.iter().for_each(|span| dirty.record(span));
+                assert_eq!(
+                    dtd.validate_nodes(&one, dirty.nodes()).is_ok(),
+                    dtd.validate(&one).is_ok(),
+                    "dirty-set validation; {ctx}"
+                );
+            }
+        }
+        (one, fold) => panic!(
+            "one pass and fold disagree: {:?} vs {:?}; {ctx}",
+            one.err().map(|e| e.to_string()),
+            fold.err()
+        ),
+    }
+}
+
+/// Asserts a patched index equals `TaxIndex::build` on `doc`: descendant
+/// sets, the label index, and the value postings.
+fn assert_tax_matches_rebuild(tax: &TaxIndex, doc: &Document, ctx: &str) {
+    let rebuilt = TaxIndex::build(doc);
+    assert_eq!(tax.node_count(), rebuilt.node_count(), "node count; {ctx}");
+    for n in doc.all_nodes() {
+        assert_eq!(
+            tax.descendant_labels(n).iter().collect::<Vec<_>>(),
+            rebuilt.descendant_labels(n).iter().collect::<Vec<_>>(),
+            "descendant labels of {n:?}; {ctx}"
+        );
+    }
+    assert_label_index_matches(tax, doc);
+    let (values, want) = (tax.value_index().unwrap(), rebuilt.value_index().unwrap());
+    assert_eq!(
+        values.node_count(),
+        want.node_count(),
+        "value index nodes; {ctx}"
+    );
+    assert_eq!(
+        values.label_stats(),
+        want.label_stats(),
+        "value postings; {ctx}"
+    );
+    for n in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+        let (label, text) = (doc.label(n).unwrap(), doc.direct_text(n));
+        assert_eq!(
+            values.occurrences(label, &text),
+            want.occurrences(label, &text),
+            "postings of {n:?}; {ctx}"
         );
     }
 }
@@ -269,6 +480,59 @@ proptest! {
             }
             doc = new_doc;
             twin = new_twin;
+        }
+    }
+
+    /// Satellite (differential test for the one-pass statement splice):
+    /// a statement applied at all its targets in one pass equals the
+    /// last-to-first fold of single-target edits — the same document on
+    /// every accessor and in representation, the same spans — and equals
+    /// a parse of its own buffer; its patched index equals a rebuild; its
+    /// dirty set validates like the whole document. Targets nest (`//b`
+    /// through `b` children of `b`; hospital patients through
+    /// `parent/patient`), run adjacent, and sit between text siblings
+    /// whose merges join windows.
+    #[test]
+    fn one_pass_statements_equal_the_target_at_a_time_fold(seed in 0u64..10_000) {
+        let vocab = Vocabulary::new();
+        let dtd = hospital::dtd(&vocab);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Mixed content with attributes: merges and nested targets.
+        let mixed = Document::parse_str(&mixed_markup(&mut rng), &vocab).unwrap();
+        let fragment = Document::parse_str(&mixed_fragment(&mut rng), &vocab).unwrap();
+        for round in 0..6 {
+            let targets = random_targets(&mut rng, &mixed);
+            let edit = random_statement(&mut rng, &fragment);
+            let ctx = format!("seed {seed}, mixed round {round}");
+            check_one_pass(&mixed, &targets, edit, None, &ctx);
+        }
+        // Hospital documents behind noisy bytes: validation, view-shaped
+        // statements.
+        let generated = hospital::generate_document(&vocab, seed, 300);
+        let noisy = Document::parse_str(&noisy_xml(&generated, seed), &vocab).unwrap();
+        let visit = Document::parse_str(
+            "<visit><treatment><test>mri</test></treatment><date>d</date></visit>",
+            &vocab,
+        )
+        .unwrap();
+        for (round, path) in [
+            "//patient",
+            "hospital/patient/visit",
+            "//patient/parent/patient",
+            "//visit[treatment/test]",
+            "//pname",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let targets = evaluate(&noisy, &smoqe_rxpath::parse_path(path, &vocab).unwrap())
+                .into_vec();
+            if targets.is_empty() {
+                continue;
+            }
+            let edit = random_statement(&mut rng, &visit);
+            let ctx = format!("seed {seed}, hospital `{path}` round {round}");
+            check_one_pass(&noisy, &targets, edit, Some(&dtd), &ctx);
         }
     }
 
