@@ -236,16 +236,24 @@ fn stream_lanes(quick: bool) {
 
 /// What jumping buys on the benchmark's unselective pool: the six admin
 /// document queries, the six `researchers` view queries and
-/// `//visit/date`, each asked of an engine with a TAX index (which picks
-/// its mode as it always does — jump for every plan here) and of one
-/// without (which can only scan). The document is the `view_scan` body:
-/// the hospital generator at seed 2006 and depth 8, 100 000 nodes (10 000
-/// with `quick`). Prints visits, guard probes and the mean latency of each
-/// side; answers must agree.
+/// `//visit/date`, each asked of an engine with a TAX index (which jumps
+/// on every plan with a DFA — every plan here) and of one without (which
+/// can only scan). Then three admin shapes a selectivity threshold would
+/// once have kept on scan — `//*`, `//patient`, `//pname` — and a point
+/// query on a unique `pname` value posting. The document is the
+/// `view_scan` body — the hospital generator at seed 2006 and depth 8,
+/// 100 000 nodes (10 000 with `quick`) — with eight patients of unique
+/// `pname` spliced in. Prints visits, guard probes and the mean latency of
+/// each side; answers must agree.
 fn jump_vs_scan(quick: bool) {
     println!("## jump_vs_scan  the pooled queries, TAX index (jump) vs none (scan)\n");
     let (size, iters) = if quick { (10_000, 5) } else { (100_000, 40) };
-    let xml = smoqe_bench::view_scan_document(size);
+    let xml = {
+        let vocab = Vocabulary::new();
+        let body = Document::parse_str(&smoqe_bench::view_scan_document(size), &vocab)
+            .expect("the view_scan body parses");
+        splice_unique_patients(&body, &vocab, 8).to_xml()
+    };
     let load = |tax: bool| {
         let engine = smoqe::Engine::with_defaults();
         let handle = engine.open_document("pool");
@@ -273,12 +281,18 @@ fn jump_vs_scan(quick: bool) {
         "scan time",
         "time / scan",
     ]);
-    for (user, query) in smoqe_bench::view_scan_pool() {
+    let mut queries = smoqe_bench::view_scan_pool();
+    queries.extend(
+        ["//*", "//patient", "//pname", "//patient[pname = 'U03']"]
+            .map(|q| (smoqe::User::Admin, q)),
+    );
+    for (user, query) in queries {
         let fast = indexed.session(user.clone());
         let slow = plain.session(user.clone());
         let a = fast.query(query).unwrap();
         let b = slow.query(query).unwrap();
         assert_eq!(a.nodes, b.nodes, "jump and scan disagree on `{query}`");
+        assert_eq!(a.mode, ExecMode::Jump, "`{query}` jumps over the index");
         let t_fast = time_mean(iters, || fast.query(query).unwrap());
         let t_slow = time_mean(iters, || slow.query(query).unwrap());
         table.row(vec![

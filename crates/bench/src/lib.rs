@@ -175,12 +175,6 @@ impl HospitalSetup {
         }
     }
 
-    /// Splices `n` extra patients with globally unique pname values into
-    /// the document root — see [`splice_unique_patients`].
-    pub fn with_unique_patients(&mut self, n: usize) {
-        self.doc = splice_unique_patients(&self.doc, &self.vocab, n);
-    }
-
     /// Builds the scenario over the small handwritten sample.
     pub fn sample() -> Self {
         let vocab = Vocabulary::new();

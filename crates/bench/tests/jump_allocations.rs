@@ -5,7 +5,7 @@
 //! a share of the candidates it probes. Each of the thirteen `view_scan`
 //! queries, with the principal that asks it, and four shapes that scan a
 //! region below every candidate, is evaluated alone by
-//! `evaluate_jump_budgeted` over the `view_scan` body at 50 000 and
+//! `evaluate_mfa_plan` in jump mode over the `view_scan` body at 50 000 and
 //! 100 000 nodes. (A driver that allocates its region lists per region
 //! makes 6 000–15 000 allocations on those four shapes.)
 
@@ -13,8 +13,8 @@ use smoqe::workloads::hospital;
 use smoqe::{Engine, User};
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_bench::{allocations, view_scan_document, view_scan_pool, CountingAlloc};
-use smoqe_hype::jump::evaluate_jump_budgeted;
-use smoqe_hype::WorkBudget;
+use smoqe_hype::dom::{evaluate_mfa_plan, DomOptions};
+use smoqe_hype::{jump_available, ExecMode, NoopObserver};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -61,11 +61,13 @@ fn evaluations(nodes: usize) -> Vec<Evaluation> {
         .map(|(user, query)| {
             let session = handle.session(user);
             let plan = CompiledMfa::compile(&session.plan(query).unwrap());
-            let evaluate = || {
-                evaluate_jump_budgeted(&doc, &plan, &tax, &WorkBudget::unlimited())
-                    .expect("every pooled plan can jump")
-                    .expect("an unlimited budget never interrupts")
-            };
+            assert!(
+                jump_available(&doc, &plan, Some(&tax)),
+                "`{query}` can jump"
+            );
+            let options = DomOptions { tax: Some(&tax) };
+            let evaluate =
+                || evaluate_mfa_plan(&doc, &plan, &options, ExecMode::Jump, &mut NoopObserver);
             evaluate();
             let before = allocations();
             let (answers, stats) = evaluate();

@@ -14,9 +14,8 @@ pub enum DocumentMode {
 
 /// Engine settings: one per deployment decision. Everything else the
 /// query pipeline decides from what it observes — plans are always
-/// optimized and table-compiled, a TAX index that exists is used, and
-/// each DOM query scans or jumps by its measured selectivity (see
-/// [`JUMP_SELECTIVITY`](crate::engine::JUMP_SELECTIVITY)).
+/// optimized and table-compiled, a TAX index that exists is used, and a
+/// DOM query jumps whenever that index is there and its plan has a DFA.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// DOM or streaming evaluation.

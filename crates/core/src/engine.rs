@@ -20,9 +20,8 @@
 //! optimize → table-compile, through the plan cache) and hand the plans to
 //! the private `Engine::execute`, which takes the one source snapshot,
 //! picks each plan's strategy from what it observes (DOM or stream engine,
-//! TAX index present, measured selectivity), runs the HyPE drivers and
-//! renders answer XML from that same snapshot. A single query is a batch
-//! of one.
+//! TAX index present, plan DFA), runs the HyPE drivers and renders answer
+//! XML from that same snapshot. A single query is a batch of one.
 
 use crate::catalog::{Catalog, DocHandle, DocumentEntry, LoadedSource, ViewSlot, ViewSource};
 use crate::config::{DocumentMode, EngineConfig};
@@ -34,8 +33,9 @@ use smoqe_automata::{compile, optimize::optimize, Mfa};
 use smoqe_hype::batch::evaluate_batch_stream_plans_budgeted;
 use smoqe_hype::dom::{evaluate_mfa_plan, evaluate_mfa_plan_budgeted, DomOptions};
 use smoqe_hype::stream::StreamOptions;
-use smoqe_hype::{evaluate_jump_frontier_budgeted, jump_available, selectivity_estimate};
-use smoqe_hype::{DriverError, EvalObserver, EvalStats, ExecMode, NoopObserver, WorkBudget};
+use smoqe_hype::{
+    jump_available, DriverError, EvalObserver, EvalStats, ExecMode, NoopObserver, WorkBudget,
+};
 use smoqe_rxpath::{parse_path, Path};
 use smoqe_tax::TaxIndex;
 use smoqe_update::{parse_update, UpdateError};
@@ -49,13 +49,6 @@ use std::sync::Arc;
 /// The catalog name used by the single-document convenience methods
 /// ([`Engine::load_document`] and friends).
 pub const DEFAULT_DOCUMENT: &str = "default";
-
-/// Selectivity ceiling under which a DOM query jumps instead of scanning:
-/// the fraction of the document's nodes the plan's rarest required label
-/// (or narrowed value posting list) occupies. Above it the scan walker's
-/// lower per-node constants win; at 0.1 a jump visits at most a tenth of
-/// the nodes a scan would.
-pub const JUMP_SELECTIVITY: f64 = 0.1;
 
 /// One planned request of a batch: the principal it runs for, its
 /// compiled plan, and whether the plan was a cache hit.
@@ -110,9 +103,9 @@ pub struct Answer {
     pub stats: EvalStats,
     /// Whether the plan came from the engine's plan cache.
     pub plan_cached: bool,
-    /// The execution mode the plan actually ran in — whether the engine
-    /// picked the jump scan or the tree walk for this query (see
-    /// [`JUMP_SELECTIVITY`]).
+    /// The execution mode the plan actually ran in: on a DOM engine, the
+    /// jump scan when the document has a TAX index, the plan has a DFA
+    /// and nothing observes the evaluation; the tree walk otherwise.
     pub mode: ExecMode,
     /// Serialized answer subtrees, safe for the asking principal: present
     /// from the `*_serialized` / [`Session::query_xml`] fronts, `None`
@@ -151,9 +144,8 @@ impl Answer {
 ///
 /// * **DOM engine — one snapshot:** every plan is evaluated against the
 ///   same `Arc` document/TAX snapshot, exactly as [`Session::query`]
-///   would (same scan/jump pick): selective plans merge their candidates
-///   into one shared jump frontier, the rest walk the tree, partitioned
-///   across [`EngineConfig::eval_threads`] scoped workers (`1` = inline).
+///   would (same scan/jump pick), the plans partitioned across
+///   [`EngineConfig::eval_threads`] scoped workers (`1` = inline).
 ///   Nothing is parsed, so `events` is 0.
 /// * **Stream engine — one shared scan:** every plan rides **one**
 ///   sequential parse of the document. `events` is the total parser event
@@ -1080,13 +1072,11 @@ impl Engine {
     /// Node ids are only meaningful relative to the snapshot they were
     /// computed on, so nothing downstream may take another one.
     ///
-    /// * A **DOM** engine picks scan or jump per plan ([`pick_mode`]).
-    ///   Two or more jumping plans share one ascending candidate frontier;
-    ///   everything else (a lone jumper, scans, plans the frontier could
-    ///   not admit) goes through the DOM driver, partitioned across
-    ///   [`EngineConfig::eval_threads`] scoped workers — inline, with no
-    ///   thread spawned, when that is 1 or the batch is a single plan. The
-    ///   source text is never opened.
+    /// * A **DOM** engine picks scan or jump per plan ([`pick_mode`]) and
+    ///   runs every plan through the one DOM driver, the plans
+    ///   partitioned across [`EngineConfig::eval_threads`] scoped
+    ///   workers — inline, with no thread spawned, when that is 1 or the
+    ///   batch is a single plan. The source text is never opened.
     /// * A **stream** engine feeds every plan the same single StAX scan.
     ///
     /// `observer` watches single-plan evaluations (batch fronts pass
@@ -1123,40 +1113,6 @@ impl Engine {
                         xml: None,
                     })
                     .collect();
-                let jumpers = answers.iter().filter(|a| a.mode == ExecMode::Jump);
-                let shared_frontier = jumpers.count() > 1;
-                if shared_frontier {
-                    let tax = source
-                        .tax
-                        .as_deref()
-                        .expect("picking jump mode implies a TAX index");
-                    let jump_plans: Vec<&CompiledMfa> = plans
-                        .iter()
-                        .zip(&answers)
-                        .filter(|(_, a)| a.mode == ExecMode::Jump)
-                        .map(|((_, plan, _), _)| plan.as_ref())
-                        .collect();
-                    let outcomes = evaluate_jump_frontier_budgeted(
-                        &source.doc,
-                        &jump_plans,
-                        tax,
-                        self.config.eval_threads,
-                        budget,
-                    )
-                    .map_err(|interrupt| EngineError::from(interrupt.kind))?;
-                    let jumpers = answers.iter_mut().filter(|a| a.mode == ExecMode::Jump);
-                    for (answer, outcome) in jumpers.zip(outcomes) {
-                        match outcome {
-                            Some((nodes, stats)) => {
-                                answer.nodes = nodes.into_vec();
-                                answer.stats = stats;
-                            }
-                            // The frontier could not admit the plan:
-                            // it walks the tree with the rest.
-                            None => answer.mode = ExecMode::Compiled,
-                        }
-                    }
-                }
                 let options = DomOptions {
                     tax: source.tax.as_deref(),
                 };
@@ -1177,21 +1133,14 @@ impl Engine {
                     answer.stats = stats;
                     Ok(())
                 };
-                // Whatever the frontier did not answer goes through the
-                // DOM driver (which scans, or jumps a lone jumper).
-                let unanswered = |(_, answer): &(&Planned<'_>, &mut Answer)| {
-                    !(shared_frontier && answer.mode == ExecMode::Jump)
-                };
                 let threads = self.config.eval_threads.min(plans.len());
                 if threads <= 1 {
-                    for ((_, plan, _), answer) in plans.iter().zip(&mut answers).filter(unanswered)
-                    {
+                    for ((_, plan, _), answer) in plans.iter().zip(&mut answers) {
                         walk(plan, answer, &mut *observer)?;
                     }
                 } else {
-                    let mut pending: Vec<_> =
-                        plans.iter().zip(&mut answers).filter(unanswered).collect();
-                    let chunk = pending.len().div_ceil(threads).max(1);
+                    let mut pending: Vec<_> = plans.iter().zip(&mut answers).collect();
+                    let chunk = pending.len().div_ceil(threads);
                     std::thread::scope(|scope| {
                         let workers: Vec<_> = pending
                             .chunks_mut(chunk)
@@ -1267,23 +1216,18 @@ impl Engine {
 }
 
 /// Picks the DOM traversal for one plan over a document and the TAX index
-/// built over it: jump when the index carries positional lists the plan
-/// can navigate **and** the plan's measured selectivity is at most
-/// [`JUMP_SELECTIVITY`]; otherwise — no index, no required label, an
-/// unselective estimate — the scan walker. Observed evaluations always
-/// scan (a jump produces no per-node event stream for the observer).
+/// built over it, from facts alone: jump when the index carries
+/// positional lists for this document and the plan has a DFA to navigate
+/// them ([`jump_available`]); otherwise the scan walker. Observed
+/// evaluations always scan (a jump produces no per-node event stream for
+/// the observer).
 fn pick_mode(
     doc: &Document,
     tax: Option<&TaxIndex>,
     plan: &CompiledMfa,
     observed: bool,
 ) -> ExecMode {
-    if !observed
-        && jump_available(doc, plan, tax)
-        && selectivity_estimate(doc, plan, tax)
-            .measured()
-            .is_some_and(|s| s <= JUMP_SELECTIVITY)
-    {
+    if !observed && jump_available(doc, plan, tax) {
         ExecMode::Jump
     } else {
         ExecMode::Compiled
@@ -2068,17 +2012,19 @@ mod tests {
     }
 
     #[test]
-    fn selective_queries_jump_once_an_index_exists_and_report_it() {
+    fn queries_jump_once_an_index_exists_unless_observed_and_report_it() {
         let engine = engine_with_generated();
         let admin = engine.session(User::Admin);
         // No TAX index yet: no positional lists, so everything scans.
         let scanned = admin.query("//test").unwrap();
         assert_eq!(scanned.mode, ExecMode::Compiled);
+        let scanned_patients = admin.query("//patient").unwrap();
+        assert_eq!(scanned_patients.mode, ExecMode::Compiled);
         engine.build_tax_index().unwrap();
-        // `test` is rare in the generated workload: the engine must jump,
-        // and the answer must match the scan's.
+        // With the index every DFA plan jumps, rare label or not, and
+        // answers what the scan answered.
         let jumped = admin.query("//test").unwrap();
-        assert_eq!(jumped.mode, ExecMode::Jump, "selective queries jump");
+        assert_eq!(jumped.mode, ExecMode::Jump, "indexed queries jump");
         assert_eq!(jumped.nodes, scanned.nodes);
         assert!(
             jumped.stats.nodes_visited <= scanned.stats.nodes_visited,
@@ -2086,11 +2032,12 @@ mod tests {
             jumped.stats.nodes_visited,
             scanned.stats.nodes_visited
         );
-        // `//patient` blankets the document: the engine keeps scanning.
-        let unselective = admin.query("//patient").unwrap();
-        assert_eq!(unselective.mode, ExecMode::Compiled);
+        // `//patient` blankets the document and jumps all the same.
+        let patients = admin.query("//patient").unwrap();
+        assert_eq!(patients.mode, ExecMode::Jump);
+        assert_eq!(patients.nodes, scanned_patients.nodes);
         // An observer needs the per-node event stream: observed queries
-        // scan whatever their selectivity.
+        // scan, index or not.
         let mut trace = smoqe_viz::TraceCollector::new();
         let observed = admin.query_observed("//test", &mut trace).unwrap();
         assert_eq!(observed.mode, ExecMode::Compiled);

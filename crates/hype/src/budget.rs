@@ -3,8 +3,8 @@
 //! A [`WorkBudget`] carries an optional wall-clock deadline and an
 //! optional shared cancel flag into an evaluation. Drivers thread a
 //! [`BudgetMeter`] through their hot loops and call [`BudgetMeter::tick`]
-//! once per unit of work (one DOM stack pop, one parser event, one
-//! frontier entry, one jump candidate). The meter is built so the
+//! once per unit of work (one DOM stack pop, one parser event, one jump
+//! candidate). The meter is built so the
 //! unbudgeted case — the common one — costs a single predictable branch:
 //!
 //! * unarmed (no deadline, no cancel token): `tick` tests one `bool` and

@@ -62,10 +62,8 @@
 //!   discarding a candidate always advances the cursor past its whole
 //!   subtree (`subtree_end`). That ordering is the soundness argument: by
 //!   the time a candidate is reached, every ancestor between it and the
-//!   jump origin is a stutter, so the origin state applies verbatim. It
-//!   holds for the serial drivers and inside every chunk of a shared
-//!   frontier ([`crate::frontier`], whose per-chunk drivers start with an
-//!   empty ancestor path), and verification asserts it in debug builds.
+//!   jump origin is a stutter, so the origin state applies verbatim.
+//!   Verification asserts it in debug builds.
 //!
 //! TAX pruning applies exactly as in scan mode: a candidate whose stepped
 //! state has no label requirement satisfiable within the subtree's
@@ -74,12 +72,13 @@
 //! the available labels.
 //!
 //! The driver applies to **plans whose top NFA has a DFA** — exact or
-//! guard-stripped. Everything else (subset blow-up past the cap, missing
-//! index, streaming input) evaluates in scan mode; the engine's auto mode
-//! additionally weighs [`selectivity_estimate`] so unselective queries
-//! keep the scan walker's better constants. By construction jump mode
-//! enters a subset of the nodes scan mode enters, and produces identical
-//! answers (property-tested in `tests/jump_differential.rs`).
+//! guard-stripped — over a document with a positional index
+//! ([`jump_available`]); its one entry is
+//! [`crate::dom::evaluate_mfa_plan_budgeted`] in [`crate::ExecMode::Jump`].
+//! Everything else (subset blow-up past the cap, missing index, streaming
+//! input) evaluates in scan mode. By construction jump mode enters a
+//! subset of the nodes scan mode enters, and produces identical answers
+//! (property-tested in `tests/jump_differential.rs`).
 
 use crate::budget::{BudgetMeter, EvalInterrupt, Interrupt, WorkBudget};
 use crate::machine::VIRTUAL_NODE;
@@ -119,117 +118,6 @@ pub fn jump_available(doc: &Document, plan: &CompiledMfa, tax: Option<&TaxIndex>
         && tax
             .and_then(TaxIndex::label_index)
             .is_some_and(|li| li.node_count() == doc.node_count())
-}
-
-/// Outcome of [`selectivity_estimate`]: either a measured candidate
-/// fraction, or the reason no number exists. Auto mode treats both
-/// non-measured cases as "stay on the scan walker", but callers can now
-/// report *why* (the PR 5 heuristic silently returned `None` for a
-/// missing index and an estimate-free plan alike).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SelectivityEstimate {
-    /// Estimated fraction of the document a jump scan would consider.
-    Measured(f64),
-    /// No label is required on every accepting path and no trigger list
-    /// bounds the candidates: wildcard-shaped, assume unselective.
-    NoRequiredLabel,
-    /// No positional index describes this document — no basis for an
-    /// estimate (and no way to jump).
-    NoIndex,
-}
-
-impl SelectivityEstimate {
-    /// The measured fraction, if one exists.
-    pub fn measured(self) -> Option<f64> {
-        match self {
-            SelectivityEstimate::Measured(f) => Some(f),
-            _ => None,
-        }
-    }
-}
-
-/// Estimated fraction of the document a jump scan of `plan` would have to
-/// consider, from real occurrence statistics: the minimum of
-///
-/// * the occurrence count of the rarest label **required on every
-///   accepting path** from the start state, and
-/// * the total size of the candidate source lists (trigger occurrence
-///   lists, or (label, value) posting lists for narrowed triggers) of the
-///   root region's state,
-///
-/// over the node count. The second bound is what makes predicated plans
-/// measurable: `//patient[pname = 'Ann']` has an unremarkable required
-/// label (`patient`) but a tiny posting list for `(pname, 'Ann')`.
-pub fn selectivity_estimate(
-    doc: &Document,
-    plan: &CompiledMfa,
-    tax: Option<&TaxIndex>,
-) -> SelectivityEstimate {
-    let Some(li) = tax
-        .and_then(TaxIndex::label_index)
-        .filter(|li| li.node_count() == doc.node_count())
-    else {
-        return SelectivityEstimate::NoIndex;
-    };
-    let top = plan.mfa().top();
-    let start = plan.mfa().nfa(top).start();
-    let req = &plan.nfa(top).required()[start.index()];
-    if req.dead {
-        return SelectivityEstimate::Measured(0.0);
-    }
-    let n = li.node_count().max(1) as f64;
-    let rarest = req.labels.iter().map(|l| li.occurrences(l).len()).min();
-    let triggers = root_region_candidate_total(doc, plan, tax.expect("index present"), li);
-    match (rarest, triggers) {
-        (None, None) => SelectivityEstimate::NoRequiredLabel,
-        (a, b) => {
-            let best = a.unwrap_or(usize::MAX).min(b.unwrap_or(usize::MAX));
-            SelectivityEstimate::Measured(best as f64 / n)
-        }
-    }
-}
-
-/// Total candidate-source size of the root region, if the root's state is
-/// jumpable (`None` otherwise — child-stepping states give no bound).
-fn root_region_candidate_total(
-    doc: &Document,
-    plan: &CompiledMfa,
-    tax: &TaxIndex,
-    li: &LabelIndex,
-) -> Option<usize> {
-    let (dfa, exact) = nav(plan)?;
-    let vi = tax
-        .value_index()
-        .filter(|vi| vi.node_count() == doc.node_count());
-    let root_label = doc.label(doc.root()).expect("root is an element");
-    let q1 = dfa.step(dfa.start(), plan.col(root_label));
-    if q1 == DEAD {
-        return Some(0);
-    }
-    let info = trigger_sources(plan, dfa, exact, vi, q1);
-    if !info.jumpable {
-        return None;
-    }
-    let mut total = 0usize;
-    for src in &info.sources {
-        match src {
-            TriggerSource::Full(label) => total += li.occurrences(*label).len(),
-            TriggerSource::Narrowed {
-                label,
-                self_values,
-                child_values,
-            } => {
-                let vi = vi.expect("narrowed triggers require a value index");
-                for v in self_values {
-                    total += vi.occurrences(*label, v).len();
-                }
-                for (p, v) in child_values {
-                    total += vi.occurrences(*p, v).len();
-                }
-            }
-        }
-    }
-    Some(total)
 }
 
 /// How a trigger list sources its candidates — reported by
@@ -326,12 +214,12 @@ pub fn start_region_triggers(
 
 /// Evaluates an eligible plan by jump scan under a [`WorkBudget`].
 /// Returns `None` when the plan is not eligible or `tax` has no
-/// positional index for `doc` (callers fall back to the scan walker) —
-/// budgeting never changes eligibility. The driver checks the budget
+/// positional index for `doc` (the DOM driver then scans) — budgeting
+/// never changes eligibility. The driver checks the budget
 /// once per probed candidate (and per `HasPath` witness step or chain
 /// list element) and abandons with its partial counters when the budget
 /// interrupts.
-pub fn evaluate_jump_budgeted(
+pub(crate) fn evaluate_jump_budgeted(
     doc: &Document,
     plan: &CompiledMfa,
     tax: &TaxIndex,
@@ -353,177 +241,6 @@ pub fn evaluate_jump_budgeted(
         return Some(Err(interrupt));
     }
     Some(Ok(driver.finish()))
-}
-
-/// One plan's admission to a shared batch jump frontier
-/// (see [`crate::frontier`]).
-pub(crate) enum FrontierSetup<'a> {
-    /// The evaluation already finished during setup: the root step died,
-    /// was pruned, the root is a leaf, or its state falls back to
-    /// child-stepping (evaluated serially — it cannot share a candidate
-    /// frontier).
-    Done((NodeSet, EvalStats)),
-    /// The root entered a jumpable state: the plan contributes its
-    /// region candidates to the shared frontier.
-    Region(RegionPlan<'a>),
-    /// The work budget interrupted the setup itself (possible on plans
-    /// that fall back to child-stepping or verify guards during setup).
-    Interrupted(EvalInterrupt),
-}
-
-/// A plan whose root region joins a shared jump frontier: everything a
-/// worker needs to probe this plan's candidates independently.
-pub(crate) struct RegionPlan<'a> {
-    doc: &'a Document,
-    plan: &'a CompiledMfa,
-    dfa: &'a DfaTable,
-    exact: bool,
-    tax: &'a TaxIndex,
-    li: &'a LabelIndex,
-    vi: Option<&'a ValueIndex>,
-    /// The jumpable DFA state of the root region.
-    pub(crate) state: u32,
-    /// First pre-order id of the region (root + 1).
-    pub(crate) lo: u32,
-    /// Ascending, deduplicated candidate ids in the root region — the
-    /// exact superset the serial `jump_scan` would consider.
-    pub(crate) candidates: Vec<u32>,
-    /// Root visit bookkeeping (and the root answer, if any), merged into
-    /// the final result.
-    setup_answers: Vec<u32>,
-    setup_stats: EvalStats,
-}
-
-impl<'a> RegionPlan<'a> {
-    /// A fresh driver for one frontier chunk of this plan. Drivers are
-    /// thread-local (ancestor path, budget meter and all); a plan split across
-    /// chunks gets one per chunk.
-    pub(crate) fn driver(&self, meter: BudgetMeter) -> Jump<'a> {
-        Jump::new(
-            self.doc, self.plan, self.dfa, self.exact, self.tax, self.li, self.vi,
-        )
-        .with_meter(meter)
-    }
-
-    /// End of the subtree rooted at `node` (exclusive) — the frontier's
-    /// cursor rule: every probed candidate skips its whole subtree.
-    pub(crate) fn subtree_end(&self, node: u32) -> u32 {
-        self.li.subtree_end(NodeId(node))
-    }
-
-    /// Assembles the final result from per-chunk probe outcomes, in
-    /// ascending chunk order (probed candidates ascend and skip disjoint
-    /// subtrees, so concatenated answers stay sorted).
-    pub(crate) fn assemble(&self, chunks: Vec<(Vec<u32>, EvalStats)>) -> (NodeSet, EvalStats) {
-        let mut answers = self.setup_answers.clone();
-        let mut stats = self.setup_stats;
-        for (chunk_answers, chunk_stats) in chunks {
-            answers.extend(chunk_answers);
-            stats.merge(&chunk_stats);
-        }
-        stats.tree_passes = 1; // one logical pass, however many chunks
-        stats.answers = answers.len();
-        stats.immediate_answers = answers.len();
-        (
-            NodeSet::from_sorted(answers.into_iter().map(NodeId).collect()),
-            stats,
-        )
-    }
-}
-
-/// Finishes a setup-time driver, preferring its interrupt (budget fired
-/// during setup) over its result.
-fn setup_done(driver: Jump<'_>) -> FrontierSetup<'_> {
-    match driver.take_interrupt() {
-        Some(interrupt) => FrontierSetup::Interrupted(interrupt),
-        None => FrontierSetup::Done(driver.finish()),
-    }
-}
-
-/// Admits `plan` to a shared jump frontier over `doc`: performs the root
-/// step (the only part that is not frontier-shaped) and either finishes
-/// the evaluation outright or returns the plan's region candidates.
-/// `None` means the plan cannot jump at all (no DFA, or no matching
-/// positional index) and the caller must evaluate it in scan mode.
-pub(crate) fn frontier_setup<'a>(
-    doc: &'a Document,
-    plan: &'a CompiledMfa,
-    tax: &'a TaxIndex,
-    meter: BudgetMeter,
-) -> Option<FrontierSetup<'a>> {
-    let (dfa, exact) = nav(plan)?;
-    let li = tax.label_index()?;
-    if li.node_count() != doc.node_count() {
-        return None;
-    }
-    let vi = tax
-        .value_index()
-        .filter(|vi| vi.node_count() == doc.node_count());
-    let mut driver = Jump::new(doc, plan, dfa, exact, tax, li, vi).with_meter(meter);
-    let root = doc.root();
-    let label = doc.label(root).expect("root is an element");
-    let state = dfa.step(dfa.start(), plan.col(label));
-    // Mirror `step_into` on the root.
-    if state == DEAD {
-        driver.stats.subtrees_skipped_dead += 1;
-        return Some(setup_done(driver));
-    }
-    if !continues_below(tax, driver.compiled, dfa.members(state), root.0) {
-        driver.stats.subtrees_pruned_tax += 1;
-        return Some(setup_done(driver));
-    }
-    let root_accepts = if exact {
-        dfa.accept(state)
-    } else {
-        match driver.exact_set(root.0) {
-            Some(accepting) => accepting,
-            None => {
-                driver.stats.subtrees_skipped_dead += 1;
-                return Some(setup_done(driver));
-            }
-        }
-    };
-    // Mirror `enter` on the root, without descending.
-    driver.stats.nodes_visited += 1;
-    driver.stats.max_depth = driver.stats.max_depth.max(li.level(root) as usize + 1);
-    if root_accepts {
-        driver.answers.push(root.0);
-    }
-    let lo = root.0 + 1;
-    let hi = li.subtree_end(root);
-    if lo >= hi {
-        return Some(setup_done(driver));
-    }
-    let info = driver.info(state);
-    if !info.jumpable {
-        // Child-stepping root: no candidate lists to share; finish the
-        // whole evaluation here.
-        driver.step_children(root, state);
-        return Some(setup_done(driver));
-    }
-    if !info.trigger_set.intersects(tax.descendant_labels(root)) {
-        driver.stats.subtrees_pruned_tax += 1;
-        return Some(setup_done(driver));
-    }
-    let candidates = driver.region_candidates(lo, hi, &info);
-    if let Some(interrupt) = driver.take_interrupt() {
-        return Some(FrontierSetup::Interrupted(interrupt));
-    }
-    let Jump { answers, stats, .. } = driver;
-    Some(FrontierSetup::Region(RegionPlan {
-        doc,
-        plan,
-        dfa,
-        exact,
-        tax,
-        li,
-        vi,
-        state,
-        lo,
-        candidates,
-        setup_answers: answers,
-        setup_stats: stats,
-    }))
 }
 
 /// How one trigger label of a jumpable state sources its candidates.
@@ -559,7 +276,7 @@ struct StateInfo {
 
 /// Classifies `state`'s columns into stutters and triggers, narrowing
 /// triggers through value postings where sound. Shared by the driver
-/// (cached per state) and the selectivity / explain entry points.
+/// (cached per state) and the explain entry point.
 fn trigger_sources(
     plan: &CompiledMfa,
     dfa: &DfaTable,
@@ -846,7 +563,7 @@ impl PathEntry {
     }
 }
 
-pub(crate) struct Jump<'a> {
+struct Jump<'a> {
     doc: &'a Document,
     plan: &'a CompiledMfa,
     /// Compiled top NFA (rows for exact stepping, required labels).
@@ -969,7 +686,7 @@ impl<'a> Jump<'a> {
 
     /// The interrupt that abandoned this driver, with its partial
     /// counters, if the budget fired.
-    pub(crate) fn take_interrupt(&self) -> Option<EvalInterrupt> {
+    fn take_interrupt(&self) -> Option<EvalInterrupt> {
         self.interrupted.map(|kind| EvalInterrupt {
             kind,
             stats: self.stats,
@@ -1451,7 +1168,7 @@ impl<'a> Jump<'a> {
     /// exact state set is reconstructed first: a guard-dead node is
     /// skipped wholesale, exactly like a DEAD step (and like the scan
     /// walker, which never enters it either).
-    pub(crate) fn step_into(&mut self, node: u32, state: u32) {
+    fn step_into(&mut self, node: u32, state: u32) {
         if self.interrupted.is_some() {
             return;
         }
@@ -1629,34 +1346,6 @@ impl<'a> Jump<'a> {
         }
     }
 
-    /// All candidates of one jumpable region, materialized: full trigger
-    /// occurrences, narrowed self postings, and child-witness evidence
-    /// parents, restricted to `[lo, hi)`, ascending and deduplicated.
-    /// `jump_scan`'s incremental min-probe considers exactly this set —
-    /// the frontier materializes it to merge candidates across plans.
-    fn region_candidates(&self, lo: u32, hi: u32, info: &StateInfo) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.evidence_candidates(lo, hi, info, &mut out);
-        for src in &info.sources {
-            match src {
-                TriggerSource::Full(label) => {
-                    out.extend_from_slice(in_range(self.li.occurrences(*label), lo, hi));
-                }
-                TriggerSource::Narrowed {
-                    label, self_values, ..
-                } => {
-                    let vi = self.vi.expect("narrowed triggers require a value index");
-                    for v in self_values {
-                        out.extend_from_slice(in_range(vi.occurrences(*label, v), lo, hi));
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Consumes the driver into its final `(answers, stats)` pair with
     /// answer counters filled in.
     fn finish(self) -> (NodeSet, EvalStats) {
@@ -1670,12 +1359,6 @@ impl<'a> Jump<'a> {
             stats,
         )
     }
-
-    /// Consumes the driver into raw per-chunk outputs (for
-    /// [`RegionPlan::assemble`], which fills the counters in).
-    pub(crate) fn into_parts(self) -> (Vec<u32>, EvalStats) {
-        (self.answers, self.stats)
-    }
 }
 
 #[cfg(test)]
@@ -1688,13 +1371,9 @@ mod tests {
     use smoqe_rxpath::parse_path;
     use smoqe_xml::Vocabulary;
 
-    fn evaluate_jump(
-        doc: &Document,
-        plan: &CompiledMfa,
-        tax: &TaxIndex,
-    ) -> Option<(NodeSet, EvalStats)> {
-        evaluate_jump_budgeted(doc, plan, tax, &WorkBudget::unlimited())
-            .map(|r| r.expect("an unlimited budget never interrupts"))
+    fn evaluate_jump(doc: &Document, plan: &CompiledMfa, tax: &TaxIndex) -> (NodeSet, EvalStats) {
+        let options = DomOptions { tax: Some(tax) };
+        evaluate_mfa_plan(doc, plan, &options, ExecMode::Jump, &mut NoopObserver)
     }
 
     /// Jump answers must equal scan answers, visiting no more nodes.
@@ -1842,7 +1521,7 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("//a[. = 'v']/b", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, _) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, _) = evaluate_jump(&doc, &plan, &tax);
         assert_eq!(answers.len(), 2);
     }
 
@@ -1856,7 +1535,7 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("//b[. = 'y']", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, stats) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, stats) = evaluate_jump(&doc, &plan, &tax);
         assert_eq!(answers.len(), 1);
         assert!(
             stats.nodes_visited <= 3,
@@ -1880,7 +1559,7 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("//p[n = 'Ann']", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, stats) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, stats) = evaluate_jump(&doc, &plan, &tax);
         assert_eq!(answers.len(), 1);
         assert!(
             stats.nodes_visited <= 3,
@@ -1951,7 +1630,7 @@ mod tests {
         let tax = TaxIndex::build(&doc);
         let path = parse_path("r/a[x/b]", &vocab).unwrap();
         let plan = CompiledMfa::compile(&compile(&path, &vocab));
-        let (answers, stats) = evaluate_jump(&doc, &plan, &tax).unwrap();
+        let (answers, stats) = evaluate_jump(&doc, &plan, &tax);
         assert_eq!(answers.into_vec(), vec![NodeId(1)]);
         assert_eq!(stats.guard_probes, 2, "one probe per `a`");
         check(&xml, "r/a[x/b]");
@@ -1993,33 +1672,37 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_measures_posting_lists_for_predicated_plans() {
+    fn root_edge_cases_agree_with_scan() {
+        // A root answer, a leaf root, a dead root and a child-stepping root.
+        for q in ["a", "b", "//a", "."] {
+            check("<a/>", q);
+        }
+        for q in ["a", ".", "a/*", "//*", "a/b", "//b"] {
+            check("<a><b/><c><b/></c></a>", q);
+        }
+    }
+
+    #[test]
+    fn jump_mode_without_an_index_or_a_dfa_scans() {
+        // Jump mode over a stale index, or for a plan whose subset DFA
+        // blew the cap, is the scan walker: same answers, same visits.
         let vocab = Vocabulary::new();
-        let xml = format!("<a>{}<b>rare</b><z/></a>", "<b>common</b>".repeat(30));
-        let doc = Document::parse_str(&xml, &vocab).unwrap();
-        let tax = TaxIndex::build(&doc);
+        let doc = Document::parse_str("<a><b/><c><b><b/></b></c></a>", &vocab).unwrap();
+        let other = Document::parse_str("<a><b/><b/></a>", &vocab).unwrap();
+        let stale = TaxIndex::build(&other);
+        let fresh = TaxIndex::build(&doc);
         let plan_for =
             |q: &str| CompiledMfa::compile(&compile(&parse_path(q, &vocab).unwrap(), &vocab));
-        let est = |q: &str| selectivity_estimate(&doc, &plan_for(q), Some(&tax));
-        let selective = est("//z").measured().unwrap();
-        let unselective = est("//b").measured().unwrap();
-        assert!(selective < unselective);
-        assert!(selective < 0.05, "one z in {} nodes", doc.node_count());
-        // The narrowed predicated plan measures its posting list, far
-        // below the label-count bound.
-        let predicated = est("//b[. = 'rare']").measured().unwrap();
-        assert!(
-            predicated < unselective,
-            "predicated {predicated} >= label bound {unselective}"
-        );
-        assert!(predicated < 0.05);
-        // No required label and no trigger bound -> explicit reason.
-        assert_eq!(est("//*"), SelectivityEstimate::NoRequiredLabel);
-        // Missing index -> explicit reason, not a silent default.
-        assert_eq!(
-            selectivity_estimate(&doc, &plan_for("//z"), None),
-            SelectivityEstimate::NoIndex
-        );
+        let blown = plan_for("//b/*/*/*/*/*/*/*/*/*/*/*");
+        assert!(!jump_eligible(&blown), "past the subset cap");
+        for (plan, tax) in [(plan_for("//b"), &stale), (blown, &fresh)] {
+            let options = DomOptions { tax: Some(tax) };
+            let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
+            let (jump, jump_stats) = run(ExecMode::Jump);
+            let (scan, scan_stats) = run(ExecMode::Compiled);
+            assert_eq!(jump, scan);
+            assert_eq!(jump_stats.nodes_visited, scan_stats.nodes_visited);
+        }
     }
 
     #[test]

@@ -13,10 +13,6 @@
 //!   ones) hop between candidate subtrees through the positional label
 //!   and value posting indexes, visiting O(candidate) nodes instead of
 //!   O(n);
-//! * [`frontier`] — shared batch jump frontier: a batch of jump-eligible
-//!   plans merges its candidate lists into one ascending sweep,
-//!   partitioned by frontier ranges across worker threads
-//!   ([`evaluate_jump_frontier_budgeted`]);
 //! * [`stream`] — StAX mode: the same core over pull-parser events with
 //!   candidate-subtree buffering ([`evaluate_stream`]);
 //! * [`batch`] — batched StAX mode: one shared sequential scan answers a
@@ -30,10 +26,10 @@
 //! has one plan-level entry taking observers and a [`WorkBudget`] — what
 //! the engine calls ([`evaluate_mfa_plan_budgeted`],
 //! [`evaluate_stream_plan_budgeted`],
-//! [`evaluate_batch_stream_plans_budgeted`],
-//! [`evaluate_jump_frontier_budgeted`], [`jump::evaluate_jump_budgeted`])
-//! — plus `Mfa`-level conveniences that compile on the fly for tests and
-//! experiments. Ablations (scan vs jump, TAX on/off) are expressed through
+//! [`evaluate_batch_stream_plans_budgeted`]) — plus `Mfa`-level
+//! conveniences that compile on the fly for tests and experiments. The
+//! jump scan has no entry of its own: it is the DOM entry in
+//! [`ExecMode::Jump`]. Ablations (scan vs jump, TAX on/off) are expressed through
 //! those arguments ([`ExecMode`], [`DomOptions`]), and
 //! `smoqe_rxpath::evaluate` is the reference every differential test
 //! compares against.
@@ -45,7 +41,6 @@ pub mod batch;
 pub mod budget;
 pub mod cans;
 pub mod dom;
-pub mod frontier;
 pub mod jump;
 pub mod machine;
 pub mod observer;
@@ -63,11 +58,7 @@ pub use budget::{
 pub use dom::{
     evaluate_mfa, evaluate_mfa_plan, evaluate_mfa_plan_budgeted, evaluate_mfa_with, DomOptions,
 };
-pub use frontier::evaluate_jump_frontier_budgeted;
-pub use jump::{
-    jump_available, jump_eligible, selectivity_estimate, start_region_triggers,
-    SelectivityEstimate, TriggerInfo, TriggerKind,
-};
+pub use jump::{jump_available, jump_eligible, start_region_triggers, TriggerInfo, TriggerKind};
 pub use machine::ExecMode;
 pub use observer::{EvalObserver, NoopObserver, PruneReason};
 pub use stats::EvalStats;

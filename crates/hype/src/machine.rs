@@ -80,11 +80,12 @@ pub enum ExecMode {
     /// dense tables (DFA fast path, CSR rows, epoch arenas).
     #[default]
     Compiled,
-    /// Jump-scan evaluation (DOM mode only): predicate-free DFA plans
-    /// skip between candidate subtrees through the positional label index
-    /// instead of walking the tree (see [`crate::jump`]). Drivers that
-    /// cannot jump — streaming, guarded plans, no index — silently fall
-    /// back to [`ExecMode::Compiled`]; answers are identical either way.
+    /// Jump-scan evaluation (DOM mode only): plans with a DFA, exact or
+    /// guard-stripped, skip between candidate subtrees through the
+    /// positional label index instead of walking the tree (see
+    /// [`crate::jump`]). Where a plan cannot jump — streaming, no DFA, no
+    /// index — it falls back to [`ExecMode::Compiled`]; answers are
+    /// identical either way.
     Jump,
 }
 

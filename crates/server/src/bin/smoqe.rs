@@ -27,16 +27,17 @@
 //! engine's per-query pick is observable.
 //!
 //! `--tax` builds the TAX index after loading the document; with it the
-//! engine prunes subtrees and jumps through the positional label index on
-//! selective queries (visiting only candidate subtrees), scanning
-//! otherwise. `--threads N` answers DOM-mode batches on N worker threads
+//! engine prunes subtrees and jumps through the positional label index
+//! (visiting only candidate subtrees) on every plan with a DFA, scanning
+//! the rest. `--threads N` answers DOM-mode batches on N worker threads
 //! over one shared snapshot.
 //!
 //! `--explain` prints, per query, the execution mode the engine picked,
-//! the statistics-based selectivity estimate (or the reason none exists),
-//! and the candidate source lists a jump scan would probe from the
-//! document root — full label occurrence lists, narrowed (label, value)
-//! posting lists, or child-witness postings.
+//! the facts that picked it (a DOM engine, a positional index over this
+//! document, a plan with a DFA, no observer), and the candidate source
+//! lists a jump scan would probe from the document root — full label
+//! occurrence lists, narrowed (label, value) posting lists, or
+//! child-witness postings.
 //!
 //! `--batch FILE` answers every query listed in FILE (one Regular XPath
 //! query per line, `#` comments and blank lines skipped) against **one
@@ -300,18 +301,16 @@ fn mode_name(mode: ExecMode) -> &'static str {
     }
 }
 
-/// `--explain`: the mode the engine picked for this query, the
-/// statistics-based selectivity estimate (or why none exists), and the
-/// candidate source lists a jump scan would probe from the document root.
+/// `--explain`: the mode the engine picked for this query, the facts that
+/// decided it (engine mode, positional index, plan DFA), and the candidate
+/// source lists a jump scan would probe from the document root.
 fn print_explain(
     doc: &DocHandle,
     user: &User,
     query: &str,
     mode: ExecMode,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    use smoqe_hype::{
-        selectivity_estimate, start_region_triggers, SelectivityEstimate, TriggerKind,
-    };
+    use smoqe_hype::{jump_eligible, start_region_triggers, TriggerKind};
     let mfa = doc.plan(user, query)?;
     let plan = smoqe_automata::compile::CompiledMfa::compile(&mfa);
     let Ok(tree) = doc.document() else {
@@ -323,16 +322,21 @@ fn print_explain(
         return Ok(());
     };
     let tax = doc.tax_index();
-    let estimate = match selectivity_estimate(&tree, &plan, tax.as_deref()) {
-        SelectivityEstimate::Measured(f) => format!("{:.4}% of nodes", f * 100.0),
-        SelectivityEstimate::NoRequiredLabel => {
-            "no required label (assumed unselective)".to_string()
-        }
-        SelectivityEstimate::NoIndex => "no positional index (estimate unavailable)".to_string(),
+    let yes_no = |fact: bool| if fact { "yes" } else { "no" };
+    let engine_mode = match doc.engine().config().mode {
+        DocumentMode::Dom => "dom",
+        DocumentMode::Stream => "stream",
     };
+    let index = tax
+        .as_deref()
+        .and_then(smoqe::tax::TaxIndex::label_index)
+        .is_some_and(|li| li.node_count() == tree.node_count());
     eprintln!(
-        "explain `{query}`: mode = {}; estimated selectivity = {estimate}",
-        mode_name(mode)
+        "explain `{query}`: mode = {}; engine = {engine_mode}; positional index = {}; \
+         plan DFA = {}; observed = no",
+        mode_name(mode),
+        yes_no(index),
+        yes_no(jump_eligible(&plan)),
     );
     let triggers = start_region_triggers(&tree, &plan, tax.as_deref());
     if triggers.is_empty() {

@@ -8,11 +8,14 @@
 //!   serial `Session::query` on DOM engines (which evaluate on the
 //!   snapshot and never parse, at any `eval_threads`) and on stream
 //!   engines (one shared scan);
-//! * serialized batch answers match serial ones in both modes.
+//! * serialized batch answers match serial ones in both modes;
+//! * a DOM batch stops on its budget at every `eval_threads`, jumping
+//!   (TAX index) or scanning (none): an expired deadline and a flipped
+//!   cancel token interrupt it, a generous deadline changes nothing.
 
 use rand::SeedableRng;
 use smoqe::workloads::hospital;
-use smoqe::{DocumentMode, Engine, EngineConfig, User};
+use smoqe::{DocumentMode, Engine, EngineConfig, EngineError, ExecMode, User, WorkBudget};
 use smoqe_automata::{compile, Mfa};
 use smoqe_hype::batch::evaluate_batch_stream_str;
 use smoqe_hype::dom::evaluate_mfa;
@@ -20,6 +23,9 @@ use smoqe_hype::stream::{evaluate_stream_str, StreamOptions};
 use smoqe_rxpath::random::{random_path, QueryGenConfig};
 use smoqe_xml::stax::{PullParser, XmlEvent};
 use smoqe_xml::Vocabulary;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Counts the pull-parser events of `xml` — the cost of ONE scan.
 fn one_scan_events(xml: &str) -> usize {
@@ -170,4 +176,65 @@ fn batch_plans_come_from_the_shared_cache() {
     assert!(!dup.answers[0].plan_cached);
     assert!(dup.answers[1].plan_cached);
     assert_eq!(dup.answers[0].nodes, dup.answers[1].nodes);
+}
+
+#[test]
+fn dom_batches_stop_on_their_budget_at_every_thread_count() {
+    let xml = hospital::generate_document(&Vocabulary::new(), 11, 3_000).to_xml();
+    let queries: Vec<&str> = hospital::DOC_QUERIES
+        .iter()
+        .map(|(_, q)| *q)
+        .chain(["//visit/date", "//*", "//patient[pname = 'Ann']"])
+        .collect();
+    let expired = WorkBudget {
+        deadline: Some(Instant::now() - Duration::from_millis(1)),
+        cancel: None,
+        check_interval: 1,
+    };
+    let cancelled = WorkBudget {
+        deadline: None,
+        cancel: Some(Arc::new(AtomicBool::new(true))),
+        check_interval: 1,
+    };
+    let generous = WorkBudget::with_deadline(Instant::now() + Duration::from_secs(3600));
+    for eval_threads in [1, 2, 4] {
+        for tax in [true, false] {
+            let engine = Engine::new(EngineConfig {
+                eval_threads,
+                ..EngineConfig::default()
+            });
+            let doc = engine.open_document("h");
+            doc.load_dtd(hospital::DTD).unwrap();
+            doc.load_document(&xml).unwrap();
+            let mode = if tax {
+                doc.build_tax_index().unwrap();
+                ExecMode::Jump
+            } else {
+                ExecMode::Compiled
+            };
+            let session = doc.session(User::Admin);
+            let context = format!("{eval_threads} thread(s), {mode:?}");
+            assert!(
+                matches!(
+                    session.query_batch_budgeted(&queries, &expired),
+                    Err(EngineError::DeadlineExceeded)
+                ),
+                "expired deadline @ {context}"
+            );
+            assert!(
+                matches!(
+                    session.query_batch_budgeted(&queries, &cancelled),
+                    Err(EngineError::Cancelled)
+                ),
+                "cancelled @ {context}"
+            );
+            let plain = session.query_batch(&queries).unwrap();
+            let budgeted = session.query_batch_budgeted(&queries, &generous).unwrap();
+            for ((q, a), b) in queries.iter().zip(&plain.answers).zip(&budgeted.answers) {
+                assert_eq!(a.mode, mode, "`{q}` @ {context}");
+                assert_eq!(b.mode, mode, "`{q}` @ {context}");
+                assert_eq!(a.nodes, b.nodes, "`{q}` @ {context}");
+            }
+        }
+    }
 }

@@ -16,16 +16,17 @@
 //!   value postings merge);
 //! * after `update_batch` edits, which patch the indexes rather than
 //!   rebuild them;
-//! * through the shared jump frontier at 1, 2 and 4 threads.
+//! * as one engine batch (`Session::query_batch`) at 1, 2 and 4
+//!   evaluation threads.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smoqe::Engine;
+use smoqe::{Engine, EngineConfig, User};
 use smoqe_automata::compile;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_hype::dom::{evaluate_mfa_plan, DomOptions};
-use smoqe_hype::{evaluate_jump_frontier_budgeted, ExecMode, NoopObserver, WorkBudget};
+use smoqe_hype::{ExecMode, NoopObserver};
 use smoqe_rxpath::{evaluate as naive, parse_path, NodeSet};
 use smoqe_tax::TaxIndex;
 use smoqe_xml::{Document, Vocabulary};
@@ -199,46 +200,34 @@ proptest! {
     }
 }
 
-/// Every atom under every selection path, as one batch through the shared
-/// jump frontier: the answers are the oracle's at 1, 2 and 4 threads.
+/// Every atom under every selection path, as one batch of an indexed
+/// engine: every plan jumps, and the answers are the oracle's at 1, 2 and
+/// 4 evaluation threads.
 #[test]
-fn chain_guards_agree_through_the_frontier_at_every_thread_count() {
-    for doc_seed in 0..6 {
-        let vocab = Vocabulary::new();
-        let doc = Document::parse_str(&random_doc(doc_seed), &vocab).unwrap();
-        let tax = TaxIndex::build(&doc);
-        let mut queries = Vec::new();
-        for select in ["r/a", "//b", "r//b", "r/*/b"] {
-            for atom in atoms() {
-                queries.push(format!("{select}[{atom}]"));
-                queries.push(format!("{select}[not({atom})]/c"));
-            }
+fn chain_guards_agree_through_engine_batches_at_every_thread_count() {
+    let mut queries = Vec::new();
+    for select in ["r/a", "//b", "r//b", "r/*/b"] {
+        for atom in atoms() {
+            queries.push(format!("{select}[{atom}]"));
+            queries.push(format!("{select}[not({atom})]/c"));
         }
-        let paths: Vec<_> = queries
-            .iter()
-            .map(|q| parse_path(q, &vocab).unwrap())
-            .collect();
-        let plans: Vec<CompiledMfa> = paths
-            .iter()
-            .map(|p| CompiledMfa::compile(&compile(p, &vocab)))
-            .collect();
-        let plan_refs: Vec<&CompiledMfa> = plans.iter().collect();
-        for threads in [1, 2, 4] {
-            let results = evaluate_jump_frontier_budgeted(
-                &doc,
-                &plan_refs,
-                &tax,
-                threads,
-                &WorkBudget::unlimited(),
-            )
-            .expect("an unlimited budget never interrupts");
-            for ((query, path), result) in queries.iter().zip(&paths).zip(results) {
-                let (answers, _) = result.expect("every plan here can jump");
-                assert_eq!(
-                    answers,
-                    naive(&doc, path),
-                    "`{query}` on document {doc_seed} at {threads} threads"
-                );
+    }
+    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+    for doc_seed in 0..6 {
+        for eval_threads in [1, 2, 4] {
+            let engine = Engine::new(EngineConfig {
+                eval_threads,
+                ..EngineConfig::default()
+            });
+            engine.load_document(&random_doc(doc_seed)).unwrap();
+            engine.build_tax_index().unwrap();
+            let doc = engine.document().unwrap();
+            let batch = engine.session(User::Admin).query_batch(&texts).unwrap();
+            for (query, answer) in queries.iter().zip(&batch.answers) {
+                let context = format!("`{query}` on document {doc_seed} at {eval_threads} threads");
+                assert_eq!(answer.mode, ExecMode::Jump, "{context}");
+                let path = parse_path(query, engine.vocabulary()).unwrap();
+                assert_eq!(answer.nodes, naive(&doc, &path).into_vec(), "{context}");
             }
         }
     }

@@ -1,12 +1,11 @@
-//! Guarded jump evaluation on deep documents and across frontier chunks.
+//! Guarded jump evaluation on deep documents, alone and in batches.
 //!
 //! The jump driver verifies guards along the **ancestor path** of each
 //! candidate: the guard-aware state sets of the candidate's ancestors,
-//! kept as a stack while candidates ascend in pre-order. Its edge cases
-//! are long ancestor chains — the hospital generator at its default depth
+//! kept as a stack while candidates ascend in pre-order. Its edge case is
+//! a long ancestor chain — the hospital generator at its default depth
 //! nests `parent/patient` many levels down, unlike the benchmark's
-//! depth-8 body — and frontier chunk drivers, which start with an empty
-//! path wherever their chunk begins, often deep inside a subtree.
+//! depth-8 body.
 //!
 //! Every query of the benchmark's unselective pool (the admin document
 //! queries, the `researchers` view queries and `//visit/date`) must answer
