@@ -10,6 +10,7 @@
 //! cargo run --release -p smoqe-bench --bin experiments -- deny_timing     # how long a refusal takes
 //! cargo run --release -p smoqe-bench --bin experiments -- jump_vs_scan    # jump vs TAX-less scan, pooled queries
 //! cargo run --release -p smoqe-bench --bin experiments -- stream_lanes    # the ingest_stream batch, lane by lane
+//! cargo run --release -p smoqe-bench --bin experiments -- render          # serialized answers: bytes, time, MB/s
 //! ```
 //!
 //! Performance numbers come from the repository's benchmark
@@ -55,6 +56,7 @@ fn main() {
                     "deny_timing",
                     "jump_vs_scan",
                     "stream_lanes",
+                    "render",
                 ]
                 .contains(a)
         })
@@ -108,6 +110,137 @@ fn main() {
     if selected.contains(&"stream_lanes") {
         stream_lanes(quick);
     }
+    // What serializing answers costs beside evaluating them
+    // (`experiments -- render [quick]`).
+    if selected.contains(&"render") {
+        render(quick);
+    }
+}
+
+/// What serializing answers costs: per pooled `view_scan` query, with the
+/// principal that asks it, and for the `serve_mixed_open` batch of three
+/// `researchers` queries, the answers and serialized bytes, the mean time
+/// of the plain query (evaluation), of the serialized one, and the render
+/// rate — bytes over the difference of the two. The document is the
+/// `view_scan` body, 100 000 nodes (10 000 with `quick`), with a TAX
+/// index. Every serialized answer must equal its oracle: the raw subtree
+/// as `XmlWriter` events write it for the admin, the materialized view
+/// fragment for the group.
+fn render(quick: bool) {
+    use smoqe_xml::serialize::XmlWriter;
+    println!("## render  serialized answers: evaluation vs serialized time\n");
+    let (size, iters) = if quick { (10_000, 5) } else { (100_000, 40) };
+    let engine = smoqe::Engine::with_defaults();
+    let handle = engine.open_document("pool");
+    handle.load_dtd(hospital::DTD).unwrap();
+    handle
+        .load_document(&smoqe_bench::view_scan_document(size))
+        .unwrap();
+    handle
+        .register_policy(hospital::GROUP, hospital::POLICY)
+        .unwrap();
+    handle.build_tax_index().unwrap();
+    let doc = handle.document().unwrap();
+    let spec = handle.view(hospital::GROUP).unwrap();
+    // The admin's oracle: the subtree as `XmlWriter` events write it.
+    fn events(doc: &Document, n: smoqe_xml::NodeId, w: &mut XmlWriter<&mut Vec<u8>>) {
+        match doc.label(n) {
+            Some(l) => {
+                w.start_element(doc.label_name(l)).unwrap();
+                for (name, value) in doc.attributes(n) {
+                    w.attribute(name, value).unwrap();
+                }
+                for c in doc.children(n) {
+                    events(doc, c, w);
+                }
+                w.end_element().unwrap();
+            }
+            None => w.text(doc.text(n).unwrap()).unwrap(),
+        }
+    }
+    let oracle = |user: &smoqe::User, n: smoqe_xml::NodeId| match user {
+        smoqe::User::Admin => {
+            let mut out = Vec::new();
+            events(&doc, n, &mut XmlWriter::new(&mut out));
+            String::from_utf8(out).unwrap()
+        }
+        smoqe::User::Group(_) => smoqe_view::materialize_fragment(&spec, &doc, n)
+            .unwrap()
+            .doc
+            .raw_source()
+            .to_string(),
+    };
+    let mut table = Table::new(&[
+        "who",
+        "query",
+        "answers",
+        "bytes",
+        "evaluate",
+        "serialized",
+        "render MB/s",
+    ]);
+    let mut row = |who: &str, label: String, answers: usize, bytes: usize, eval, ser| {
+        let (eval, ser): (std::time::Duration, std::time::Duration) = (eval, ser);
+        let render = ser.saturating_sub(eval).as_secs_f64();
+        table.row(vec![
+            who.to_string(),
+            label,
+            answers.to_string(),
+            bytes.to_string(),
+            fmt_duration(eval),
+            fmt_duration(ser),
+            match render > 0.0 {
+                true => format!("{:.0}", bytes as f64 / render / 1e6),
+                false => "-".to_string(),
+            },
+        ]);
+    };
+    for (user, query) in smoqe_bench::view_scan_pool() {
+        let session = handle.session(user.clone());
+        let answer = session.query_serialized(query).unwrap();
+        let xml = answer.xml.as_ref().unwrap();
+        for (&n, text) in answer.nodes.iter().zip(xml) {
+            assert_eq!(*text, oracle(&user, n), "`{query}` answer {n:?}");
+        }
+        let bytes = xml.iter().map(String::len).sum();
+        let eval = time_mean(iters, || session.query(query).unwrap());
+        let ser = time_mean(iters, || session.query_serialized(query).unwrap());
+        let who = match user {
+            smoqe::User::Admin => "admin",
+            smoqe::User::Group(_) => "group",
+        };
+        row(
+            who,
+            query.chars().take(48).collect(),
+            answer.len(),
+            bytes,
+            eval,
+            ser,
+        );
+    }
+    let batch = [
+        "hospital/patient/treatment/medication",
+        "hospital/patient/(parent/patient)*/treatment",
+        "//patient[not(parent)]/treatment/medication",
+    ];
+    let session = handle.session(smoqe::User::Group(hospital::GROUP.into()));
+    let answered = session.query_batch_serialized(&batch).unwrap();
+    let (mut answers, mut bytes) = (0, 0);
+    for answer in &answered.answers {
+        answers += answer.len();
+        bytes += answer.xml.iter().flatten().map(String::len).sum::<usize>();
+    }
+    let eval = time_mean(iters, || session.query_batch(&batch).unwrap());
+    let ser = time_mean(iters, || session.query_batch_serialized(&batch).unwrap());
+    row(
+        "group",
+        "serve_mixed_open batch (3 queries)".into(),
+        answers,
+        bytes,
+        eval,
+        ser,
+    );
+    println!("{}", table.render());
 }
 
 /// What each lane of the benchmark's `ingest_stream` batch costs: the

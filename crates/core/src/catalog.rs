@@ -21,7 +21,7 @@ use crate::sync::{Mutex, RwLock};
 use crate::viewcount::ViewCounts;
 use smoqe_automata::Mfa;
 use smoqe_tax::TaxIndex;
-use smoqe_view::ViewSpec;
+use smoqe_view::{ViewRenderer, ViewSpec};
 use smoqe_xml::{Document, Dtd};
 use std::collections::HashMap;
 use std::path::Path as FsPath;
@@ -71,6 +71,10 @@ pub(crate) enum ViewSource {
 /// A registered view plus the generation at which it was registered.
 pub(crate) struct ViewSlot {
     pub(crate) spec: Arc<ViewSpec>,
+    /// `spec`'s renderer, made at registration (each σ compiled once,
+    /// on first use, and kept while the registration lasts): how the
+    /// group's answers are rendered.
+    pub(crate) renderer: Arc<ViewRenderer>,
     pub(crate) generation: u64,
     /// The registration text (policy or spec) behind `spec`.
     pub(crate) source: ViewSource,
@@ -173,6 +177,15 @@ impl DocumentEntry {
             .read()
             .get(group)
             .map(|slot| (slot.spec.clone(), slot.generation))
+            .ok_or_else(|| EngineError::UnknownGroup(group.to_string()))
+    }
+
+    /// The compiled renderer of `group`'s registered view.
+    pub(crate) fn view_renderer(&self, group: &str) -> Result<Arc<ViewRenderer>, EngineError> {
+        self.views
+            .read()
+            .get(group)
+            .map(|slot| slot.renderer.clone())
             .ok_or_else(|| EngineError::UnknownGroup(group.to_string()))
     }
 

@@ -40,7 +40,7 @@ use smoqe_rxpath::{parse_path, Path};
 use smoqe_tax::TaxIndex;
 use smoqe_update::{parse_update, UpdateError};
 use smoqe_view::{
-    derive, materializable, materialize, materialize_fragment, AccessPolicy, ViewSpec,
+    derive, materializable, materialize, AccessPolicy, RenderScratch, ViewRenderer, ViewSpec,
 };
 use smoqe_xml::{DirtySet, Document, Dtd, NodeId, Vocabulary};
 use std::path::Path as FsPath;
@@ -107,10 +107,13 @@ pub struct Answer {
     /// jump scan when the document has a TAX index, the plan has a DFA
     /// and nothing observes the evaluation; the tree walk otherwise.
     pub mode: ExecMode,
-    /// Serialized answer subtrees, safe for the asking principal: present
-    /// from the `*_serialized` / [`Session::query_xml`] fronts, `None`
-    /// from a plain `query` / `query_batch` on either engine mode (render
-    /// on demand with [`Answer::serialize_with`]).
+    /// Serialized answer subtrees, safe for the asking principal — the
+    /// raw subtree for an admin, the view image for a group member, both
+    /// written straight from the evaluation snapshot without building a
+    /// view or a fragment: present from the `*_serialized` /
+    /// [`Session::query_xml`] fronts, `None` from a plain `query` /
+    /// `query_batch` on either engine mode (render raw subtrees on demand
+    /// with [`Answer::serialize_with`]).
     pub xml: Option<Vec<String>>,
 }
 
@@ -716,8 +719,10 @@ impl Engine {
                 text: text.to_string(),
             },
         })?;
+        let spec = Arc::new(spec);
         let slot = ViewSlot {
-            spec: Arc::new(spec),
+            renderer: Arc::new(ViewRenderer::new(spec.clone())),
+            spec,
             generation: entry.next_view_generation(),
             source,
         };
@@ -1207,7 +1212,7 @@ impl Engine {
         if serialize {
             for ((user, _, _), answer) in plans.iter().zip(&mut answers) {
                 if answer.xml.is_none() {
-                    answer.xml = Some(render_xml(entry, user, &source, &answer.nodes)?);
+                    answer.xml = Some(render_xml(entry, user, &source, &answer.nodes, budget)?);
                 }
             }
         }
@@ -1235,31 +1240,46 @@ fn pick_mode(
 }
 
 /// Serializes each answer node **safely for `user`**: the raw source
-/// subtree for admins, the view image for group members (hidden
-/// descendants filtered out — serving the raw subtree would leak them).
+/// subtree for admins ([`smoqe_xml::serialize::write_subtree_into`]), the
+/// view image for group members, written by the view's compiled
+/// [`ViewRenderer`] (hidden descendants filtered out — serving the raw
+/// subtree would leak them). Neither builds anything: each answer is
+/// written into one reused buffer and copied out once, so a render
+/// allocates one `String` per answer.
+///
+/// Rendering is metered against `budget` like evaluation, one tick per
+/// node written: an interrupt is the same opaque
+/// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`].
 fn render_xml(
     entry: &Arc<DocumentEntry>,
     user: &User,
     source: &LoadedSource,
     nodes: &[NodeId],
+    budget: &WorkBudget,
 ) -> Result<Vec<String>, EngineError> {
-    match user {
-        User::Admin => Ok(nodes
-            .iter()
-            .map(|&n| smoqe_xml::serialize::subtree_to_string(&source.doc, n))
-            .collect()),
-        User::Group(group) => {
-            let spec = entry.view_slot(group)?.0;
-            nodes
-                .iter()
-                .map(|&n| {
-                    // A built fragment's buffer is its serialization.
-                    let image = materialize_fragment(&spec, &source.doc, n)?.doc;
-                    Ok(image.raw_source().to_string())
-                })
-                .collect()
+    let mut meter = budget.meter();
+    let mut tick = || match meter.tick() {
+        Some(interrupt) => Err(EngineError::from(interrupt)),
+        None => Ok(()),
+    };
+    let renderer = match user {
+        User::Admin => None,
+        User::Group(group) => Some(entry.view_renderer(group)?),
+    };
+    let mut scratch = RenderScratch::default();
+    let mut buffer = String::new();
+    let mut answers = Vec::with_capacity(nodes.len());
+    for &n in nodes {
+        buffer.clear();
+        match &renderer {
+            None => {
+                smoqe_xml::serialize::write_subtree_into(&source.doc, n, &mut buffer, &mut tick)?
+            }
+            Some(view) => view.render(&source.doc, n, &mut buffer, &mut scratch, &mut tick)?,
         }
+        answers.push(buffer.as_str().to_owned());
     }
+    Ok(answers)
 }
 
 impl Session {
@@ -1475,6 +1495,70 @@ mod tests {
             .register_policy("researchers", smoqe_view::HOSPITAL_POLICY)
             .unwrap();
         engine
+    }
+
+    /// Renders `nodes` for `user` on the default document under `budget`.
+    fn render_under(
+        engine: &Arc<Engine>,
+        user: &User,
+        nodes: &[NodeId],
+        budget: &WorkBudget,
+    ) -> Result<Vec<String>, EngineError> {
+        let entry = engine.default_entry();
+        let source = entry.snapshot().unwrap();
+        render_xml(&entry, user, &source, nodes, budget)
+    }
+
+    #[test]
+    fn an_expired_budget_at_render_time_is_a_deadline() {
+        let engine = engine_with_sample();
+        let expired = WorkBudget {
+            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+            cancel: None,
+            check_interval: 1,
+        };
+        for (user, query) in [
+            (User::Admin, "//patient"),
+            (User::Group("researchers".into()), "hospital/patient"),
+        ] {
+            let nodes = engine.session(user.clone()).query(query).unwrap().nodes;
+            assert!(!nodes.is_empty(), "`{query}` answers");
+            assert!(matches!(
+                render_under(&engine, &user, &nodes, &expired),
+                Err(EngineError::DeadlineExceeded)
+            ));
+            let cancelled = WorkBudget {
+                check_interval: 1,
+                ..WorkBudget::with_cancel(Arc::new(std::sync::atomic::AtomicBool::new(true)))
+            };
+            assert!(matches!(
+                render_under(&engine, &user, &nodes, &cancelled),
+                Err(EngineError::Cancelled)
+            ));
+        }
+    }
+
+    #[test]
+    fn a_generous_budget_renders_the_unlimited_bytes() {
+        let engine = engine_with_sample();
+        let generous = WorkBudget {
+            deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
+            cancel: Some(Arc::new(std::sync::atomic::AtomicBool::new(false))),
+            check_interval: 1,
+        };
+        for (user, query) in [
+            (User::Admin, "//patient"),
+            (User::Group("researchers".into()), "hospital/patient"),
+        ] {
+            let session = engine.session(user.clone());
+            let nodes = session.query(query).unwrap().nodes;
+            let unlimited = render_under(&engine, &user, &nodes, &WorkBudget::unlimited()).unwrap();
+            assert_eq!(
+                render_under(&engine, &user, &nodes, &generous).unwrap(),
+                unlimited
+            );
+            assert_eq!(session.query_xml(query).unwrap(), unlimited);
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   ones) hop between candidate subtrees through the positional label
 //!   and value posting indexes, visiting O(candidate) nodes instead of
 //!   O(n);
+//! * [`local`] — a compiled downward path run from one context node
+//!   ([`LocalPath`]): how a security view finds σ children when it
+//!   renders an answer;
 //! * [`stream`] — StAX mode: the same core over pull-parser events with
 //!   candidate-subtree buffering ([`evaluate_stream`]);
 //! * [`batch`] — batched StAX mode: one shared sequential scan answers a
@@ -42,6 +45,7 @@ pub mod budget;
 pub mod cans;
 pub mod dom;
 pub mod jump;
+pub mod local;
 pub mod machine;
 pub mod observer;
 pub mod stats;
@@ -59,6 +63,7 @@ pub use dom::{
     evaluate_mfa, evaluate_mfa_plan, evaluate_mfa_plan_budgeted, evaluate_mfa_with, DomOptions,
 };
 pub use jump::{jump_available, jump_eligible, start_region_triggers, TriggerInfo, TriggerKind};
+pub use local::{LocalPath, LocalScratch};
 pub use machine::ExecMode;
 pub use observer::{EvalObserver, NoopObserver, PruneReason};
 pub use stats::EvalStats;

@@ -106,8 +106,8 @@ impl Rewriter<'_> {
             Ctx::Type(a) => self
                 .spec
                 .view_children(a)
-                .into_iter()
-                .filter_map(|b| self.spec.sigma(a, b).map(|p| (b, p.clone())))
+                .iter()
+                .filter_map(|&b| self.spec.sigma(a, b).map(|p| (b, p.clone())))
                 .collect(),
         }
     }

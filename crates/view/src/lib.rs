@@ -14,7 +14,11 @@
 //! * [`typecheck`] — static typing of Regular XPath against a DTD;
 //! * [`materialize`] — V(T) construction with view→source origins, used
 //!   by the equivalence tests and the materialization baseline, and the
-//!   node counts of V(T) the engine's write path keeps.
+//!   node counts of V(T) the engine's write path keeps — with σ decided
+//!   by the naive evaluator, the oracle;
+//! * [`render`] — answers rendered through a view without building it
+//!   ([`ViewRenderer`]): the same σ-walk, σ compiled once per view, the
+//!   answer text as its sink. This is how the engine serves group answers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +26,7 @@
 pub mod derive;
 pub mod materialize;
 pub mod policy;
+pub mod render;
 pub mod spec;
 pub mod typecheck;
 
@@ -31,4 +36,5 @@ pub use materialize::{
     region_node_count, view_node_count, MaterializedView,
 };
 pub use policy::{AccessPolicy, Ann, PolicyError, HOSPITAL_POLICY};
+pub use render::{RenderScratch, ViewRenderer};
 pub use spec::{ViewError, ViewSpec};

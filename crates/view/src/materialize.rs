@@ -1,4 +1,5 @@
-//! View materialization.
+//! View materialization: the σ-walk that defines V(T), and the oracle
+//! built on it.
 //!
 //! SMOQE never materializes views in production — that is the whole point
 //! ("views are necessarily virtual", §1). Materialization exists here for
@@ -17,11 +18,16 @@
 //! The same σ-walk also *counts* V(T) without building it
 //! ([`view_node_count`]), and counts what a few top-level subtrees
 //! contribute ([`region_node_count`]) — how the engine's write path keeps
-//! a group's view-side node counts without materializing the view.
+//! a group's view-side node counts without materializing the view. Here
+//! σ is decided by the naive evaluator (`smoqe_rxpath::evaluate_from`):
+//! this module is the oracle. Answers are served by
+//! [`crate::render::ViewRenderer`], which runs the same walk with σ
+//! compiled once per view and writes straight into the answer text.
 
 use crate::spec::{ViewError, ViewSpec};
 use smoqe_rxpath::{evaluate_from, Path};
 use smoqe_xml::{Document, Label, NodeId, TreeBuilder};
+use std::convert::Infallible;
 
 /// A materialized view document plus the view→source node mapping.
 pub struct MaterializedView {
@@ -82,7 +88,7 @@ pub fn materializable(spec: &ViewSpec, source: &Document) -> Result<(), ViewErro
 pub fn materialize(spec: &ViewSpec, source: &Document) -> Result<MaterializedView, ViewError> {
     materializable(spec, source)?;
     let mut sink = Builder::new(source);
-    build(
+    walk_naive(
         spec,
         source,
         source.root(),
@@ -95,27 +101,39 @@ pub fn materialize(spec: &ViewSpec, source: &Document) -> Result<MaterializedVie
 }
 
 /// Materializes only the view subtree rooted at `node` (which must carry
-/// a view-visible label). This is how answers of rewritten queries are
-/// serialized for view users: the *view image* of the answer node — its
-/// raw source subtree would leak hidden descendants.
+/// a view-visible label): the *view image* of an answer node — its raw
+/// source subtree would leak hidden descendants. The oracle of answer
+/// rendering: the engine serves the same bytes through
+/// [`crate::render::ViewRenderer`] without building a document, and the
+/// tests check that this fragment's buffer equals them.
 pub fn materialize_fragment(
     spec: &ViewSpec,
     source: &Document,
     node: NodeId,
 ) -> Result<MaterializedView, ViewError> {
-    let vocab = source.vocabulary();
+    let ty = fragment_root(spec, source, node)?;
+    let mut sink = Builder::new(source);
+    walk_naive(spec, source, node, ty, &mut sink);
+    Ok(sink.finish())
+}
+
+/// The view type of a fragment rooted at `node`: its label, which must be
+/// a type of the view.
+pub(crate) fn fragment_root(
+    spec: &ViewSpec,
+    source: &Document,
+    node: NodeId,
+) -> Result<Label, ViewError> {
     let ty = source
         .label(node)
         .ok_or_else(|| ViewError::Syntax("fragment root must be an element".to_string()))?;
     if spec.view_dtd().production(ty).is_none() {
         return Err(ViewError::UnknownEdge(
-            vocab.name(ty).to_string(),
+            source.vocabulary().name(ty).to_string(),
             "<fragment root not a view type>".to_string(),
         ));
     }
-    let mut sink = Builder::new(source);
-    build(spec, source, node, ty, &mut sink);
-    Ok(sink.finish())
+    Ok(ty)
 }
 
 /// The set of **source** nodes the view exposes: the origin of every node
@@ -136,7 +154,7 @@ pub fn accessible_nodes(spec: &ViewSpec, source: &Document) -> Result<Vec<NodeId
 pub fn view_node_count(spec: &ViewSpec, source: &Document) -> Result<usize, ViewError> {
     materializable(spec, source)?;
     let mut count = Counter(0);
-    build(
+    walk_naive(
         spec,
         source,
         source.root(),
@@ -205,7 +223,7 @@ pub fn region_node_count(spec: &ViewSpec, source: &Document, tops: &[NodeId]) ->
     let region = region_document(source, root_ty, tops);
     debug_assert_eq!(root_ty, spec.view_dtd().root(), "materializable source");
     let mut count = Counter(0);
-    build(spec, &region, region.root(), root_ty, &mut count);
+    walk_naive(spec, &region, region.root(), root_ty, &mut count);
     // The sub-document's root has no text: it adds exactly its own node.
     count.0 - 1
 }
@@ -237,15 +255,51 @@ fn copy_subtree(source: &Document, node: NodeId, builder: &mut TreeBuilder) {
 }
 
 /// Where the σ-walk of [`build`] puts the view nodes it visits.
-trait ViewSink {
+pub(crate) trait ViewSink {
+    /// What stops the walk early ([`Infallible`] for sinks that never do).
+    type Stop;
     /// Opens a view element copied from `origin`.
-    fn element(&mut self, ty: Label, origin: NodeId);
-    /// The direct text of the open element's `origin`, placed right
-    /// after the element opens and never whitespace-only — so it makes
-    /// exactly one text node.
-    fn text(&mut self, text: &str, origin: NodeId);
-    /// Closes the open element.
-    fn end(&mut self);
+    fn element(&mut self, ty: Label, origin: NodeId) -> Result<(), Self::Stop>;
+    /// The direct text of the open element's `origin` in `source`, placed
+    /// right after the element opens and never whitespace-only — so it
+    /// makes exactly one text node.
+    fn text(&mut self, source: &Document, origin: NodeId);
+    /// Closes the open element, of type `ty`.
+    fn end(&mut self, ty: Label);
+}
+
+/// How the σ-walk of [`build`] finds the σ-children of a view node.
+pub(crate) trait Sigmas {
+    /// Appends to `out`, in document order, the source nodes that
+    /// σ(`ty`, b) selects from `node`, where b is
+    /// `spec.view_children(ty)[edge]` (nothing when that σ is missing).
+    fn select(
+        &mut self,
+        source: &Document,
+        ty: Label,
+        edge: usize,
+        node: NodeId,
+        out: &mut Vec<NodeId>,
+    );
+}
+
+/// σ decided by the naive evaluator: the oracle.
+struct Naive<'s>(&'s ViewSpec);
+
+impl Sigmas for Naive<'_> {
+    fn select(
+        &mut self,
+        source: &Document,
+        ty: Label,
+        edge: usize,
+        node: NodeId,
+        out: &mut Vec<NodeId>,
+    ) {
+        let b = self.0.view_children(ty)[edge];
+        if let Some(sigma) = self.0.sigma(ty, b) {
+            out.extend(evaluate_from(source, sigma, &[node]).iter());
+        }
+    }
 }
 
 /// Builds V(T) with its origins.
@@ -272,18 +326,21 @@ impl Builder {
 }
 
 impl ViewSink for Builder {
-    fn element(&mut self, ty: Label, origin: NodeId) {
+    type Stop = Infallible;
+
+    fn element(&mut self, ty: Label, origin: NodeId) -> Result<(), Infallible> {
         let vid = self.builder.start_element(ty);
         debug_assert_eq!(vid.index(), self.origins.len());
         self.origins.push(origin);
+        Ok(())
     }
 
-    fn text(&mut self, text: &str, origin: NodeId) {
-        self.builder.text(text);
+    fn text(&mut self, source: &Document, origin: NodeId) {
+        self.builder.text(&source.direct_text_cow(origin));
         self.origins.push(origin);
     }
 
-    fn end(&mut self) {
+    fn end(&mut self, _: Label) {
         self.builder.end_element();
     }
 }
@@ -292,47 +349,83 @@ impl ViewSink for Builder {
 struct Counter(usize);
 
 impl ViewSink for Counter {
-    fn element(&mut self, _: Label, _: NodeId) {
+    type Stop = Infallible;
+
+    fn element(&mut self, _: Label, _: NodeId) -> Result<(), Infallible> {
+        self.0 += 1;
+        Ok(())
+    }
+
+    fn text(&mut self, _: &Document, _: NodeId) {
         self.0 += 1;
     }
 
-    fn text(&mut self, _: &str, _: NodeId) {
-        self.0 += 1;
-    }
-
-    fn end(&mut self) {}
+    fn end(&mut self, _: Label) {}
 }
 
-fn build(
+/// The σ-walk from `node`, of view type `ty`, with naive σ, into a sink
+/// that never stops it.
+fn walk_naive(
+    spec: &ViewSpec,
+    source: &Document,
+    node: NodeId,
+    ty: Label,
+    sink: &mut impl ViewSink<Stop = Infallible>,
+) {
+    let Ok(()) = build(
+        spec,
+        source,
+        node,
+        ty,
+        &mut Naive(spec),
+        sink,
+        &mut Vec::new(),
+    );
+}
+
+/// Whether `node` has direct text that is not whitespace-only — the text
+/// a view node copied from it carries. (A parse of V(T)'s serialization
+/// drops whitespace-only text, so the view never holds any.)
+fn has_view_text(source: &Document, node: NodeId) -> bool {
+    source
+        .children(node)
+        .any(|c| source.text(c).is_some_and(|t| !t.trim_ascii().is_empty()))
+}
+
+/// The σ-walk: the view node of type `ty` copied from `src_node`, then
+/// its text and, per view child type, the view subtrees of the source
+/// nodes σ selects. `found` is the walk's stack of σ answers: each level
+/// appends its own and truncates them away when done.
+pub(crate) fn build<S: Sigmas, K: ViewSink>(
     spec: &ViewSpec,
     source: &Document,
     src_node: NodeId,
     ty: Label,
-    sink: &mut impl ViewSink,
-) {
-    sink.element(ty, src_node);
+    sigmas: &mut S,
+    sink: &mut K,
+    found: &mut Vec<NodeId>,
+) -> Result<(), K::Stop> {
+    sink.element(ty, src_node)?;
     // Text: if the view type carries text, copy the source node's direct
-    // text (concatenated), placed before element children. Whitespace-only
-    // text is dropped, as a parse of V(T)'s serialization drops it.
-    if spec.view_dtd().allows_text(ty) {
-        let text = source.direct_text_cow(src_node);
-        if !text.trim_ascii().is_empty() {
-            sink.text(&text, src_node);
-        }
+    // text (concatenated), placed before element children.
+    if spec.view_dtd().allows_text(ty) && has_view_text(source, src_node) {
+        sink.text(source, src_node);
     }
     // Children per view type, in canonical (label) order - matching the
     // derived view DTD's production order.
-    for b in spec.view_children(ty) {
-        let Some(sigma) = spec.sigma(ty, b) else {
-            continue;
-        };
+    let children = spec.view_children(ty);
+    for (edge, &b) in children.iter().enumerate() {
+        let mark = found.len();
+        sigmas.select(source, ty, edge, src_node, found);
         // σ moves strictly downward (non-nullable), so recursion depth is
         // bounded by the source depth.
-        for child_src in evaluate_from(source, sigma, &[src_node]).iter() {
-            build(spec, source, child_src, b, sink);
+        for i in mark..found.len() {
+            build(spec, source, found[i], b, sigmas, sink, found)?;
         }
+        found.truncate(mark);
     }
-    sink.end();
+    sink.end(ty);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -92,14 +92,23 @@ impl std::error::Error for ViewError {}
 pub struct ViewSpec {
     view_dtd: Dtd,
     sigma: BTreeMap<(Label, Label), Path>,
+    /// [`ViewSpec::view_children`] by label index, computed once from the
+    /// view DTD (which a spec never changes).
+    children: Vec<Box<[Label]>>,
 }
 
 impl ViewSpec {
     /// A spec over `view_dtd` with no σ assignments yet.
     pub fn new(view_dtd: Dtd) -> Self {
+        let width = view_dtd.element_types().map(|l| l.index() + 1).max();
+        let mut children = vec![Box::default(); width.unwrap_or(0)];
+        for a in view_dtd.element_types() {
+            children[a.index()] = view_dtd.child_types(a).into_iter().collect();
+        }
         ViewSpec {
             view_dtd,
             sigma: BTreeMap::new(),
+            children,
         }
     }
 
@@ -142,9 +151,10 @@ impl ViewSpec {
     }
 
     /// The child types of `parent` in the view, in canonical (label)
-    /// order — the order the materializer emits them in.
-    pub fn view_children(&self, parent: Label) -> Vec<Label> {
-        self.view_dtd.child_types(parent).into_iter().collect()
+    /// order — the order the materializer emits them in. Computed once,
+    /// when the spec is made; empty for a type the view does not declare.
+    pub fn view_children(&self, parent: Label) -> &[Label] {
+        self.children.get(parent.index()).map_or(&[], |c| c)
     }
 
     /// Validates the spec against the source DTD: every view edge has a

@@ -14,7 +14,9 @@
 //!   writes as it builds); node ids are in document order.
 //! * [`stax::PullParser`] — a StAX-style pull parser over any `BufRead`.
 //! * [`parse`] — DOM parsing built on the scanner.
-//! * [`serialize`] — compact/pretty serialization and an event-driven
+//! * [`serialize`] — the answer writer
+//!   ([`serialize::write_subtree_into`], a subtree appended straight into
+//!   a `String`), compact/pretty serialization and an event-driven
 //!   [`serialize::XmlWriter`] used by the streaming evaluator.
 //! * [`edit`](crate::edit) — structural edits (delete/replace/insert of
 //!   subtrees) that splice the buffer and the tables around the edit and

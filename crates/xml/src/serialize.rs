@@ -3,11 +3,15 @@
 //! The output visualizer of the paper has a "text mode, which presents the
 //! answer of the query as a document in XML syntax" (§3); the streaming
 //! evaluator also needs to emit buffered candidate subtrees as XML. Both go
-//! through [`XmlWriter`], an event-driven writer; [`to_string`] /
-//! [`write_subtree`] are tree-walking conveniences on top of it.
+//! through [`XmlWriter`], an event-driven writer. Document subtrees — the
+//! answers the engine serves — are written by [`write_subtree_into`],
+//! which appends straight into a `String` and produces the same bytes
+//! [`XmlWriter`] would; [`to_string`] / [`subtree_to_string`] are
+//! conveniences on top of it.
 
 use crate::error::XmlError;
 use crate::tree::{Document, NodeId, NodeKind};
+use std::convert::Infallible;
 use std::io::Write;
 
 /// Escapes character data (`&`, `<`, `>`).
@@ -194,44 +198,62 @@ impl<W: Write> XmlWriter<W> {
     }
 }
 
-/// Writes the subtree rooted at `node` as compact XML.
+/// Appends the compact serialization of the subtree rooted at `node` to
+/// `out` — the bytes [`XmlWriter`] would write for it: tag names from the
+/// document's vocabulary, attributes double-quoted with [`escape_attr`],
+/// text through [`escape_text`] (whose scan copies a text with nothing to
+/// escape as-is), and `/>` for an element without children.
 ///
-/// Iterative (explicit stack), so arbitrarily deep documents serialize
-/// without overflowing the call stack.
-pub fn write_subtree<W: Write>(doc: &Document, node: NodeId, sink: W) -> Result<(), XmlError> {
-    let mut w = XmlWriter::new(sink);
-    write_events(doc, node, &mut w)?;
-    w.flush()
-}
-
-fn write_events<W: Write>(
+/// `tick` is called once per node written; its first `Err` stops the
+/// walk and is returned (the answer writer meters a request's budget
+/// with it). The walk follows the tree's parent and sibling links, so it
+/// allocates nothing beyond the growth of `out` and serializes
+/// arbitrarily deep documents without recursion.
+pub fn write_subtree_into<E>(
     doc: &Document,
-    root: NodeId,
-    w: &mut XmlWriter<W>,
-) -> Result<(), XmlError> {
-    // (node, entered) pairs; `entered` marks the close phase.
-    let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
-    while let Some((node, entered)) = stack.pop() {
-        if entered {
-            w.end_element()?;
-            continue;
-        }
-        match doc.kind(node) {
-            NodeKind::Element(l) => {
-                w.start_element(doc.label_name(*l))?;
-                for (name, value) in doc.attributes(node) {
-                    w.attribute(name, value)?;
+    node: NodeId,
+    out: &mut String,
+    mut tick: impl FnMut() -> Result<(), E>,
+) -> Result<(), E> {
+    let mut at = node;
+    loop {
+        tick()?;
+        match *doc.kind(at) {
+            NodeKind::Text(_) => escape_text(doc.text(at).expect("text node has text"), out),
+            NodeKind::Element(label) => {
+                out.push('<');
+                out.push_str(doc.label_name(label));
+                for (name, value) in doc.attributes(at) {
+                    out.push(' ');
+                    out.push_str(name);
+                    out.push_str("=\"");
+                    escape_attr(value, out);
+                    out.push('"');
                 }
-                stack.push((node, true));
-                let children: Vec<NodeId> = doc.children(node).collect();
-                for &c in children.iter().rev() {
-                    stack.push((c, false));
+                if let Some(child) = doc.first_child(at) {
+                    out.push('>');
+                    at = child;
+                    continue;
                 }
+                out.push_str("/>");
             }
-            NodeKind::Text(_) => w.text(doc.text(node).expect("text node has text"))?,
+        }
+        // `at` is written: go on with its next sibling, closing every
+        // ancestor whose last child it was, up to `node`.
+        loop {
+            if at == node {
+                return Ok(());
+            }
+            if let Some(sibling) = doc.next_sibling(at) {
+                at = sibling;
+                break;
+            }
+            at = doc.parent(at).expect("a node below `node` has a parent");
+            out.push_str("</");
+            out.push_str(doc.name(at).expect("a parent is an element"));
+            out.push('>');
         }
     }
-    Ok(())
 }
 
 /// Serializes a whole document to a compact XML string.
@@ -239,11 +261,13 @@ pub fn to_string(doc: &Document) -> String {
     subtree_to_string(doc, doc.root())
 }
 
-/// Serializes the subtree rooted at `node` to a compact XML string.
+/// Serializes the subtree rooted at `node` to a compact XML string: the
+/// raw source subtree, as an administrator's answer is served
+/// ([`write_subtree_into`] into a fresh `String`).
 pub fn subtree_to_string(doc: &Document, node: NodeId) -> String {
-    let mut out = Vec::new();
-    write_subtree(doc, node, &mut out).expect("writing to Vec cannot fail");
-    String::from_utf8(out).expect("serializer emits UTF-8")
+    let mut out = String::new();
+    let Ok(()) = write_subtree_into(doc, node, &mut out, || Ok::<_, Infallible>(()));
+    out
 }
 
 #[cfg(test)]
@@ -293,6 +317,23 @@ mod tests {
         assert_eq!(s, "say &quot;hi&quot; &amp; &lt;go>");
     }
 
+    /// Drives `w` with the events of the subtree at `node`.
+    fn write_events<W: Write>(doc: &Document, node: NodeId, w: &mut XmlWriter<W>) {
+        match doc.kind(node) {
+            NodeKind::Element(l) => {
+                w.start_element(doc.label_name(*l)).unwrap();
+                for (name, value) in doc.attributes(node) {
+                    w.attribute(name, value).unwrap();
+                }
+                for child in doc.children(node) {
+                    write_events(doc, child, w);
+                }
+                w.end_element().unwrap();
+            }
+            NodeKind::Text(_) => w.text(doc.text(node).unwrap()).unwrap(),
+        }
+    }
+
     #[test]
     fn pretty_output_parses_back_equal() {
         let vocab = Vocabulary::new();
@@ -300,7 +341,7 @@ mod tests {
         let mut out = Vec::new();
         {
             let mut w = XmlWriter::pretty(&mut out, "  ");
-            super::write_events(&doc, doc.root(), &mut w).unwrap();
+            write_events(&doc, doc.root(), &mut w);
         }
         let pretty = String::from_utf8(out).unwrap();
         assert!(pretty.contains('\n'));

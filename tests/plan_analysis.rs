@@ -4,6 +4,9 @@
 //! `required_labels` and the closures for every machine — so a batch of N
 //! identical queries paid the analysis N times.
 //!
+//! The view's σ, compiled for rendering, follow the same rule: once per
+//! registered view (on first use), never per request.
+//!
 //! This file holds exactly one test on purpose: it reads the process-wide
 //! `analysis_runs` counter, and unrelated tests compiling plans in
 //! parallel threads would make deltas meaningless.
@@ -17,9 +20,13 @@ fn batch_compiles_each_distinct_plan_exactly_once() {
     let engine = Engine::with_defaults();
     engine.load_dtd(smoqe_xml::HOSPITAL_DTD).unwrap();
     engine.load_document(hospital::SAMPLE_DOCUMENT).unwrap();
+    // Registering the view compiles none of its σ: each compiles the
+    // first time a render needs it.
+    let analyses_before_view = analysis_runs();
     engine
         .register_policy("researchers", smoqe_view::HOSPITAL_POLICY)
         .unwrap();
+    assert_eq!(analysis_runs(), analyses_before_view, "σ compile on use");
     let session = engine.session(User::Group("researchers".into()));
 
     // 10 requests, 2 distinct plans.
@@ -52,4 +59,14 @@ fn batch_compiles_each_distinct_plan_exactly_once() {
         analyses_mid,
         "fully cached batch recompiles"
     );
+
+    // Serialized, the batch renders `treatment` answers through
+    // σ(treatment, medication) — compiled once, by the first render —
+    // and `medication` answers, which have no view children.
+    let serialized = session.query_batch_serialized(&queries).unwrap();
+    assert!(serialized.answers.iter().all(|a| !a.is_empty()));
+    assert_eq!(analysis_runs() - analyses_mid, 1, "one σ, once");
+    let analyses_warm = analysis_runs();
+    session.query_batch_serialized(&queries).unwrap();
+    assert_eq!(analysis_runs(), analyses_warm, "a warm render compiles");
 }
