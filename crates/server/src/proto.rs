@@ -1995,4 +1995,399 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
     }
+
+    /// Every request and response variant, with fields that exercise
+    /// `Some`/`None` options, empty and non-empty vectors, masked and
+    /// unmasked answers and a stats block with tenants and trace entries.
+    fn golden_frames() -> Vec<(&'static str, Vec<u8>)> {
+        let answer = Answer {
+            nodes: vec![NodeId(5), NodeId(19), NodeId(300)],
+            stats: EvalStats {
+                nodes_visited: 1,
+                subtrees_pruned_tax: 2,
+                subtrees_skipped_dead: 3,
+                cans_size: 4,
+                immediate_answers: 5,
+                answers: 3,
+                pred_instances: 7,
+                runs_spawned: 8,
+                formula_nodes: 9,
+                guard_probes: 10,
+                max_depth: 11,
+                tree_passes: 12,
+                request_id: 13,
+            },
+            plan_cached: true,
+            mode: ExecMode::Jump,
+            xml: Some(vec!["<a/>".into(), "<b>x &amp; y</b>".into(), "".into()]),
+        };
+        let admin = WireAnswer::from_answer(&answer, &Principal::Admin, 0x0102);
+        let group = WireAnswer::from_answer(&answer, &Principal::Group("g".into()), 0x0102);
+        let report = WireUpdateReport {
+            applied: 2,
+            nodes_before: 40,
+            nodes_after: 38,
+            tax_patched: true,
+        };
+        let mut stats = WireStats {
+            connections: 4,
+            queue_depth: 2,
+            queue_capacity: 256,
+            requests_total: 10_000,
+            busy_total: 12,
+            trace_dropped: 1,
+            epoch: 3,
+            slow_client_drops: 2,
+            shed_total: 3,
+            deadline_total: 4,
+            cancelled_total: 5,
+            overloaded_total: 6,
+            inflight: 7,
+            tenants: vec![
+                WireTenant {
+                    tenant: "(admin)".into(),
+                    queries: 1,
+                    batches: 2,
+                    updates: 3,
+                    update_denials: 4,
+                    errors: 5,
+                    answers: 6,
+                    nodes_visited: 7,
+                    busy_rejections: 8,
+                },
+                WireTenant {
+                    tenant: "nurse".into(),
+                    queries: 9,
+                    ..WireTenant::default()
+                },
+            ],
+            trace: vec![
+                TraceEntry {
+                    request_id: 5,
+                    tenant: "(admin)".into(),
+                    op: op::QUERY,
+                    outcome: Outcome::Ok,
+                    code: 0,
+                    micros: 812,
+                },
+                TraceEntry {
+                    request_id: 6,
+                    tenant: "nurse".into(),
+                    op: op::UPDATE,
+                    outcome: Outcome::Shed,
+                    code: code::DEADLINE_EXCEEDED,
+                    micros: 2_000,
+                },
+            ],
+            ..WireStats::default()
+        };
+        stats.set_cache(&CacheMetrics {
+            hits: 8,
+            misses: 2,
+            invalidations: 1,
+            evictions: 9,
+            entries: 2,
+        });
+        let id = 0x0807_0605_0403_0201;
+        let requests = [
+            (
+                "hello group, no auth",
+                Request::Hello {
+                    document: "wards".into(),
+                    principal: Principal::Group("nurse".into()),
+                    auth: None,
+                },
+            ),
+            (
+                "hello admin, auth",
+                Request::Hello {
+                    document: "".into(),
+                    principal: Principal::Admin,
+                    auth: Some("tok".into()),
+                },
+            ),
+            (
+                "query",
+                Request::Query {
+                    query: "//a".into(),
+                    deadline_ms: 1_500,
+                },
+            ),
+            (
+                "query batch",
+                Request::QueryBatch {
+                    queries: vec!["//a".into(), "b/c".into(), "".into()],
+                    deadline_ms: 7,
+                },
+            ),
+            (
+                "empty query batch",
+                Request::QueryBatch {
+                    queries: vec![],
+                    deadline_ms: 0,
+                },
+            ),
+            (
+                "update",
+                Request::Update {
+                    statement: "delete //bill".into(),
+                    deadline_ms: 250,
+                },
+            ),
+            (
+                "update batch",
+                Request::UpdateBatch {
+                    statements: vec!["delete //x".into(), "delete //y".into()],
+                    deadline_ms: 9,
+                },
+            ),
+            (
+                "empty update batch",
+                Request::UpdateBatch {
+                    statements: vec![],
+                    deadline_ms: u32::MAX,
+                },
+            ),
+            (
+                "open document, dtd, policies",
+                Request::OpenDocument {
+                    name: "d".into(),
+                    dtd: Some("<!ELEMENT r EMPTY>".into()),
+                    xml: None,
+                    policies: vec![("g".into(), "p".into()), ("h".into(), "".into())],
+                },
+            ),
+            (
+                "open document, xml, no policies",
+                Request::OpenDocument {
+                    name: "e".into(),
+                    dtd: None,
+                    xml: Some("<r/>".into()),
+                    policies: vec![],
+                },
+            ),
+            (
+                "stats with trace",
+                Request::Stats {
+                    include_trace: true,
+                },
+            ),
+            (
+                "stats",
+                Request::Stats {
+                    include_trace: false,
+                },
+            ),
+            ("ping", Request::Ping),
+            ("shutdown", Request::Shutdown),
+        ];
+        let responses = [
+            (
+                "hello ok",
+                Response::HelloOk {
+                    tenant: "nurse".into(),
+                },
+            ),
+            ("admin answer", Response::AnswerOk(admin.clone())),
+            ("group answer", Response::AnswerOk(group.clone())),
+            (
+                "batch",
+                Response::BatchOk {
+                    answers: vec![admin, group],
+                    events: 1234,
+                },
+            ),
+            (
+                "empty batch",
+                Response::BatchOk {
+                    answers: vec![],
+                    events: 0,
+                },
+            ),
+            ("update ok", Response::UpdateOk(report)),
+            (
+                "update batch ok",
+                Response::UpdateBatchOk(vec![
+                    report,
+                    WireUpdateReport {
+                        applied: 0,
+                        nodes_before: 1,
+                        nodes_after: 1,
+                        tax_patched: false,
+                    },
+                ]),
+            ),
+            ("empty update batch ok", Response::UpdateBatchOk(vec![])),
+            ("open ok", Response::OpenOk),
+            ("stats ok", Response::StatsOk(Box::new(stats))),
+            (
+                "empty stats ok",
+                Response::StatsOk(Box::new(WireStats::default())),
+            ),
+            ("pong", Response::Pong),
+            ("shutdown ok", Response::ShutdownOk),
+            ("error", Response::engine_error(&EngineError::UpdateDenied)),
+            ("busy", Response::Busy { retry_after_ms: 25 }),
+            ("overloaded", Response::Overloaded { retry_after_ms: 40 }),
+        ];
+        let mut frames: Vec<(&'static str, Vec<u8>)> = requests
+            .iter()
+            .map(|(name, req)| (*name, req.encode(id)))
+            .collect();
+        frames.extend(
+            responses
+                .iter()
+                .map(|(name, resp)| (*name, resp.encode(id))),
+        );
+        frames
+    }
+
+    #[test]
+    fn every_message_encodes_to_its_pinned_bytes() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let frames = golden_frames();
+        assert_eq!(frames.len(), GOLDEN.len());
+        for ((name, bytes), (pinned_name, pinned)) in frames.iter().zip(GOLDEN) {
+            assert_eq!(name, pinned_name);
+            assert_eq!(hex(bytes), *pinned, "{name}");
+            // And every pinned frame decodes back to what was encoded.
+            let mut fb = FrameBuffer::new();
+            fb.push(bytes);
+            let frame = fb.next_frame(DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
+            let reencoded = if frame.op & 0x80 == 0 {
+                Request::decode(frame.op, &frame.payload)
+                    .unwrap()
+                    .encode(frame.request_id)
+            } else {
+                Response::decode(frame.op, &frame.payload)
+                    .unwrap()
+                    .encode(frame.request_id)
+            };
+            assert_eq!(&reencoded, bytes, "{name}");
+        }
+    }
+
+    /// Each frame of [`golden_frames`], as lowercase hex.
+    const GOLDEN: &[(&str, &str)] = &[
+        (
+            "hello group, no auth",
+            "1e0000000101010203040506070805000000776172647301050000006e7572736500",
+        ),
+        (
+            "hello admin, auth",
+            "170000000101010203040506070800000000000103000000746f6b",
+        ),
+        (
+            "query",
+            "1500000001020102030405060708030000002f2f61dc050000",
+        ),
+        (
+            "query batch",
+            "240000000103010203040506070803000000030000002f2f6103000000622f630000000007000000",
+        ),
+        (
+            "empty query batch",
+            "12000000010301020304050607080000000000000000",
+        ),
+        (
+            "update",
+            "1f000000010401020304050607080d00000064656c657465202f2f62696c6cfa000000",
+        ),
+        (
+            "update batch",
+            "2e00000001050102030405060708020000000a00000064656c657465202f2f780a00000064656c657465202f2f7909000000",
+        ),
+        (
+            "empty update batch",
+            "120000000105010203040506070800000000ffffffff",
+        ),
+        (
+            "open document, dtd, policies",
+            "3e00000001060102030405060708010000006401120000003c21454c454d454e54207220454d5054593e000200000001000000670100000070010000006800000000",
+        ),
+        (
+            "open document, xml, no policies",
+            "1d0000000106010203040506070801000000650001040000003c722f3e00000000",
+        ),
+        (
+            "stats with trace",
+            "0b0000000107010203040506070801",
+        ),
+        (
+            "stats",
+            "0b0000000107010203040506070800",
+        ),
+        (
+            "ping",
+            "0a00000001080102030405060708",
+        ),
+        (
+            "shutdown",
+            "0a00000001090102030405060708",
+        ),
+        (
+            "hello ok",
+            "1300000001810102030405060708050000006e75727365",
+        ),
+        (
+            "admin answer",
+            "b40000000182010203040506070803000000050000000000000013000000000000002c010000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000003000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000201000000000000010203000000040000003c612f3e100000003c623e782026616d703b20793c2f623e00000000",
+        ),
+        (
+            "group answer",
+            "b400000001820102030405060708030000000000000000000000010000000000000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000201000000000000010003000000040000003c612f3e100000003c623e782026616d703b20793c2f623e00000000",
+        ),
+        (
+            "batch",
+            "6a010000018301020304050607080200000003000000050000000000000013000000000000002c010000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000003000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000201000000000000010203000000040000003c612f3e100000003c623e782026616d703b20793c2f623e00000000030000000000000000000000010000000000000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000201000000000000010003000000040000003c612f3e100000003c623e782026616d703b20793c2f623e00000000d204000000000000",
+        ),
+        (
+            "empty batch",
+            "1600000001830102030405060708000000000000000000000000",
+        ),
+        (
+            "update ok",
+            "230000000184010203040506070802000000000000002800000000000000260000000000000001",
+        ),
+        (
+            "update batch ok",
+            "4000000001850102030405060708020000000200000000000000280000000000000026000000000000000100000000000000000100000000000000010000000000000000",
+        ),
+        (
+            "empty update batch ok",
+            "0e0000000185010203040506070800000000",
+        ),
+        (
+            "open ok",
+            "0a00000001860102030405060708",
+        ),
+        (
+            "stats ok",
+            "72010000018701020304050607080800000000000000020000000000000001000000000000000900000000000000020000000000000004000000000000000200000000000000000100000000000010270000000000000c000000000000000100000000000000030000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000002000000070000002861646d696e2901000000000000000200000000000000030000000000000004000000000000000500000000000000060000000000000007000000000000000800000000000000050000006e7572736509000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000020000000500000000000000070000002861646d696e29020000002c030000000000000600000000000000050000006e7572736504056f00d007000000000000",
+        ),
+        (
+            "empty stats ok",
+            "a2000000018701020304050607080000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        ),
+        (
+            "pong",
+            "0a00000001880102030405060708",
+        ),
+        (
+            "shutdown ok",
+            "0a00000001890102030405060708",
+        ),
+        (
+            "error",
+            "3e00000001e001020304050607080c002e0000007570646174652064656e696564206279207468652073657373696f6e277320736563757269747920706f6c696379",
+        ),
+        (
+            "busy",
+            "0e00000001e1010203040506070819000000",
+        ),
+        (
+            "overloaded",
+            "0e00000001e2010203040506070828000000",
+        ),
+    ];
 }
