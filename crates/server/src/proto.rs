@@ -11,9 +11,13 @@
 //! strings and byte blobs are `u32` length-prefixed UTF-8; vectors are
 //! `u32` count-prefixed; booleans are one byte (`0`/`1`); options are a
 //! one-byte presence flag followed by the value. There is no
-//! self-description and no schema negotiation beyond the version byte —
-//! the codec is hand-rolled ([`Enc`]/[`Dec`]) because the workspace is
-//! offline and carries no serde.
+//! self-description and no schema negotiation beyond the version byte.
+//! Each type's wire form is written once, for both directions: a private
+//! `Wire` trait over the primitives, options, vectors and pairs, each
+//! struct's fields listed once in wire order, and each message's op byte
+//! and payload listed once. A decoded count is refused when the bytes
+//! left cannot hold that many of the smallest element, before anything
+//! is reserved for it.
 //!
 //! Request ops occupy `0x01..=0x7F`, responses set the high bit
 //! (`0x81..`), and the two failure responses live at `0xE0`/`0xE1`. A
@@ -193,202 +197,276 @@ impl std::fmt::Display for EncodeTooLarge {
 
 impl std::error::Error for EncodeTooLarge {}
 
-/// Little-endian payload encoder.
+/// Payload encoder: the bytes written so far, and whether some length
+/// overflowed its `u32` prefix along the way.
 #[derive(Default)]
-pub struct Enc {
+struct Enc {
     buf: Vec<u8>,
     overflow: bool,
 }
 
 impl Enc {
-    /// Fresh empty encoder.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Enc::default()
     }
 
-    /// The encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
+    #[cfg(test)]
+    fn finish(self) -> Vec<u8> {
         self.buf
     }
 
-    /// The encoded bytes, unless some length overflowed the `u32` wire
-    /// prefix along the way.
-    pub fn try_finish(self) -> Result<Vec<u8>, EncodeTooLarge> {
-        if self.overflow {
+    /// The encoded bytes, unless some length overflowed.
+    fn try_finish(self) -> Result<Vec<u8>, EncodeTooLarge> {
+        if self.overflowed() {
             Err(EncodeTooLarge)
         } else {
             Ok(self.buf)
         }
     }
 
-    /// Whether any length written so far overflowed `u32`.
-    pub fn overflowed(&self) -> bool {
+    fn overflowed(&self) -> bool {
         self.overflow
+    }
+
+    fn u32(&mut self, v: u32) -> &mut Self {
+        v.put(self);
+        self
     }
 
     /// Writes a `usize` length as its `u32` wire prefix, flagging (not
     /// wrapping) values that do not fit.
     fn len32(&mut self, n: usize) -> &mut Self {
-        match u32::try_from(n) {
-            Ok(v) => self.u32(v),
-            Err(_) => {
-                self.overflow = true;
-                self.u32(u32::MAX)
-            }
-        }
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
-        self
-    }
-
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a boolean as one byte.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.u8(v as u8)
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) -> &mut Self {
-        self.len32(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
-        self
-    }
-
-    /// Appends an optional string (presence flag + value).
-    pub fn opt_str(&mut self, v: Option<&str>) -> &mut Self {
-        match v {
-            Some(s) => self.bool(true).str(s),
-            None => self.bool(false),
-        }
-    }
-
-    /// Appends a count-prefixed vector of strings.
-    pub fn str_vec(&mut self, v: &[String]) -> &mut Self {
-        self.len32(v.len());
-        for s in v {
-            self.str(s);
-        }
-        self
+        let n = u32::try_from(n).unwrap_or_else(|_| {
+            self.overflow = true;
+            u32::MAX
+        });
+        self.u32(n)
     }
 }
 
-/// Little-endian payload decoder over a borrowed buffer.
-pub struct Dec<'a> {
+/// Payload decoder over a borrowed buffer.
+struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    /// Decoder over `buf`, positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Dec { buf, pos: 0 }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError)?;
-        if end > self.buf.len() {
-            return Err(ProtoError);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
+        let s = self.buf.get(self.pos..).and_then(|rest| rest.get(..n));
+        let s = s.ok_or(ProtoError)?;
+        self.pos += n;
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a boolean (rejecting anything but `0`/`1`).
-    pub fn bool(&mut self) -> Result<bool, ProtoError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(ProtoError),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError)
-    }
-
-    /// Reads an optional string.
-    pub fn opt_str(&mut self) -> Result<Option<String>, ProtoError> {
-        if self.bool()? {
-            Ok(Some(self.str()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads a count-prefixed vector of strings.
-    pub fn str_vec(&mut self) -> Result<Vec<String>, ProtoError> {
-        let n = self.u32()? as usize;
-        // Each element costs at least its 4-byte length prefix; reject
-        // counts the remaining bytes cannot possibly satisfy before
-        // allocating (a 4-byte count can claim 4 billion elements).
-        if n > self.remaining() / 4 {
-            return Err(ProtoError);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.str()?);
-        }
-        Ok(out)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Fails unless every byte was consumed — trailing garbage is a
     /// malformed frame, not an extension point.
-    pub fn finish(self) -> Result<(), ProtoError> {
+    fn finish(self) -> Result<(), ProtoError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
             Err(ProtoError)
         }
     }
+}
+
+/// A value with one wire form: how it is written, how it is read back,
+/// and the fewest bytes any encoding of it takes.
+trait Wire: Sized {
+    /// The least encoded length, which bounds how many elements a count
+    /// may claim for the bytes that follow it.
+    const MIN: usize;
+    fn put(&self, e: &mut Enc);
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError>;
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+            fn put(&self, e: &mut Enc) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+                let bytes = d.take(<$t as Wire>::MIN)?.try_into().expect("took MIN bytes");
+                Ok(<$t>::from_le_bytes(bytes))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u16, u32, u64);
+
+/// Counters travel as `u64`.
+impl Wire for usize {
+    const MIN: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        (*self as u64).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        Ok(u64::get(d)? as usize)
+    }
+}
+
+/// One byte, `0` or `1`; anything else is malformed.
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        u8::from(*self).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        match u8::get(d)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(ProtoError),
+        }
+    }
+}
+
+/// `u32` byte length, then UTF-8.
+impl Wire for String {
+    const MIN: usize = 4;
+    fn put(&self, e: &mut Enc) {
+        e.len32(self.len());
+        e.buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        let n = u32::get(d)? as usize;
+        String::from_utf8(d.take(n)?.to_vec()).map_err(|_| ProtoError)
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        Ok(if bool::get(d)? {
+            Some(T::get(d)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, e: &mut Enc) {
+        e.len32(self.len());
+        for v in self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        let n = u32::get(d)? as usize;
+        // The one bound on a hostile count: every element takes at least
+        // `T::MIN` bytes, so a count the remaining bytes cannot hold is
+        // refused before anything is reserved for it.
+        if n > d.remaining() / T::MIN {
+            return Err(ProtoError);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(d)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN: usize = T::MIN;
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        T::get(d).map(Box::new)
+    }
+}
+
+/// Implements [`Wire`] for structs by listing each one's fields once, in
+/// wire order, with their types.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident: $fty:ty),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$fty as Wire>::MIN)*;
+            fn put(&self, e: &mut Enc) {
+                $(self.$field.put(e);)*
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+                Ok($ty { $($field: <$fty as Wire>::get(d)?),* })
+            }
+        }
+    )*};
+}
+
+/// Writes a message enum's variants once each — the op byte, then the
+/// payload fields in wire order (`{ named }`, `(positional)` or none) —
+/// and derives from that table the enum's `op`, its payload writer and
+/// its payload reader (`None` for an op byte that is not one of its
+/// variants).
+macro_rules! wire_messages {
+    ($ty:ident {
+        $($op:ident => $variant:ident $({ $($sf:ident),* })? $(( $($tf:ident),* ))?,)*
+    }) => {
+        impl $ty {
+            /// The op byte this message travels under.
+            pub fn op(&self) -> u8 {
+                match self {
+                    $(wire_messages!(@any $ty $variant $({ $($sf),* })? $(( $($tf),* ))?) => op::$op,)*
+                }
+            }
+
+            fn put_payload(&self, e: &mut Enc) {
+                match self {
+                    $(wire_messages!(@pat $ty $variant $({ $($sf),* })? $(( $($tf),* ))?) => {
+                        $($($sf.put(e);)*)? $($($tf.put(e);)*)?
+                    })*
+                }
+            }
+
+            fn get_payload(op_byte: u8, d: &mut Dec<'_>) -> Result<Option<Self>, ProtoError> {
+                Ok(Some(match op_byte {
+                    $(op::$op => {
+                        $($(let $sf = Wire::get(d)?;)*)? $($(let $tf = Wire::get(d)?;)*)?
+                        wire_messages!(@pat $ty $variant $({ $($sf),* })? $(( $($tf),* ))?)
+                    })*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+    // The variant matched whatever it carries, or bound (and built) by
+    // its field names.
+    (@any $ty:ident $variant:ident) => { $ty::$variant };
+    (@any $ty:ident $variant:ident { $($f:ident),* }) => { $ty::$variant { .. } };
+    (@any $ty:ident $variant:ident ( $($f:ident),* )) => { $ty::$variant(..) };
+    (@pat $ty:ident $variant:ident) => { $ty::$variant };
+    (@pat $ty:ident $variant:ident { $($f:ident),* }) => { $ty::$variant { $($f),* } };
+    (@pat $ty:ident $variant:ident ( $($f:ident),* )) => { $ty::$variant($($f),*) };
 }
 
 // ---------------------------------------------------------------------------
@@ -586,22 +664,24 @@ impl Principal {
             Principal::Group(g) => valid_group_name(g),
         }
     }
+}
 
-    fn encode(&self, e: &mut Enc) {
+/// `0` for the admin, `1` and the name for a group.
+impl Wire for Principal {
+    const MIN: usize = 1;
+    fn put(&self, e: &mut Enc) {
         match self {
-            Principal::Admin => {
-                e.u8(0);
-            }
+            Principal::Admin => 0u8.put(e),
             Principal::Group(g) => {
-                e.u8(1).str(g);
+                1u8.put(e);
+                g.put(e);
             }
         }
     }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
-        match d.u8()? {
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        match u8::get(d)? {
             0 => Ok(Principal::Admin),
-            1 => Ok(Principal::Group(d.str()?)),
+            1 => Ok(Principal::Group(String::get(d)?)),
             _ => Err(ProtoError),
         }
     }
@@ -696,22 +776,19 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// The op byte this request travels under.
-    pub fn op(&self) -> u8 {
-        match self {
-            Request::Hello { .. } => op::HELLO,
-            Request::Query { .. } => op::QUERY,
-            Request::QueryBatch { .. } => op::QUERY_BATCH,
-            Request::Update { .. } => op::UPDATE,
-            Request::UpdateBatch { .. } => op::UPDATE_BATCH,
-            Request::OpenDocument { .. } => op::OPEN_DOCUMENT,
-            Request::Stats { .. } => op::STATS,
-            Request::Ping => op::PING,
-            Request::Shutdown => op::SHUTDOWN,
-        }
-    }
+wire_messages!(Request {
+    HELLO => Hello { document, principal, auth },
+    QUERY => Query { query, deadline_ms },
+    QUERY_BATCH => QueryBatch { queries, deadline_ms },
+    UPDATE => Update { statement, deadline_ms },
+    UPDATE_BATCH => UpdateBatch { statements, deadline_ms },
+    OPEN_DOCUMENT => OpenDocument { name, dtd, xml, policies },
+    STATS => Stats { include_trace },
+    PING => Ping,
+    SHUTDOWN => Shutdown,
+});
 
+impl Request {
     /// The caller's deadline in milliseconds for the engine ops (`0` =
     /// none; ops without a deadline field report `0` too).
     pub fn deadline_ms(&self) -> u32 {
@@ -768,58 +845,7 @@ impl Request {
     /// count or the frame itself overflows its `u32` prefix.
     pub fn try_encode(&self, request_id: u64) -> Result<Vec<u8>, EncodeTooLarge> {
         let mut e = Enc::new();
-        match self {
-            Request::Hello {
-                document,
-                principal,
-                auth,
-            } => {
-                e.str(document);
-                principal.encode(&mut e);
-                e.opt_str(auth.as_deref());
-            }
-            Request::Query { query, deadline_ms } => {
-                e.str(query);
-                e.u32(*deadline_ms);
-            }
-            Request::QueryBatch {
-                queries,
-                deadline_ms,
-            } => {
-                e.str_vec(queries);
-                e.u32(*deadline_ms);
-            }
-            Request::Update {
-                statement,
-                deadline_ms,
-            } => {
-                e.str(statement);
-                e.u32(*deadline_ms);
-            }
-            Request::UpdateBatch {
-                statements,
-                deadline_ms,
-            } => {
-                e.str_vec(statements);
-                e.u32(*deadline_ms);
-            }
-            Request::OpenDocument {
-                name,
-                dtd,
-                xml,
-                policies,
-            } => {
-                e.str(name).opt_str(dtd.as_deref()).opt_str(xml.as_deref());
-                e.len32(policies.len());
-                for (group, policy) in policies {
-                    e.str(group).str(policy);
-                }
-            }
-            Request::Stats { include_trace } => {
-                e.bool(*include_trace);
-            }
-            Request::Ping | Request::Shutdown => {}
-        }
+        self.put_payload(&mut e);
         try_encode_frame(self.op(), request_id, &e.try_finish()?)
     }
 
@@ -830,54 +856,9 @@ impl Request {
     /// failure ([`code::MALFORMED_FRAME`]).
     pub fn decode(op_byte: u8, payload: &[u8]) -> Result<Request, Option<ProtoError>> {
         let mut d = Dec::new(payload);
-        let req = match op_byte {
-            op::HELLO => Request::Hello {
-                document: d.str().map_err(Some)?,
-                principal: Principal::decode(&mut d).map_err(Some)?,
-                auth: d.opt_str().map_err(Some)?,
-            },
-            op::QUERY => Request::Query {
-                query: d.str().map_err(Some)?,
-                deadline_ms: d.u32().map_err(Some)?,
-            },
-            op::QUERY_BATCH => Request::QueryBatch {
-                queries: d.str_vec().map_err(Some)?,
-                deadline_ms: d.u32().map_err(Some)?,
-            },
-            op::UPDATE => Request::Update {
-                statement: d.str().map_err(Some)?,
-                deadline_ms: d.u32().map_err(Some)?,
-            },
-            op::UPDATE_BATCH => Request::UpdateBatch {
-                statements: d.str_vec().map_err(Some)?,
-                deadline_ms: d.u32().map_err(Some)?,
-            },
-            op::OPEN_DOCUMENT => {
-                let name = d.str().map_err(Some)?;
-                let dtd = d.opt_str().map_err(Some)?;
-                let xml = d.opt_str().map_err(Some)?;
-                let n = d.u32().map_err(Some)? as usize;
-                if n > d.remaining() / 8 {
-                    return Err(Some(ProtoError));
-                }
-                let mut policies = Vec::with_capacity(n);
-                for _ in 0..n {
-                    policies.push((d.str().map_err(Some)?, d.str().map_err(Some)?));
-                }
-                Request::OpenDocument {
-                    name,
-                    dtd,
-                    xml,
-                    policies,
-                }
-            }
-            op::STATS => Request::Stats {
-                include_trace: d.bool().map_err(Some)?,
-            },
-            op::PING => Request::Ping,
-            op::SHUTDOWN => Request::Shutdown,
-            _ => return Err(None),
-        };
+        let req = Request::get_payload(op_byte, &mut d)
+            .map_err(Some)?
+            .ok_or(None)?;
         d.finish().map_err(Some)?;
         Ok(req)
     }
@@ -889,54 +870,104 @@ impl Request {
 
 // Mode code 1 named the retired per-event interpreter; it stays
 // unassigned so an old peer's byte is rejected, not reinterpreted.
-fn mode_to_u8(mode: ExecMode) -> u8 {
-    match mode {
-        ExecMode::Compiled => 0,
-        ExecMode::Jump => 2,
+impl Wire for ExecMode {
+    const MIN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        match self {
+            ExecMode::Compiled => 0u8,
+            ExecMode::Jump => 2,
+        }
+        .put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        match u8::get(d)? {
+            0 => Ok(ExecMode::Compiled),
+            2 => Ok(ExecMode::Jump),
+            _ => Err(ProtoError),
+        }
     }
 }
 
-fn mode_from_u8(v: u8) -> Result<ExecMode, ProtoError> {
-    match v {
-        0 => Ok(ExecMode::Compiled),
-        2 => Ok(ExecMode::Jump),
-        _ => Err(ProtoError),
+impl Wire for Outcome {
+    const MIN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        self.as_u8().put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        Outcome::from_u8(u8::get(d)?).ok_or(ProtoError)
     }
 }
 
-/// `EvalStats` as a fixed run of thirteen `u64`s, in declaration order.
-fn encode_stats(e: &mut Enc, s: &EvalStats) {
-    e.u64(s.nodes_visited as u64);
-    e.u64(s.subtrees_pruned_tax as u64);
-    e.u64(s.subtrees_skipped_dead as u64);
-    e.u64(s.cans_size as u64);
-    e.u64(s.immediate_answers as u64);
-    e.u64(s.answers as u64);
-    e.u64(s.pred_instances as u64);
-    e.u64(s.runs_spawned as u64);
-    e.u64(s.formula_nodes as u64);
-    e.u64(s.guard_probes as u64);
-    e.u64(s.max_depth as u64);
-    e.u64(s.tree_passes as u64);
-    e.u64(s.request_id);
-}
-
-fn decode_stats(d: &mut Dec<'_>) -> Result<EvalStats, ProtoError> {
-    Ok(EvalStats {
-        nodes_visited: d.u64()? as usize,
-        subtrees_pruned_tax: d.u64()? as usize,
-        subtrees_skipped_dead: d.u64()? as usize,
-        cans_size: d.u64()? as usize,
-        immediate_answers: d.u64()? as usize,
-        answers: d.u64()? as usize,
-        pred_instances: d.u64()? as usize,
-        runs_spawned: d.u64()? as usize,
-        formula_nodes: d.u64()? as usize,
-        guard_probes: d.u64()? as usize,
-        max_depth: d.u64()? as usize,
-        tree_passes: d.u64()? as usize,
-        request_id: d.u64()?,
-    })
+wire_struct! {
+    EvalStats {
+        nodes_visited: usize,
+        subtrees_pruned_tax: usize,
+        subtrees_skipped_dead: usize,
+        cans_size: usize,
+        immediate_answers: usize,
+        answers: usize,
+        pred_instances: usize,
+        runs_spawned: usize,
+        formula_nodes: usize,
+        guard_probes: usize,
+        max_depth: usize,
+        tree_passes: usize,
+        request_id: u64,
+    }
+    WireAnswer {
+        nodes: Vec<u64>,
+        stats: EvalStats,
+        plan_cached: bool,
+        mode: ExecMode,
+        xml: Vec<String>,
+    }
+    WireUpdateReport {
+        applied: u64,
+        nodes_before: u64,
+        nodes_after: u64,
+        tax_patched: bool,
+    }
+    WireTenant {
+        tenant: String,
+        queries: u64,
+        batches: u64,
+        updates: u64,
+        update_denials: u64,
+        errors: u64,
+        answers: u64,
+        nodes_visited: u64,
+        busy_rejections: u64,
+    }
+    WireStats {
+        cache_hits: u64,
+        cache_misses: u64,
+        cache_invalidations: u64,
+        cache_evictions: u64,
+        cache_entries: u64,
+        connections: u64,
+        queue_depth: u64,
+        queue_capacity: u64,
+        requests_total: u64,
+        busy_total: u64,
+        trace_dropped: u64,
+        epoch: u64,
+        slow_client_drops: u64,
+        shed_total: u64,
+        deadline_total: u64,
+        cancelled_total: u64,
+        overloaded_total: u64,
+        inflight: u64,
+        tenants: Vec<WireTenant>,
+        trace: Vec<TraceEntry>,
+    }
+    TraceEntry {
+        request_id: u64,
+        tenant: String,
+        op: u8,
+        outcome: Outcome,
+        code: u16,
+        micros: u64,
+    }
 }
 
 /// An [`Answer`] as it crosses the wire.
@@ -1017,35 +1048,6 @@ impl WireAnswer {
             xml: Some(self.xml),
         }
     }
-
-    fn encode(&self, e: &mut Enc) {
-        e.len32(self.nodes.len());
-        for &n in &self.nodes {
-            e.u64(n);
-        }
-        encode_stats(e, &self.stats);
-        e.bool(self.plan_cached);
-        e.u8(mode_to_u8(self.mode));
-        e.str_vec(&self.xml);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<WireAnswer, ProtoError> {
-        let n = d.u32()? as usize;
-        if n > d.remaining() / 8 {
-            return Err(ProtoError);
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(d.u64()?);
-        }
-        Ok(WireAnswer {
-            nodes,
-            stats: decode_stats(d)?,
-            plan_cached: d.bool()?,
-            mode: mode_from_u8(d.u8()?)?,
-            xml: d.str_vec()?,
-        })
-    }
 }
 
 /// An [`UpdateReport`] as it crosses the wire.
@@ -1078,22 +1080,6 @@ impl WireUpdateReport {
             tax_patched: principal.is_admin() && report.tax_patched,
         }
     }
-
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.applied)
-            .u64(self.nodes_before)
-            .u64(self.nodes_after)
-            .bool(self.tax_patched);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<WireUpdateReport, ProtoError> {
-        Ok(WireUpdateReport {
-            applied: d.u64()?,
-            nodes_before: d.u64()?,
-            nodes_after: d.u64()?,
-            tax_patched: d.bool()?,
-        })
-    }
 }
 
 /// Per-tenant counters as they cross the wire (mirrors
@@ -1119,34 +1105,6 @@ pub struct WireTenant {
     /// Requests refused by admission control (server-side counter; the
     /// engine never sees these).
     pub busy_rejections: u64,
-}
-
-impl WireTenant {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.tenant);
-        e.u64(self.queries)
-            .u64(self.batches)
-            .u64(self.updates)
-            .u64(self.update_denials)
-            .u64(self.errors)
-            .u64(self.answers)
-            .u64(self.nodes_visited)
-            .u64(self.busy_rejections);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<WireTenant, ProtoError> {
-        Ok(WireTenant {
-            tenant: d.str()?,
-            queries: d.u64()?,
-            batches: d.u64()?,
-            updates: d.u64()?,
-            update_denials: d.u64()?,
-            errors: d.u64()?,
-            answers: d.u64()?,
-            nodes_visited: d.u64()?,
-            busy_rejections: d.u64()?,
-        })
-    }
 }
 
 /// Server + engine statistics returned by the `Stats` op.
@@ -1212,86 +1170,6 @@ impl WireStats {
         self.cache_evictions = m.evictions;
         self.cache_entries = m.entries as u64;
     }
-
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.cache_hits)
-            .u64(self.cache_misses)
-            .u64(self.cache_invalidations)
-            .u64(self.cache_evictions)
-            .u64(self.cache_entries)
-            .u64(self.connections)
-            .u64(self.queue_depth)
-            .u64(self.queue_capacity)
-            .u64(self.requests_total)
-            .u64(self.busy_total)
-            .u64(self.trace_dropped)
-            .u64(self.epoch)
-            .u64(self.slow_client_drops)
-            .u64(self.shed_total)
-            .u64(self.deadline_total)
-            .u64(self.cancelled_total)
-            .u64(self.overloaded_total)
-            .u64(self.inflight);
-        e.len32(self.tenants.len());
-        for t in &self.tenants {
-            t.encode(e);
-        }
-        e.len32(self.trace.len());
-        for t in &self.trace {
-            e.u64(t.request_id);
-            e.str(&t.tenant);
-            e.u8(t.op);
-            e.u8(t.outcome.as_u8());
-            e.u16(t.code);
-            e.u64(t.micros);
-        }
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<WireStats, ProtoError> {
-        let mut s = WireStats {
-            cache_hits: d.u64()?,
-            cache_misses: d.u64()?,
-            cache_invalidations: d.u64()?,
-            cache_evictions: d.u64()?,
-            cache_entries: d.u64()?,
-            connections: d.u64()?,
-            queue_depth: d.u64()?,
-            queue_capacity: d.u64()?,
-            requests_total: d.u64()?,
-            busy_total: d.u64()?,
-            trace_dropped: d.u64()?,
-            epoch: d.u64()?,
-            slow_client_drops: d.u64()?,
-            shed_total: d.u64()?,
-            deadline_total: d.u64()?,
-            cancelled_total: d.u64()?,
-            overloaded_total: d.u64()?,
-            inflight: d.u64()?,
-            ..WireStats::default()
-        };
-        let nt = d.u32()? as usize;
-        if nt > d.remaining() / 8 {
-            return Err(ProtoError);
-        }
-        for _ in 0..nt {
-            s.tenants.push(WireTenant::decode(d)?);
-        }
-        let ne = d.u32()? as usize;
-        if ne > d.remaining() / 8 {
-            return Err(ProtoError);
-        }
-        for _ in 0..ne {
-            s.trace.push(TraceEntry {
-                request_id: d.u64()?,
-                tenant: d.str()?,
-                op: d.u8()?,
-                outcome: Outcome::from_u8(d.u8()?).ok_or(ProtoError)?,
-                code: d.u16()?,
-                micros: d.u64()?,
-            });
-        }
-        Ok(s)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1356,25 +1234,22 @@ pub enum Response {
     },
 }
 
-impl Response {
-    /// The op byte this response travels under.
-    pub fn op(&self) -> u8 {
-        match self {
-            Response::HelloOk { .. } => op::HELLO_OK,
-            Response::AnswerOk(_) => op::ANSWER_OK,
-            Response::BatchOk { .. } => op::BATCH_OK,
-            Response::UpdateOk(_) => op::UPDATE_OK,
-            Response::UpdateBatchOk(_) => op::UPDATE_BATCH_OK,
-            Response::OpenOk => op::OPEN_OK,
-            Response::StatsOk(_) => op::STATS_OK,
-            Response::Pong => op::PONG,
-            Response::ShutdownOk => op::SHUTDOWN_OK,
-            Response::Error { .. } => op::ERROR,
-            Response::Busy { .. } => op::BUSY,
-            Response::Overloaded { .. } => op::OVERLOADED,
-        }
-    }
+wire_messages!(Response {
+    HELLO_OK => HelloOk { tenant },
+    ANSWER_OK => AnswerOk(answer),
+    BATCH_OK => BatchOk { answers, events },
+    UPDATE_OK => UpdateOk(report),
+    UPDATE_BATCH_OK => UpdateBatchOk(reports),
+    OPEN_OK => OpenOk,
+    STATS_OK => StatsOk(stats),
+    PONG => Pong,
+    SHUTDOWN_OK => ShutdownOk,
+    ERROR => Error { code, message },
+    BUSY => Busy { retry_after_ms },
+    OVERLOADED => Overloaded { retry_after_ms },
+});
 
+impl Response {
     /// The wire form of an engine failure: stable code + display text,
     /// nothing else. Both derive from the error *variant* alone, which is
     /// what keeps `UpdateDenied` frames byte-identical regardless of
@@ -1434,85 +1309,14 @@ impl Response {
     /// Encodes this response, failing on `u32` length overflow.
     pub fn try_encode(&self, request_id: u64) -> Result<Vec<u8>, EncodeTooLarge> {
         let mut e = Enc::new();
-        match self {
-            Response::HelloOk { tenant } => {
-                e.str(tenant);
-            }
-            Response::AnswerOk(a) => a.encode(&mut e),
-            Response::BatchOk { answers, events } => {
-                e.len32(answers.len());
-                for a in answers {
-                    a.encode(&mut e);
-                }
-                e.u64(*events);
-            }
-            Response::UpdateOk(r) => r.encode(&mut e),
-            Response::UpdateBatchOk(reports) => {
-                e.len32(reports.len());
-                for r in reports {
-                    r.encode(&mut e);
-                }
-            }
-            Response::OpenOk | Response::Pong | Response::ShutdownOk => {}
-            Response::StatsOk(s) => s.encode(&mut e),
-            Response::Error { code, message } => {
-                e.u16(*code).str(message);
-            }
-            Response::Busy { retry_after_ms } | Response::Overloaded { retry_after_ms } => {
-                e.u32(*retry_after_ms);
-            }
-        }
+        self.put_payload(&mut e);
         try_encode_frame(self.op(), request_id, &e.try_finish()?)
     }
 
     /// Decodes a response payload for `op_byte`.
     pub fn decode(op_byte: u8, payload: &[u8]) -> Result<Response, ProtoError> {
         let mut d = Dec::new(payload);
-        let resp = match op_byte {
-            op::HELLO_OK => Response::HelloOk { tenant: d.str()? },
-            op::ANSWER_OK => Response::AnswerOk(WireAnswer::decode(&mut d)?),
-            op::BATCH_OK => {
-                let n = d.u32()? as usize;
-                if n > d.remaining() {
-                    return Err(ProtoError);
-                }
-                let mut answers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    answers.push(WireAnswer::decode(&mut d)?);
-                }
-                Response::BatchOk {
-                    answers,
-                    events: d.u64()?,
-                }
-            }
-            op::UPDATE_OK => Response::UpdateOk(WireUpdateReport::decode(&mut d)?),
-            op::UPDATE_BATCH_OK => {
-                let n = d.u32()? as usize;
-                if n > d.remaining() / 25 {
-                    return Err(ProtoError);
-                }
-                let mut reports = Vec::with_capacity(n);
-                for _ in 0..n {
-                    reports.push(WireUpdateReport::decode(&mut d)?);
-                }
-                Response::UpdateBatchOk(reports)
-            }
-            op::OPEN_OK => Response::OpenOk,
-            op::STATS_OK => Response::StatsOk(Box::new(WireStats::decode(&mut d)?)),
-            op::PONG => Response::Pong,
-            op::SHUTDOWN_OK => Response::ShutdownOk,
-            op::ERROR => Response::Error {
-                code: d.u16()?,
-                message: d.str()?,
-            },
-            op::BUSY => Response::Busy {
-                retry_after_ms: d.u32()?,
-            },
-            op::OVERLOADED => Response::Overloaded {
-                retry_after_ms: d.u32()?,
-            },
-            _ => return Err(ProtoError),
-        };
+        let resp = Response::get_payload(op_byte, &mut d)?.ok_or(ProtoError)?;
         d.finish()?;
         Ok(resp)
     }
@@ -1657,7 +1461,7 @@ mod tests {
             xml: vec![],
         };
         let mut e = Enc::new();
-        answer.encode(&mut e);
+        answer.put(&mut e);
         let mut payload = e.try_finish().unwrap();
         let mode_at = payload.len() - 5;
         assert_eq!(payload[mode_at], 2);
@@ -2220,10 +2024,7 @@ mod tests {
             ("empty update batch ok", Response::UpdateBatchOk(vec![])),
             ("open ok", Response::OpenOk),
             ("stats ok", Response::StatsOk(Box::new(stats))),
-            (
-                "empty stats ok",
-                Response::StatsOk(Box::new(WireStats::default())),
-            ),
+            ("empty stats ok", Response::StatsOk(Box::default())),
             ("pong", Response::Pong),
             ("shutdown ok", Response::ShutdownOk),
             ("error", Response::engine_error(&EngineError::UpdateDenied)),
