@@ -17,6 +17,7 @@
 //! (`benchmark/`, described by `BENCHMARK.json`), not from here.
 
 use smoqe::workloads::hospital;
+use smoqe::QueryRequest;
 use smoqe_automata::compile::CompiledMfa;
 use smoqe_automata::{compile, optimize::optimize};
 use smoqe_bench::{
@@ -224,14 +225,18 @@ fn render(quick: bool) {
         "//patient[not(parent)]/treatment/medication",
     ];
     let session = handle.session(smoqe::User::Group(hospital::GROUP.into()));
-    let answered = session.query_batch_serialized(&batch).unwrap();
+    let serialized = || QueryRequest {
+        serialize: true,
+        ..QueryRequest::batch(&batch)
+    };
+    let answered = session.run(serialized()).unwrap();
     let (mut answers, mut bytes) = (0, 0);
     for answer in &answered.answers {
         answers += answer.len();
         bytes += answer.xml.iter().flatten().map(String::len).sum::<usize>();
     }
     let eval = time_mean(iters, || session.query_batch(&batch).unwrap());
-    let ser = time_mean(iters, || session.query_batch_serialized(&batch).unwrap());
+    let ser = time_mean(iters, || session.run(serialized()).unwrap());
     row(
         "group",
         "serve_mixed_open batch (3 queries)".into(),

@@ -1,9 +1,10 @@
 //! Shared harness for the SMOQE experiments.
 //!
-//! Each experiment in EXPERIMENTS.md is regenerated by two mechanisms:
-//! the `experiments` binary (paper-style tables on stdout, quick) and the
-//! Criterion benches under `benches/` (rigorous timing). Both build their
-//! workloads through this module so parameters stay consistent.
+//! The `experiments` binary regenerates the paper's tables on stdout and
+//! the layer-by-layer experiments; the allocation tests under `tests/`
+//! pin what the hot paths allocate. Both build their workloads through
+//! this module so parameters stay consistent. Timing that a claim rests
+//! on comes from the repository's benchmark (`benchmark/`).
 
 use smoqe::workloads::{hospital, org};
 use smoqe::User;

@@ -4,13 +4,13 @@
 //! costs one `String` per answer plus a constant: no fragment document,
 //! no name stack, no per-element child list. Counted on the
 //! `serve_mixed_open` batch — three `researchers` queries through
-//! `query_batch_serialized` — and on admin `//medication`, over the
+//! one serialized batch request — and on admin `//medication`, over the
 //! `view_scan` body at 5 000 and 10 000 nodes. (Rendering through a
 //! materialized fragment per answer makes dozens of allocations per
 //! answer.)
 
 use smoqe::workloads::hospital;
-use smoqe::{Engine, User};
+use smoqe::{Engine, QueryRequest, User};
 use smoqe_bench::{allocations, view_scan_document, CountingAlloc};
 
 #[global_allocator]
@@ -49,7 +49,11 @@ fn renders(nodes: usize) -> Vec<(&'static str, Render)> {
         allocations() - before
     };
     let group = handle.session(User::Group(hospital::GROUP.into()));
-    let batch = group.query_batch_serialized(&BATCH).unwrap();
+    let serialized = || QueryRequest {
+        serialize: true,
+        ..QueryRequest::batch(&BATCH)
+    };
+    let batch = group.run(serialized()).unwrap();
     let admin = handle.session(User::Admin);
     let medication = admin.query_serialized("//medication").unwrap();
     vec![
@@ -57,7 +61,7 @@ fn renders(nodes: usize) -> Vec<(&'static str, Render)> {
             "researchers batch",
             Render {
                 answers: batch.answers.iter().map(|a| a.len() as u64).sum(),
-                serialized: counted(&mut || drop(group.query_batch_serialized(&BATCH).unwrap())),
+                serialized: counted(&mut || drop(group.run(serialized()).unwrap())),
                 plain: counted(&mut || drop(group.query_batch(&BATCH).unwrap())),
             },
         ),

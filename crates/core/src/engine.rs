@@ -15,13 +15,15 @@
 //! a query runs, and compiled plans are memoized engine-wide in the
 //! [plan cache](crate::plancache).
 //!
-//! There is **one query pipeline**: every `Session::query*` variant and
-//! [`Engine::evaluate_batch`] plan their queries (parse → rewrite →
-//! optimize → table-compile, through the plan cache) and hand the plans to
-//! the private `Engine::execute`, which takes the one source snapshot,
-//! picks each plan's strategy from what it observes (DOM or stream engine,
-//! TAX index present, plan DFA), runs the HyPE drivers and renders answer
-//! XML from that same snapshot. A single query is a batch of one.
+//! There is **one query pipeline**: a session's one entry,
+//! [`Session::run`] (which `query`, `query_batch` and `query_serialized`
+//! wrap), and [`Engine::evaluate_batch`] plan their queries (parse →
+//! rewrite → optimize → table-compile, through the plan cache) and hand
+//! the plans to the private `Engine::execute`, which takes the one source
+//! snapshot, picks each plan's strategy from what it observes (DOM or
+//! stream engine, TAX index present, plan DFA), runs the HyPE drivers and
+//! renders answer XML from that same snapshot. A single query is a batch
+//! of one.
 
 use crate::catalog::{Catalog, DocHandle, DocumentEntry, LoadedSource, ViewSlot, ViewSource};
 use crate::config::{DocumentMode, EngineConfig};
@@ -110,10 +112,10 @@ pub struct Answer {
     /// Serialized answer subtrees, safe for the asking principal — the
     /// raw subtree for an admin, the view image for a group member, both
     /// written straight from the evaluation snapshot without building a
-    /// view or a fragment: present from the `*_serialized` /
-    /// [`Session::query_xml`] fronts, `None` from a plain `query` /
-    /// `query_batch` on either engine mode (render raw subtrees on demand
-    /// with [`Answer::serialize_with`]).
+    /// view or a fragment: present when the [`QueryRequest`] asked for
+    /// serialized answers ([`Session::query_serialized`] does), `None`
+    /// from a plain `query` / `query_batch` on either engine mode (render
+    /// raw subtrees on demand with [`Answer::serialize_with`]).
     pub xml: Option<Vec<String>>,
 }
 
@@ -130,8 +132,9 @@ impl Answer {
 
     /// Serializes each answer's **raw source subtree** using `doc`.
     ///
-    /// Intended for admin-level inspection; view users should go through
-    /// [`Session::query_xml`], which filters hidden descendants.
+    /// Intended for admin-level inspection; view users should ask for
+    /// serialized answers ([`Session::query_serialized`]), which filter
+    /// hidden descendants.
     pub fn serialize_with(&self, doc: &Document) -> Vec<String> {
         self.nodes
             .iter()
@@ -142,7 +145,8 @@ impl Answer {
 
 /// Result of a batched query.
 ///
-/// Returned by [`Session::query_batch`], [`DocHandle::query_batch`] and
+/// Returned by [`Session::run`] (a one-query request is a batch of one),
+/// [`Session::query_batch`], [`DocHandle::query_batch`] and
 /// [`Engine::evaluate_batch`]. A batch amortizes by the engine's mode:
 ///
 /// * **DOM engine — one snapshot:** every plan is evaluated against the
@@ -156,7 +160,7 @@ impl Answer {
 ///   reports, which is the proof the pass was shared.
 ///
 /// On either mode an answer carries its serialized XML only when the
-/// caller asked for it ([`Session::query_batch_serialized`]): raw source
+/// request asked for it ([`QueryRequest::serialize`]): raw source
 /// subtrees for admin sessions, the access-controlled view rendering for
 /// group sessions.
 #[derive(Debug)]
@@ -170,6 +174,11 @@ pub struct BatchAnswer {
 }
 
 impl BatchAnswer {
+    /// The answer of a one-query request.
+    pub fn single(mut self) -> Answer {
+        self.answers.pop().expect("one query in, one answer out")
+    }
+
     /// The per-query evaluation counters merged into one total (additive
     /// counters sum, depth takes the maximum).
     pub fn merged_stats(&self) -> EvalStats {
@@ -178,6 +187,71 @@ impl BatchAnswer {
             total.merge(&a.stats);
         }
         total
+    }
+}
+
+/// What [`Session::run`] answers: the queries, whether their answers
+/// carry XML, and the budget they run under.
+pub struct QueryRequest<'a> {
+    /// One query or a batch.
+    pub queries: Queries<'a>,
+    /// Fill every answer's `xml` **safely for the session's principal**:
+    /// raw source subtrees for admin sessions, the view image (hidden
+    /// descendants filtered) for group sessions, rendered from the
+    /// snapshot the answers were evaluated on.
+    pub serialize: bool,
+    /// The [`WorkBudget`] shared by every query of the request (one
+    /// snapshot, one deadline), rendering included.
+    pub budget: &'a WorkBudget,
+}
+
+/// The queries of a [`QueryRequest`].
+pub enum Queries<'a> {
+    /// One query, optionally watched by an [`EvalObserver`] (the iSMOQE
+    /// monitoring hook; an observed query scans, never jumps). Accounted
+    /// as one query.
+    One(&'a str, Option<&'a mut dyn EvalObserver>),
+    /// A batch answered against **one snapshot** of the document —
+    /// evaluated on the tree by a DOM engine, in one shared sequential
+    /// scan by a stream engine (see [`BatchAnswer`]) — each answer
+    /// identical to what the query alone would return. Accounted as one
+    /// batch, even a batch of one.
+    Batch(&'a [&'a str]),
+}
+
+/// The budget of a request that has none.
+static UNLIMITED: WorkBudget = WorkBudget {
+    deadline: None,
+    cancel: None,
+    check_interval: 0,
+};
+
+impl<'a> QueryRequest<'a> {
+    /// One unobserved query, answers not serialized, no budget.
+    pub fn one(query: &'a str) -> Self {
+        QueryRequest {
+            queries: Queries::One(query, None),
+            serialize: false,
+            budget: &UNLIMITED,
+        }
+    }
+
+    /// One query watched by `observer`, answers not serialized, no
+    /// budget.
+    pub fn observed(query: &'a str, observer: &'a mut dyn EvalObserver) -> Self {
+        QueryRequest {
+            queries: Queries::One(query, Some(observer)),
+            ..QueryRequest::one(query)
+        }
+    }
+
+    /// A batch, answers not serialized, no budget.
+    pub fn batch(queries: &'a [&'a str]) -> Self {
+        QueryRequest {
+            queries: Queries::Batch(queries),
+            serialize: false,
+            budget: &UNLIMITED,
+        }
     }
 }
 
@@ -1043,13 +1117,7 @@ impl Engine {
             let (plan, cached) = self.plan_tracked(entry, &session.user, query)?;
             plans.push((&session.user, plan, cached));
         }
-        let result = self.execute(
-            entry,
-            &plans,
-            false,
-            &WorkBudget::unlimited(),
-            &mut NoopObserver,
-        );
+        let result = self.execute(entry, &plans, false, &UNLIMITED, None);
         // Cross-session batches account each answer to its own tenant
         // (the per-session `query_batch` path records through
         // `record_batch` instead).
@@ -1084,19 +1152,19 @@ impl Engine {
     ///   batch is a single plan. The source text is never opened.
     /// * A **stream** engine feeds every plan the same single StAX scan.
     ///
-    /// `observer` watches single-plan evaluations (batch fronts pass
-    /// [`NoopObserver`]). An interrupted evaluation surfaces the opaque
-    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`];
-    /// abandonment drops only evaluator-local state.
+    /// `observer` watches the evaluation of a one-plan request (only
+    /// [`Queries::One`] carries one). An interrupted evaluation surfaces
+    /// the opaque [`EngineError::DeadlineExceeded`] /
+    /// [`EngineError::Cancelled`]; abandonment drops only evaluator-local
+    /// state.
     fn execute(
         &self,
         entry: &Arc<DocumentEntry>,
         plans: &[Planned<'_>],
         serialize: bool,
         budget: &WorkBudget,
-        observer: &mut dyn EvalObserver,
+        observer: Option<&mut dyn EvalObserver>,
     ) -> Result<BatchAnswer, EngineError> {
-        debug_assert!(plans.len() == 1 || observer.is_noop());
         if plans.is_empty() {
             return Ok(BatchAnswer {
                 answers: Vec::new(),
@@ -1104,6 +1172,8 @@ impl Engine {
             });
         }
         let source = entry.snapshot()?;
+        let mut unobserved = NoopObserver;
+        let observer = observer.unwrap_or(&mut unobserved);
         let mut events = 0;
         let mut answers: Vec<Answer> = match self.config.mode {
             DocumentMode::Dom => {
@@ -1306,43 +1376,31 @@ impl Session {
         &self.engine
     }
 
-    /// Plans one query (cached) and runs it through the engine's pipeline
-    /// as a batch of one, accounting it to this session's tenant.
-    fn run_one(
-        &self,
-        query: &str,
-        serialize: bool,
-        budget: &WorkBudget,
-        observer: &mut dyn EvalObserver,
-    ) -> Result<Answer, EngineError> {
-        let result = self
-            .engine
-            .plan_tracked(&self.entry, &self.user, query)
-            .and_then(|(plan, cached)| {
-                self.engine.execute(
-                    &self.entry,
-                    &[(&self.user, plan, cached)],
-                    serialize,
-                    budget,
-                    observer,
-                )
-            })
-            .map(|mut batch| batch.answers.pop().expect("one plan in, one answer out"));
-        self.engine
-            .tenants
-            .record_query(&self.user, result.as_ref());
-        result
-    }
-
-    /// Plans a whole batch (cached) and runs it through the engine's
-    /// pipeline, accounting it to this session's tenant.
-    fn run_batch(
-        &self,
-        queries: &[&str],
-        serialize: bool,
-        budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
-        let result = queries
+    /// Answers a request: plans every query (cached), runs the plans
+    /// through the engine's one pipeline on one snapshot of the document,
+    /// and accounts the request to this session's tenant — one query for
+    /// [`Queries::One`], one batch of its members for [`Queries::Batch`].
+    /// Group sessions are rewritten through their view; admin sessions
+    /// run directly on the document. Answers come back in query order.
+    ///
+    /// An interrupted evaluation surfaces the opaque
+    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`]
+    /// within one budget check interval of the trigger.
+    pub fn run(&self, request: QueryRequest<'_>) -> Result<BatchAnswer, EngineError> {
+        let QueryRequest {
+            queries,
+            serialize,
+            budget,
+        } = request;
+        let one;
+        let (texts, observer, batch) = match queries {
+            Queries::One(query, observer) => {
+                one = [query];
+                (&one[..], observer, false)
+            }
+            Queries::Batch(queries) => (queries, None, true),
+        };
+        let result = texts
             .iter()
             .map(|query| {
                 let (plan, cached) = self.engine.plan_tracked(&self.entry, &self.user, query)?;
@@ -1351,88 +1409,36 @@ impl Session {
             .collect::<Result<Vec<Planned<'_>>, EngineError>>()
             .and_then(|plans| {
                 self.engine
-                    .execute(&self.entry, &plans, serialize, budget, &mut NoopObserver)
+                    .execute(&self.entry, &plans, serialize, budget, observer)
             });
-        self.engine
-            .tenants
-            .record_batch(&self.user, queries.len(), result.as_ref());
+        let tenants = &self.engine.tenants;
+        if batch {
+            tenants.record_batch(&self.user, texts.len(), result.as_ref());
+        } else {
+            tenants.record_query(&self.user, result.as_ref().map(|b| &b.answers[0]));
+        }
         result
     }
 
-    /// Answers a Regular XPath query. Group sessions are rewritten through
-    /// their view; admin sessions run directly on the document.
+    /// Answers one query: [`Session::run`] of [`QueryRequest::one`].
     pub fn query(&self, query: &str) -> Result<Answer, EngineError> {
-        self.query_observed(query, &mut NoopObserver)
+        self.run(QueryRequest::one(query)).map(BatchAnswer::single)
     }
 
-    /// Like [`Session::query`], reporting evaluation events to `observer`
-    /// (the iSMOQE monitoring hook).
-    pub fn query_observed(
-        &self,
-        query: &str,
-        observer: &mut dyn EvalObserver,
-    ) -> Result<Answer, EngineError> {
-        self.run_one(query, false, &WorkBudget::unlimited(), observer)
-    }
-
-    /// Answers a whole batch of queries against **one snapshot** of the
-    /// document — evaluated on the tree by a DOM engine, in one shared
-    /// sequential scan by a stream engine (see [`BatchAnswer`]). Answers
-    /// come back in query order, each identical to what
-    /// [`Session::query`] would have returned.
+    /// Answers a batch against one snapshot: [`Session::run`] of
+    /// [`QueryRequest::batch`].
     pub fn query_batch(&self, queries: &[&str]) -> Result<BatchAnswer, EngineError> {
-        self.query_batch_budgeted(queries, &WorkBudget::unlimited())
+        self.run(QueryRequest::batch(queries))
     }
 
-    /// [`Session::query_batch`] under a [`WorkBudget`] shared by every
-    /// plan in the batch (one snapshot, one deadline).
-    pub fn query_batch_budgeted(
-        &self,
-        queries: &[&str],
-        budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
-        self.run_batch(queries, false, budget)
-    }
-
-    /// Like [`Session::query`], with `xml` always filled **safely for
-    /// this principal**: raw source subtrees for admin sessions, the view
-    /// image (hidden descendants filtered) for group sessions — the
-    /// answer and its serialization come from one source snapshot. This
-    /// is the evaluation the network server runs for the `Query` op: a
-    /// remote client only ever receives what [`Session::query_xml`] would
-    /// have shown it.
+    /// Answers one query with its `xml` filled — the evaluation the
+    /// network server runs for the `Query` op, without a budget.
     pub fn query_serialized(&self, query: &str) -> Result<Answer, EngineError> {
-        self.query_serialized_budgeted(query, &WorkBudget::unlimited())
-    }
-
-    /// [`Session::query_serialized`] under a [`WorkBudget`] — the serving
-    /// path for requests carrying a deadline or a cancel token. An
-    /// interrupted evaluation surfaces the opaque
-    /// [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`]
-    /// within one budget check interval of the trigger.
-    pub fn query_serialized_budgeted(
-        &self,
-        query: &str,
-        budget: &WorkBudget,
-    ) -> Result<Answer, EngineError> {
-        self.run_one(query, true, budget, &mut NoopObserver)
-    }
-
-    /// Like [`Session::query_batch`], with every answer's `xml` filled
-    /// safely for this principal (see [`Session::query_serialized`]),
-    /// rendered from the same snapshot the batch was evaluated on.
-    pub fn query_batch_serialized(&self, queries: &[&str]) -> Result<BatchAnswer, EngineError> {
-        self.query_batch_serialized_budgeted(queries, &WorkBudget::unlimited())
-    }
-
-    /// [`Session::query_batch_serialized`] under a [`WorkBudget`] shared
-    /// by the whole batch.
-    pub fn query_batch_serialized_budgeted(
-        &self,
-        queries: &[&str],
-        budget: &WorkBudget,
-    ) -> Result<BatchAnswer, EngineError> {
-        self.run_batch(queries, true, budget)
+        self.run(QueryRequest {
+            serialize: true,
+            ..QueryRequest::one(query)
+        })
+        .map(BatchAnswer::single)
     }
 
     /// The compiled/rewritten (and possibly cached) MFA for a query, for
@@ -1469,16 +1475,6 @@ impl Session {
     pub fn update_batch(&self, updates: &[&str]) -> Result<Vec<UpdateReport>, EngineError> {
         self.engine
             .apply_updates_on(&self.entry, &self.user, updates)
-    }
-
-    /// Answers a query and serializes each answer **safely for this
-    /// session**: admin sessions get the raw source subtrees, group
-    /// sessions get the *view image* of each answer node (hidden
-    /// descendants filtered out — serializing the raw subtree would leak
-    /// them).
-    pub fn query_xml(&self, query: &str) -> Result<Vec<String>, EngineError> {
-        let answer = self.query_serialized(query)?;
-        Ok(answer.xml.expect("serialized answers carry their xml"))
     }
 }
 
@@ -1557,7 +1553,10 @@ mod tests {
                 render_under(&engine, &user, &nodes, &generous).unwrap(),
                 unlimited
             );
-            assert_eq!(session.query_xml(query).unwrap(), unlimited);
+            assert_eq!(
+                session.query_serialized(query).unwrap().xml.unwrap(),
+                unlimited
+            );
         }
     }
 
@@ -1829,7 +1828,10 @@ mod tests {
         engine.register_policy("staff", org::POLICY).unwrap();
         let session = engine.session(User::Group("staff".into()));
         let batch = session
-            .query_batch_serialized(&["//review", "//ename"])
+            .run(QueryRequest {
+                serialize: true,
+                ..QueryRequest::batch(&["//review", "//ename"])
+            })
             .unwrap();
         let reviews = batch.answers[0].xml.as_ref().unwrap();
         assert_eq!(reviews.len(), 2);
@@ -2123,7 +2125,10 @@ mod tests {
         // An observer needs the per-node event stream: observed queries
         // scan, index or not.
         let mut trace = smoqe_viz::TraceCollector::new();
-        let observed = admin.query_observed("//test", &mut trace).unwrap();
+        let observed = admin
+            .run(QueryRequest::observed("//test", &mut trace))
+            .unwrap()
+            .single();
         assert_eq!(observed.mode, ExecMode::Compiled);
         assert_eq!(observed.nodes, jumped.nodes);
     }

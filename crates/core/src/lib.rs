@@ -69,7 +69,10 @@ pub use catalog::{DocHandle, DocumentEntry};
 pub use config::{DocumentMode, EngineConfig};
 pub use durable::failpoints::{Failpoint, FailpointRegistry, ALL_FAILPOINTS};
 pub use durable::{DurError, Durability};
-pub use engine::{Answer, BatchAnswer, Engine, Session, UpdateReport, User, DEFAULT_DOCUMENT};
+pub use engine::{
+    Answer, BatchAnswer, Engine, Queries, QueryRequest, Session, UpdateReport, User,
+    DEFAULT_DOCUMENT,
+};
 pub use error::EngineError;
 pub use plancache::CacheMetrics;
 pub use smoqe_hype::{ExecMode, WorkBudget};

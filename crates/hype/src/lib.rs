@@ -25,15 +25,20 @@
 //! * [`observer`] / [`stats`] — monitoring hooks and counters used by the
 //!   iSMOQE-substitute visualizers and the experiment harness.
 //!
-//! All drivers run the one [`machine`] over a plan's dense tables. Each
-//! has one plan-level entry taking observers and a [`WorkBudget`] — what
-//! the engine calls ([`evaluate_mfa_plan_budgeted`],
+//! The tree walker ([`dom`] in [`ExecMode::Compiled`]), [`stream`] and
+//! [`batch`] run the one [`machine`] over a plan's dense tables. [`jump`]
+//! and [`local`] do not: they read the same tables but step their own
+//! DFA states or state sets and close guards themselves (jump re-verifies
+//! each candidate on its ancestor path; local answers a guard at the
+//! node), and [`twopass`] is a separate bottom-up + top-down algorithm.
+//! The engine's drivers each have one plan-level entry taking observers
+//! and a [`WorkBudget`] ([`evaluate_mfa_plan_budgeted`],
 //! [`evaluate_stream_plan_budgeted`],
-//! [`evaluate_batch_stream_plans_budgeted`]) — plus `Mfa`-level
+//! [`evaluate_batch_stream_plans_budgeted`]) plus `Mfa`-level
 //! conveniences that compile on the fly for tests and experiments. The
 //! jump scan has no entry of its own: it is the DOM entry in
-//! [`ExecMode::Jump`]. Ablations (scan vs jump, TAX on/off) are expressed through
-//! those arguments ([`ExecMode`], [`DomOptions`]), and
+//! [`ExecMode::Jump`]. Ablations (scan vs jump, TAX on/off) are expressed
+//! through those arguments ([`ExecMode`], [`DomOptions`]), and
 //! `smoqe_rxpath::evaluate` is the reference every differential test
 //! compares against.
 

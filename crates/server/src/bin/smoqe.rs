@@ -65,7 +65,7 @@
 //! apply transactionally, and the updated document goes to stdout (or
 //! `--out FILE`).
 
-use smoqe::{DocHandle, DocumentMode, Engine, EngineConfig, ExecMode, User};
+use smoqe::{DocHandle, DocumentMode, Engine, EngineConfig, ExecMode, QueryRequest, User};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -376,9 +376,13 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let queries: Vec<&str> = lines.iter().map(String::as_str).collect();
         // --repeat re-runs the whole batch (each re-run hits the plan
         // cache), same as it re-runs a single query.
-        let mut batch = session.query_batch_serialized(&queries)?;
+        let request = || QueryRequest {
+            serialize: true,
+            ..QueryRequest::batch(&queries)
+        };
+        let mut batch = session.run(request())?;
         for _ in 1..repeat {
-            batch = session.query_batch_serialized(&queries)?;
+            batch = session.run(request())?;
         }
         if batch.events > 0 {
             eprintln!(
@@ -426,9 +430,9 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
     let query = the_query(args)?;
-    let mut answer = session.query(query)?;
+    let mut answer = session.query_serialized(query)?;
     for _ in 1..repeat {
-        answer = session.query(query)?;
+        answer = session.query_serialized(query)?;
     }
     eprintln!(
         "{} answer(s); visited {} nodes, {} guard probes, |Cans| = {}, pruned {} (dead) + {} (TAX){}{}",
@@ -449,7 +453,7 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             ""
         },
     );
-    for xml in session.query_xml(query)? {
+    for xml in answer.xml.iter().flatten() {
         println!("{xml}");
     }
     if args.switch("explain") {
@@ -516,7 +520,9 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (doc, user) = build_document(args)?;
     let session = doc.session(user);
     let mut trace = smoqe::viz::TraceCollector::new();
-    let answer = session.query_observed(the_query(args)?, &mut trace)?;
+    let answer = session
+        .run(QueryRequest::observed(the_query(args)?, &mut trace))?
+        .single();
     let tree = doc.document()?;
     println!("{}", smoqe::viz::annotated_tree(&tree, &trace));
     eprintln!("{} answer(s)", answer.len());

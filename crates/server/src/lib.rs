@@ -39,7 +39,8 @@
 //! The in-process invariant — a group session learns nothing beyond its
 //! view, even from errors — must survive serialization. Concretely:
 //! answer XML is always the **view image** for group principals (the
-//! server runs [`Session::query_serialized`](smoqe::engine::Session));
+//! server asks [`Session::run`](smoqe::engine::Session::run) for
+//! serialized answers);
 //! raw source node ids, evaluator counters that span hidden regions, the
 //! execution mode, and shared-scan event counts are masked from group
 //! responses (see [`proto::WireAnswer`]); and denial responses are

@@ -972,9 +972,8 @@ wire_struct! {
 
 /// An [`Answer`] as it crosses the wire.
 ///
-/// `xml` is always materialized (the server evaluates through
-/// `Session::query_serialized`, so group answers are view images and admin
-/// answers are raw subtrees). Whether `nodes`/`stats`/`mode` are real or
+/// `xml` is always filled (the server asks for serialized answers, so
+/// group answers are view images and admin answers are raw subtrees). Whether `nodes`/`stats`/`mode` are real or
 /// masked depends on the principal — see [`WireAnswer::from_answer`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireAnswer {

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use smoqe::engine::Session;
-use smoqe::{Engine, WorkBudget};
+use smoqe::{Engine, QueryRequest, WorkBudget};
 
 use crate::admission::{Admission, InflightGuard, TenantQuota, TokenBucket};
 use crate::context::RequestContext;
@@ -569,9 +569,14 @@ fn execute(job: &Job) -> Response {
     };
     match &job.request {
         Request::Query { query, .. } => {
-            match job.session.query_serialized_budgeted(query, &budget) {
-                Ok(answer) => Response::AnswerOk(WireAnswer::from_answer(
-                    &answer,
+            let request = QueryRequest {
+                serialize: true,
+                budget: &budget,
+                ..QueryRequest::one(query)
+            };
+            match job.session.run(request) {
+                Ok(batch) => Response::AnswerOk(WireAnswer::from_answer(
+                    &batch.single(),
                     &ctx.principal,
                     ctx.request_id,
                 )),
@@ -580,7 +585,12 @@ fn execute(job: &Job) -> Response {
         }
         Request::QueryBatch { queries, .. } => {
             let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-            match job.session.query_batch_serialized_budgeted(&refs, &budget) {
+            let request = QueryRequest {
+                serialize: true,
+                budget: &budget,
+                ..QueryRequest::batch(&refs)
+            };
+            match job.session.run(request) {
                 Ok(batch) => Response::from_batch(&batch, &ctx.principal, ctx.request_id),
                 Err(e) => Response::engine_error(&e),
             }

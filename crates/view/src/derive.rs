@@ -219,6 +219,10 @@ pub fn derive(policy: &AccessPolicy) -> ViewSpec {
             } else {
                 ContentModel::Empty
             }
+        } else if dtd.allows_text(a) {
+            // A text-bearing type keeps its text beside its view children
+            // (hiding an element child hides that child, not the text).
+            ContentModel::Mixed(children.iter().map(|&(b, _)| b).collect())
         } else {
             let mut items = Vec::new();
             for (b, path) in children {
@@ -423,5 +427,29 @@ mod tests {
             sigma_str(&vocab, &spec, "patient", "treatment").unwrap(),
             "visit/treatment[medication]"
         );
+    }
+
+    #[test]
+    fn a_mixed_type_keeps_its_text_beside_its_view_children() {
+        let vocab = Vocabulary::new();
+        let dtd = Dtd::parse(
+            "<!ELEMENT lib (book*)>\n\
+             <!ELEMENT book (#PCDATA | note | price)*>\n\
+             <!ELEMENT note (#PCDATA)>\n\
+             <!ELEMENT price (#PCDATA)>\n",
+            &vocab,
+        )
+        .unwrap();
+        let policy = AccessPolicy::parse(dtd.clone(), "ann(book, price) = N\n").unwrap();
+        let spec = derive(&policy);
+        spec.validate(&dtd).unwrap();
+        let book = vocab.lookup("book").unwrap();
+        let note = vocab.lookup("note").unwrap();
+        assert_eq!(
+            spec.view_dtd().production(book),
+            Some(&ContentModel::Mixed(vec![note]))
+        );
+        assert!(spec.view_dtd().allows_text(book));
+        assert!(sigma_str(&vocab, &spec, "book", "price").is_none());
     }
 }

@@ -43,7 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stream_doc = streaming.open_document("company");
     org::install_sample(&stream_doc)?;
     let s = stream_doc.session(User::Group(org::GROUP.into()));
-    let streamed = s.query_xml("//emp[review]/ename")?;
+    let streamed = s
+        .query_serialized("//emp[review]/ename")?
+        .xml
+        .unwrap_or_default();
     println!("streaming mode, employees with visible reviews: {streamed:?}");
     Ok(())
 }

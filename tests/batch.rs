@@ -15,7 +15,9 @@
 
 use rand::SeedableRng;
 use smoqe::workloads::hospital;
-use smoqe::{DocumentMode, Engine, EngineConfig, EngineError, ExecMode, User, WorkBudget};
+use smoqe::{
+    DocumentMode, Engine, EngineConfig, EngineError, ExecMode, QueryRequest, User, WorkBudget,
+};
 use smoqe_automata::{compile, Mfa};
 use smoqe_hype::batch::evaluate_batch_stream_str;
 use smoqe_hype::dom::evaluate_mfa;
@@ -114,7 +116,12 @@ fn engine_batch_answers_and_xml_match_serial_sessions() {
                 User::Group(_) => hospital::VIEW_QUERIES.iter().map(|(_, q)| *q).collect(),
             };
             let batch = session.query_batch(&queries).unwrap();
-            let serialized = session.query_batch_serialized(&queries).unwrap();
+            let serialized = session
+                .run(QueryRequest {
+                    serialize: true,
+                    ..QueryRequest::batch(&queries)
+                })
+                .unwrap();
             for ((q, batched), rendered) in
                 queries.iter().zip(&batch.answers).zip(&serialized.answers)
             {
@@ -123,12 +130,12 @@ fn engine_batch_answers_and_xml_match_serial_sessions() {
                 assert_eq!(batched.nodes, serial.nodes, "batched {context}");
                 // Plain answers carry what a lone query carries (xml only
                 // from a stream engine); serialized ones always carry the
-                // rendering `query_xml` shows this principal.
+                // rendering `query_serialized` shows this principal.
                 assert_eq!(batched.xml, serial.xml, "xml of {context}");
                 assert_eq!(rendered.nodes, serial.nodes, "serialized {context}");
                 assert_eq!(
                     rendered.xml.as_ref(),
-                    Some(&session.query_xml(q).unwrap()),
+                    session.query_serialized(q).unwrap().xml.as_ref(),
                     "serialized xml of {context}"
                 );
             }
@@ -216,20 +223,31 @@ fn dom_batches_stop_on_their_budget_at_every_thread_count() {
             let context = format!("{eval_threads} thread(s), {mode:?}");
             assert!(
                 matches!(
-                    session.query_batch_budgeted(&queries, &expired),
+                    session.run(QueryRequest {
+                        budget: &expired,
+                        ..QueryRequest::batch(&queries)
+                    }),
                     Err(EngineError::DeadlineExceeded)
                 ),
                 "expired deadline @ {context}"
             );
             assert!(
                 matches!(
-                    session.query_batch_budgeted(&queries, &cancelled),
+                    session.run(QueryRequest {
+                        budget: &cancelled,
+                        ..QueryRequest::batch(&queries)
+                    }),
                     Err(EngineError::Cancelled)
                 ),
                 "cancelled @ {context}"
             );
             let plain = session.query_batch(&queries).unwrap();
-            let budgeted = session.query_batch_budgeted(&queries, &generous).unwrap();
+            let budgeted = session
+                .run(QueryRequest {
+                    budget: &generous,
+                    ..QueryRequest::batch(&queries)
+                })
+                .unwrap();
             for ((q, a), b) in queries.iter().zip(&plain.answers).zip(&budgeted.answers) {
                 assert_eq!(a.mode, mode, "`{q}` @ {context}");
                 assert_eq!(b.mode, mode, "`{q}` @ {context}");

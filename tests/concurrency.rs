@@ -10,7 +10,7 @@
 //! * catalog documents and their user groups are isolated from each other.
 
 use smoqe::workloads::{hospital, org};
-use smoqe::{DocHandle, Engine, EngineConfig, User};
+use smoqe::{DocHandle, Engine, EngineConfig, QueryRequest, User};
 use smoqe_xml::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -360,8 +360,9 @@ fn update_landing_mid_query_leaves_the_reader_on_its_snapshot() {
         fired: false,
     };
     let during = session
-        .query_observed("//medication", &mut updater)
-        .unwrap();
+        .run(QueryRequest::observed("//medication", &mut updater))
+        .unwrap()
+        .single();
     assert!(updater.fired, "the update must have landed mid-query");
     assert_eq!(
         during.nodes, pre,
@@ -440,7 +441,7 @@ fn mid_batch_readers_complete_on_exactly_one_snapshot() {
 fn serialized_batches_render_from_their_evaluation_snapshot() {
     // A writer flips the document between two states — A, and B = A plus
     // one patient inserted at the FRONT (so every node id shifts) — while
-    // readers loop `query_batch_serialized`. Node ids only mean something
+    // readers loop serialized batches. Node ids only mean something
     // relative to the snapshot they were computed on, so each batch's
     // (nodes, xml) must equal state A's or state B's wholesale; ids of one
     // state rendered against the other's document would serialize the
@@ -458,7 +459,10 @@ fn serialized_batches_render_from_their_evaluation_snapshot() {
         let admin_queries = ["//pname", "//medication", "//visit"];
         let group_queries = ["//medication", "hospital/patient/treatment"];
         let snapshot_of = |user: &User, queries: &[&str]| -> Vec<(Vec<NodeId>, Vec<String>)> {
-            let batch = doc.session(user.clone()).query_batch_serialized(queries);
+            let batch = doc.session(user.clone()).run(QueryRequest {
+                serialize: true,
+                ..QueryRequest::batch(queries)
+            });
             batch
                 .unwrap()
                 .answers

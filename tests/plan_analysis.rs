@@ -12,7 +12,7 @@
 //! parallel threads would make deltas meaningless.
 
 use smoqe::workloads::hospital;
-use smoqe::{Engine, User};
+use smoqe::{Engine, QueryRequest, User};
 use smoqe_automata::compile::analysis_runs;
 
 #[test]
@@ -63,10 +63,20 @@ fn batch_compiles_each_distinct_plan_exactly_once() {
     // Serialized, the batch renders `treatment` answers through
     // σ(treatment, medication) — compiled once, by the first render —
     // and `medication` answers, which have no view children.
-    let serialized = session.query_batch_serialized(&queries).unwrap();
+    let serialized = session
+        .run(QueryRequest {
+            serialize: true,
+            ..QueryRequest::batch(&queries)
+        })
+        .unwrap();
     assert!(serialized.answers.iter().all(|a| !a.is_empty()));
     assert_eq!(analysis_runs() - analyses_mid, 1, "one σ, once");
     let analyses_warm = analysis_runs();
-    session.query_batch_serialized(&queries).unwrap();
+    session
+        .run(QueryRequest {
+            serialize: true,
+            ..QueryRequest::batch(&queries)
+        })
+        .unwrap();
     assert_eq!(analysis_runs(), analyses_warm, "a warm render compiles");
 }

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smoqe::{workloads::hospital, Engine, EngineConfig};
+use smoqe::{workloads::hospital, Engine, EngineConfig, QueryRequest};
 use smoqe_server::proto::{
     code, encode_frame, op, Frame, FrameBuffer, Request, Response, DEFAULT_MAX_FRAME_LEN,
 };
@@ -117,7 +117,12 @@ fn concurrent_remote_clients_match_in_process_sessions() {
                 // Batches too: same shared-scan answers, serialized.
                 let refs: Vec<&str> = queries.to_vec();
                 let (remote_batch, _events) = client.query_batch(&refs).unwrap();
-                let local_batch = session.query_batch_serialized(&refs).unwrap();
+                let local_batch = session
+                    .run(QueryRequest {
+                        serialize: true,
+                        ..QueryRequest::batch(&refs)
+                    })
+                    .unwrap();
                 assert_eq!(remote_batch.len(), local_batch.answers.len());
                 for (r, l) in remote_batch.iter().zip(&local_batch.answers) {
                     assert_eq!(r.xml, l.xml.clone().unwrap());

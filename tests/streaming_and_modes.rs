@@ -143,7 +143,11 @@ fn hand_authored_spec_and_derived_policy_can_coexist() {
     assert_eq!(flat.query("hospital/pname").unwrap().len(), 3); // top-level names
                                                                 // The flat view exposes names that the derived view hides - distinct
                                                                 // policies genuinely isolate groups.
-    let xmls = flat.query_xml("hospital/pname").unwrap();
+    let xmls = flat
+        .query_serialized("hospital/pname")
+        .unwrap()
+        .xml
+        .unwrap();
     assert!(xmls.iter().any(|x| x.contains("Ann")));
 }
 

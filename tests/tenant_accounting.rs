@@ -11,7 +11,7 @@
 use smoqe::hype::EvalObserver;
 use smoqe::workloads::hospital;
 use smoqe::xml::Label;
-use smoqe::{Engine, EngineError, TenantMetrics, User, WorkBudget};
+use smoqe::{Engine, EngineError, QueryRequest, TenantMetrics, User, WorkBudget};
 use std::time::{Duration, Instant};
 
 /// Counts the element nodes an observed evaluation entered.
@@ -89,7 +89,10 @@ fn every_query_path_accounts_to_its_tenant() {
         ],
     );
 
-    let interrupted = admin.query_batch_budgeted(&["//medication", "//pname"], &expired);
+    let interrupted = admin.run(QueryRequest {
+        budget: &expired,
+        ..QueryRequest::batch(&["//medication", "//pname"])
+    });
     assert!(matches!(interrupted, Err(EngineError::DeadlineExceeded)));
     pin(
         &engine,
@@ -111,7 +114,10 @@ fn every_query_path_accounts_to_its_tenant() {
         ],
     );
 
-    let observed = admin.query_observed("//visit", &mut entered).unwrap();
+    let observed = admin
+        .run(QueryRequest::observed("//visit", &mut entered))
+        .unwrap()
+        .single();
     assert!(!observed.is_empty());
     assert!(entered.0 > 0, "the observer saw the evaluation");
     pin(

@@ -742,7 +742,9 @@ fn update_language_round_trips_through_the_engine() {
     );
     // The inserted visits are ordered: flu, blood, mri.
     let xml = admin
-        .query_xml("hospital/patient[pname = 'Neu']")
+        .query_serialized("hospital/patient[pname = 'Neu']")
+        .unwrap()
+        .xml
         .unwrap()
         .pop()
         .unwrap();
