@@ -72,7 +72,7 @@ thread_local! {
 
 /// Precomputed ε-closure of one state.
 #[derive(Clone, Debug)]
-pub struct Closure {
+struct Closure {
     /// States reachable by ε-edges (guarded or not), sorted, self included.
     pub states: Vec<StateId>,
     /// Whether any edge inside the closure carries a guard. When `false`,
@@ -152,10 +152,19 @@ impl CompiledNfa {
         &self.required
     }
 
-    /// Precomputed ε-closure of `s`.
+    /// Precomputed ε-closure of `s`: the states reachable by ε-edges
+    /// (guarded or not), sorted, `s` included.
     #[inline]
-    pub fn closure(&self, s: StateId) -> &Closure {
-        &self.closures[s.index()]
+    pub fn closure(&self, s: StateId) -> &[StateId] {
+        &self.closures[s.index()].states
+    }
+
+    /// Whether any edge inside the closure of `s` carries a guard. When
+    /// `false`, the closure is tag-free and [`CompiledNfa::closure`] is
+    /// exact.
+    #[inline]
+    pub fn closure_guarded(&self, s: StateId) -> bool {
+        self.closures[s.index()].guarded
     }
 
     /// Transition targets of `s` on a label column — the compiled
@@ -742,7 +751,7 @@ mod tests {
         let top = plan.mfa().top();
         let compiled = plan.nfa(top);
         let any_guarded =
-            (0..compiled.state_count()).any(|i| compiled.closure(StateId(i as u32)).guarded);
+            (0..compiled.state_count()).any(|i| compiled.closure_guarded(StateId(i as u32)));
         assert!(any_guarded, "the qualifier guard must be visible");
     }
 

@@ -908,10 +908,10 @@ impl<'a> Jump<'a> {
         let compiled = plan.nfa(nfa_id);
         b.work.sort_unstable();
         b.work.dedup();
-        if b.work.iter().all(|&s| !compiled.closure(s).guarded) {
+        if b.work.iter().all(|&s| !compiled.closure_guarded(s)) {
             // No guard is reachable: the precomputed closures are exact.
             while let Some(s) = b.work.pop() {
-                for &t in &compiled.closure(s).states {
+                for &t in compiled.closure(s) {
                     if b.mark(t) {
                         b.out.push(t);
                     }

@@ -207,9 +207,8 @@ impl LocalPath {
                 while bits != 0 {
                     let s = StateId((i * 64) as u32 + bits.trailing_zeros());
                     bits &= bits - 1;
-                    let closure = nfa.closure(s);
-                    if !closure.guarded {
-                        for &t in &closure.states {
+                    if !nfa.closure_guarded(s) {
+                        for &t in nfa.closure(s) {
                             grew |= set_bit(&mut scratch.sets[at..], t);
                         }
                         continue;

@@ -972,13 +972,13 @@ impl<'a> Machine<'a> {
         let compiled = plan.nfa(nfa_id);
         if seed
             .iter()
-            .all(|&(s, t)| t == Tag::True && !compiled.closure(s).guarded)
+            .all(|&(s, t)| t == Tag::True && !compiled.closure_guarded(s))
         {
             self.scratch_epoch += 1;
             let epoch = self.scratch_epoch;
             let mut out: ActiveSet = self.take_set();
             for &(s, _) in seed {
-                for &t in &compiled.closure(s).states {
+                for &t in compiled.closure(s) {
                     if self.scratch[t.index()] != epoch {
                         self.scratch[t.index()] = epoch;
                         out.push((t, Tag::True));
