@@ -15,7 +15,6 @@
 
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, Pred, PredId, StateId};
 use smoqe_xml::{Label, LabelSet};
-use std::collections::hash_map::{Entry, HashMap};
 
 /// Per-state label requirement for reaching acceptance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,73 +35,180 @@ impl Requirement {
     }
 }
 
+/// Per-NFA worklist of a greatest-fixpoint analysis: the predecessor
+/// lists of every state, in one flat array, and the states whose value
+/// may still change. Every state starts queued, the highest id on top, so
+/// a first pass runs in reverse id order — targets before the states that
+/// reach them, for the forward edges Thompson construction mostly emits —
+/// and afterwards a state is revisited only when one of its successors
+/// changed. Reused across the NFAs of a plan, so it allocates once per
+/// plan.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    /// `pred_off[s]..pred_off[s + 1]` indexes `preds`: the states with an
+    /// edge (ε or consuming) into `s`.
+    pred_off: Vec<u32>,
+    preds: Vec<StateId>,
+    queued: Vec<bool>,
+    stack: Vec<StateId>,
+    /// The values of [`required_labels`]: per state, whether an accepting
+    /// path is known, and the label words.
+    known: Vec<bool>,
+    sets: Vec<u64>,
+}
+
+impl Sweep {
+    /// Loads `nfa`'s predecessor lists and queues all its states.
+    pub(crate) fn load(&mut self, nfa: &Nfa) {
+        let n = nfa.state_count();
+        let targets = |s: StateId| {
+            let eps = nfa.eps_edges(s).iter().map(|e| e.target);
+            eps.chain(nfa.transitions(s).iter().map(|t| t.target))
+        };
+        self.pred_off.clear();
+        self.pred_off.resize(n + 1, 0);
+        for s in nfa.states() {
+            for t in targets(s) {
+                self.pred_off[t.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.pred_off[i + 1] += self.pred_off[i];
+        }
+        // Fill each list from its end: afterwards `pred_off[s + 1]` holds
+        // where the list of `s` starts, so one shift puts every offset in
+        // place.
+        self.preds.clear();
+        self.preds.resize(self.pred_off[n] as usize, StateId(0));
+        for s in nfa.states() {
+            for t in targets(s) {
+                let end = &mut self.pred_off[t.index() + 1];
+                *end -= 1;
+                self.preds[*end as usize] = s;
+            }
+        }
+        self.pred_off.rotate_left(1);
+        self.pred_off[n] = self.preds.len() as u32;
+        self.queued.clear();
+        self.queued.resize(n, true);
+        self.stack.clear();
+        self.stack.extend(nfa.states());
+    }
+
+    /// The next state to (re)compute.
+    pub(crate) fn pop(&mut self) -> Option<StateId> {
+        let s = self.stack.pop()?;
+        self.queued[s.index()] = false;
+        Some(s)
+    }
+
+    /// The states with an edge into `s`.
+    fn predecessors(&self, s: StateId) -> &[StateId] {
+        &self.preds[self.pred_off[s.index()] as usize..self.pred_off[s.index() + 1] as usize]
+    }
+
+    /// Queues the states with an edge into `s`, whose value changed.
+    pub(crate) fn changed(&mut self, s: StateId) {
+        let range = self.pred_off[s.index()] as usize..self.pred_off[s.index() + 1] as usize;
+        for &p in &self.preds[range] {
+            if !self.queued[p.index()] {
+                self.queued[p.index()] = true;
+                self.stack.push(p);
+            }
+        }
+    }
+}
+
 /// Computes [`Requirement`]s for every state of `nfa` (greatest fixpoint).
 ///
 /// `num_labels` is the vocabulary size; label sets are bounded by it.
 pub fn required_labels(nfa: &Nfa, num_labels: usize) -> Vec<Requirement> {
-    // Value lattice: None = "no accepting path yet" (top), Some(set) =
-    // intersection of labels over known accepting paths. Values only
-    // descend, so iteration terminates.
+    required_labels_with(nfa, num_labels, &mut Sweep::default())
+}
+
+/// [`required_labels`] on a caller's worklist.
+pub(crate) fn required_labels_with(
+    nfa: &Nfa,
+    num_labels: usize,
+    sweep: &mut Sweep,
+) -> Vec<Requirement> {
+    // Value lattice per state: not `known` = "no accepting path yet"
+    // (top), else `words` holds the intersection of labels over known
+    // accepting paths. Values only descend, so the worklist empties.
     let n = nfa.state_count();
-    let mut req: Vec<Option<LabelSet>> = vec![None; n];
-    if n == 0 {
-        return Vec::new();
-    }
-    req[nfa.accept().index()] = Some(LabelSet::with_capacity(num_labels));
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for s in (0..n as u32).map(StateId) {
-            let mut new: Option<LabelSet> = if nfa.is_accept(s) {
-                Some(LabelSet::with_capacity(num_labels))
-            } else {
-                None
+    let widest = nfa
+        .states()
+        .flat_map(|s| nfa.transitions(s))
+        .filter_map(|t| match t.test {
+            LabelTest::Label(l) => Some(l.index() + 1),
+            LabelTest::Wildcard => None,
+        })
+        .fold(num_labels, usize::max);
+    let words = widest.div_ceil(64);
+    sweep.load(nfa);
+    let (mut known, mut sets) = (
+        std::mem::take(&mut sweep.known),
+        std::mem::take(&mut sweep.sets),
+    );
+    known.clear();
+    known.resize(n, false);
+    sets.clear();
+    sets.resize(n * words + words, 0);
+    // The state being recomputed, in the scratch row past the last state.
+    let new = n * words;
+    while let Some(s) = sweep.pop() {
+        let mut have = nfa.is_accept(s);
+        sets[new..].fill(0);
+        let mut meet = |sets: &mut [u64], from: usize, label: Option<Label>| {
+            let bit = |w: usize| match label {
+                Some(l) if l.index() / 64 == w => 1u64 << (l.index() % 64),
+                _ => 0,
             };
-            for e in nfa.eps_edges(s) {
-                if let Some(r) = &req[e.target.index()] {
-                    new = Some(match new {
-                        None => r.clone(),
-                        Some(mut cur) => {
-                            cur.intersect_with(r);
-                            cur
-                        }
-                    });
-                }
+            for w in 0..words {
+                let contribution = sets[from + w] | bit(w);
+                sets[new + w] = match have {
+                    true => sets[new + w] & contribution,
+                    false => contribution,
+                };
             }
-            for t in nfa.transitions(s) {
-                if let Some(r) = &req[t.target.index()] {
-                    let mut contribution = r.clone();
-                    if let LabelTest::Label(l) = t.test {
-                        contribution.insert(l);
-                    }
-                    new = Some(match new {
-                        None => contribution,
-                        Some(mut cur) => {
-                            cur.intersect_with(&contribution);
-                            cur
-                        }
-                    });
-                }
-            }
-            if new != req[s.index()] {
-                // Monotone: only None -> Some or shrinking sets.
-                req[s.index()] = new;
-                changed = true;
+            have = true;
+        };
+        for e in nfa.eps_edges(s) {
+            if known[e.target.index()] {
+                meet(&mut sets, e.target.index() * words, None);
             }
         }
+        for t in nfa.transitions(s) {
+            if known[t.target.index()] {
+                let label = match t.test {
+                    LabelTest::Label(l) => Some(l),
+                    LabelTest::Wildcard => None,
+                };
+                meet(&mut sets, t.target.index() * words, label);
+            }
+        }
+        let at = s.index() * words;
+        if have != known[s.index()] || sets[at..at + words] != sets[new..] {
+            // Monotone: only unknown -> known or shrinking sets.
+            known[s.index()] = have;
+            sets.copy_within(new.., at);
+            sweep.changed(s);
+        }
     }
-    req.into_iter()
-        .map(|r| match r {
-            None => Requirement {
-                dead: true,
-                labels: LabelSet::with_capacity(num_labels),
-            },
-            Some(labels) => Requirement {
-                dead: false,
-                labels,
-            },
+    let required = (0..n)
+        .map(|i| {
+            // Trailing empty words hold no label: an empty set allocates
+            // nothing.
+            let set = &sets[i * words..(i + 1) * words];
+            let used = set.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
+            Requirement {
+                dead: !known[i],
+                labels: LabelSet::from_words(set[..used].to_vec()),
+            }
         })
-        .collect()
+        .collect();
+    (sweep.known, sweep.sets) = (known, sets);
+    required
 }
 
 /// A set of needed values: bit `i` is value id `i`
@@ -132,9 +238,9 @@ pub(crate) fn value_ids(values: Values) -> impl Iterator<Item = u32> {
 /// how jump-scan evaluation prunes candidates (and finds the few children
 /// worth stepping into) by the literals a query mentions instead of by
 /// verifying guards everywhere. Empty texts are never required: the value
-/// index only posts non-empty ones. Transient: a plan keeps only what its
-/// DFA steps need (`crate::compile::StepValues`), which takes the values
-/// over by id.
+/// index only posts non-empty ones. Transient: a plan compiles what its
+/// DFA steps need (`crate::compile::StepValues`) from it when the plan is
+/// built, taking the values over by id.
 #[derive(Clone, Debug)]
 pub(crate) struct ValueRequirements {
     /// The labels transitions mention, sorted: column `i + 1` of the table
@@ -150,172 +256,218 @@ pub(crate) struct ValueRequirements {
 }
 
 impl ValueRequirements {
-    /// What a run in `state` at a node labelled `at` (`None`: a label
-    /// nothing is known about) needs at or below the node (a set of value
-    /// ids, [`value_ids`]), or `None` when no accepting continuation
-    /// exists.
-    pub(crate) fn at(&self, state: StateId, at: Option<Label>) -> Option<Values> {
-        let width = self.labels.len() + 1;
-        let col = at.map_or(0, |l| column(&self.labels, l));
-        self.table[state.index() * width + col]
+    /// The table column of a node labelled `at` (`None`: a label nothing
+    /// is known about).
+    pub(crate) fn column(&self, at: Option<Label>) -> usize {
+        at.map_or(0, |l| self.labels.binary_search(&l).map_or(0, |i| i + 1))
     }
-}
 
-fn column(labels: &[Label], label: Label) -> usize {
-    labels.binary_search(&label).map_or(0, |i| i + 1)
+    /// What a run in `state` at a node of table column `col`
+    /// ([`ValueRequirements::column`]) needs at or below the node (a set of
+    /// value ids, [`value_ids`]), or `None` when no accepting continuation
+    /// exists.
+    pub(crate) fn get(&self, state: StateId, col: usize) -> Option<Values> {
+        self.table[state.index() * (self.labels.len() + 1) + col]
+    }
+
+    /// [`ValueRequirements::get`] at a node labelled `at`.
+    #[cfg(test)]
+    pub(crate) fn at(&self, state: StateId, at: Option<Label>) -> Option<Values> {
+        self.get(state, self.column(at))
+    }
 }
 
 /// Computes the [`ValueRequirements`] of `mfa`'s top NFA (and, on the way,
 /// of every predicate NFA its guards reach); `None` when the MFA compares
 /// no text, so nothing can be required. Greatest fixpoint, like
 /// [`required_labels`]: values only shrink along cycles.
-pub(crate) fn required_values(mfa: &Mfa) -> Option<ValueRequirements> {
+///
+/// `referenced` holds every label the MFA's transitions mention, each
+/// once; `sweep` is the caller's worklist.
+pub(crate) fn required_values(
+    mfa: &Mfa,
+    referenced: &[Label],
+    sweep: &mut Sweep,
+) -> Option<ValueRequirements> {
     if !mfa
         .preds()
         .any(|(_, p)| matches!(p, Pred::TextEq(text) if !text.is_empty()))
     {
         return None;
     }
-    let mut labels: Vec<Label> = mfa
-        .nfas()
-        .flat_map(|(_, nfa)| nfa.states().flat_map(|s| nfa.transitions(s)))
-        .filter_map(|t| match t.test {
-            LabelTest::Label(l) => Some(l),
-            LabelTest::Wildcard => None,
-        })
-        .collect();
+    let mut labels = referenced.to_vec();
     labels.sort_unstable();
-    labels.dedup();
+    let width = labels.len() + 1;
+    // Each transition's target column, by label id: one array read.
+    let mut column = vec![0u32; labels.last().map_or(0, |l| l.index() + 1)];
+    for (i, l) in labels.iter().enumerate() {
+        column[l.index()] = i as u32 + 1;
+    }
+    // Every NFA's table in one arena, at its offset.
+    let mut offsets = Vec::with_capacity(mfa.nfa_count() + 1);
+    offsets.push(0);
+    for (_, nfa) in mfa.nfas() {
+        offsets.push(offsets.last().copied().unwrap_or(0) + nfa.state_count() * width);
+    }
     let mut analysis = ValueAnalysis {
         mfa,
         labels,
+        width,
+        column,
         values: Vec::new(),
-        tables: vec![None; mfa.nfa_count()],
+        tables: vec![None; offsets[mfa.nfa_count()]],
+        offsets,
+        done: vec![false; mfa.nfa_count()],
+        preds: vec![None; mfa.pred_count() * width],
+        sweep,
     };
     analysis.table(mfa.top());
-    let table = analysis.tables[mfa.top().index()]
-        .take()
-        .expect("just computed");
+    let top = mfa.top().index();
+    let (from, to) = (analysis.offsets[top], analysis.offsets[top + 1]);
+    analysis.tables.truncate(to);
+    analysis.tables.drain(..from);
     Some(ValueRequirements {
         labels: analysis.labels,
         values: analysis.values,
-        table,
+        table: analysis.tables,
     })
 }
 
 struct ValueAnalysis<'m> {
     mfa: &'m Mfa,
     labels: Vec<Label>,
+    /// `labels.len() + 1`: the table columns.
+    width: usize,
+    /// `label id → column` for the labels transitions mention.
+    column: Vec<u32>,
     /// Interned values ([`ValueRequirements::values`]).
     values: Vec<(Label, String)>,
-    /// Per NFA, once computed: its requirement table.
-    tables: Vec<Option<Vec<Option<Values>>>>,
+    /// Every NFA's requirement table, `offsets[nfa] + state * width +
+    /// column`; valid once the NFA is `done`.
+    tables: Vec<Option<Values>>,
+    offsets: Vec<usize>,
+    done: Vec<bool>,
+    /// `pred * width + column` → what the predicate needs there, once
+    /// computed (`Some(None)`: it can never hold).
+    preds: Vec<Option<Option<Values>>>,
+    sweep: &'m mut Sweep,
 }
 
 impl ValueAnalysis<'_> {
-    fn width(&self) -> usize {
-        self.labels.len() + 1
-    }
-
-    fn table(&mut self, id: NfaId) -> &Vec<Option<Values>> {
-        if self.tables[id.index()].is_none() {
-            let table = self.fixpoint(id);
-            self.tables[id.index()] = Some(table);
+    /// The table of NFA `id`, computed on first use.
+    fn table(&mut self, id: NfaId) -> &[Option<Values>] {
+        if !self.done[id.index()] {
+            self.fixpoint(id);
+            self.done[id.index()] = true;
         }
-        self.tables[id.index()].as_ref().expect("just computed")
+        &self.tables[self.offsets[id.index()]..self.offsets[id.index() + 1]]
     }
 
-    fn fixpoint(&mut self, id: NfaId) -> Vec<Option<Values>> {
+    fn fixpoint(&mut self, id: NfaId) {
         let mfa = self.mfa;
         let nfa = mfa.nfa(id);
-        let width = self.width();
-        // What each guard needs where it is crossed, per column; `None`:
-        // the guard can never hold, so its edge is never crossed.
-        let mut guards: HashMap<(PredId, usize), Option<Values>> = HashMap::new();
+        let width = self.width;
+        // What each guard needs where it is crossed, per column (`None`:
+        // the guard can never hold, so its edge is never crossed). First,
+        // and in edge order: a guard may need another NFA's table, and
+        // the order values are first met in is their id order.
         for s in nfa.states() {
             for g in nfa.eps_edges(s).iter().filter_map(|e| e.guard) {
                 for col in 0..width {
-                    if let Entry::Vacant(slot) = guards.entry((g, col)) {
-                        slot.insert(self.pred(g, col));
-                    }
+                    self.pred(g, col);
                 }
             }
         }
-        let mut table: Vec<Option<Values>> = vec![None; nfa.state_count() * width];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for s in nfa.states() {
-                for col in 0..width {
-                    // The intersection over the ways to go on (`None`: no
-                    // way seen yet, or none can accept).
-                    let mut new = nfa.is_accept(s).then_some(0);
-                    for e in nfa.eps_edges(s) {
-                        let Some(after) = table[e.target.index() * width + col] else {
-                            continue;
-                        };
-                        let needed = match e.guard {
-                            None => after,
-                            Some(g) => match guards[&(g, col)] {
-                                None => continue,
-                                Some(at_guard) => after | at_guard,
-                            },
-                        };
-                        new = Some(new.map_or(needed, |acc| acc & needed));
-                    }
-                    for t in nfa.transitions(s) {
-                        let next_col = match t.test {
-                            LabelTest::Label(l) => column(&self.labels, l),
-                            LabelTest::Wildcard => 0,
-                        };
-                        if let Some(after) = table[t.target.index() * width + next_col] {
-                            new = Some(new.map_or(after, |acc| acc & after));
-                        }
-                    }
-                    let slot = &mut table[s.index() * width + col];
-                    if new != *slot {
-                        *slot = new;
-                        changed = true;
-                    }
+        let base = self.offsets[id.index()];
+        self.sweep.load(nfa);
+        while let Some(s) = self.sweep.pop() {
+            // A consuming step moves to the column of the label it reads,
+            // whatever column the run is at: one meet per state.
+            let mut stepped: Option<Values> = None;
+            for t in nfa.transitions(s) {
+                let next_col = match t.test {
+                    LabelTest::Label(l) => self.column[l.index()] as usize,
+                    LabelTest::Wildcard => 0,
+                };
+                if let Some(after) = self.tables[base + t.target.index() * width + next_col] {
+                    stepped = Some(stepped.map_or(after, |acc| acc & after));
                 }
             }
+            let mut changed = false;
+            for col in 0..width {
+                // The intersection over the ways to go on (`None`: no way
+                // seen yet, or none can accept).
+                let mut new = nfa.is_accept(s).then_some(0);
+                for e in nfa.eps_edges(s) {
+                    let Some(after) = self.tables[base + e.target.index() * width + col] else {
+                        continue;
+                    };
+                    let needed = match e.guard {
+                        None => after,
+                        Some(g) => match self.preds[g.index() * width + col] {
+                            Some(Some(at_guard)) => after | at_guard,
+                            _ => continue,
+                        },
+                    };
+                    new = Some(new.map_or(needed, |acc| acc & needed));
+                }
+                if let Some(after) = stepped {
+                    new = Some(new.map_or(after, |acc| acc & after));
+                }
+                let slot = &mut self.tables[base + s.index() * width + col];
+                if new != *slot {
+                    *slot = new;
+                    changed = true;
+                }
+            }
+            if changed {
+                self.sweep.changed(s);
+            }
         }
-        table
     }
 
     /// What `pred` holding at a node of column `col` needs at or below it;
     /// `None` when it can never hold.
     fn pred(&mut self, pred: PredId, col: usize) -> Option<Values> {
-        match self.mfa.pred(pred) {
+        let memo = pred.index() * self.width + col;
+        if let Some(known) = self.preds[memo] {
+            return known;
+        }
+        let needed = match self.mfa.pred(pred) {
             Pred::True | Pred::Not(_) => Some(0),
             Pred::TextEq(text) if text.is_empty() || col == 0 => Some(0),
             Pred::TextEq(text) => {
                 let label = self.labels[col - 1];
-                let id = match self
+                match self
                     .values
                     .iter()
                     .position(|(l, t)| *l == label && t == text)
                 {
-                    Some(i) => i,
+                    Some(i) => Some(1 << i),
                     None if self.values.len() < TRACKED_VALUES => {
                         self.values.push((label, text.clone()));
-                        self.values.len() - 1
+                        Some(1 << (self.values.len() - 1))
                     }
-                    None => return Some(0),
-                };
-                Some(1 << id)
+                    None => Some(0),
+                }
             }
             Pred::HasPath(sub) => {
                 let start = self.mfa.nfa(*sub).start();
-                let width = self.width();
+                let width = self.width;
                 self.table(*sub)[start.index() * width + col]
             }
             Pred::And(parts) => {
-                let mut all = 0;
+                let mut all = Some(0);
                 for &p in parts {
-                    all |= self.pred(p, col)?;
+                    match self.pred(p, col) {
+                        Some(values) => all = all.map(|acc| acc | values),
+                        None => {
+                            all = None;
+                            break;
+                        }
+                    }
                 }
-                Some(all)
+                all
             }
             Pred::Or(parts) => {
                 let mut common: Option<Values> = None;
@@ -326,7 +478,9 @@ impl ValueAnalysis<'_> {
                 }
                 common
             }
-        }
+        };
+        self.preds[memo] = Some(needed);
+        needed
     }
 }
 
@@ -411,23 +565,16 @@ pub fn reachable_states(nfa: &Nfa) -> Vec<bool> {
 /// States from which the accept state is reachable.
 pub fn coreachable_states(nfa: &Nfa) -> Vec<bool> {
     let n = nfa.state_count();
-    let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
-    for s in nfa.states() {
-        for e in nfa.eps_edges(s) {
-            rev[e.target.index()].push(s);
-        }
-        for t in nfa.transitions(s) {
-            rev[t.target.index()].push(s);
-        }
-    }
     let mut seen = vec![false; n];
     if n == 0 {
         return seen;
     }
+    let mut sweep = Sweep::default();
+    sweep.load(nfa);
     let mut work = vec![nfa.accept()];
     seen[nfa.accept().index()] = true;
     while let Some(s) = work.pop() {
-        for &p in &rev[s.index()] {
+        for &p in sweep.predecessors(s) {
             if !seen[p.index()] {
                 seen[p.index()] = true;
                 work.push(p);
@@ -566,9 +713,28 @@ mod tests {
     }
 
     /// The values the whole query needs below the document root, by name.
+    /// The labels `mfa`'s transitions mention, each once.
+    fn referenced(mfa: &Mfa) -> Vec<Label> {
+        let mut labels: Vec<Label> = mfa
+            .nfas()
+            .flat_map(|(_, nfa)| nfa.states().flat_map(|s| nfa.transitions(s)))
+            .filter_map(|t| match t.test {
+                LabelTest::Label(l) => Some(l),
+                LabelTest::Wildcard => None,
+            })
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
+        labels
+    }
+
+    fn values_of(mfa: &Mfa) -> Option<ValueRequirements> {
+        required_values(mfa, &referenced(mfa), &mut Sweep::default())
+    }
+
     fn values_from_start(q: &str) -> Vec<(String, String)> {
         let (vocab, mfa) = top_nfa(q);
-        let Some(reqs) = required_values(&mfa) else {
+        let Some(reqs) = values_of(&mfa) else {
             return Vec::new(); // compares no (non-empty) text
         };
         let start = mfa.nfa(mfa.top()).start();
@@ -624,7 +790,7 @@ mod tests {
     #[test]
     fn required_values_shrink_as_the_run_advances() {
         let (vocab, mfa) = top_nfa("a[p = 'v']/b[c = 'x']");
-        let reqs = required_values(&mfa).unwrap();
+        let reqs = values_of(&mfa).unwrap();
         let nfa = mfa.nfa(mfa.top());
         let l = |n: &str| vocab.lookup(n).unwrap();
         // After `a`, before its guard: both literals; after the whole
@@ -636,7 +802,7 @@ mod tests {
             .collect();
         assert!(needs.contains(&2) && needs.contains(&1), "{needs:?}");
         assert_eq!(reqs.at(nfa.accept(), Some(l("b"))), Some(0));
-        assert!(required_values(&top_nfa("a/b").1).is_none());
+        assert!(values_of(&top_nfa("a/b").1).is_none());
     }
 
     #[test]

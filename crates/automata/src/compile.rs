@@ -27,22 +27,26 @@
 //!    theoretical exponential blow-up), falling back to the NFA rows.
 //! 5. **Required-label analysis** ([`required_labels`]) hoisted out of the
 //!    evaluator, so TAX-index pruning reads precomputed data.
+//! 6. **Jump-scan facts**: which predicates are child chains
+//!    ([`crate::guards::ChildChain`], [`CompiledMfa::chains`]) and what
+//!    text values each step of the top DFA needs ([`StepValues`]).
 //!
-//! Predicates (`cans` spawning semantics) are untouched: guarded ε-edges
-//! stay on the NFA side and are only crossed by the evaluator's guard-aware
-//! closure. Which of them are child chains
-//! ([`crate::guards::ChildChain`]) is classified once per plan, on first
-//! use ([`CompiledMfa::chains`]), like the jump-scan step values.
+//! Every one of them is finished before the plan is returned, so a cached
+//! plan is complete: evaluation only reads it. Predicates (`cans`
+//! spawning semantics) are untouched: guarded ε-edges stay on the NFA side
+//! and are only crossed by the evaluator's guard-aware closure.
+//!
+//! Compilation works over flat arrays: closures, step rows and DFA members
+//! are each one array with offsets, subsets are interned in one word
+//! arena, and the scratch buffers are shared by all NFAs of a plan, so a
+//! plan allocates per table, not per state.
 
-use crate::analysis::{
-    eps_closure_unguarded, required_labels, required_values, value_ids, Requirement,
-};
+use crate::analysis::{required_labels_with, required_values, value_ids, Requirement, Sweep};
 use crate::guards::{classify_chain, ChildChain};
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, PredId, StateId};
 use smoqe_xml::Label;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Sentinel for "no transition" in dense DFA tables.
 pub const DEAD: u32 = u32::MAX;
@@ -70,16 +74,6 @@ thread_local! {
     static THREAD_ANALYSIS_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Precomputed ε-closure of one state.
-#[derive(Clone, Debug)]
-struct Closure {
-    /// States reachable by ε-edges (guarded or not), sorted, self included.
-    pub states: Vec<StateId>,
-    /// Whether any edge inside the closure carries a guard. When `false`,
-    /// the closure is tag-free and the precomputed `states` are exact.
-    pub guarded: bool,
-}
-
 /// Dense transition table of a guard-free NFA after subset construction.
 #[derive(Clone, Debug)]
 pub struct DfaTable {
@@ -89,9 +83,11 @@ pub struct DfaTable {
     next: Vec<u32>,
     /// Whether the subset contains the NFA accept state.
     accept: Vec<bool>,
-    /// Member NFA states per DFA state (sorted). Cold data: only read by
-    /// TAX-index previews, which need per-member required-label checks.
-    members: Vec<Vec<StateId>>,
+    /// `member_off[d]..member_off[d + 1]` indexes `members`: the NFA
+    /// states of subset `d`, sorted. Cold data: only read by TAX-index
+    /// previews, which need per-member required-label checks.
+    member_off: Vec<u32>,
+    members: Vec<StateId>,
 }
 
 impl DfaTable {
@@ -116,7 +112,8 @@ impl DfaTable {
     /// The NFA states the subset contains.
     #[inline]
     pub fn members(&self, state: u32) -> &[StateId] {
-        &self.members[state as usize]
+        let s = state as usize;
+        &self.members[self.member_off[s] as usize..self.member_off[s + 1] as usize]
     }
 
     /// Number of DFA states.
@@ -131,7 +128,12 @@ pub struct CompiledNfa {
     states: usize,
     width: usize,
     required: Vec<Requirement>,
-    closures: Vec<Closure>,
+    /// `closure_off[s]..closure_off[s + 1]` indexes `closures`: the
+    /// ε-closure of `s`, sorted.
+    closure_off: Vec<u32>,
+    closures: Vec<StateId>,
+    /// Per state: whether any edge inside its closure carries a guard.
+    closure_guarded: Vec<bool>,
     /// CSR offsets: `(state * width + col)` indexes into `row_targets`.
     row_off: Vec<u32>,
     row_targets: Vec<StateId>,
@@ -156,7 +158,8 @@ impl CompiledNfa {
     /// (guarded or not), sorted, `s` included.
     #[inline]
     pub fn closure(&self, s: StateId) -> &[StateId] {
-        &self.closures[s.index()].states
+        let i = s.index();
+        &self.closures[self.closure_off[i] as usize..self.closure_off[i + 1] as usize]
     }
 
     /// Whether any edge inside the closure of `s` carries a guard. When
@@ -164,7 +167,7 @@ impl CompiledNfa {
     /// exact.
     #[inline]
     pub fn closure_guarded(&self, s: StateId) -> bool {
-        self.closures[s.index()].guarded
+        self.closure_guarded[s.index()]
     }
 
     /// Transition targets of `s` on a label column — the compiled
@@ -211,12 +214,12 @@ pub struct CompiledMfa {
     width: usize,
     nfas: Vec<CompiledNfa>,
     max_states: usize,
-    /// The [`StepValues`] of the top NFA's DFA, computed on first use:
-    /// only jump-scan evaluation over a value index reads them.
-    step_values: OnceLock<Option<StepValues>>,
-    /// The [`ChildChain`] shape of each predicate, by predicate id,
-    /// classified on first use: only jump-scan verification reads them.
-    chains: OnceLock<Box<[Option<ChildChain>]>>,
+    /// The [`StepValues`] of the top NFA's DFA: only jump-scan evaluation
+    /// over a value index reads them.
+    step_values: Option<StepValues>,
+    /// The [`ChildChain`] shape of each predicate, by predicate id: only
+    /// jump-scan verification reads them.
+    chains: Box<[Option<ChildChain>]>,
 }
 
 impl CompiledMfa {
@@ -225,7 +228,8 @@ impl CompiledMfa {
         Self::from_arc(Arc::new(mfa.clone()))
     }
 
-    /// Compiles a plan around an already-shared MFA.
+    /// Compiles a plan around an already-shared MFA: every table and every
+    /// per-plan analysis, so the plan is complete when it is returned.
     pub fn from_arc(mfa: Arc<Mfa>) -> Self {
         ANALYSIS_RUNS.fetch_add(1, Ordering::Relaxed);
         #[cfg(test)]
@@ -234,6 +238,7 @@ impl CompiledMfa {
         // Column 0 is reserved for "label not mentioned by this plan":
         // only wildcard transitions can consume those.
         let mut label_cols = vec![0u16; num_labels];
+        // The label of each column past 0.
         let mut referenced: Vec<Label> = Vec::new();
         for (_, nfa) in mfa.nfas() {
             for s in nfa.states() {
@@ -257,22 +262,28 @@ impl CompiledMfa {
             }
         }
         let width = referenced.len() + 1;
-        let mut max_states = 0;
-        let nfas = mfa
+        let max_states = mfa
             .nfas()
-            .map(|(_, nfa)| {
-                max_states = max_states.max(nfa.state_count());
-                compile_nfa(nfa, num_labels, &label_cols, width)
-            })
+            .map(|(_, nfa)| nfa.state_count())
+            .max()
+            .unwrap_or(0);
+        let mut scratch = Scratch::default();
+        let nfas: Vec<CompiledNfa> = mfa
+            .nfas()
+            .map(|(_, nfa)| compile_nfa(nfa, num_labels, &label_cols, width, &mut scratch))
             .collect();
+        let chains = (0..mfa.pred_count())
+            .map(|i| classify_chain(&mfa, PredId(i as u32)))
+            .collect();
+        let step_values = StepValues::of(&mfa, &nfas[mfa.top().index()], &referenced, &mut scratch);
         CompiledMfa {
             mfa,
             label_cols,
             width,
             nfas,
             max_states,
-            step_values: OnceLock::new(),
-            chains: OnceLock::new(),
+            step_values,
+            chains,
         }
     }
 
@@ -325,25 +336,17 @@ impl CompiledMfa {
     }
 
     /// What steps of the top NFA's DFA — exact, or guard-stripped — need
-    /// in text values ([`StepValues`]), computed once per plan on first
-    /// use; `None` when no step needs any (the plan compares no text, or
-    /// the top NFA has no DFA).
+    /// in text values ([`StepValues`]); `None` when no step needs any (the
+    /// plan compares no text, or the top NFA has no DFA).
     pub fn step_values(&self) -> Option<&StepValues> {
-        self.step_values
-            .get_or_init(|| StepValues::of(self))
-            .as_ref()
+        self.step_values.as_ref()
     }
 
     /// The [`ChildChain`] shape of every predicate, indexed by
-    /// [`PredId`] (`None` for predicates of any other shape), classified
-    /// once per plan on first use — an evaluation pays one lookup per
-    /// guard.
+    /// [`PredId`] (`None` for predicates of any other shape) — an
+    /// evaluation pays one lookup per guard.
     pub fn chains(&self) -> &[Option<ChildChain>] {
-        self.chains.get_or_init(|| {
-            (0..self.mfa.pred_count())
-                .map(|i| classify_chain(&self.mfa, PredId(i as u32)))
-                .collect()
-        })
+        &self.chains
     }
 
     /// How many of the plan's NFAs run as dense-table DFAs (the rest keep
@@ -377,32 +380,49 @@ pub struct StepValues {
 }
 
 impl StepValues {
-    fn of(plan: &CompiledMfa) -> Option<StepValues> {
-        let reqs = required_values(plan.mfa())?;
-        let top = plan.nfa(plan.mfa().top());
+    /// The step values of `top`, the compiled top NFA of `mfa`, whose
+    /// column `c > 0` reads `referenced[c - 1]`.
+    fn of(
+        mfa: &Mfa,
+        top: &CompiledNfa,
+        referenced: &[Label],
+        scratch: &mut Scratch,
+    ) -> Option<StepValues> {
         let dfa = top.dfa().or(top.stripped_dfa())?;
-        let width = plan.width();
-        let mut label_of = vec![None; width];
-        for (label, col) in plan.referenced_labels() {
-            label_of[col] = Some(label);
-        }
+        let reqs = required_values(mfa, referenced, &mut scratch.sweep)?;
+        let width = referenced.len() + 1;
+        // The analysis's column of each plan column.
+        let columns: Vec<usize> = std::iter::once(0)
+            .chain(referenced.iter().map(|&l| reqs.column(Some(l))))
+            .collect();
         // The distinct step requirements as value sets (`masks`), and as
         // the id lists jump evaluation reads (`needs`), built once per set.
         let (mut masks, mut needs): (Vec<Vec<u64>>, Vec<Vec<Vec<u32>>>) = (Vec::new(), Vec::new());
-        let (mut entered, mut need) = (Vec::new(), Vec::new());
+        let mut need = Vec::new();
         let mut steps = Vec::with_capacity(dfa.state_count() * width);
+        let entered = &mut scratch.stack;
+        let marks = &mut scratch.seen;
+        marks.clear();
+        marks.resize(top.state_count(), u32::MAX);
         for state in 0..dfa.state_count() as u32 {
-            for (col, &label) in label_of.iter().enumerate() {
+            for (col, &at) in columns.iter().enumerate() {
+                // The entered states, ascending and each once; a mark is
+                // the step's index in `steps`.
+                let step = steps.len() as u32;
                 entered.clear();
                 for &m in dfa.members(state) {
-                    entered.extend_from_slice(top.row(m, col));
+                    for &t in top.row(m, col) {
+                        if marks[t.index()] != step {
+                            marks[t.index()] = step;
+                            entered.push(t);
+                        }
+                    }
                 }
                 entered.sort_unstable();
-                entered.dedup();
                 need.clear();
                 let mut free = entered.is_empty(); // a DEAD step: never taken
-                for &s in &entered {
-                    match reqs.at(s, label) {
+                for &s in entered.iter() {
+                    match reqs.get(s, at) {
                         None => {} // no accepting continuation from `s`
                         Some(0) => free = true,
                         Some(needed) => need.push(needed),
@@ -454,41 +474,79 @@ impl StepValues {
     }
 }
 
-fn compile_nfa(nfa: &Nfa, num_labels: usize, label_cols: &[u16], width: usize) -> CompiledNfa {
+/// Buffers one plan's compilation reuses across its NFAs.
+#[derive(Default)]
+struct Scratch {
+    /// Per NFA state: the last walk that reached it.
+    seen: Vec<u32>,
+    stack: Vec<StateId>,
+    /// A table of states being built, copied out at its exact size.
+    states: Vec<StateId>,
+    sweep: Sweep,
+    /// Per NFA state, its ε-closure as a bitset of `words` words.
+    closure_bits: Vec<u64>,
+    /// Every subset of the construction, `words` words each, by DFA state.
+    subsets: Vec<u64>,
+    /// Open-addressing index over `subsets`: a DFA state, or [`DEAD`].
+    slots: Vec<u32>,
+    /// The DFA's transition table and accepting states being built.
+    next: Vec<u32>,
+    accept: Vec<bool>,
+}
+
+fn compile_nfa(
+    nfa: &Nfa,
+    num_labels: usize,
+    label_cols: &[u16],
+    width: usize,
+    scratch: &mut Scratch,
+) -> CompiledNfa {
     let states = nfa.state_count();
-    let required = required_labels(nfa, num_labels);
-    let closures = nfa
-        .states()
-        .map(|s| {
-            // BFS over every ε-edge; record whether a guard is crossed.
-            let mut seen = vec![false; states];
-            let mut guarded = false;
-            let mut out = Vec::new();
-            let mut work = vec![s];
-            seen[s.index()] = true;
-            while let Some(x) = work.pop() {
-                out.push(x);
-                for e in nfa.eps_edges(x) {
-                    if e.guard.is_some() {
-                        guarded = true;
-                    }
-                    if !seen[e.target.index()] {
-                        seen[e.target.index()] = true;
-                        work.push(e.target);
-                    }
+    let required = required_labels_with(nfa, num_labels, &mut scratch.sweep);
+
+    // ε-closures: a walk over every ε-edge per state, recording whether a
+    // guard is crossed; `seen` holds the state whose walk reached a state
+    // last, so it never needs clearing.
+    let mut closure_off = Vec::with_capacity(states + 1);
+    let mut closure_guarded = Vec::with_capacity(states);
+    closure_off.push(0u32);
+    let (seen, work, closures) = (&mut scratch.seen, &mut scratch.stack, &mut scratch.states);
+    seen.clear();
+    seen.resize(states, u32::MAX);
+    closures.clear();
+    for s in nfa.states() {
+        let from = closures.len();
+        let mut guarded = false;
+        work.push(s);
+        seen[s.index()] = s.0;
+        while let Some(x) = work.pop() {
+            closures.push(x);
+            for e in nfa.eps_edges(x) {
+                guarded |= e.guard.is_some();
+                if seen[e.target.index()] != s.0 {
+                    seen[e.target.index()] = s.0;
+                    work.push(e.target);
                 }
             }
-            out.sort_unstable();
-            Closure {
-                states: out,
-                guarded,
-            }
-        })
-        .collect();
+        }
+        closures[from..].sort_unstable();
+        closure_off.push(closures.len() as u32);
+        closure_guarded.push(guarded);
+    }
+    let closures = closures.to_vec();
 
     // CSR step rows: per (state, column), the matching transition targets.
+    // A wildcard lands in every column, a label in its own.
+    let entries = nfa
+        .states()
+        .flat_map(|s| nfa.transitions(s))
+        .map(|t| match t.test {
+            LabelTest::Wildcard => width,
+            LabelTest::Label(_) => 1,
+        })
+        .sum();
     let mut row_off = Vec::with_capacity(states * width + 1);
-    let mut row_targets = Vec::new();
+    let mut row_targets = Vec::with_capacity(entries);
     row_off.push(0u32);
     for s in nfa.states() {
         for col in 0..width {
@@ -505,97 +563,171 @@ fn compile_nfa(nfa: &Nfa, num_labels: usize, label_cols: &[u16], width: usize) -
         }
     }
 
-    // `build_dfa` closes over *every* ε-edge (guards ignored), so on a
-    // guard-free NFA it is exact, and on a guarded NFA it is precisely the
-    // guard-stripped overapproximation jump navigation wants.
-    let (dfa, stripped) = if states == 0 {
-        (None, None)
-    } else if nfa.has_guards() {
-        (None, build_dfa(nfa, width, &row_off, &row_targets))
-    } else {
-        (build_dfa(nfa, width, &row_off, &row_targets), None)
-    };
-
-    CompiledNfa {
+    let mut compiled = CompiledNfa {
         states,
         width,
         required,
+        closure_off,
         closures,
+        closure_guarded,
         row_off,
         row_targets,
-        dfa,
-        stripped,
+        dfa: None,
+        stripped: None,
+    };
+    // `build_dfa` closes over *every* ε-edge (guards ignored), so on a
+    // guard-free NFA it is exact, and on a guarded NFA it is precisely the
+    // guard-stripped overapproximation jump navigation wants.
+    if states > 0 {
+        let dfa = build_dfa(nfa, &compiled, scratch);
+        match nfa.has_guards() {
+            true => compiled.stripped = dfa,
+            false => compiled.dfa = dfa,
+        }
     }
+    compiled
 }
 
 /// Subset construction over the label columns. Subsets are fixed-width
-/// bitsets (`words` × u64) interned in a hash map; the output table is a
-/// dense `states × width` array.
-fn build_dfa(
-    nfa: &Nfa,
-    width: usize,
-    row_off: &[u32],
-    row_targets: &[StateId],
-) -> Option<DfaTable> {
-    let n = nfa.state_count();
+/// bitsets (`words` × u64) interned in one word arena through an
+/// open-addressing index; the ε-closure of a step is the union of its
+/// targets' precomputed closures. The output table is a dense `states ×
+/// width` array.
+fn build_dfa(nfa: &Nfa, compiled: &CompiledNfa, scratch: &mut Scratch) -> Option<DfaTable> {
+    let (n, width) = (compiled.states, compiled.width);
     let words = n.div_ceil(64);
-    let key_of = |set: &[StateId]| -> Vec<u64> {
-        let mut key = vec![0u64; words];
-        for s in set {
-            key[s.index() / 64] |= 1u64 << (s.index() % 64);
+    let bits = &mut scratch.closure_bits;
+    bits.clear();
+    bits.resize(n * words, 0);
+    for s in nfa.states() {
+        for &t in compiled.closure(s) {
+            bits[s.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
         }
-        key
-    };
-    let start_set = eps_closure_unguarded(nfa, &[nfa.start()]);
-    let mut interned: HashMap<Vec<u64>, u32> = HashMap::new();
-    let mut members: Vec<Vec<StateId>> = Vec::new();
-    let mut accept: Vec<bool> = Vec::new();
-    let mut next: Vec<u32> = Vec::new();
-
-    let mut intern =
-        |set: Vec<StateId>, members: &mut Vec<Vec<StateId>>, accept: &mut Vec<bool>| -> u32 {
-            let key = key_of(&set);
-            *interned.entry(key).or_insert_with(|| {
-                let id = members.len() as u32;
-                accept.push(set.iter().any(|&s| nfa.is_accept(s)));
-                members.push(set);
-                id
-            })
-        };
-
-    let start = intern(start_set, &mut members, &mut accept);
+    }
+    let subsets = &mut scratch.subsets;
+    subsets.clear();
+    let slots = &mut scratch.slots;
+    slots.clear();
+    slots.resize(16, DEAD);
+    let (next, accept) = (&mut scratch.next, &mut scratch.accept);
+    next.clear();
+    accept.clear();
+    // The subset being built sits past the interned ones, at `count`.
+    subsets.extend_from_slice(&bits[nfa.start().index() * words..][..words]);
+    let mut count = 0;
+    let start = intern(subsets, slots, words, &mut count);
+    let (accept_word, accept_bit) = (
+        nfa.accept().index() / 64,
+        1u64 << (nfa.accept().index() % 64),
+    );
+    accept.push(subsets[accept_word] & accept_bit != 0);
     // Process subsets in id order so rows land at `state * width`; newly
     // interned subsets extend the frontier.
-    let mut state: u32 = 0;
-    while (state as usize) < members.len() {
-        if members.len() > DFA_STATE_CAP {
-            return None;
-        }
-        debug_assert_eq!(next.len(), state as usize * width);
+    let mut state = 0;
+    while state < count {
         for col in 0..width {
-            let mut moved: Vec<StateId> = Vec::new();
-            for s in &members[state as usize] {
-                let i = s.index() * width + col;
-                moved.extend_from_slice(&row_targets[row_off[i] as usize..row_off[i + 1] as usize]);
+            let at = count * words;
+            subsets.resize(at + words, 0);
+            let mut moved = false;
+            for w in 0..words {
+                let mut members = subsets[state * words + w];
+                while members != 0 {
+                    let m = w * 64 + members.trailing_zeros() as usize;
+                    members &= members - 1;
+                    for &t in compiled.row(StateId(m as u32), col) {
+                        moved = true;
+                        for i in 0..words {
+                            subsets[at + i] |= bits[t.index() * words + i];
+                        }
+                    }
+                }
             }
-            moved.sort_unstable();
-            moved.dedup();
-            if moved.is_empty() {
+            if !moved {
+                subsets.truncate(at);
                 next.push(DEAD);
                 continue;
             }
-            let closed = eps_closure_unguarded(nfa, &moved);
-            next.push(intern(closed, &mut members, &mut accept));
+            let before = count;
+            let id = intern(subsets, slots, words, &mut count);
+            if count > before {
+                if count > DFA_STATE_CAP {
+                    return None;
+                }
+                accept.push(subsets[at + accept_word] & accept_bit != 0);
+            }
+            next.push(id);
         }
         state += 1;
+    }
+    let mut member_off = Vec::with_capacity(count + 1);
+    let total = subsets[..count * words]
+        .iter()
+        .map(|w| w.count_ones() as usize)
+        .sum();
+    let mut members = Vec::with_capacity(total);
+    member_off.push(0u32);
+    for subset in subsets.chunks_exact(words).take(count) {
+        for (w, &word) in subset.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                members.push(StateId((w * 64) as u32 + word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+        member_off.push(members.len() as u32);
     }
     Some(DfaTable {
         width,
         start,
-        next,
-        accept,
+        next: next.to_vec(),
+        accept: accept.to_vec(),
+        member_off,
         members,
     })
+}
+
+/// Interns the subset at the end of `subsets` (index `count`): returns the
+/// DFA state of an equal subset already interned, dropping the new copy,
+/// or keeps it as state `count` and bumps `count`.
+fn intern(subsets: &mut Vec<u64>, slots: &mut Vec<u32>, words: usize, count: &mut usize) -> u32 {
+    let hash = |subset: &[u64]| {
+        subset.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        })
+    };
+    let at = *count * words;
+    let mask = slots.len() - 1;
+    let mut slot = hash(&subsets[at..]) as usize & mask;
+    loop {
+        match slots[slot] {
+            DEAD => break,
+            id => {
+                let other = id as usize * words;
+                if subsets[other..other + words] == subsets[at..at + words] {
+                    subsets.truncate(at);
+                    return id;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+    }
+    let id = *count as u32;
+    slots[slot] = id;
+    *count += 1;
+    // Keep the index at most half full.
+    if *count * 2 > slots.len() {
+        let size = slots.len() * 2;
+        slots.clear();
+        slots.resize(size, DEAD);
+        for (id, subset) in subsets.chunks_exact(words).take(*count).enumerate() {
+            let mut slot = hash(subset) as usize & (size - 1);
+            while slots[slot] != DEAD {
+                slot = (slot + 1) & (size - 1);
+            }
+            slots[slot] = id as u32;
+        }
+    }
+    id
 }
 
 #[cfg(test)]

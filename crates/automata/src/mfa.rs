@@ -219,6 +219,18 @@ impl Nfa {
             .any(|edges| edges.iter().any(|e| e.guard.is_some()))
     }
 
+    /// Rewrites every guard id in place.
+    pub(crate) fn map_guards(&mut self, mut f: impl FnMut(PredId) -> PredId) {
+        for guard in self
+            .eps
+            .iter_mut()
+            .flatten()
+            .filter_map(|e| e.guard.as_mut())
+        {
+            *guard = f(*guard);
+        }
+    }
+
     /// All states, in index order.
     pub fn states(&self) -> impl Iterator<Item = StateId> {
         (0..self.eps.len() as u32).map(StateId)

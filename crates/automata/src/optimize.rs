@@ -15,8 +15,7 @@
 //! crates); the `eval_engines`/ablation benchmarks measure its effect.
 
 use crate::analysis::{coreachable_states, reachable_states};
-use crate::mfa::{Mfa, Nfa, NfaId, Pred, PredId, StateId};
-use std::collections::HashSet;
+use crate::mfa::{EpsEdge, Mfa, Nfa, NfaId, Pred, PredId, StateId, Transition};
 
 /// Optimizes an MFA (see module docs). The result accepts exactly the same
 /// node sets as the input.
@@ -97,7 +96,7 @@ pub fn optimize(mfa: &Mfa) -> Mfa {
             continue;
         }
         let mut nfa = trimmed[i].take().expect("live NFA was trimmed");
-        remap_guards(&mut nfa, &pred_map);
+        nfa.map_guards(|g| pred_map[g.index()].expect("guard pred is live"));
         new_nfas.push(nfa);
     }
     let mut new_preds: Vec<Pred> = Vec::new();
@@ -125,32 +124,6 @@ pub fn optimize(mfa: &Mfa) -> Mfa {
     }
     let top = nfa_map[mfa.top().index()].expect("top is live");
     Mfa::from_parts(new_nfas, new_preds, top, mfa.vocabulary().clone())
-}
-
-fn remap_guards(nfa: &mut Nfa, pred_map: &[Option<PredId>]) {
-    // Rebuild edges with remapped guard ids.
-    let mut rebuilt = Nfa::new();
-    for _ in 0..nfa.state_count() {
-        rebuilt.add_state();
-    }
-    rebuilt.set_start(nfa.start());
-    rebuilt.set_accept(nfa.accept());
-    for s in nfa.states() {
-        for e in nfa.eps_edges(s) {
-            match e.guard {
-                Some(g) => rebuilt.add_guarded_eps(
-                    s,
-                    e.target,
-                    pred_map[g.index()].expect("guard pred is live"),
-                ),
-                None => rebuilt.add_eps(s, e.target),
-            }
-        }
-        for t in nfa.transitions(s) {
-            rebuilt.add_transition(s, t.test, t.target);
-        }
-    }
-    *nfa = rebuilt;
 }
 
 /// Trims one NFA: keeps states that are reachable from the start *and* can
@@ -182,26 +155,43 @@ pub fn trim(nfa: &Nfa) -> Nfa {
     }
     out.set_start(map[nfa.start().index()].expect("start kept"));
     out.set_accept(map[nfa.accept().index()].expect("accept kept"));
-    let mut seen_eps: HashSet<(StateId, StateId, Option<PredId>)> = HashSet::new();
-    let mut seen_trans: HashSet<(StateId, crate::mfa::LabelTest, StateId)> = HashSet::new();
+    // Edges are deduplicated per source state. `last[t]` is the last kept
+    // state with an edge (of that kind) into `t`: only then can an edge
+    // into `t` repeat one, so only then are the kept edges scanned.
+    let mut last_eps: Vec<Option<StateId>> = vec![None; out.state_count()];
+    let mut last_trans: Vec<Option<StateId>> = vec![None; out.state_count()];
     for s in nfa.states() {
         let Some(ns) = map[s.index()] else { continue };
         for e in nfa.eps_edges(s) {
-            if let Some(nt) = map[e.target.index()] {
-                if seen_eps.insert((ns, nt, e.guard)) && ns != nt {
-                    match e.guard {
-                        Some(g) => out.add_guarded_eps(ns, nt, g),
-                        None => out.add_eps(ns, nt),
-                    }
-                }
+            let Some(nt) = map[e.target.index()] else {
+                continue;
+            };
+            let edge = EpsEdge {
+                target: nt,
+                guard: e.guard,
+            };
+            if ns == nt || (last_eps[nt.index()] == Some(ns) && out.eps_edges(ns).contains(&edge)) {
+                continue;
+            }
+            last_eps[nt.index()] = Some(ns);
+            match e.guard {
+                Some(g) => out.add_guarded_eps(ns, nt, g),
+                None => out.add_eps(ns, nt),
             }
         }
         for t in nfa.transitions(s) {
-            if let Some(nt) = map[t.target.index()] {
-                if seen_trans.insert((ns, t.test, nt)) {
-                    out.add_transition(ns, t.test, nt);
-                }
+            let Some(nt) = map[t.target.index()] else {
+                continue;
+            };
+            let edge = Transition {
+                test: t.test,
+                target: nt,
+            };
+            if last_trans[nt.index()] == Some(ns) && out.transitions(ns).contains(&edge) {
+                continue;
             }
+            last_trans[nt.index()] = Some(ns);
+            out.add_transition(ns, t.test, nt);
         }
     }
     out

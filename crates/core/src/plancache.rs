@@ -5,8 +5,9 @@
 //! and the engine-wide vocabulary, rewriting only the path and the view
 //! spec. The vocabulary is append-only, and labels interned after a plan
 //! was compiled fall into its wildcard column; the value tables a plan
-//! builds lazily (`CompiledMfa::step_values`) read only the plan. So a
-//! plan depends on the catalog entry, the principal's scope and the query
+//! carries (`CompiledMfa::step_values`) are built from the plan alone,
+//! with every other per-plan analysis, before it is cached. So a plan
+//! depends on the catalog entry, the principal's scope and the query
 //! text — never on the document's content, its DTD or any write.
 //! SMOQE's serving scenario (many users of a few groups issuing similar
 //! queries) therefore repeats identical planning work constantly. This

@@ -65,9 +65,12 @@ fn rewrite_in(query: &Path, spec: &ViewSpec, ctx: Ctx) -> Mfa {
     // Phase 1: view-level MFA.
     let vocab = spec.vocabulary().clone();
     let view_mfa = smoqe_automata::compile(query, &vocab);
+    // The view root *is* the source root (same label).
+    let root_step = Path::Label(spec.view_dtd().root());
     // Phase 2-4: typed product with σ inlining.
     let mut rw = Rewriter {
         spec,
+        root_step: &root_step,
         view_mfa: &view_mfa,
         out: Builder::new(),
         pred_memo: HashMap::new(),
@@ -87,27 +90,25 @@ enum Ctx {
 
 struct Rewriter<'a> {
     spec: &'a ViewSpec,
+    /// The one step from the virtual document node: the view root.
+    root_step: &'a Path,
     view_mfa: &'a Mfa,
     out: Builder,
     /// (view predicate, context type) -> rewritten source predicate.
     pred_memo: HashMap<(PredId, Ctx), PredId>,
 }
 
-impl Rewriter<'_> {
+impl<'a> Rewriter<'a> {
     /// The view types reachable in one view step from `ctx`, with the σ
     /// path implementing that step on the source.
-    fn view_steps(&self, ctx: Ctx) -> Vec<(Label, Path)> {
+    fn view_steps(&self, ctx: Ctx) -> Vec<(Label, &'a Path)> {
+        let spec: &'a ViewSpec = self.spec;
         match ctx {
-            Ctx::Document => {
-                // The view root *is* the source root (same label).
-                let root = self.spec.view_dtd().root();
-                vec![(root, Path::Label(root))]
-            }
-            Ctx::Type(a) => self
-                .spec
+            Ctx::Document => vec![(spec.view_dtd().root(), self.root_step)],
+            Ctx::Type(a) => spec
                 .view_children(a)
                 .iter()
-                .filter_map(|&b| self.spec.sigma(a, b).map(|p| (b, p.clone())))
+                .filter_map(|&b| spec.sigma(a, b).map(|p| (b, p)))
                 .collect(),
         }
     }
@@ -155,11 +156,11 @@ impl Rewriter<'_> {
             // Consuming view steps: inline σ.
             let steps = self.view_steps(ctx);
             for t in vnfa.transitions(s) {
-                for (b, sigma) in &steps {
-                    if !t.test.matches(*b) {
+                for &(b, sigma) in &steps {
+                    if !t.test.matches(b) {
                         continue;
                     }
-                    let to = state_of(&mut out_nfa, &mut work, &mut map, (t.target, Ctx::Type(*b)));
+                    let to = state_of(&mut out_nfa, &mut work, &mut map, (t.target, Ctx::Type(b)));
                     // A fresh copy of σ's fragment between `from` and `to`;
                     // its qualifiers become source-level predicates in the
                     // output arena.
