@@ -31,4 +31,4 @@ pub use ast::{Path, Qualifier};
 pub use error::ParseError;
 pub use eval::{evaluate, evaluate_from, holds};
 pub use nodeset::NodeSet;
-pub use parser::{parse_path, parse_qualifier};
+pub use parser::{parse_path, parse_qualifier, MAX_DEPTH};
