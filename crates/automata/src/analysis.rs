@@ -12,6 +12,13 @@
 //! here and end-to-end in the evaluator tests. `required_values` is the
 //! same analysis for the text values guards compare against, which a value
 //! index can look up.
+//!
+//! Both are greatest fixpoints that a plan computes once, when it is
+//! compiled (`crate::compile`), never during evaluation. They run over
+//! dense tables — label words per state, value sets per state and label
+//! column, a `predicate × column` memo for guards — from a worklist of
+//! predecessors (`Sweep`): every state is computed once in reverse id
+//! order, and again only when a successor changed.
 
 use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, Pred, PredId, StateId};
 use smoqe_xml::{Label, LabelSet};
@@ -484,8 +491,9 @@ impl ValueAnalysis<'_> {
     }
 }
 
-/// ε-closure of `states`, ignoring guards (used by type checking and by
-/// tests; the evaluator computes a guard-aware closure itself).
+/// ε-closure of `states`, ignoring guards: the plain simulation the
+/// compiled tables are tested against (the evaluator computes a
+/// guard-aware closure itself).
 pub fn eps_closure_unguarded(nfa: &Nfa, states: &[StateId]) -> Vec<StateId> {
     let mut in_set = vec![false; nfa.state_count()];
     let mut work: Vec<StateId> = Vec::new();

@@ -22,8 +22,10 @@
 //! * [`compile`](mod@compile) — compiled evaluation plans
 //!   ([`CompiledMfa`]): per-plan ε-closure precompute, subset-construction
 //!   DFAs for the guard-free fragment, dense label-column transition
-//!   tables and hoisted required-label analysis. This is the form the HyPE
-//!   hot loop executes; the plan cache shares it engine-wide.
+//!   tables, and every per-plan analysis (required labels, child chains,
+//!   jump-step values), all done before the plan is returned. This is the
+//!   form the HyPE hot loop executes; the plan cache shares it
+//!   engine-wide.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

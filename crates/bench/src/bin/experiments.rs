@@ -11,6 +11,7 @@
 //! cargo run --release -p smoqe-bench --bin experiments -- jump_vs_scan    # jump vs TAX-less scan, pooled queries
 //! cargo run --release -p smoqe-bench --bin experiments -- stream_lanes    # the ingest_stream batch, lane by lane
 //! cargo run --release -p smoqe-bench --bin experiments -- render          # serialized answers: bytes, time, MB/s
+//! cargo run --release -p smoqe-bench --bin experiments -- plan_stages     # a plan-cache miss, stage by stage
 //! ```
 //!
 //! Performance numbers come from the repository's benchmark
@@ -38,8 +39,10 @@ use smoqe_xml::{
     delete_subtree, generate_to_writer, insert_fragment, replace_subtree, DirtySet, Document,
     EditSpan, SplicePlace, Vocabulary,
 };
+use std::sync::Arc;
 
-// `stream_lanes` reports heap allocations per lane.
+// `stream_lanes` reports heap allocations per lane, `plan_stages` per
+// planning stage.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -58,6 +61,7 @@ fn main() {
                     "jump_vs_scan",
                     "stream_lanes",
                     "render",
+                    "plan_stages",
                 ]
                 .contains(a)
         })
@@ -116,6 +120,115 @@ fn main() {
     if selected.contains(&"render") {
         render(quick);
     }
+    // What a plan-cache miss costs, stage by stage (`experiments --
+    // plan_stages [quick]`).
+    if selected.contains(&"plan_stages") {
+        plan_stages(quick);
+    }
+}
+
+/// What a plan-cache miss costs, stage by stage: for the three
+/// `plan_cold` shapes (a fresh literal on every round) and the six
+/// `researchers` view queries, planned as a group plan-cache miss is —
+/// parse, rewrite through S0, optimize, compile (the tables and every
+/// per-plan analysis) — and then dropped, as an evicted plan is. Per
+/// stage, the median time and the median heap allocations of a round;
+/// `top %` is the share of compile time the top NFA alone takes, found by
+/// compiling the plan with every sub-automaton replaced by a one-state
+/// automaton. A reported number, not a gate.
+fn plan_stages(quick: bool) {
+    println!("## plan_stages  a group plan-cache miss, stage by stage\n");
+    let rounds = if quick { 200 } else { 2_000 };
+    let setup = HospitalSetup::sample();
+    let (vocab, spec) = (&setup.vocab, &setup.spec);
+    // Each query as a template: `{}` takes a fresh literal every round.
+    let queries: Vec<(String, &str)> = smoqe_bench::PLAN_COLD_SHAPES
+        .iter()
+        .enumerate()
+        .map(|(i, shape)| (format!("cold {i}"), *shape))
+        .chain(
+            hospital::VIEW_QUERIES
+                .iter()
+                .map(|(name, q)| (name.to_string(), *q)),
+        )
+        .collect();
+    /// Runs `f`, returning its result, wall time in µs and allocations.
+    fn stage<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+        let before = smoqe_bench::allocations();
+        let (out, took) = time(f);
+        (
+            out,
+            took.as_secs_f64() * 1e6,
+            smoqe_bench::allocations() - before,
+        )
+    }
+    fn median<T: Copy + PartialOrd>(mut v: Vec<T>) -> T {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        v[v.len() / 2]
+    }
+    let stages = ["parse", "rewrite", "optimize", "compile", "drop"];
+    let mut header = vec!["query"];
+    for s in &stages {
+        header.push(s);
+        header.push("allocs");
+    }
+    header.push("top %");
+    let mut table = Table::new(&header);
+    for (name, query) in &queries {
+        let mut us: Vec<Vec<f64>> = vec![Vec::new(); stages.len()];
+        let mut allocs: Vec<Vec<u64>> = vec![Vec::new(); stages.len()];
+        let mut top_share = Vec::new();
+        for round in 0..rounds {
+            let text = query.replace("{}", &format!("zz{round}"));
+            let (path, t0, a0) = stage(|| parse_path(&text, vocab).expect("query parses"));
+            let (mfa, t1, a1) = stage(|| rewrite(&path, spec));
+            let (mfa, t2, a2) = stage(|| Arc::new(optimize(&mfa)));
+            // The same plan with every sub-automaton cut to one state.
+            let nfas: Vec<smoqe_automata::Nfa> = mfa
+                .nfas()
+                .map(|(id, nfa)| match id == mfa.top() {
+                    true => nfa.clone(),
+                    false => {
+                        let mut stub = smoqe_automata::Nfa::new();
+                        let s = stub.add_state();
+                        stub.set_start(s);
+                        stub.set_accept(s);
+                        stub
+                    }
+                })
+                .collect();
+            let preds = mfa.preds().map(|(_, p)| p.clone()).collect();
+            let top_only = Arc::new(smoqe_automata::Mfa::from_parts(
+                nfas,
+                preds,
+                mfa.top(),
+                vocab.clone(),
+            ));
+            let (plan, t3, a3) = stage(|| CompiledMfa::from_arc(mfa));
+            let ((), t4, a4) = stage(|| drop(plan));
+            for (k, (t, a)) in [(t0, a0), (t1, a1), (t2, a2), (t3, a3), (t4, a4)]
+                .into_iter()
+                .enumerate()
+            {
+                us[k].push(t);
+                allocs[k].push(a);
+            }
+            let (_, top_us, _) = stage(|| CompiledMfa::from_arc(top_only));
+            top_share.push(100.0 * top_us / t3);
+        }
+        let mut row = vec![name.clone()];
+        for k in 0..stages.len() {
+            row.push(format!("{:.1}", median(us[k].clone())));
+            row.push(median(allocs[k].clone()).to_string());
+        }
+        row.push(format!("{:.0}", median(top_share)));
+        table.row(row);
+    }
+    println!("{}", table.render());
+    println!(
+        "median µs and heap allocations per stage over {rounds} rounds; compile includes \
+         every per-plan analysis; drop frees an evicted plan\n"
+    );
 }
 
 /// What serializing answers costs: per pooled `view_scan` query, with the

@@ -78,6 +78,15 @@ pub fn ingest_batch() -> Vec<String> {
     queries
 }
 
+/// The `plan_cold` view-query shapes of the repository's benchmark; `{}`
+/// takes a literal no document contains, so every query is a plan-cache
+/// miss.
+pub const PLAN_COLD_SHAPES: [&str; 3] = [
+    "hospital/patient/treatment[medication = '{}']",
+    "hospital/patient[treatment/medication = '{}']/treatment",
+    "hospital/patient/(parent/patient)*[treatment/medication = '{}']/treatment",
+];
+
 fn unique_medication(i: usize) -> String {
     format!("M{i:02}")
 }
