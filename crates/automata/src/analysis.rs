@@ -109,15 +109,20 @@ impl Sweep {
         Some(s)
     }
 
+    /// Where the states with an edge into `s` sit in `preds`.
+    fn range(&self, s: StateId) -> std::ops::Range<usize> {
+        self.pred_off[s.index()] as usize..self.pred_off[s.index() + 1] as usize
+    }
+
     /// The states with an edge into `s`.
     fn predecessors(&self, s: StateId) -> &[StateId] {
-        &self.preds[self.pred_off[s.index()] as usize..self.pred_off[s.index() + 1] as usize]
+        &self.preds[self.range(s)]
     }
 
     /// Queues the states with an edge into `s`, whose value changed.
     pub(crate) fn changed(&mut self, s: StateId) {
-        let range = self.pred_off[s.index()] as usize..self.pred_off[s.index() + 1] as usize;
-        for &p in &self.preds[range] {
+        for i in self.range(s) {
+            let p = self.preds[i];
             if !self.queued[p.index()] {
                 self.queued[p.index()] = true;
                 self.stack.push(p);
@@ -140,8 +145,9 @@ pub(crate) fn required_labels_with(
     sweep: &mut Sweep,
 ) -> Vec<Requirement> {
     // Value lattice per state: not `known` = "no accepting path yet"
-    // (top), else `words` holds the intersection of labels over known
-    // accepting paths. Values only descend, so the worklist empties.
+    // (top), else the state's `words` words of `sets` hold the
+    // intersection of labels over known accepting paths. Values only
+    // descend, so the worklist empties.
     let n = nfa.state_count();
     let widest = nfa
         .states()

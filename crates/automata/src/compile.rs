@@ -480,8 +480,8 @@ struct Scratch {
     /// Per NFA state: the last walk that reached it.
     seen: Vec<u32>,
     stack: Vec<StateId>,
-    /// A table of states being built, copied out at its exact size.
-    states: Vec<StateId>,
+    /// The closures being built, copied out at their exact size.
+    closures: Vec<StateId>,
     sweep: Sweep,
     /// Per NFA state, its ε-closure as a bitset of `words` words.
     closure_bits: Vec<u64>,
@@ -510,7 +510,7 @@ fn compile_nfa(
     let mut closure_off = Vec::with_capacity(states + 1);
     let mut closure_guarded = Vec::with_capacity(states);
     closure_off.push(0u32);
-    let (seen, work, closures) = (&mut scratch.seen, &mut scratch.stack, &mut scratch.states);
+    let (seen, work, closures) = (&mut scratch.seen, &mut scratch.stack, &mut scratch.closures);
     seen.clear();
     seen.resize(states, u32::MAX);
     closures.clear();
@@ -690,10 +690,13 @@ fn build_dfa(nfa: &Nfa, compiled: &CompiledNfa, scratch: &mut Scratch) -> Option
 /// DFA state of an equal subset already interned, dropping the new copy,
 /// or keeps it as state `count` and bumps `count`.
 fn intern(subsets: &mut Vec<u64>, slots: &mut Vec<u32>, words: usize, count: &mut usize) -> u32 {
+    // A multiplicative hash; its high half is folded down because the
+    // index takes the low bits.
     let hash = |subset: &[u64]| {
-        subset.iter().fold(0u64, |h, &w| {
+        let h = subset.iter().fold(0u64, |h, &w| {
             (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-        })
+        });
+        h ^ (h >> 32)
     };
     let at = *count * words;
     let mask = slots.len() - 1;
