@@ -18,23 +18,35 @@
 //! 3. **CSR step rows** per NFA: `row(state, column)` is a precomputed
 //!    slice of transition targets, replacing the per-event scan over
 //!    `Nfa::transitions` with one offset lookup.
-//! 4. **Subset-construction DFAs** for guard-free NFAs: states are
-//!    ε-closed state sets (fixed-width bitsets during construction), the
-//!    transition table is a dense `states × columns` array of `u32`, and
-//!    acceptance is a bit per DFA state. A machine running a DFA-kind NFA
-//!    carries a single `u32` per open tree level and steps with one array
-//!    read. Construction aborts past [`DFA_STATE_CAP`] subsets (the
-//!    theoretical exponential blow-up), falling back to the NFA rows.
-//! 5. **Required-label analysis** ([`required_labels`]) hoisted out of the
+//! 4. **Subset-construction DFAs** ([`DfaTable`]): states are ε-closed
+//!    state sets (fixed-width bitsets during construction), the transition
+//!    table is a dense `states × columns` array of `u32`, and acceptance is
+//!    a bit per DFA state. A machine running a DFA-kind NFA carries a
+//!    single `u32` per open tree level and steps with one array read.
+//!    Every guard-free NFA gets one. A guarded NFA that a DOM walker
+//!    steps — the top NFA, and every `HasPath` sub-NFA that is not a
+//!    child chain — gets an **exact guard-branching** table instead: an
+//!    entry is a state, [`DEAD`], or a [`Branch`] over a guard the step's
+//!    guard-aware closure crosses, taken in the order the closure meets
+//!    them, whose two sides are entries again. Resolving the branches by
+//!    probing their guards at the stepped-into node yields exactly the
+//!    node's guard-aware state set, less its inert states (non-accepting,
+//!    no consuming transition). Construction aborts past
+//!    [`DFA_STATE_CAP`] states plus branch nodes (the theoretical
+//!    exponential blow-up): a guard-free NFA falls back to the NFA rows,
+//!    and a plan missing a table it needs does not jump.
+//! 5. **Required-label analysis**
+//!    ([`required_labels`](crate::analysis::required_labels)) hoisted out of the
 //!    evaluator, so TAX-index pruning reads precomputed data.
 //! 6. **Jump-scan facts**: which predicates are child chains
 //!    ([`crate::guards::ChildChain`], [`CompiledMfa::chains`]) and what
-//!    text values each step of the top DFA needs ([`StepValues`]).
+//!    text values each step of the top NFA's table needs ([`StepValues`]).
 //!
 //! Every one of them is finished before the plan is returned, so a cached
 //! plan is complete: evaluation only reads it. Predicates (`cans`
-//! spawning semantics) are untouched: guarded ε-edges stay on the NFA side
-//! and are only crossed by the evaluator's guard-aware closure.
+//! spawning semantics) are untouched: the scan and stream machines keep
+//! guarded ε-edges on the NFA side and cross them with their guard-aware
+//! closure; only the jump driver reads the guard-branching tables.
 //!
 //! Compilation works over flat arrays: closures, step rows and DFA members
 //! are each one array with offsets, subsets are interned in one word
@@ -43,7 +55,7 @@
 
 use crate::analysis::{required_labels_with, required_values, value_ids, Requirement, Sweep};
 use crate::guards::{classify_chain, ChildChain};
-use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, PredId, StateId};
+use crate::mfa::{LabelTest, Mfa, Nfa, NfaId, Pred, PredId, StateId};
 use smoqe_xml::Label;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,10 +63,14 @@ use std::sync::Arc;
 /// Sentinel for "no transition" in dense DFA tables.
 pub const DEAD: u32 = u32::MAX;
 
-/// Subset-construction abort threshold: a guard-free NFA producing more
-/// DFA states than this keeps its NFA row representation instead. MFAs are
-/// linear in the query, so real plans stay far below the cap; this guards
-/// the theoretical exponential case.
+/// Tag of a branch entry of a guard-branching [`DfaTable`]: the entry
+/// `BRANCH | i` (never [`DEAD`]) is branch node `i` ([`DfaTable::branch`]).
+pub const BRANCH: u32 = 1 << 31;
+
+/// Subset-construction abort threshold: an NFA whose table needs more DFA
+/// states plus branch nodes than this gets no table. MFAs are linear in
+/// the query, so real plans stay far below the cap; this guards the
+/// theoretical exponential case.
 pub const DFA_STATE_CAP: usize = 512;
 
 static ANALYSIS_RUNS: AtomicU64 = AtomicU64::new(0);
@@ -74,30 +90,49 @@ thread_local! {
     static THREAD_ANALYSIS_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Dense transition table of a guard-free NFA after subset construction.
+/// A branch node of a guard-branching [`DfaTable`]: which entry a step
+/// takes depends on whether `pred` holds at the stepped-into node. Its two
+/// sides are entries (states, [`DEAD`] or further branches) that differ,
+/// so a branch always reaches at least two distinct leaves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Branch {
+    /// The guard to probe at the node.
+    pub pred: PredId,
+    /// The entry taken when the guard holds.
+    pub if_true: u32,
+    /// The entry taken when it does not.
+    pub if_false: u32,
+}
+
+/// Dense transition table of an NFA after subset construction. An entry
+/// — the start, or a step — is a DFA state, [`DEAD`], or (only in the
+/// table of a guarded NFA) a [`Branch`] tagged with [`BRANCH`].
 #[derive(Clone, Debug)]
 pub struct DfaTable {
     width: usize,
     start: u32,
-    /// `dfa_state * width + column -> next dfa state` or [`DEAD`].
+    /// `dfa_state * width + column -> entry`.
     next: Vec<u32>,
     /// Whether the subset contains the NFA accept state.
     accept: Vec<bool>,
-    /// `member_off[d]..member_off[d + 1]` indexes `members`: the NFA
-    /// states of subset `d`, sorted. Cold data: only read by TAX-index
-    /// previews, which need per-member required-label checks.
+    branches: Vec<Branch>,
+    /// `member_off[i]..member_off[i + 1]` indexes `members`, sorted: for
+    /// `i` below the state count the NFA states of DFA state `i`, past it
+    /// those of every leaf branch node `i - state_count` reaches. Read by
+    /// TAX-index previews, which need per-member required-label checks.
     member_off: Vec<u32>,
     members: Vec<StateId>,
 }
 
 impl DfaTable {
-    /// The DFA start state (ε-closure of the NFA start).
+    /// The start entry: the ε-closure of the NFA start at the virtual
+    /// document node — a state for a guard-free NFA, any entry else.
     #[inline]
     pub fn start(&self) -> u32 {
         self.start
     }
 
-    /// One consuming step: a single dense-row lookup.
+    /// One consuming step: a single dense-row lookup, giving an entry.
     #[inline]
     pub fn step(&self, state: u32, col: usize) -> u32 {
         self.next[state as usize * self.width + col]
@@ -109,16 +144,36 @@ impl DfaTable {
         self.accept[state as usize]
     }
 
-    /// The NFA states the subset contains.
+    /// The branch node `entry` names, or `None` for a state or [`DEAD`].
     #[inline]
-    pub fn members(&self, state: u32) -> &[StateId] {
-        let s = state as usize;
-        &self.members[self.member_off[s] as usize..self.member_off[s + 1] as usize]
+    pub fn branch(&self, entry: u32) -> Option<&Branch> {
+        match entry {
+            DEAD => None,
+            e if e >= BRANCH => Some(&self.branches[(e - BRANCH) as usize]),
+            _ => None,
+        }
+    }
+
+    /// The NFA states of a state entry, or of every leaf a branch entry
+    /// reaches (never [`DEAD`]).
+    #[inline]
+    pub fn members(&self, entry: u32) -> &[StateId] {
+        debug_assert_ne!(entry, DEAD);
+        let i = match entry >= BRANCH {
+            true => self.accept.len() + (entry - BRANCH) as usize,
+            false => entry as usize,
+        };
+        &self.members[self.member_off[i] as usize..self.member_off[i + 1] as usize]
     }
 
     /// Number of DFA states.
     pub fn state_count(&self) -> usize {
         self.accept.len()
+    }
+
+    /// Number of branch nodes (0 for a guard-free NFA).
+    pub fn branch_count(&self) -> usize {
+        self.branches.len()
     }
 }
 
@@ -137,14 +192,12 @@ pub struct CompiledNfa {
     /// CSR offsets: `(state * width + col)` indexes into `row_targets`.
     row_off: Vec<u32>,
     row_targets: Vec<StateId>,
+    /// The plain subset DFA of a guard-free NFA (`None` past the cap).
     dfa: Option<DfaTable>,
-    /// Guard-stripped DFA of a *guarded* NFA: subset construction that
-    /// crosses guarded ε-edges as if their guards were true. An
-    /// overapproximation — it accepts a superset of the guarded language —
-    /// used by jump-scan as a navigation skeleton whose verdicts are
-    /// re-verified guard-aware at candidate nodes. `None` for guard-free
-    /// NFAs (use [`CompiledNfa::dfa`], which is exact) and past the cap.
-    stripped: Option<DfaTable>,
+    /// The guard-branching table of a guarded NFA that a DOM walker
+    /// steps (`None` past the cap, for guard-free NFAs, and for child
+    /// chains, which are answered from the index).
+    branching: Option<DfaTable>,
 }
 
 impl CompiledNfa {
@@ -179,20 +232,18 @@ impl CompiledNfa {
     }
 
     /// The dense DFA, present iff the NFA is guard-free and subset
-    /// construction stayed under [`DFA_STATE_CAP`].
+    /// construction stayed under [`DFA_STATE_CAP`]: no entry branches.
     #[inline]
     pub fn dfa(&self) -> Option<&DfaTable> {
         self.dfa.as_ref()
     }
 
-    /// The guard-stripped DFA of a guarded NFA (guards treated as true
-    /// during subset construction). Accepts a superset of the real
-    /// language: a navigation skeleton, never an oracle — callers must
-    /// re-verify acceptance guard-aware. `None` when the NFA is guard-free
-    /// (the exact [`CompiledNfa::dfa`] exists instead) or past the cap.
+    /// The exact table a DOM walker steps: [`CompiledNfa::dfa`] for a
+    /// guard-free NFA, the guard-branching table of a guarded one. `None`
+    /// past the cap, and for guarded child chains.
     #[inline]
-    pub fn stripped_dfa(&self) -> Option<&DfaTable> {
-        self.stripped.as_ref()
+    pub fn table(&self) -> Option<&DfaTable> {
+        self.dfa.as_ref().or(self.branching.as_ref())
     }
 
     /// Number of NFA states.
@@ -267,13 +318,25 @@ impl CompiledMfa {
             .map(|(_, nfa)| nfa.state_count())
             .max()
             .unwrap_or(0);
+        let chains: Box<[Option<ChildChain>]> = (0..mfa.pred_count())
+            .map(|i| classify_chain(&mfa, PredId(i as u32)))
+            .collect();
+        // The guarded NFAs a DOM walker steps: the top NFA and every
+        // `HasPath` sub-NFA that is not a child chain.
+        let mut stepped = vec![false; mfa.nfa_count()];
+        stepped[mfa.top().index()] = true;
+        for ((_, pred), chain) in mfa.preds().zip(chains.iter()) {
+            if let (Pred::HasPath(sub), None) = (pred, chain) {
+                stepped[sub.index()] = true;
+            }
+        }
         let mut scratch = Scratch::default();
         let nfas: Vec<CompiledNfa> = mfa
             .nfas()
-            .map(|(_, nfa)| compile_nfa(nfa, num_labels, &label_cols, width, &mut scratch))
-            .collect();
-        let chains = (0..mfa.pred_count())
-            .map(|i| classify_chain(&mfa, PredId(i as u32)))
+            .map(|(id, nfa)| {
+                let plan = (&*mfa, &label_cols[..], width);
+                compile_nfa(nfa, num_labels, plan, stepped[id.index()], &mut scratch)
+            })
             .collect();
         let step_values = StepValues::of(&mfa, &nfas[mfa.top().index()], &referenced, &mut scratch);
         CompiledMfa {
@@ -335,9 +398,9 @@ impl CompiledMfa {
         self.max_states
     }
 
-    /// What steps of the top NFA's DFA — exact, or guard-stripped — need
-    /// in text values ([`StepValues`]); `None` when no step needs any (the
-    /// plan compares no text, or the top NFA has no DFA).
+    /// What steps of the top NFA's table need in text values
+    /// ([`StepValues`]); `None` when no step needs any (the plan compares
+    /// no text, or the top NFA has no table).
     pub fn step_values(&self) -> Option<&StepValues> {
         self.step_values.as_ref()
     }
@@ -356,7 +419,7 @@ impl CompiledMfa {
     }
 }
 
-/// The text values each step of a plan's top-NFA DFA needs, from the
+/// The text values each step of a plan's top-NFA table needs, from the
 /// required-values analysis (`crate::analysis`): for a DFA state and a
 /// label column, the requirements of the NFA states that step **enters**,
 /// one list per live entered state. Every run at the stepped-into node starts in one of
@@ -388,7 +451,7 @@ impl StepValues {
         referenced: &[Label],
         scratch: &mut Scratch,
     ) -> Option<StepValues> {
-        let dfa = top.dfa().or(top.stripped_dfa())?;
+        let dfa = top.table()?;
         let reqs = required_values(mfa, referenced, &mut scratch.sweep)?;
         let width = referenced.len() + 1;
         // The analysis's column of each plan column.
@@ -477,28 +540,43 @@ impl StepValues {
 /// Buffers one plan's compilation reuses across its NFAs.
 #[derive(Default)]
 struct Scratch {
-    /// Per NFA state: the last walk that reached it.
+    /// Per NFA state, the last walk that reached it.
     seen: Vec<u32>,
     stack: Vec<StateId>,
     /// The closures being built, copied out at their exact size.
     closures: Vec<StateId>,
     sweep: Sweep,
-    /// Per NFA state, its ε-closure as a bitset of `words` words.
+    /// Per NFA state, its unguarded ε-closure as a bitset of `words` words.
     closure_bits: Vec<u64>,
+    /// The guarded ε-edges, `(source, guard, target)`, in state order.
+    guarded: Vec<(StateId, PredId, StateId)>,
+    /// The states a leaf keeps, `words` words: every state of a
+    /// guard-free NFA, the non-inert ones of a guarded NFA.
+    keep: Vec<u64>,
     /// Every subset of the construction, `words` words each, by DFA state.
     subsets: Vec<u64>,
     /// Open-addressing index over `subsets`: a DFA state, or [`DEAD`].
     slots: Vec<u32>,
-    /// The DFA's transition table and accepting states being built.
+    /// The table being built: entries, accepting states, branch nodes.
     next: Vec<u32>,
     accept: Vec<bool>,
+    branches: Vec<Branch>,
+    /// Per branch node, the union of its leaves' subsets, `words` words.
+    reach: Vec<u64>,
+    /// The closed sets being branched, `words` words each, innermost last.
+    sets: Vec<u64>,
+    /// The guard verdicts the innermost closure assumes.
+    assumed: Vec<(PredId, bool)>,
 }
 
+/// Compiles one NFA of the plan `(mfa, label_cols, width)`; `stepped`
+/// tells whether a DOM walker steps it, so that a guarded one needs a
+/// guard-branching table.
 fn compile_nfa(
     nfa: &Nfa,
     num_labels: usize,
-    label_cols: &[u16],
-    width: usize,
+    (mfa, label_cols, width): (&Mfa, &[u16], usize),
+    stepped: bool,
     scratch: &mut Scratch,
 ) -> CompiledNfa {
     let states = nfa.state_count();
@@ -573,100 +651,164 @@ fn compile_nfa(
         row_off,
         row_targets,
         dfa: None,
-        stripped: None,
+        branching: None,
     };
-    // `build_dfa` closes over *every* ε-edge (guards ignored), so on a
-    // guard-free NFA it is exact, and on a guarded NFA it is precisely the
-    // guard-stripped overapproximation jump navigation wants.
-    if states > 0 {
-        let dfa = build_dfa(nfa, &compiled, scratch);
-        match nfa.has_guards() {
-            true => compiled.stripped = dfa,
-            false => compiled.dfa = dfa,
-        }
+    match nfa.has_guards() {
+        _ if states == 0 => {}
+        false => compiled.dfa = build_table(mfa, nfa, &compiled, scratch),
+        true if stepped => compiled.branching = build_table(mfa, nfa, &compiled, scratch),
+        true => {}
     }
     compiled
 }
 
-/// Subset construction over the label columns. Subsets are fixed-width
-/// bitsets (`words` × u64) interned in one word arena through an
-/// open-addressing index; the ε-closure of a step is the union of its
-/// targets' precomputed closures. The output table is a dense `states ×
-/// width` array.
-fn build_dfa(nfa: &Nfa, compiled: &CompiledNfa, scratch: &mut Scratch) -> Option<DfaTable> {
+/// Whether bitset `set` holds state `s`.
+#[inline]
+fn has(set: &[u64], s: StateId) -> bool {
+    set[s.index() / 64] & (1 << (s.index() % 64)) != 0
+}
+
+/// Subset construction over the label columns, guard-branching where the
+/// NFA has guards. Subsets are fixed-width bitsets (`words` × u64)
+/// interned in one word arena through an open-addressing index; the
+/// closure of a step starts as the union of its targets' unguarded
+/// closures, and [`TableBuilder::close`] branches on each guard it meets.
+/// The output table is a dense `states × width` array of entries; `None`
+/// past [`DFA_STATE_CAP`] states plus branch nodes.
+fn build_table(
+    mfa: &Mfa,
+    nfa: &Nfa,
+    compiled: &CompiledNfa,
+    scratch: &mut Scratch,
+) -> Option<DfaTable> {
     let (n, width) = (compiled.states, compiled.width);
     let words = n.div_ceil(64);
-    let bits = &mut scratch.closure_bits;
+    let Scratch {
+        seen,
+        stack,
+        closure_bits: bits,
+        guarded,
+        keep,
+        subsets,
+        slots,
+        next,
+        accept,
+        branches,
+        reach,
+        sets,
+        assumed,
+        ..
+    } = scratch;
     bits.clear();
     bits.resize(n * words, 0);
-    for s in nfa.states() {
-        for &t in compiled.closure(s) {
-            bits[s.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
+    guarded.clear();
+    keep.clear();
+    keep.resize(words, !0);
+    if !nfa.has_guards() {
+        for s in nfa.states() {
+            for &t in compiled.closure(s) {
+                bits[s.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
+            }
+        }
+    } else {
+        // Unguarded closures (a `true` guard is no guard), the guarded
+        // edges, and the inert states a leaf drops: non-accepting, with
+        // no consuming transition.
+        for s in nfa.states() {
+            for e in nfa.eps_edges(s) {
+                if let Some(g) = e.guard.filter(|&g| !matches!(mfa.pred(g), Pred::True)) {
+                    guarded.push((s, g, e.target));
+                }
+            }
+            if s != nfa.accept() && nfa.transitions(s).is_empty() {
+                keep[s.index() / 64] &= !(1 << (s.index() % 64));
+            }
+        }
+        seen.clear();
+        seen.resize(n, u32::MAX);
+        for s in nfa.states() {
+            stack.push(s);
+            seen[s.index()] = s.0;
+            while let Some(x) = stack.pop() {
+                bits[s.index() * words + x.index() / 64] |= 1 << (x.index() % 64);
+                for e in nfa.eps_edges(x) {
+                    let free = e.guard.is_none_or(|g| matches!(mfa.pred(g), Pred::True));
+                    if free && seen[e.target.index()] != s.0 {
+                        seen[e.target.index()] = s.0;
+                        stack.push(e.target);
+                    }
+                }
+            }
         }
     }
-    let subsets = &mut scratch.subsets;
     subsets.clear();
-    let slots = &mut scratch.slots;
     slots.clear();
     slots.resize(16, DEAD);
-    let (next, accept) = (&mut scratch.next, &mut scratch.accept);
     next.clear();
     accept.clear();
-    // The subset being built sits past the interned ones, at `count`.
-    subsets.extend_from_slice(&bits[nfa.start().index() * words..][..words]);
-    let mut count = 0;
-    let start = intern(subsets, slots, words, &mut count);
-    let (accept_word, accept_bit) = (
-        nfa.accept().index() / 64,
-        1u64 << (nfa.accept().index() % 64),
-    );
-    accept.push(subsets[accept_word] & accept_bit != 0);
+    branches.clear();
+    reach.clear();
+    sets.clear();
+    assumed.clear();
+    let mut b = TableBuilder {
+        words,
+        accept_state: nfa.accept(),
+        bits,
+        guarded,
+        keep,
+        subsets,
+        slots,
+        count: 0,
+        accept,
+        branches,
+        reach,
+        sets,
+        assumed,
+    };
+    b.sets
+        .extend_from_slice(&b.bits[nfa.start().index() * words..][..words]);
+    let start = b.close()?;
     // Process subsets in id order so rows land at `state * width`; newly
     // interned subsets extend the frontier.
     let mut state = 0;
-    while state < count {
+    while state < b.count {
         for col in 0..width {
-            let at = count * words;
-            subsets.resize(at + words, 0);
+            b.sets.clear();
+            b.sets.resize(words, 0);
             let mut moved = false;
             for w in 0..words {
-                let mut members = subsets[state * words + w];
+                let mut members = b.subsets[state * words + w];
                 while members != 0 {
                     let m = w * 64 + members.trailing_zeros() as usize;
                     members &= members - 1;
                     for &t in compiled.row(StateId(m as u32), col) {
                         moved = true;
                         for i in 0..words {
-                            subsets[at + i] |= bits[t.index() * words + i];
+                            b.sets[i] |= b.bits[t.index() * words + i];
                         }
                     }
                 }
             }
-            if !moved {
-                subsets.truncate(at);
-                next.push(DEAD);
-                continue;
-            }
-            let before = count;
-            let id = intern(subsets, slots, words, &mut count);
-            if count > before {
-                if count > DFA_STATE_CAP {
-                    return None;
-                }
-                accept.push(subsets[at + accept_word] & accept_bit != 0);
-            }
-            next.push(id);
+            let entry = match moved {
+                true => b.close()?,
+                false => DEAD,
+            };
+            next.push(entry);
         }
         state += 1;
     }
-    let mut member_off = Vec::with_capacity(count + 1);
-    let total = subsets[..count * words]
-        .iter()
+    let count = b.count;
+    let branch_count = b.branches.len();
+    let leaves = b.subsets[..count * words].iter();
+    let total = leaves
+        .chain(b.reach.iter())
         .map(|w| w.count_ones() as usize)
         .sum();
+    let mut member_off = Vec::with_capacity(count + branch_count + 1);
     let mut members = Vec::with_capacity(total);
     member_off.push(0u32);
-    for subset in subsets.chunks_exact(words).take(count) {
+    let sets = b.subsets[..count * words].chunks_exact(words);
+    for subset in sets.chain(b.reach.chunks_exact(words)) {
         for (w, &word) in subset.iter().enumerate() {
             let mut word = word;
             while word != 0 {
@@ -680,10 +822,140 @@ fn build_dfa(nfa: &Nfa, compiled: &CompiledNfa, scratch: &mut Scratch) -> Option
         width,
         start,
         next: next.to_vec(),
-        accept: accept.to_vec(),
+        accept: b.accept.to_vec(),
+        branches: b.branches.to_vec(),
         member_off,
         members,
     })
+}
+
+/// The state of one subset construction: the NFA's closures and guarded
+/// edges, the interned subsets, and the branch nodes built so far.
+struct TableBuilder<'s> {
+    words: usize,
+    accept_state: StateId,
+    bits: &'s [u64],
+    guarded: &'s [(StateId, PredId, StateId)],
+    keep: &'s [u64],
+    subsets: &'s mut Vec<u64>,
+    slots: &'s mut Vec<u32>,
+    /// Number of interned subsets (DFA states).
+    count: usize,
+    accept: &'s mut Vec<bool>,
+    branches: &'s mut Vec<Branch>,
+    reach: &'s mut Vec<u64>,
+    sets: &'s mut Vec<u64>,
+    assumed: &'s mut Vec<(PredId, bool)>,
+}
+
+impl TableBuilder<'_> {
+    /// The entry of the set on top of `sets`, closed under the unguarded
+    /// ε-edges: closes it over the guards `assumed` true, then branches on
+    /// the first guarded edge — in state order — that leaves the set under
+    /// a guard not yet assumed, and closes both sides. Sides that come out
+    /// equal collapse into one entry. `None` past the cap.
+    fn close(&mut self) -> Option<u32> {
+        let w = self.words;
+        let at = self.sets.len() - w;
+        let verdict = |assumed: &[(PredId, bool)], g: PredId| {
+            assumed.iter().find(|&&(p, _)| p == g).map(|&(_, v)| v)
+        };
+        loop {
+            let mut grew = false;
+            for &(src, g, t) in self.guarded {
+                let set = &self.sets[at..];
+                if has(set, src) && !has(set, t) && verdict(&self.assumed[..], g) == Some(true) {
+                    for i in 0..w {
+                        self.sets[at + i] |= self.bits[t.index() * w + i];
+                    }
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        let set = &self.sets[at..];
+        let open = self.guarded.iter().find(|&&(src, g, t)| {
+            has(set, src) && !has(set, t) && verdict(&self.assumed[..], g).is_none()
+        });
+        let Some(&(_, pred, _)) = open else {
+            return self.leaf(at);
+        };
+        // The true side closes a copy; the false side then closes the set
+        // in place.
+        self.sets.extend_from_within(at..at + w);
+        self.assumed.push((pred, true));
+        let if_true = self.close()?;
+        self.sets.truncate(at + w);
+        self.assumed.last_mut().expect("pushed above").1 = false;
+        let if_false = self.close()?;
+        self.assumed.pop();
+        match if_true == if_false {
+            true => Some(if_true),
+            false => self.branch(Branch {
+                pred,
+                if_true,
+                if_false,
+            }),
+        }
+    }
+
+    /// The leaf of the closed set at `sets[at..]`: its kept states
+    /// interned as a DFA state, or [`DEAD`] when none is kept.
+    fn leaf(&mut self, at: usize) -> Option<u32> {
+        let w = self.words;
+        let base = self.count * w;
+        let mut any = false;
+        for i in 0..w {
+            let word = self.sets[at + i] & self.keep[i];
+            any |= word != 0;
+            self.subsets.push(word);
+        }
+        if !any {
+            self.subsets.truncate(base);
+            return Some(DEAD);
+        }
+        let before = self.count;
+        let id = intern(self.subsets, self.slots, w, &mut self.count);
+        if self.count > before {
+            if self.count + self.branches.len() > DFA_STATE_CAP {
+                return None;
+            }
+            self.accept
+                .push(has(&self.subsets[base..], self.accept_state));
+        }
+        Some(id)
+    }
+
+    /// The entry of branch node `b`, shared with an equal one already
+    /// built; a new node's reach is the union of its sides'.
+    fn branch(&mut self, b: Branch) -> Option<u32> {
+        if let Some(i) = self.branches.iter().position(|&x| x == b) {
+            return Some(BRANCH | i as u32);
+        }
+        if self.count + self.branches.len() + 1 > DFA_STATE_CAP {
+            return None;
+        }
+        let w = self.words;
+        let at = self.reach.len();
+        self.reach.resize(at + w, 0);
+        for side in [b.if_true, b.if_false] {
+            let from = match side {
+                DEAD => continue,
+                e if e >= BRANCH => (e - BRANCH) as usize * w,
+                s => s as usize * w,
+            };
+            for i in 0..w {
+                self.reach[at + i] |= match side >= BRANCH {
+                    true => self.reach[from + i],
+                    false => self.subsets[from + i],
+                };
+            }
+        }
+        self.branches.push(b);
+        Some(BRANCH | (self.branches.len() - 1) as u32)
+    }
 }
 
 /// Interns the subset at the end of `subsets` (index `count`): returns the
@@ -804,44 +1076,133 @@ mod tests {
         assert!(plan.dfa_nfa_count() >= 1);
     }
 
-    #[test]
-    fn guarded_nfas_get_stripped_dfas() {
-        let (vocab, plan) = plan_for("a/b[c]/d");
-        let top = plan.mfa().top();
-        let stripped = plan.nfa(top).stripped_dfa().expect("stripped DFA");
-        // With the guard assumed true, the word a/b/d is accepted.
-        let mut state = stripped.start();
-        for l in ["a", "b", "d"] {
-            state = stripped.step(state, plan.col(vocab.intern(l)));
-            assert_ne!(state, DEAD, "stripped DFA died on {l}");
+    /// The guard-aware closure of `seed` in `nfa` with guard verdicts
+    /// `holds`, less its inert states: what a table state must hold.
+    fn exact_closure(
+        mfa: &Mfa,
+        nfa: &Nfa,
+        seed: &[StateId],
+        holds: &dyn Fn(PredId) -> bool,
+    ) -> Vec<StateId> {
+        let mut seen = vec![false; nfa.state_count()];
+        let mut work = seed.to_vec();
+        for s in seed {
+            seen[s.index()] = true;
         }
-        assert!(stripped.accept(state));
-        // Agreement with guard-ignoring NFA simulation on short words.
-        let nfa = plan.mfa().nfa(top);
-        let labels: Vec<Label> = ["a", "b", "c", "d"]
-            .iter()
-            .map(|n| vocab.intern(n))
-            .collect();
-        for &x in &labels {
-            for &y in &labels {
-                for &z in &labels {
-                    let w = [x, y, z];
-                    let mut s = stripped.start();
-                    for &l in &w {
-                        if s != DEAD {
-                            s = stripped.step(s, plan.col(l));
-                        }
-                    }
-                    let got = s != DEAD && stripped.accept(s);
-                    assert_eq!(got, accepts_word_unguarded(nfa, &w), "word {w:?}");
+        while let Some(s) = work.pop() {
+            for e in nfa.eps_edges(s) {
+                let cross = e.guard.is_none_or(|g| match mfa.pred(g) {
+                    Pred::True => true,
+                    _ => holds(g),
+                });
+                if cross && !seen[e.target.index()] {
+                    seen[e.target.index()] = true;
+                    work.push(e.target);
                 }
             }
         }
-        // Guard-free NFAs carry only the exact DFA.
+        nfa.states()
+            .filter(|&s| seen[s.index()])
+            .filter(|&s| s == nfa.accept() || !nfa.transitions(s).is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn guarded_nfas_get_guard_branching_tables() {
+        let (vocab, plan) = plan_for("a/b[c]/d");
+        let top = plan.nfa(plan.mfa().top());
+        assert!(top.dfa().is_none(), "guarded: no plain DFA");
+        let table = top.table().expect("the top NFA is stepped");
+        let col = |l: &str| plan.col(vocab.lookup(l).unwrap());
+        // `a` steps to a state; `b` branches on the qualifier: a `b`
+        // without a `c` child is dead, one with it steps on to `d`.
+        let q0 = table.start();
+        assert!(q0 < BRANCH);
+        let q1 = table.step(q0, col("a"));
+        assert!(q1 < BRANCH);
+        let b = *table.branch(table.step(q1, col("b"))).expect("a branch");
+        assert_eq!(b.if_false, DEAD);
+        let q3 = table.step(b.if_true, col("d"));
+        assert!(q3 < BRANCH && table.accept(q3));
+        assert_eq!(table.branch_count(), 1);
+        // The qualifier's own sub-NFA is a child chain: no table needed.
+        let Pred::HasPath(sub) = plan.mfa().pred(b.pred) else {
+            panic!("the qualifier is a path");
+        };
+        assert!(plan.nfa(*sub).table().is_some(), "guard-free: its DFA");
+        // Guard-free NFAs carry no branch: their table is the DFA.
         let (_, plain) = plan_for("a/b");
-        let top = plain.mfa().top();
-        assert!(plain.nfa(top).dfa().is_some());
-        assert!(plain.nfa(top).stripped_dfa().is_none());
+        let top = plain.nfa(plain.mfa().top());
+        assert!(top.dfa().is_some());
+        assert_eq!(top.table().unwrap().branch_count(), 0);
+
+        // Every reachable state holds exactly the guard-aware closure
+        // less its inert states, for every verdict pattern: guards on
+        // `//` self-loops, at the virtual node, and under connectives.
+        for q in [
+            "a/b[c]/d",
+            "//b[c]",
+            "a[b and not(c)]/d",
+            "(a[b]/c)*/d",
+            ".[a]/b",
+            "a[b][c]/d",
+            "//*[a or . = 'v']//b",
+            "a/(b[c] | d[not(c)])/e",
+        ] {
+            let (vocab, plan) = plan_for(q);
+            let mfa = plan.mfa();
+            let nfa = mfa.nfa(mfa.top());
+            let compiled = plan.nfa(mfa.top());
+            let table = compiled.table().expect("a table");
+            let preds = mfa.pred_count();
+            let labels: Vec<Label> = ["a", "b", "c", "d", "e"]
+                .iter()
+                .map(|n| vocab.intern(n))
+                .collect();
+            // Every word of three labels, each prefix checked on the way,
+            // under verdicts per (depth, pred) drawn from a bit pattern.
+            let n = labels.len();
+            let words =
+                (0..n * n * n).map(|i| [labels[i / (n * n)], labels[i / n % n], labels[i % n]]);
+            for word in words {
+                for pattern in 0u64..64 {
+                    let holds_at = |depth: usize| {
+                        move |p: PredId| pattern & (1 << ((depth * preds + p.index()) % 6)) != 0
+                    };
+                    let resolve = |mut entry: u32, depth: usize| {
+                        while let Some(b) = table.branch(entry) {
+                            entry = match holds_at(depth)(b.pred) {
+                                true => b.if_true,
+                                false => b.if_false,
+                            };
+                        }
+                        entry
+                    };
+                    let mut want = exact_closure(mfa, nfa, &[nfa.start()], &holds_at(0));
+                    let mut state = resolve(table.start(), 0);
+                    for (i, &l) in word.iter().enumerate() {
+                        let context = format!("`{q}`, word {word:?}, pattern {pattern}, step {i}");
+                        if state == DEAD {
+                            assert!(want.is_empty(), "{context}");
+                            break;
+                        }
+                        assert_eq!(table.members(state), &want[..], "{context}");
+                        let col = plan.col(l);
+                        let mut moved: Vec<StateId> = want
+                            .iter()
+                            .flat_map(|&s| compiled.row(s, col).iter().copied())
+                            .collect();
+                        moved.sort_unstable();
+                        moved.dedup();
+                        want = exact_closure(mfa, nfa, &moved, &holds_at(i + 1));
+                        state = match table.step(state, col) {
+                            DEAD => DEAD,
+                            entry => resolve(entry, i + 1),
+                        };
+                    }
+                }
+            }
+        }
     }
 
     #[test]

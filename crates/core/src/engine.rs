@@ -2146,8 +2146,8 @@ mod tests {
             smoqe_rxpath::evaluate(&doc, &path).into_vec()
         };
         let admin = engine.session(User::Admin);
-        // Predicated plans jump too (guard-stripped DFA + exact
-        // re-verification at candidates); answers stay correct.
+        // Predicated plans jump too (a guard-branching DFA whose guards
+        // are probed at each candidate); answers stay correct.
         let q = "//visit[treatment/test = 'mri']/date";
         let guarded = admin.query(q).unwrap();
         assert_eq!(guarded.mode, ExecMode::Jump);

@@ -45,12 +45,12 @@ pub fn evaluate_mfa_with(
 /// plan is compiled once (and cached engine-wide); `mode` selects the
 /// scan walker or the jump scan.
 ///
-/// [`ExecMode::Jump`] engages for DFA plans — exact DFAs for the
-/// guard-free fragment, guard-stripped DFAs with exact per-candidate
-/// re-verification for predicated plans — given a positional label index
-/// on `options.tax` and a no-op observer (a jump produces no per-node
-/// event stream); anything else falls back to the compiled scan, with
-/// identical answers.
+/// [`ExecMode::Jump`] engages for plans with exact tables — subset DFAs
+/// for the guard-free fragment, guard-branching DFAs whose guards are
+/// probed at each candidate for predicated plans — given a positional
+/// label index on `options.tax` and a no-op observer (a jump produces no
+/// per-node event stream); anything else falls back to the compiled
+/// scan, with identical answers.
 pub fn evaluate_mfa_plan(
     doc: &Document,
     plan: &CompiledMfa,

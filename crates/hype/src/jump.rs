@@ -7,48 +7,46 @@
 //! the positional label index ([`smoqe_tax::LabelIndex`]) and, for value
 //! predicates, the text-value posting index ([`smoqe_tax::ValueIndex`]):
 //!
-//! * Navigation runs on a DFA of the top NFA: the exact subset DFA for
-//!   guard-free plans, or the **guard-stripped DFA** for guarded ones
-//!   (guards treated as true during subset construction — an
-//!   overapproximation, so it may navigate to non-answers but never past
-//!   an answer). For the current DFA state, label columns partition into
-//!   **stutters** (`step(s, col) == s`) and **triggers** (everything
-//!   else, including transitions to [`DEAD`]). When the wildcard column
-//!   stutters, the automaton provably cannot change state anywhere in the
-//!   subtree except at trigger-labelled elements — so the driver
-//!   binary-searches the trigger occurrence lists for the next candidate
-//!   and skips everything between.
-//! * On guarded plans, answers and guard verdicts are **re-verified
-//!   exactly** at each candidate: the guard-aware state set of a node is
-//!   stepped and closed from its parent's, and `text()='v'` guards compare
-//!   the document text. A **child-chain** `HasPath` guard — `[l1/…/lk]`,
-//!   maybe `= 'v'` ([`smoqe_automata::guards::ChildChain`], classified once
-//!   per plan) — is answered from the index by a reverse semi-join: some
-//!   `lk` occurrence (a `(lk, v)` posting, for a value chain) `k` levels
-//!   below the candidate, under ancestors labelled `l1 … l(k−1)`, with the
-//!   text compared. One cursor per guard gallops through that list as
-//!   probes ascend, and an occurrence at or below the chain's depth skips
-//!   its target-level ancestor's whole subtree. Every other `HasPath`
-//!   guard (stars, unions, wildcard or descendant steps, nested guards)
-//!   runs a TAX-pruned witness search over the candidate's subtree (one
-//!   table read per step when the sub-NFA is guard-free). The sets kept
-//!   are those of the **ancestor
-//!   path**: candidates are verified in ascending pre-order (see the last
-//!   bullet), so once a candidate lies past a node's subtree no later one
-//!   can need that node's set. The path is a stack of sets in one flat
-//!   arena — popped past each finished subtree, extended by the chain
-//!   between its top and the candidate — and a verdict lives only as long
-//!   as the closure that asked for it. Nothing in verification or
-//!   navigation hashes or allocates per node: region lists, evidence and
-//!   picked children live on driver-owned stacks. Verification work is
-//!   counted in [`EvalStats::guard_probes`], not `nodes_visited`.
-//! * When a trigger's post-step states are reachable **only** through a
-//!   recognized value guard (`text()='v'` shapes, see
-//!   [`smoqe_automata::guards`]), the trigger is **narrowed**: instead of
-//!   probing every occurrence of the label, the driver probes only the
-//!   (label, value) posting lists — plus, for `[b = 'v']` child-witness
-//!   guards, the parents of the witness postings. Occurrences outside
-//!   those lists provably behave as stutters and are never touched.
+//! * Navigation runs on the top NFA's **exact table**
+//!   ([`smoqe_automata::compile::DfaTable`]): the subset DFA of a
+//!   guard-free plan, or the guard-branching DFA of a guarded one, whose
+//!   entries may be branches over the guards a step's closure crosses.
+//!   The driver carries one exact `u32` state per region and resolves a
+//!   branch entry by probing its guard at the stepped-into node
+//!   (`Jump::resolve`), remembering each verdict for that node. For the
+//!   current state, label columns partition into **stutters** (the entry
+//!   is the state itself: a branch always reaches two distinct leaves)
+//!   and **triggers** (everything else, including [`DEAD`] and branch
+//!   entries). When the wildcard column stutters, the automaton provably
+//!   cannot change state anywhere in the subtree except at
+//!   trigger-labelled elements — so the driver binary-searches the
+//!   trigger occurrence lists for the next candidate and skips everything
+//!   between.
+//! * Guards are probed exactly where a branch asks: `text()='v'` guards
+//!   compare the document text. A **child-chain** `HasPath` guard —
+//!   `[l1/…/lk]`, maybe `= 'v'` ([`smoqe_automata::guards::ChildChain`],
+//!   classified once per plan) — is answered from the index by a reverse
+//!   semi-join: some `lk` occurrence (a `(lk, v)` posting, for a value
+//!   chain) `k` levels below the candidate, under ancestors labelled
+//!   `l1 … l(k−1)`, with the text compared. One cursor per guard gallops
+//!   through that list as probes ascend, and an occurrence at or below the
+//!   chain's depth skips its target-level ancestor's whole subtree. Every
+//!   other `HasPath` guard (stars, unions, wildcard or descendant steps,
+//!   nested guards) runs a TAX-pruned witness search over the candidate's
+//!   subtree on its sub-NFA's table, one table read per step, resolving
+//!   that table's branches at the witness node. Nothing in verification
+//!   or navigation hashes or allocates per node: region lists, evidence,
+//!   witness stacks, verdicts and picked children live on driver-owned
+//!   stacks. Verification work is counted in
+//!   [`EvalStats::guard_probes`], not `nodes_visited`.
+//! * When a trigger's entry leads back to the state whenever every
+//!   recognized value guard on its branches is false (`text()='v'`
+//!   shapes, see [`smoqe_automata::guards`]), the trigger is
+//!   **narrowed**: instead of probing every occurrence of the label, the
+//!   driver probes only the (label, value) posting lists — plus, for
+//!   `[b = 'v']` child-witness guards, the parents of the witness
+//!   postings. Occurrences outside those lists provably behave as
+//!   stutters and are never touched.
 //! * Every candidate must also hold the **text values** its continuations
 //!   need ([`smoqe_automata::compile::StepValues`]): a candidate
 //!   whose subtree has no posting of one is discarded with a binary search
@@ -63,7 +61,6 @@
 //!   subtree (`subtree_end`). That ordering is the soundness argument: by
 //!   the time a candidate is reached, every ancestor between it and the
 //!   jump origin is a stutter, so the origin state applies verbatim.
-//!   Verification asserts it in debug builds.
 //!
 //! TAX pruning applies exactly as in scan mode: a candidate whose stepped
 //! state has no label requirement satisfiable within the subtree's
@@ -71,9 +68,9 @@
 //! region is abandoned early when its trigger set does not even intersect
 //! the available labels.
 //!
-//! The driver applies to **plans whose top NFA has a DFA** — exact or
-//! guard-stripped — over a document with a positional index
-//! ([`jump_available`]); its one entry is
+//! The driver applies to **plans whose top NFA has a table, and every
+//! `HasPath` sub-NFA that is not a child chain too**, over a document with
+//! a positional index ([`jump_available`]); its one entry is
 //! [`crate::dom::evaluate_mfa_plan_budgeted`] in [`crate::ExecMode::Jump`].
 //! Everything else (subset blow-up past the cap, missing index, streaming
 //! input) evaluates in scan mode. By construction jump mode enters a
@@ -91,19 +88,20 @@ use smoqe_tax::{LabelIndex, TaxIndex, ValueIndex};
 use smoqe_xml::{Document, Label, LabelSet, NodeId};
 use std::rc::Rc;
 
-/// The navigation DFA of `plan`'s top NFA: the exact subset DFA when the
-/// NFA is guard-free (`true`), the guard-stripped DFA otherwise (`false` —
-/// verdicts must be re-verified guard-aware).
-fn nav(plan: &CompiledMfa) -> Option<(&DfaTable, bool)> {
-    let top = plan.nfa(plan.mfa().top());
-    if let Some(dfa) = top.dfa() {
-        return Some((dfa, true));
-    }
-    top.stripped_dfa().map(|dfa| (dfa, false))
+/// The navigation table of `plan`: its top NFA's exact table, when that
+/// and the table of every `HasPath` sub-NFA that is not a child chain
+/// (the witness searches) exist.
+fn nav(plan: &CompiledMfa) -> Option<&DfaTable> {
+    let mfa = plan.mfa();
+    let searchable = mfa.preds().zip(plan.chains()).all(|((_, pred), chain)| {
+        !matches!(pred, Pred::HasPath(sub) if chain.is_none() && plan.nfa(*sub).table().is_none())
+    });
+    searchable.then(|| plan.nfa(mfa.top()).table()).flatten()
 }
 
-/// Whether `plan` can execute as a jump scan at all: the top NFA subset-
-/// constructed into a dense DFA, exact or guard-stripped.
+/// Whether `plan` can execute as a jump scan at all: its top NFA, and
+/// every `HasPath` sub-NFA that is not a child chain, compiled into an
+/// exact table.
 pub fn jump_eligible(plan: &CompiledMfa) -> bool {
     nav(plan).is_some()
 }
@@ -154,24 +152,31 @@ pub fn start_region_triggers(
     plan: &CompiledMfa,
     tax: Option<&TaxIndex>,
 ) -> Vec<TriggerInfo> {
-    let Some((dfa, exact)) = nav(plan) else {
+    let (Some(table), Some(tax)) = (nav(plan), tax) else {
         return Vec::new();
     };
     let Some(li) = tax
-        .and_then(TaxIndex::label_index)
+        .label_index()
         .filter(|li| li.node_count() == doc.node_count())
     else {
         return Vec::new();
     };
     let vi = tax
-        .and_then(|t| t.value_index())
+        .value_index()
         .filter(|vi| vi.node_count() == doc.node_count());
-    let root_label = doc.label(doc.root()).expect("root is an element");
-    let q1 = dfa.step(dfa.start(), plan.col(root_label));
+    // The root's state, its branches resolved as evaluation would.
+    let root = doc.root();
+    let mut driver = Jump::new(doc, plan, table, tax, li, vi);
+    let q0 = driver.resolve(table, table.start(), VIRTUAL_NODE);
+    if q0 == DEAD {
+        return Vec::new();
+    }
+    let entry = table.step(q0, plan.col(doc.label(root).expect("root is an element")));
+    let q1 = driver.resolve(table, entry, root.0);
     if q1 == DEAD {
         return Vec::new();
     }
-    let info = trigger_sources(plan, dfa, exact, vi, q1);
+    let info = trigger_sources(plan, table, vi, q1);
     if !info.jumpable {
         return Vec::new();
     }
@@ -225,7 +230,7 @@ pub(crate) fn evaluate_jump_budgeted(
     tax: &TaxIndex,
     budget: &WorkBudget,
 ) -> Option<Result<(NodeSet, EvalStats), EvalInterrupt>> {
-    let (dfa, exact) = nav(plan)?;
+    let table = nav(plan)?;
     let li = tax.label_index()?;
     if li.node_count() != doc.node_count() {
         return None; // the index describes a different document
@@ -233,10 +238,8 @@ pub(crate) fn evaluate_jump_budgeted(
     let vi = tax
         .value_index()
         .filter(|vi| vi.node_count() == doc.node_count());
-    let mut driver = Jump::new(doc, plan, dfa, exact, tax, li, vi).with_meter(budget.meter());
-    // The root is a candidate like any other: step it from the DFA start
-    // state (the virtual document node above it is never an answer).
-    driver.step_into(doc.root().0, dfa.start());
+    let mut driver = Jump::new(doc, plan, table, tax, li, vi).with_meter(budget.meter());
+    driver.run();
     if let Some(interrupt) = driver.take_interrupt() {
         return Some(Err(interrupt));
     }
@@ -248,8 +251,8 @@ pub(crate) fn evaluate_jump_budgeted(
 enum TriggerSource {
     /// Probe every occurrence of the label.
     Full(Label),
-    /// The post-step states are reachable only through recognized value
-    /// guards: probe only where one of the value constraints can hold.
+    /// The entry leads back to the state unless a recognized value guard
+    /// holds: probe only where one of the value constraints can hold.
     /// Every other occurrence provably behaves as a stutter.
     Narrowed {
         label: Label,
@@ -260,7 +263,7 @@ enum TriggerSource {
     },
 }
 
-/// Per-DFA-state jump classification, computed lazily and cached.
+/// Per-state jump classification, computed lazily and cached.
 struct StateInfo {
     /// The wildcard column stutters and the state is not accepting: the
     /// subtree can be scanned through trigger occurrence lists alone.
@@ -274,27 +277,27 @@ struct StateInfo {
     trigger_set: LabelSet,
 }
 
-/// Classifies `state`'s columns into stutters and triggers, narrowing
-/// triggers through value postings where sound. Shared by the driver
-/// (cached per state) and the explain entry point.
+/// Classifies `state`'s columns into stutters — the entry is the state
+/// itself — and triggers, narrowing triggers through value postings where
+/// sound. Shared by the driver (cached per state) and the explain entry
+/// point.
 fn trigger_sources(
     plan: &CompiledMfa,
-    dfa: &DfaTable,
-    exact: bool,
+    table: &DfaTable,
     vi: Option<&ValueIndex>,
     state: u32,
 ) -> StateInfo {
-    let wildcard_stutters = dfa.step(state, 0) == state;
-    let jumpable = wildcard_stutters && !dfa.accept(state);
+    let wildcard_stutters = table.step(state, 0) == state;
+    let jumpable = wildcard_stutters && !table.accept(state);
     let mut sources = Vec::new();
     let mut trigger_set = LabelSet::default();
     if jumpable {
         for (label, col) in plan.referenced_labels() {
-            if dfa.step(state, col) == state {
+            if table.step(state, col) == state {
                 continue;
             }
             trigger_set.insert(label);
-            sources.push(narrow_trigger(plan, dfa, exact, vi, state, label, col));
+            sources.push(narrow_trigger(plan, table, vi, state, label, col));
         }
     }
     StateInfo {
@@ -305,97 +308,43 @@ fn trigger_sources(
 }
 
 /// Decides whether the trigger on `label` in `state` can be narrowed to
-/// value posting lists.
+/// value posting lists: whether its entry leads back to `state` whenever
+/// every recognized value guard on the way is false.
 ///
-/// Soundness: let `moved` be the label-step targets of the state's subset
-/// members, and close `moved` over every ε-edge **except** recognized
-/// value guards (unrecognized guards are crossed — conservative). If
-/// every closed state either stays inside the stutter subset
-/// `members(state)` or is **inert** (non-accepting, no outgoing
-/// consuming transitions — the guard-holding mid states of value
-/// predicates are the canonical case), then at any occurrence where no
-/// recognized value condition holds the exact state set is a subset of
-/// the stutter orbit plus inert states: nothing accepts at the
-/// occurrence (the stutter state is non-accepting since jumpable, and
-/// inert states are non-accepting by definition), and the evolution
-/// below it cannot differ from the plain stutter evolution (inert states
-/// contribute no transitions). The occurrence behaves exactly like a
-/// stutter and need not be probed. Occurrences where a value condition
-/// *can* hold are exactly the (label, value) posting lists — hash
+/// Soundness: at an occurrence outside every collected (label, value)
+/// posting list, each collected value guard is false — `text()='v'` does
+/// not hold at a node without that text, `[b = 'v']` not at a node with
+/// no such child. Resolving the entry there takes the false side at every
+/// recognized value branch, and at any other branch either side leads
+/// back, so the node's exact state is `state`: the occurrence behaves
+/// exactly like a stutter and need not be probed. Occurrences where a
+/// value condition *can* hold are exactly the posting lists — hash
 /// collisions only add false positives, and probing a false positive is
-/// harmless (verification is exact).
+/// harmless (resolution is exact).
 fn narrow_trigger(
     plan: &CompiledMfa,
-    dfa: &DfaTable,
-    exact: bool,
+    table: &DfaTable,
     vi: Option<&ValueIndex>,
     state: u32,
     label: Label,
     col: usize,
 ) -> TriggerSource {
-    if exact || vi.is_none() {
-        return TriggerSource::Full(label);
-    }
-    let top = plan.mfa().top();
-    let compiled = plan.nfa(top);
-    let members = dfa.members(state);
-    let mut moved: Vec<StateId> = members
-        .iter()
-        .flat_map(|&s| compiled.row(s, col).iter().copied())
-        .collect();
-    moved.sort_unstable();
-    moved.dedup();
-    if moved.is_empty() {
-        // A DEAD step still needs probing: the occurrence's subtree must
-        // be cursor-skipped, or triggers inside it would be probed at the
-        // wrong state.
-        return TriggerSource::Full(label);
-    }
-    // Close over ε-edges, holding recognized value guards back.
-    let nfa = plan.mfa().nfa(top);
-    let mut seen = vec![false; nfa.state_count()];
-    let mut work = moved.clone();
-    for s in &work {
-        seen[s.index()] = true;
-    }
     let mut self_values: Vec<String> = Vec::new();
     let mut child_values: Vec<(Label, String)> = Vec::new();
-    while let Some(s) = work.pop() {
-        for e in nfa.eps_edges(s) {
-            let cross = match e.guard {
-                None => true,
-                Some(g) => match value_guard(plan.mfa(), g, plan.chains()[g.index()].as_ref()) {
-                    Some(ValueGuard::SelfText(v)) => {
-                        if !self_values.contains(&v) {
-                            self_values.push(v);
-                        }
-                        false
-                    }
-                    Some(ValueGuard::ChildText(l, v)) => {
-                        let entry = (l, v);
-                        if !child_values.contains(&entry) {
-                            child_values.push(entry);
-                        }
-                        false
-                    }
-                    // Unrecognized guard: assume it may hold anywhere.
-                    None => true,
-                },
-            };
-            if cross && !seen[e.target.index()] {
-                seen[e.target.index()] = true;
-                work.push(e.target);
-            }
-        }
-    }
-    let accept = nfa.accept();
-    let inert =
-        |s: StateId| s != accept && (0..plan.width()).all(|c| compiled.row(s, c).is_empty());
-    let escapes = seen.iter().enumerate().filter(|&(_, &s)| s).any(|(i, _)| {
-        let s = StateId(i as u32);
-        members.binary_search(&s).is_err() && !inert(s)
-    });
-    if escapes || (self_values.is_empty() && child_values.is_empty()) {
+    // A DEAD step still needs probing: the occurrence's subtree must be
+    // cursor-skipped, or triggers inside it would be probed at the wrong
+    // state.
+    let entry = table.step(state, col);
+    let back = vi.is_some()
+        && leads_back(
+            plan,
+            table,
+            entry,
+            state,
+            &mut self_values,
+            &mut child_values,
+        );
+    if !back || (self_values.is_empty() && child_values.is_empty()) {
         return TriggerSource::Full(label);
     }
     TriggerSource::Narrowed {
@@ -403,6 +352,43 @@ fn narrow_trigger(
         self_values,
         child_values,
     }
+}
+
+/// Whether `entry` resolves to `state` whenever the recognized value
+/// guards it meets are false, collecting those guards' values.
+fn leads_back(
+    plan: &CompiledMfa,
+    table: &DfaTable,
+    entry: u32,
+    state: u32,
+    self_values: &mut Vec<String>,
+    child_values: &mut Vec<(Label, String)>,
+) -> bool {
+    let Some(b) = table.branch(entry) else {
+        return entry == state;
+    };
+    let mfa = plan.mfa();
+    match value_guard(mfa, b.pred, plan.chains()[b.pred.index()].as_ref()) {
+        Some(ValueGuard::SelfText(v)) => {
+            if !self_values.contains(&v) {
+                self_values.push(v);
+            }
+        }
+        Some(ValueGuard::ChildText(l, v)) => {
+            let entry = (l, v);
+            if !child_values.contains(&entry) {
+                child_values.push(entry);
+            }
+        }
+        // Unrecognized guard: it may hold anywhere, so both sides must
+        // lead back.
+        None => {
+            if !leads_back(plan, table, b.if_true, state, self_values, child_values) {
+                return false;
+            }
+        }
+    }
+    leads_back(plan, table, b.if_false, state, self_values, child_values)
 }
 
 /// The part of an ascending id list inside `[lo, hi)`.
@@ -478,60 +464,6 @@ fn continues_below(tax: &TaxIndex, nfa: &CompiledNfa, states: &[StateId], node: 
         .any(|s| req[s.index()].satisfiable_within(avail))
 }
 
-/// Epoch-marked scratch for one guard-aware closure — the
-/// `ClosureBuilder` idiom of [`crate::machine`]. A `HasPath` witness
-/// search can run inside a closure and close sets of its own, so the
-/// driver keeps a pool: one scratch per nesting level, taken and returned
-/// around each closure.
-#[derive(Default)]
-struct ClosureScratch {
-    /// Epoch per NFA state: states marked with the current epoch are in
-    /// the closure (or queued for it).
-    mark: Vec<u32>,
-    epoch: u32,
-    /// Verdicts of predicates at the closure's node, by predicate id,
-    /// valid where `verdict_mark` holds the current epoch: a guard is
-    /// probed at most once per closure.
-    verdict_mark: Vec<u32>,
-    verdict: Vec<bool>,
-    /// The closure's states, in discovery order.
-    out: Vec<StateId>,
-    /// The seed before [`Jump::close`], the work list during it.
-    work: Vec<StateId>,
-}
-
-impl ClosureScratch {
-    fn begin(&mut self, states: usize, preds: usize) {
-        if self.mark.len() < states {
-            self.mark.resize(states, 0);
-        }
-        if self.verdict_mark.len() < preds {
-            self.verdict_mark.resize(preds, 0);
-            self.verdict.resize(preds, false);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: forget every mark rather than mistake an old one.
-            self.mark.fill(0);
-            self.verdict_mark.fill(0);
-            self.epoch = 1;
-        }
-        self.out.clear();
-        self.work.clear();
-    }
-
-    /// Marks `s`, returning whether it was new to this closure.
-    fn mark(&mut self, s: StateId) -> bool {
-        let fresh = self.mark[s.index()] != self.epoch;
-        self.mark[s.index()] = self.epoch;
-        fresh
-    }
-
-    fn contains(&self, s: StateId) -> bool {
-        self.mark[s.index()] == self.epoch
-    }
-}
-
 /// A child-chain guard's candidate list (looked up on its first probe)
 /// and the position the last probe left in it.
 #[derive(Clone, Copy, Default)]
@@ -540,63 +472,25 @@ struct ChainCursor<'a> {
     at: usize,
 }
 
-/// One node of the ancestor path: its guard-aware state set, kept while
-/// candidates fall inside its subtree.
-struct PathEntry {
-    node: u32,
-    /// End of the node's subtree (exclusive); `u32::MAX` for the virtual
-    /// document node.
-    end: u32,
-    /// The state set, `path_sets[start..start + len]`; empty means every
-    /// run is dormant at the node.
-    start: u32,
-    len: u32,
-    /// Whether the set holds the top NFA's accept state.
-    accepting: bool,
-}
-
-impl PathEntry {
-    /// `None` when the machine is dormant at the node, else whether the
-    /// node is an answer.
-    fn verdict(&self) -> Option<bool> {
-        (self.len > 0).then_some(self.accepting)
-    }
-}
-
 struct Jump<'a> {
     doc: &'a Document,
     plan: &'a CompiledMfa,
-    /// Compiled top NFA (rows for exact stepping, required labels).
+    /// Compiled top NFA (required labels).
     compiled: &'a CompiledNfa,
-    /// Navigation DFA: exact for guard-free plans, guard-stripped else.
-    dfa: &'a DfaTable,
-    /// Whether the navigation DFA is exact (no verification needed).
-    exact: bool,
+    /// The top NFA's exact table.
+    table: &'a DfaTable,
     tax: &'a TaxIndex,
     li: &'a LabelIndex,
     vi: Option<&'a ValueIndex>,
-    /// The top NFA's accept state (verification checks membership).
-    accept: StateId,
     infos: Vec<Option<Rc<StateInfo>>>,
-    /// The ancestor path of the latest verified candidate, outermost
-    /// (the virtual document node) first; see [`Jump::exact_set`].
-    path: Vec<PathEntry>,
-    /// The path's state sets, back to back in path order.
-    path_sets: Vec<StateId>,
-    /// Reused buffer: the nodes between the path and a new candidate.
-    chain: Vec<u32>,
-    /// The latest candidate verified (checks the ascending order the
-    /// ancestor path relies on).
-    last_verified: u32,
-    /// Pooled closure scratch, one per nesting level.
-    closures: Vec<ClosureScratch>,
-    /// Witness search stack of guarded `HasPath` sub-NFAs: `(node, start,
-    /// len)` of the node's state set in `witness_sets`. Nested searches
-    /// work above the entries of the search they run inside.
-    witness: Vec<(u32, u32, u32)>,
-    witness_sets: Vec<StateId>,
-    /// Witness search stack of guard-free sub-NFAs: `(node, DFA state)`.
-    dfa_witness: Vec<(u32, u32)>,
+    /// Guard verdicts of the resolutions in progress, each resolution's
+    /// above the one it runs inside (a witness search resolves branches
+    /// of its own while a guard of the enclosing one is being probed).
+    verdicts: Vec<(PredId, bool)>,
+    /// Witness search stack: `(node, state of the sub-NFA's table)`.
+    /// Nested searches work above the entries of the search they run
+    /// inside.
+    witness: Vec<(u32, u32)>,
     /// One cursor per child-chain guard, by predicate id (sized on the
     /// first chain probe).
     chain_cursors: Vec<ChainCursor<'a>>,
@@ -633,34 +527,24 @@ impl<'a> Jump<'a> {
     fn new(
         doc: &'a Document,
         plan: &'a CompiledMfa,
-        dfa: &'a DfaTable,
-        exact: bool,
+        table: &'a DfaTable,
         tax: &'a TaxIndex,
         li: &'a LabelIndex,
         vi: Option<&'a ValueIndex>,
     ) -> Self {
-        let top = plan.mfa().top();
         let values = vi.zip(plan.step_values());
         let postings = values.map_or(Vec::new(), |(_, steps)| vec![None; steps.value_count()]);
         Jump {
             doc,
             plan,
-            compiled: plan.nfa(top),
-            dfa,
-            exact,
+            compiled: plan.nfa(plan.mfa().top()),
+            table,
             tax,
             li,
             vi,
-            accept: plan.mfa().nfa(top).accept(),
-            infos: vec![None; dfa.state_count()],
-            path: Vec::new(),
-            path_sets: Vec::new(),
-            chain: Vec::new(),
-            last_verified: 0,
-            closures: Vec::new(),
+            infos: vec![None; table.state_count()],
+            verdicts: Vec::new(),
             witness: Vec::new(),
-            witness_sets: Vec::new(),
-            dfa_witness: Vec::new(),
             chain_cursors: Vec::new(),
             scan_lists: Vec::new(),
             evidence: Vec::new(),
@@ -693,14 +577,22 @@ impl<'a> Jump<'a> {
         })
     }
 
+    /// Evaluates the whole document: the start entry is resolved at the
+    /// virtual document node (never an answer), and the root is a
+    /// candidate like any other.
+    fn run(&mut self) {
+        let start = self.resolve(self.table, self.table.start(), VIRTUAL_NODE);
+        if start != DEAD {
+            self.step_into(self.doc.root().0, start);
+        }
+    }
+
     /// Lazily computes the jump classification of `state`.
     fn info(&mut self, state: u32) -> Rc<StateInfo> {
         if let Some(info) = &self.infos[state as usize] {
             return info.clone();
         }
-        let info = Rc::new(trigger_sources(
-            self.plan, self.dfa, self.exact, self.vi, state,
-        ));
+        let info = Rc::new(trigger_sources(self.plan, self.table, self.vi, state));
         self.infos[state as usize] = Some(info.clone());
         info
     }
@@ -749,13 +641,13 @@ impl<'a> Jump<'a> {
         let Some((_, steps)) = self.values else {
             return false;
         };
-        if self.dfa.step(state, 0) != DEAD {
+        if self.table.step(state, 0) != DEAD {
             return false; // labels the plan never mentions move the state
         }
         let (lo, hi) = (node.0 + 1, self.li.subtree_end(node));
         self.child_sources.clear();
         for col in 1..self.plan.width() {
-            if self.dfa.step(state, col) == DEAD {
+            if self.table.step(state, col) == DEAD {
                 continue;
             }
             let Some(needs) = steps.of_step(state, col) else {
@@ -814,143 +706,33 @@ impl<'a> Jump<'a> {
         }
     }
 
-    // -- guard-aware verification ------------------------------------------
+    // -- guard verification ------------------------------------------------
 
-    /// Takes a closure scratch from the pool, sized for this plan.
-    fn scratch(&mut self) -> ClosureScratch {
-        let mut b = self.closures.pop().unwrap_or_default();
-        b.begin(self.plan.max_states(), self.plan.mfa().pred_count());
-        b
+    /// Resolves `entry` of `table` at `node`: follows each branch by
+    /// probing its guard there, so the result is the node's exact state,
+    /// or [`DEAD`]. Verdicts are remembered for the node while it
+    /// resolves, so a guard shared by two branches or by a connective is
+    /// probed once.
+    fn resolve(&mut self, table: &DfaTable, mut entry: u32, node: u32) -> u32 {
+        let base = self.verdicts.len();
+        while let Some(b) = table.branch(entry) {
+            entry = match self.holds(b.pred, node, base) {
+                true => b.if_true,
+                false => b.if_false,
+            };
+        }
+        self.verdicts.truncate(base);
+        entry
     }
 
-    /// The exact (guard-aware) top-NFA verdict at `node`: `None` when
-    /// every run is dormant there — nothing at or below it can match —
-    /// else whether `node` is an answer.
-    ///
-    /// Every driver verifies candidates in ascending pre-order, so the
-    /// sets worth keeping are those of the current candidate's ancestors:
-    /// a stack. Entries whose subtree ends at or before `node` can never
-    /// be asked for again and are popped; what remains is an ancestor
-    /// chain of `node`, and only the part of it below the path's top is
-    /// computed — each node's set from its parent's, stepped and closed.
-    fn exact_set(&mut self, node: u32) -> Option<bool> {
-        debug_assert!(
-            node >= self.last_verified,
-            "candidates must be verified in ascending pre-order ({node} after {})",
-            self.last_verified
-        );
-        self.last_verified = node;
-        if self.path.is_empty() {
-            // The virtual document node: the start state closed there,
-            // as in `Machine::begin`.
-            let top = self.plan.mfa().top();
-            let mut b = self.scratch();
-            b.work.push(self.plan.mfa().nfa(top).start());
-            self.push_path(VIRTUAL_NODE, u32::MAX, b);
-        }
-        while let Some(entry) = self.path.last().filter(|e| e.end <= node) {
-            self.path_sets.truncate(entry.start as usize);
-            self.path.pop();
-        }
-        let top = self.path.last().expect("the virtual node is never popped");
-        if top.node == node || top.len == 0 {
-            return top.verdict(); // dormancy is hereditary
-        }
-        let mut chain = std::mem::take(&mut self.chain);
-        chain.clear();
-        let mut cur = node;
-        while cur != top.node {
-            chain.push(cur);
-            cur = self.doc.parent(NodeId(cur)).map_or(VIRTUAL_NODE, |p| p.0);
-        }
-        for &n in chain.iter().rev() {
-            let parent = self.path.last().expect("the path holds the parent");
-            if parent.len == 0 {
-                break;
-            }
-            let set = parent.start as usize..(parent.start + parent.len) as usize;
-            let col = self
-                .plan
-                .col(self.doc.label(NodeId(n)).expect("elements only"));
-            let mut b = self.scratch();
-            for &s in &self.path_sets[set] {
-                b.work.extend_from_slice(self.compiled.row(s, col));
-            }
-            self.push_path(n, self.li.subtree_end(NodeId(n)), b);
-        }
-        self.chain = chain;
-        // `node`'s entry, or its dormant ancestor's.
-        self.path.last().expect("the path is never empty").verdict()
-    }
-
-    /// Closes the seed in `b` guard-aware at `node` and pushes the result
-    /// as the path's new top.
-    fn push_path(&mut self, node: u32, end: u32, mut b: ClosureScratch) {
-        if !b.work.is_empty() {
-            self.close(self.plan.mfa().top(), &mut b, node);
-        }
-        self.path.push(PathEntry {
-            node,
-            end,
-            start: self.path_sets.len() as u32,
-            len: b.out.len() as u32,
-            accepting: b.contains(self.accept),
-        });
-        self.path_sets.extend_from_slice(&b.out);
-        self.closures.push(b);
-    }
-
-    /// Guard-aware ε-closure in `nfa_id` at `node` of the seed in
-    /// `b.work`: guarded edges are crossed iff their predicate holds at
-    /// the node. Leaves the closure in `b.out` (and marked in `b`).
-    fn close(&mut self, nfa_id: NfaId, b: &mut ClosureScratch, node: u32) {
-        let plan: &'a CompiledMfa = self.plan;
-        let compiled = plan.nfa(nfa_id);
-        b.work.sort_unstable();
-        b.work.dedup();
-        if b.work.iter().all(|&s| !compiled.closure_guarded(s)) {
-            // No guard is reachable: the precomputed closures are exact.
-            while let Some(s) = b.work.pop() {
-                for &t in compiled.closure(s) {
-                    if b.mark(t) {
-                        b.out.push(t);
-                    }
-                }
-            }
-            return;
-        }
-        let nfa = plan.mfa().nfa(nfa_id);
-        for i in 0..b.work.len() {
-            let s = b.work[i];
-            b.mark(s);
-        }
-        while let Some(s) = b.work.pop() {
-            b.out.push(s);
-            for e in nfa.eps_edges(s) {
-                if b.contains(e.target) {
-                    continue;
-                }
-                let cross = match e.guard {
-                    None => true,
-                    Some(g) => self.holds(g, node, b),
-                };
-                if cross {
-                    b.mark(e.target);
-                    b.work.push(e.target);
-                }
-            }
-        }
-    }
-
-    /// Whether predicate `pred` holds at `node`, the node of the closure
-    /// `verdicts` belongs to (which remembers each verdict). Matches the
+    /// Whether predicate `pred` holds at `node`, the node of the
+    /// resolution whose verdicts sit at `verdicts[base..]`. Matches the
     /// machine's semantics exactly: `text()='v'` compares the node's
     /// direct text (the virtual node has none), `HasPath` searches the
     /// node's subtree for a witness.
-    fn holds(&mut self, pred: PredId, node: u32, verdicts: &mut ClosureScratch) -> bool {
-        let i = pred.index();
-        if verdicts.verdict_mark[i] == verdicts.epoch {
-            return verdicts.verdict[i];
+    fn holds(&mut self, pred: PredId, node: u32, base: usize) -> bool {
+        if let Some(&(_, v)) = self.verdicts[base..].iter().find(|(p, _)| *p == pred) {
+            return v;
         }
         self.stats.guard_probes += 1;
         let plan: &'a CompiledMfa = self.plan;
@@ -963,16 +745,15 @@ impl<'a> Jump<'a> {
                     self.doc.direct_text_cow(NodeId(node)).as_ref() == t.as_str()
                 }
             }
-            Pred::HasPath(sub) => match &plan.chains()[i] {
+            Pred::HasPath(sub) => match &plan.chains()[pred.index()] {
                 Some(chain) => self.chain_holds(pred, chain, node),
                 None => self.has_path(*sub, node),
             },
-            Pred::Not(p) => !self.holds(*p, node, verdicts),
-            Pred::And(ps) => ps.iter().all(|&p| self.holds(p, node, verdicts)),
-            Pred::Or(ps) => ps.iter().any(|&p| self.holds(p, node, verdicts)),
+            Pred::Not(p) => !self.holds(*p, node, base),
+            Pred::And(ps) => ps.iter().all(|&p| self.holds(p, node, base)),
+            Pred::Or(ps) => ps.iter().any(|&p| self.holds(p, node, base)),
         };
-        verdicts.verdict_mark[i] = verdicts.epoch;
-        verdicts.verdict[i] = v;
+        self.verdicts.push((pred, v));
         v
     }
 
@@ -1053,121 +834,79 @@ impl<'a> Jump<'a> {
     }
 
     /// Whether a downward path from `origin` matches sub-NFA `sub`:
-    /// TAX-pruned depth-first search of the subtree, accepting at the
-    /// origin itself for nullable paths (the machine's accept-at-spawn).
-    /// Guard-free sub-NFAs step their dense DFA, as `Machine::spawn` does.
+    /// TAX-pruned depth-first search of the subtree on the sub-NFA's
+    /// table, accepting at the origin itself for nullable paths (the
+    /// machine's accept-at-spawn).
     fn has_path(&mut self, sub: NfaId, origin: u32) -> bool {
         let plan: &'a CompiledMfa = self.plan;
         let compiled = plan.nfa(sub);
-        if let Some(dfa) = compiled.dfa() {
-            return self.has_path_dfa(compiled, dfa, origin);
-        }
-        let nfa = plan.mfa().nfa(sub);
-        let accept = nfa.accept();
-        let mut b = self.scratch();
-        b.work.push(nfa.start());
-        self.close(sub, &mut b, origin);
-        let mut found = b.contains(accept);
-        let (stack_base, sets_base) = (self.witness.len(), self.witness_sets.len());
-        if !found && continues_below(self.tax, compiled, &b.out, origin) {
-            self.witness
-                .push((origin, sets_base as u32, b.out.len() as u32));
-            self.witness_sets.extend_from_slice(&b.out);
-        }
-        self.closures.push(b);
-        let doc = self.doc;
-        while !found && self.witness.len() > stack_base && !self.witness_tick() {
-            let (n, start, len) = self.witness.pop().expect("above the base");
-            // Everything above this entry belongs to finished subtrees.
-            self.witness_sets.truncate((start + len) as usize);
-            let set = start as usize..(start + len) as usize;
-            found = if n == VIRTUAL_NODE {
-                self.witness_child(sub, set, doc.root())
-            } else {
-                doc.child_elements(NodeId(n))
-                    .any(|c| self.witness_child(sub, set.clone(), c))
-            };
-        }
-        self.witness.truncate(stack_base);
-        self.witness_sets.truncate(sets_base);
-        found
-    }
-
-    /// One step of [`Jump::has_path`]'s search into child `c` from the
-    /// parent's set `witness_sets[set]`: whether `c` accepts; if not and
-    /// an accepting continuation fits below it, `c` is queued.
-    fn witness_child(&mut self, sub: NfaId, set: std::ops::Range<usize>, c: NodeId) -> bool {
-        let plan: &'a CompiledMfa = self.plan;
-        let compiled = plan.nfa(sub);
-        let col = plan.col(self.doc.label(c).expect("child_elements yields elements"));
-        let mut b = self.scratch();
-        for &s in &self.witness_sets[set] {
-            b.work.extend_from_slice(compiled.row(s, col));
-        }
-        let mut accepted = false;
-        if !b.work.is_empty() {
-            self.close(sub, &mut b, c.0);
-            accepted = b.contains(plan.mfa().nfa(sub).accept());
-            if !accepted && continues_below(self.tax, compiled, &b.out, c.0) {
-                let start = self.witness_sets.len() as u32;
-                self.witness.push((c.0, start, b.out.len() as u32));
-                self.witness_sets.extend_from_slice(&b.out);
-            }
-        }
-        self.closures.push(b);
-        accepted
-    }
-
-    /// [`Jump::has_path`] for a guard-free sub-NFA: one table read per
-    /// step, nothing to close and no guard to probe.
-    fn has_path_dfa(&mut self, compiled: &CompiledNfa, dfa: &DfaTable, origin: u32) -> bool {
-        let start = dfa.start();
-        if dfa.accept(start) {
-            return true;
-        }
-        let (doc, plan, tax) = (self.doc, self.plan, self.tax);
-        if !continues_below(tax, compiled, dfa.members(start), origin) {
+        let table = compiled
+            .table()
+            .expect("a jumping plan has a table for every searched sub-NFA");
+        let start = self.resolve(table, table.start(), origin);
+        if start == DEAD {
             return false;
         }
-        // Whether child `c` accepts from state `q`; queues it when an
-        // accepting continuation fits below it.
-        let step = |walk: &mut Vec<(u32, u32)>, q: u32, c: NodeId| {
-            let next = dfa.step(q, plan.col(doc.label(c).expect("elements only")));
-            if next == DEAD {
-                return false;
-            }
-            if dfa.accept(next) {
-                return true;
-            }
-            if continues_below(tax, compiled, dfa.members(next), c.0) {
-                walk.push((c.0, next));
-            }
-            false
-        };
-        // No guard inside: this search never nests, so it owns the stack.
-        let mut walk = std::mem::take(&mut self.dfa_witness);
-        walk.clear();
-        walk.push((origin, start));
+        if table.accept(start) {
+            return true;
+        }
+        if !continues_below(self.tax, compiled, table.members(start), origin) {
+            return false;
+        }
+        let base = self.witness.len();
+        self.witness.push((origin, start));
+        let doc = self.doc;
         let mut found = false;
-        while !found && !walk.is_empty() && !self.witness_tick() {
-            let (n, q) = walk.pop().expect("not empty");
+        while !found && self.witness.len() > base && !self.witness_tick() {
+            let (n, q) = self.witness.pop().expect("above the base");
             found = if n == VIRTUAL_NODE {
-                step(&mut walk, q, doc.root())
+                self.witness_child(compiled, table, q, doc.root())
             } else {
-                doc.child_elements(NodeId(n)).any(|c| step(&mut walk, q, c))
+                doc.child_elements(NodeId(n))
+                    .any(|c| self.witness_child(compiled, table, q, c))
             };
         }
-        self.dfa_witness = walk;
+        self.witness.truncate(base);
         found
+    }
+
+    /// One step of [`Jump::has_path`]'s search into child `c` from state
+    /// `q` of the sub-NFA's `table`: whether `c` accepts; if not and an
+    /// accepting continuation fits below it, `c` is queued.
+    fn witness_child(
+        &mut self,
+        compiled: &CompiledNfa,
+        table: &DfaTable,
+        q: u32,
+        c: NodeId,
+    ) -> bool {
+        let col = self
+            .plan
+            .col(self.doc.label(c).expect("child_elements yields elements"));
+        let entry = table.step(q, col);
+        if entry == DEAD {
+            return false;
+        }
+        let next = self.resolve(table, entry, c.0);
+        if next == DEAD {
+            return false;
+        }
+        if table.accept(next) {
+            return true;
+        }
+        if continues_below(self.tax, compiled, table.members(next), c.0) {
+            self.witness.push((c.0, next));
+        }
+        false
     }
 
     // -- navigation --------------------------------------------------------
 
     /// Steps `node` from its parent's `state` and, if the automaton
-    /// advances and the TAX gate passes, enters it. On guarded plans the
-    /// exact state set is reconstructed first: a guard-dead node is
-    /// skipped wholesale, exactly like a DEAD step (and like the scan
-    /// walker, which never enters it either).
+    /// advances and the TAX gate passes, enters it. A branch entry is
+    /// gated on every leaf it reaches before its guards are probed; a
+    /// node that resolves to [`DEAD`] is skipped wholesale, exactly like a
+    /// DEAD step (and like the scan walker, which never enters it either).
     fn step_into(&mut self, node: u32, state: u32) {
         if self.interrupted.is_some() {
             return;
@@ -1179,40 +918,33 @@ impl<'a> Jump<'a> {
         let id = NodeId(node);
         let label = self.doc.label(id).expect("candidates are elements");
         let col = self.plan.col(label);
-        let next = self.dfa.step(state, col);
-        if next == DEAD {
+        let entry = self.table.step(state, col);
+        if entry == DEAD {
             self.stats.subtrees_skipped_dead += 1;
             return;
         }
-        if !continues_below(self.tax, self.compiled, self.dfa.members(next), node)
+        if !continues_below(self.tax, self.compiled, self.table.members(entry), node)
             || !self.holds_wanted_values(state, col, node, self.li.subtree_end(id))
         {
             self.stats.subtrees_pruned_tax += 1;
             return;
         }
-        let accepting = if self.exact {
-            self.dfa.accept(next)
-        } else {
-            match self.exact_set(node) {
-                Some(accepting) => accepting,
-                None => {
-                    self.stats.subtrees_skipped_dead += 1;
-                    return;
-                }
-            }
-        };
-        self.enter(node, next, accepting);
+        let next = self.resolve(self.table, entry, node);
+        if next == DEAD {
+            self.stats.subtrees_skipped_dead += 1;
+            return;
+        }
+        self.enter(node, next);
     }
 
-    /// Visits `node` (stepped to live navigation state `state`), records
-    /// it if `accepting` — per the DFA when exact, per the verified state
-    /// set otherwise — and processes its subtree.
-    fn enter(&mut self, node: u32, state: u32, accepting: bool) {
+    /// Visits `node` (stepped to live state `state`), records it if the
+    /// state accepts, and processes its subtree.
+    fn enter(&mut self, node: u32, state: u32) {
         let id = NodeId(node);
         self.stats.nodes_visited += 1;
         // The scan walker counts the virtual document frame in its depth.
         self.stats.max_depth = self.stats.max_depth.max(self.li.level(id) as usize + 1);
-        if accepting {
+        if self.table.accept(state) {
             self.answers.push(node);
         }
         let lo = node + 1;
@@ -1601,10 +1333,10 @@ mod tests {
             let doc = Document::parse_str(xml, &vocab).unwrap();
             let tax = TaxIndex::build(&doc);
             let plan = CompiledMfa::compile(&compile(&parse_path(q, &vocab).unwrap(), &vocab));
-            let (dfa, exact) = nav(&plan).unwrap();
+            let table = nav(&plan).unwrap();
             let li = tax.label_index().unwrap();
-            let mut driver = Jump::new(&doc, &plan, dfa, exact, &tax, li, None);
-            driver.step_into(doc.root().0, dfa.start());
+            let mut driver = Jump::new(&doc, &plan, table, &tax, li, None);
+            driver.run();
             let (scan, _) = evaluate_mfa_plan(
                 &doc,
                 &plan,
@@ -1643,11 +1375,11 @@ mod tests {
             cancel: None,
             check_interval: interval,
         };
-        let (dfa, exact) = nav(&plan).unwrap();
+        let table = nav(&plan).unwrap();
         let li = tax.label_index().unwrap();
-        let mut driver = Jump::new(&doc, &plan, dfa, exact, &tax, li, tax.value_index())
-            .with_meter(budget.meter());
-        driver.step_into(doc.root().0, dfa.start());
+        let mut driver =
+            Jump::new(&doc, &plan, table, &tax, li, tax.value_index()).with_meter(budget.meter());
+        driver.run();
         let interrupt = driver.take_interrupt().expect("the expired deadline fires");
         assert_eq!(interrupt.kind, Interrupt::DeadlineExceeded);
         let moved = driver.chain_cursors.iter().map(|c| c.at).max().unwrap();

@@ -8,11 +8,11 @@
 //!
 //! * [`dom`] — DOM mode, with automaton-driven subtree skipping and
 //!   TAX-index pruning ([`evaluate_mfa`]);
-//! * [`jump`] — jump-scan DOM mode: DFA plans (exact for the guard-free
-//!   fragment, guard-stripped with exact re-verification for predicated
-//!   ones) hop between candidate subtrees through the positional label
-//!   and value posting indexes, visiting O(candidate) nodes instead of
-//!   O(n);
+//! * [`jump`] — jump-scan DOM mode: plans step exact tables (subset DFAs
+//!   for the guard-free fragment, guard-branching DFAs whose branches are
+//!   resolved by probing guards at the node for predicated ones) and hop
+//!   between candidate subtrees through the positional label and value
+//!   posting indexes, visiting O(candidate) nodes instead of O(n);
 //! * [`local`] — a compiled downward path run from one context node
 //!   ([`LocalPath`]): how a security view finds σ children when it
 //!   renders an answer;
@@ -28,9 +28,10 @@
 //! The tree walker ([`dom`] in [`ExecMode::Compiled`]), [`stream`] and
 //! [`batch`] run the one [`machine`] over a plan's dense tables. [`jump`]
 //! and [`local`] do not: they read the same tables but step their own
-//! DFA states or state sets and close guards themselves (jump re-verifies
-//! each candidate on its ancestor path; local answers a guard at the
-//! node), and [`twopass`] is a separate bottom-up + top-down algorithm.
+//! DFA states or state sets and resolve guards themselves (jump probes
+//! the guard of each branch its table takes at a candidate; local answers
+//! a guard at the node), and [`twopass`] is a separate bottom-up +
+//! top-down algorithm.
 //! The engine's drivers each have one plan-level entry taking observers
 //! and a [`WorkBudget`] ([`evaluate_mfa_plan_budgeted`],
 //! [`evaluate_stream_plan_budgeted`],

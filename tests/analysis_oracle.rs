@@ -230,7 +230,7 @@ fn oracle_step_values(plan: &CompiledMfa) -> OracleSteps {
     };
     let table = analysis.table(mfa.top()).clone();
     let top = plan.nfa(mfa.top());
-    let dfa = top.dfa().or(top.stripped_dfa())?;
+    let dfa = top.table()?;
     let width = plan.width();
     let mut label_of = vec![None; width];
     for (label, col) in plan.referenced_labels() {
@@ -292,7 +292,7 @@ fn check(plan: &CompiledMfa, what: &str) {
             })
             .collect();
         let top = plan.nfa(mfa.top());
-        let dfa = top.dfa().or(top.stripped_dfa()).expect("a DFA");
+        let dfa = top.table().expect("a DFA");
         let steps: Vec<Option<Vec<Vec<u32>>>> = (0..dfa.state_count() as u32)
             .flat_map(|d| (0..plan.width()).map(move |col| (d, col)))
             .map(|(d, col)| values.of_step(d, col).map(<[Vec<u32>]>::to_vec))

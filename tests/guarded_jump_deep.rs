@@ -129,3 +129,54 @@ fn guarded_jump_agrees_with_the_oracle_on_deep_documents_at_every_thread_count()
         }
     }
 }
+
+/// The guard shapes the pooled queries do not ask, on the deep document,
+/// for the admin and through the `researchers` view: guards on `//`
+/// self-loops and starred steps, root-level qualifiers (branching at the
+/// virtual node), `not` / `and` / `or` guards, guards nested inside
+/// searched sub-automata, and value guards that narrow triggers. Each
+/// jumps, answers what the naive oracle answers, and visits no more nodes
+/// than an engine without a TAX index.
+#[test]
+fn guard_shapes_agree_with_the_oracle_on_deep_documents() {
+    let xml = hospital::generate_document(&Vocabulary::new(), SEED, NODES).to_xml();
+    let group = User::Group(hospital::GROUP.into());
+    let mut shapes: Vec<(User, &str)> = [
+        "//*[pname]//medication",
+        "hospital/(patient[visit])*/pname",
+        ".[hospital/patient]//pname",
+        "//patient[not(visit) and (parent or pname = 'Ann')]/pname",
+        "//patient[visit[treatment[medication = 'autism' or not(test)]]]/pname",
+        "//patient[(parent/patient)*/visit[treatment/test]]/pname",
+        "//medication[. = 'headache']",
+    ]
+    .map(|q| (User::Admin, q))
+    .to_vec();
+    shapes.extend(
+        [
+            "(*[treatment])*//medication",
+            ".[not(hospital/patient)]//medication",
+            "//patient[not(parent) and (treatment/medication = 'autism' or treatment)]/treatment",
+            "//patient[(parent/patient)*/treatment[medication = 'headache' or not(test)]]/treatment",
+            "//treatment[medication = 'autism']/medication",
+        ]
+        .map(|q| (group.clone(), q)),
+    );
+    let expected = oracle(&xml, &shapes);
+    let (_plain_engine, plain) = load(&xml, EngineConfig::default(), false);
+    let (_engine, indexed) = load(&xml, EngineConfig::default(), true);
+    for (i, (user, query)) in shapes.iter().enumerate() {
+        let context = format!("`{query}` as {user:?}");
+        let scan = plain.session(user.clone()).query(query).unwrap();
+        let jump = indexed.session(user.clone()).query(query).unwrap();
+        assert_eq!(jump.nodes, expected[i], "{context}");
+        assert_eq!(scan.nodes, expected[i], "{context} without TAX");
+        assert_eq!(jump.mode, ExecMode::Jump, "{context}");
+        assert!(
+            jump.stats.nodes_visited <= scan.stats.nodes_visited,
+            "{context}: jump visited {} > scan {}",
+            jump.stats.nodes_visited,
+            scan.stats.nodes_visited
+        );
+    }
+}

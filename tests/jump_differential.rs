@@ -227,3 +227,57 @@ fn batch_answers_are_independent_of_eval_threads() {
         assert_eq!(batch.events, 0, "DOM batches do not parse (@{threads})");
     }
 }
+
+/// Guard shapes random queries reach rarely, on several documents: guards
+/// on `//` self-loops and on starred steps, qualifiers at the root (whose
+/// branches resolve at the virtual document node), `not` / `and` / `or`
+/// guards, guards nested inside searched sub-automata, and value guards
+/// that narrow triggers to posting lists. Every plan jumps, answers what
+/// the scan walker and the reference evaluator answer, and visits no more
+/// nodes than the scan walker.
+#[test]
+fn hand_picked_guard_shapes_jump_like_the_scan() {
+    let shapes = [
+        "//*[pname]//medication",
+        "(*[visit])*//treatment",
+        "hospital/(patient[visit])*/pname",
+        "//patient//*[not(test)]/medication",
+        ".[hospital]//pname",
+        ".[not(hospital/patient)]//pname",
+        ".[hospital/patient/pname = 'Ann']//visit",
+        "hospital[patient/pname = 'Ann']/patient",
+        "//patient[not(visit) and (parent or pname = 'Ann')]/pname",
+        "//treatment[medication = 'autism' or test = 'headache' or not(medication)]",
+        "//patient[visit[treatment[medication = 'autism' or not(test)]]]/pname",
+        "//patient[(parent/patient)*/visit[treatment/test]]/pname",
+        "//patient[.//medication = 'autism']//test",
+        "//medication[. = 'headache']",
+        "//treatment[medication = 'autism']/medication",
+        "//patient[pname = 'Ann']/visit",
+    ];
+    for doc_seed in 0..4 {
+        let (vocab, doc, _) = setup(doc_seed);
+        let tax = TaxIndex::build(&doc);
+        for q in shapes {
+            let path = parse_path(q, &vocab).unwrap();
+            let plan = CompiledMfa::compile(&optimize(&compile(&path, &vocab)));
+            assert!(jump_eligible(&plan), "`{q}` jumps");
+            let expected = naive(&doc, &path);
+            let options = DomOptions { tax: Some(&tax) };
+            let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
+            let (a_jump, s_jump) = run(ExecMode::Jump);
+            let (a_scan, s_scan) = run(ExecMode::Compiled);
+            assert_eq!(a_jump, expected, "jump vs naive on `{q}`, doc {doc_seed}");
+            assert_eq!(
+                a_scan, expected,
+                "compiled vs naive on `{q}`, doc {doc_seed}"
+            );
+            assert!(
+                s_jump.nodes_visited <= s_scan.nodes_visited,
+                "`{q}`, doc {doc_seed}: jump visited {} > scan {}",
+                s_jump.nodes_visited,
+                s_scan.nodes_visited
+            );
+        }
+    }
+}
