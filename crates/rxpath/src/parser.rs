@@ -77,6 +77,17 @@ struct Parser<'a> {
     vocab: &'a Vocabulary,
     /// Open parentheses and brackets around the current position.
     nesting: usize,
+    /// By token position, the error of a parenthesized path group that
+    /// failed to parse there (empty until one fails). A group parses the
+    /// same wherever it is tried from — the open brackets before a
+    /// position fix its nesting — so [`Parser::parenthesized`], which tries
+    /// each `(` as a path before reading it as a qualifier, never parses
+    /// the groups nested in a failed one again: `a[((…(b and c)…))]`
+    /// costs linear, not quadratic, time in its depth.
+    failed_groups: Vec<Option<ParseError>>,
+    /// Path primaries read, memo hits included: the parser's work.
+    #[cfg(test)]
+    primaries: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -86,6 +97,9 @@ impl<'a> Parser<'a> {
             pos: 0,
             vocab,
             nesting: 0,
+            failed_groups: Vec::new(),
+            #[cfg(test)]
+            primaries: 0,
         })
     }
 
@@ -256,24 +270,40 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> Parsed<Path> {
+        #[cfg(test)]
+        {
+            self.primaries += 1;
+        }
+        let at = self.pos;
+        if let Some(Some(err)) = self.failed_groups.get(at) {
+            return Err(err.clone());
+        }
         if !self.eat(&TokenKind::LParen) {
             return self.step();
         }
         self.enter()?;
         let inner = self.union();
-        self.group(inner)
+        self.group(at, inner)
     }
 
-    /// `(p)`, once `p` is read, with the Kleene star that binds only to a
-    /// parenthesized group.
-    fn group(&mut self, inner: Parsed<Path>) -> Parsed<Path> {
+    /// `(p)` opened at token `at`, once `p` is read, with the Kleene star
+    /// that binds only to a parenthesized group; a failure is remembered.
+    fn group(&mut self, at: usize, inner: Parsed<Path>) -> Parsed<Path> {
         self.leave();
-        let (path, depth) = inner?;
-        self.expect(TokenKind::RParen)?;
-        match self.eat(&TokenKind::Star) {
-            true => Ok((Path::star(path), self.compound([depth])?)),
-            false => Ok((path, depth)),
+        let group = inner.and_then(|(path, depth)| {
+            self.expect(TokenKind::RParen)?;
+            match self.eat(&TokenKind::Star) {
+                true => Ok((Path::star(path), self.compound([depth])?)),
+                false => Ok((path, depth)),
+            }
+        });
+        if let Err(err) = &group {
+            if self.failed_groups.is_empty() {
+                self.failed_groups.resize(self.tokens.len(), None);
+            }
+            self.failed_groups[at] = Some(err.clone());
         }
+        group
     }
 
     /// `NAME | '*' | '.'`.
@@ -572,5 +602,37 @@ mod tests {
         let flat = vec!["b"; 5_000].join("/");
         parse_path(&flat, &vocab).unwrap();
         parse_path(&vec!["b"; 5_000].join(" | "), &vocab).unwrap();
+    }
+
+    #[test]
+    fn nested_parenthesized_qualifiers_parse_in_linear_work() {
+        // Every `(` is first tried as a path group, which fails only at
+        // the innermost `and`: the path groups read per query must grow
+        // with the depth, not with its square.
+        let vocab = Vocabulary::new();
+        let primaries = |depth: usize| {
+            let q = format!("a[{}b and c{}]", "(".repeat(depth), ")".repeat(depth));
+            let mut p = Parser::new(&q, &vocab).unwrap();
+            p.union().unwrap();
+            p.expect_eof().unwrap();
+            p.primaries
+        };
+        for depth in [1, 10, 100, MAX_DEPTH - 1] {
+            let work = primaries(depth);
+            assert!(work <= 3 * depth + 8, "depth {depth}: {work} primaries");
+        }
+        // The same shape under `not` and inside a path group.
+        for q in [
+            format!("a[not({}b or c{})]", "(".repeat(200), ")".repeat(200)),
+            format!("(a[{}b and c{}])*", "(".repeat(200), ")".repeat(200)),
+        ] {
+            let mut p = Parser::new(&q, &vocab).unwrap();
+            p.union().unwrap();
+            assert!(
+                p.primaries <= 3 * 200 + 8,
+                "`{q}`: {} primaries",
+                p.primaries
+            );
+        }
     }
 }
