@@ -135,7 +135,9 @@ fn main() {
 /// stage, the median time and the median heap allocations of a round;
 /// `top %` is the share of compile time the top NFA alone takes, found by
 /// compiling the plan with every sub-automaton replaced by a one-state
-/// automaton. A reported number, not a gate.
+/// automaton; `table states` and `branches` size the top NFA's exact
+/// navigation table (its DFA states and its guard-branch nodes). A
+/// reported number, not a gate.
 fn plan_stages(quick: bool) {
     println!("## plan_stages  a group plan-cache miss, stage by stage\n");
     let rounds = if quick { 200 } else { 2_000 };
@@ -172,12 +174,14 @@ fn plan_stages(quick: bool) {
         header.push(s);
         header.push("allocs");
     }
-    header.push("top %");
+    header.extend(["top %", "table states", "branches"]);
     let mut table = Table::new(&header);
     for (name, query) in &queries {
         let mut us: Vec<Vec<f64>> = vec![Vec::new(); stages.len()];
         let mut allocs: Vec<Vec<u64>> = vec![Vec::new(); stages.len()];
         let mut top_share = Vec::new();
+        // The top NFA's navigation table: states and branch nodes.
+        let mut nav = None;
         for round in 0..rounds {
             let text = query.replace("{}", &format!("zz{round}"));
             let (path, t0, a0) = stage(|| parse_path(&text, vocab).expect("query parses"));
@@ -205,6 +209,11 @@ fn plan_stages(quick: bool) {
                 vocab.clone(),
             ));
             let (plan, t3, a3) = stage(|| CompiledMfa::from_arc(mfa));
+            nav = Some(
+                plan.nfa(plan.mfa().top())
+                    .table()
+                    .map_or((0, 0), |table| (table.state_count(), table.branch_count())),
+            );
             let ((), t4, a4) = stage(|| drop(plan));
             for (k, (t, a)) in [(t0, a0), (t1, a1), (t2, a2), (t3, a3), (t4, a4)]
                 .into_iter()
@@ -222,12 +231,16 @@ fn plan_stages(quick: bool) {
             row.push(median(allocs[k].clone()).to_string());
         }
         row.push(format!("{:.0}", median(top_share)));
+        let (states, branches) = nav.expect("at least one round");
+        row.push(states.to_string());
+        row.push(branches.to_string());
         table.row(row);
     }
     println!("{}", table.render());
     println!(
         "median µs and heap allocations per stage over {rounds} rounds; compile includes \
-         every per-plan analysis; drop frees an evicted plan\n"
+         every per-plan analysis; drop frees an evicted plan; table states and branches \
+         size the top NFA's navigation table (0 states: none, past the cap)\n"
     );
 }
 
@@ -572,9 +585,13 @@ fn jump_vs_scan(quick: bool) {
 /// latency distribution of each, for a group update (refused with
 /// `UpdateDenied`) and for a group query (answered with nothing), on a
 /// 100 000-node document (10 000 with `quick`). The three kinds take
-/// turns, so drift of the host spreads over all of them alike. A reported
-/// number, not a gate: the differences are microseconds on a host whose
-/// noise is of the same order.
+/// turns, so drift of the host spreads over all of them alike. Beside the
+/// percentiles, a second table sets each refused target against the
+/// absent one over their interleaved samples: the Kolmogorov–Smirnov
+/// distance between the two latency distributions and P(a < b), the
+/// chance that a refusal of the first kind is faster than one of the
+/// absent kind. Reported numbers, not a gate: the differences are
+/// microseconds on a host whose noise is of the same order.
 fn deny_timing(quick: bool) {
     println!("## deny_timing  refusal latency by kind of target, as `researchers`\n");
     let (size, rounds) = if quick {
@@ -612,6 +629,7 @@ fn deny_timing(quick: bool) {
     ];
     let group = handle.session(smoqe::User::Group(hospital::GROUP.into()));
     let mut table = Table::new(&["op", "target", "n", "p50", "p90", "p99"]);
+    let mut versus = Table::new(&["op", "a", "b", "KS distance", "P(a < b)"]);
     for op in ["update", "query"] {
         let mut samples: Vec<Vec<std::time::Duration>> = vec![Vec::new(); targets.len()];
         // Round 0 warms up (plans, the view count) and is not kept.
@@ -631,7 +649,7 @@ fn deny_timing(quick: bool) {
                 }
             }
         }
-        for ((name, _), mut latencies) in targets.iter().zip(samples) {
+        for (k, latencies) in samples.iter_mut().enumerate() {
             latencies.sort_unstable();
             let at = |p: f64| {
                 let rank = (p / 100.0 * (latencies.len() - 1) as f64).round() as usize;
@@ -639,15 +657,57 @@ fn deny_timing(quick: bool) {
             };
             table.row(vec![
                 op.to_string(),
-                name.to_string(),
+                targets[k].0.to_string(),
                 latencies.len().to_string(),
                 at(50.0),
                 at(90.0),
                 at(99.0),
             ]);
         }
+        // Each refused target against the absent one.
+        let absent = &samples[2];
+        for (k, (name, _)) in targets.iter().enumerate().take(2) {
+            let (distance, below) = two_sample(&samples[k], absent);
+            versus.row(vec![
+                op.to_string(),
+                name.to_string(),
+                targets[2].0.to_string(),
+                format!("{distance:.3}"),
+                format!("{below:.3}"),
+            ]);
+        }
     }
     println!("{}", table.render());
+    println!("{}", versus.render());
+}
+
+/// Two-sample statistics of sorted samples `a` and `b`: the
+/// Kolmogorov–Smirnov distance (the largest gap between their empirical
+/// distribution functions: 0 when alike, 1 when every `a` lies on one
+/// side of every `b`), and the probability that a random `a` is below a
+/// random `b`, ties counting half (0.5 when neither tends to be faster).
+fn two_sample(a: &[std::time::Duration], b: &[std::time::Duration]) -> (f64, f64) {
+    let (n, m) = (a.len() as f64, b.len() as f64);
+    let (mut i, mut j, mut distance) = (0, 0, 0.0f64);
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] == x {
+            i += 1;
+        }
+        while j < b.len() && b[j] == x {
+            j += 1;
+        }
+        distance = distance.max((i as f64 / n - j as f64 / m).abs());
+    }
+    let below: f64 = a
+        .iter()
+        .map(|x| {
+            let lo = b.partition_point(|y| y <= x);
+            let ties = lo - b.partition_point(|y| y < x);
+            (b.len() - lo) as f64 + ties as f64 / 2.0
+        })
+        .sum();
+    (distance, below / (n * m))
 }
 
 /// What one accepted update costs as the document grows, layer by layer
