@@ -8,7 +8,7 @@
 //!
 //! * [`mfa`] — the arena representation ([`Mfa`], [`Nfa`], [`Pred`]);
 //! * [`build`] — linear Thompson compilation from Regular XPath
-//!   ([`compile`]);
+//!   ([`compile()`]);
 //! * [`analysis`] — required-label analysis powering TAX pruning, plus
 //!   reachability and guard-free simulation helpers;
 //! * [`guards`] — guard classification: child-chain guards

@@ -30,9 +30,10 @@ pub struct EngineConfig {
     pub plan_cache_capacity: usize,
     /// Durable engines only: checkpoint automatically after this many
     /// WAL records have accumulated since the last checkpoint (0 = never
-    /// checkpoint periodically; explicit [`Engine::checkpoint`]
-    /// (crate::engine::Engine::checkpoint) calls — e.g. on graceful
-    /// server drain — still work). Ignored by in-memory engines.
+    /// checkpoint periodically; explicit
+    /// [`Engine::checkpoint`](crate::engine::Engine::checkpoint) calls —
+    /// e.g. on graceful server drain — still work). Ignored by in-memory
+    /// engines.
     pub checkpoint_every: u64,
 }
 

@@ -77,7 +77,7 @@ pub enum DurError {
     RecordTooLarge {
         /// Encoded payload size the record would have had.
         size: u64,
-        /// The enforced ceiling ([`wal::MAX_RECORD`]).
+        /// The enforced ceiling (the write-ahead log's `MAX_RECORD`).
         limit: u64,
     },
     /// Replaying the record with this LSN failed against the recovered

@@ -22,7 +22,7 @@
 //! * a *complete* record whose checksum or structure is wrong is
 //!   **mid-log corruption**; the scan refuses with a typed error rather
 //!   than guess at the data — see
-//!   [`DurError::Corrupt`](super::DurError::Corrupt).
+//!   [`DurError::Corrupt`].
 
 use super::failpoints::{Failpoint, FailpointRegistry};
 use super::DurError;

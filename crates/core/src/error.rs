@@ -25,7 +25,8 @@ pub enum EngineError {
     /// engines — one batch serves one document.
     BatchMismatch,
     /// An update statement could not be parsed or applied (admin
-    /// surface; group sessions see most of these as [`UpdateDenied`]).
+    /// surface; group sessions see most of these as
+    /// [`UpdateDenied`](EngineError::UpdateDenied)).
     Update(smoqe_update::UpdateError),
     /// The session's security view rejects the update. Deliberately
     /// carries no detail: a write to a hidden node, to a node that does

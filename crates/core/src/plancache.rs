@@ -15,7 +15,7 @@
 //! executable form — compiling the tables once here is what amortizes the
 //! ε-closure/subset-construction/required-label analyses across every
 //! session, batch lane and thread that runs the plan), keyed by exactly
-//! what a plan depends on ([`PlanKey`]). Updates, document reloads and
+//! what a plan depends on (`PlanKey`). Updates, document reloads and
 //! DTD loads leave every plan resident and valid.
 //!
 //! At capacity an insert evicts the **oldest** entry from an

@@ -1,4 +1,4 @@
-//! Two-pass baseline evaluator (the "Arb [8]" contrast of the paper).
+//! Two-pass baseline evaluator (the "Arb \[8\]" contrast of the paper).
 //!
 //! Paper §3: *"previous systems require at least two passes of XML tree
 //! traversal to evaluate even XPath queries. For example, Arb requires a

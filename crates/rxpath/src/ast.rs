@@ -1,6 +1,6 @@
 //! Abstract syntax of Regular XPath.
 //!
-//! Regular XPath (paper §1; Marx [9]) is "a mild extension of XPath which
+//! Regular XPath (paper §1; Marx \[9\]) is "a mild extension of XPath which
 //! supports general Kleene closure `(.)∗` instead of the limited recursion
 //! `//`". The downward fragment the paper uses is
 //!

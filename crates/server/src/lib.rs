@@ -20,7 +20,7 @@
 //!   over-quota requests get a `Busy` response carrying a retry-after
 //!   hint, never a disconnect and never an unbounded buffer.
 //! * [`trace`] — a fixed-capacity ring buffer of per-request
-//!   [`RequestContext`](context::RequestContext) outcomes, dumpable over
+//!   [`RequestContext`] outcomes, dumpable over
 //!   the wire via the `Stats` op: debugging a busy server is grep, not
 //!   guesswork.
 //! * [`client`] — the blocking client library the CLI, tests and the

@@ -7,7 +7,7 @@
 //! automatically translates the specification to the definition of a
 //! (possibly recursively defined) XML view, along with a view schema that
 //! is exposed to the users"* — the construction of Fan, Chan &
-//! Garofalakis [3] reproduced at schema level.
+//! Garofalakis \[3\] reproduced at schema level.
 //!
 //! ## Algorithm
 //!
@@ -28,7 +28,7 @@
 //! ## Documented simplifications (schema-level derivation)
 //!
 //! * A type explicitly exposed somewhere is exposed by that annotation
-//!   uniformly; [3]'s per-context type duplication ("dummy types") is not
+//!   uniformly; \[3\]'s per-context type duplication ("dummy types") is not
 //!   performed. None of the paper's examples need it.
 //! * View-DTD cardinalities: a promoted σ (more than one step) always
 //!   yields `B*`; a direct conditional step weakens the source bound

@@ -6,13 +6,13 @@
 //!
 //! * [`policy`] — access-control policies annotating DTD edges with
 //!   `Y` / `N` / `[qualifier]` (Fig. 3(b));
-//! * [`derive`] — automatic derivation of a view specification + view DTD
+//! * [`derive()`] — automatic derivation of a view specification + view DTD
 //!   from a policy (Fig. 3(c)/(d); Fan–Chan–Garofalakis security views),
 //!   producing Kleene closures for recursive hidden regions;
 //! * [`spec`] — view specifications σ (the DAD/AXSD-style annotation
 //!   mode), parsing, printing and well-formedness validation;
 //! * [`typecheck`] — static typing of Regular XPath against a DTD;
-//! * [`materialize`] — V(T) construction with view→source origins, used
+//! * [`materialize()`] — V(T) construction with view→source origins, used
 //!   by the equivalence tests and the materialization baseline, and the
 //!   node counts of V(T) the engine's write path keeps — with σ decided
 //!   by the naive evaluator, the oracle;

@@ -3,8 +3,8 @@
 //! These are the terminal-friendly stand-ins for the iSMOQE windows
 //! (DESIGN.md §4): Fig. 4's automaton view becomes [`mfa_listing`],
 //! Fig. 5's evaluation view becomes [`annotated_tree`] over a
-//! [`TraceCollector`](crate::trace::TraceCollector), and Fig. 6's index
-//! view is [`smoqe_tax::TaxIndex::summary`].
+//! [`TraceCollector`], and Fig. 6's index view is
+//! `smoqe_tax::TaxIndex::summary`.
 
 use crate::trace::{NodeFate, TraceCollector};
 use smoqe_automata::{LabelTest, Mfa, Nfa, NfaId, Pred};

@@ -235,7 +235,7 @@ fn edit_one(
 
 /// Applies `edit` at every node of `targets` (sorted ascending, no
 /// duplicates) in **one splice of `doc`'s tables** (see
-/// [`Document::spliced`]): this function works out the windows — which
+/// `Document::spliced`): this function works out the windows — which
 /// ids and which bytes the edit cuts and writes — and the tables follow
 /// from them, each copied once whatever the number of targets.
 ///

@@ -7,7 +7,7 @@
 //!
 //! * [`Vocabulary`] / [`Label`] — interned element and attribute names;
 //!   all automata and indexes work over dense label ids.
-//! * [`scanner`](crate::scanner) — the one SWAR-accelerated tokenizer
+//! * [`scanner`] — the one SWAR-accelerated tokenizer
 //!   behind both DOM and StAX modes, emitting byte-span tokens.
 //! * [`Document`] / [`TreeBuilder`] — a span-based arena DOM over a shared
 //!   `Arc<str>` buffer (the input, or the serialization a built document
@@ -18,7 +18,7 @@
 //!   ([`serialize::write_subtree_into`], a subtree appended straight into
 //!   a `String`), compact/pretty serialization and an event-driven
 //!   [`serialize::XmlWriter`] used by the streaming evaluator.
-//! * [`edit`](crate::edit) — structural edits (delete/replace/insert of
+//! * [`edit`] — structural edits (delete/replace/insert of
 //!   subtrees) that splice the buffer and the tables around the edit and
 //!   report the changed id window ([`EditSpan`]) for incremental index
 //!   maintenance and incremental validation ([`DirtySet`]).
@@ -26,7 +26,7 @@
 //!   (whole-document or of a node set, content models compiled once),
 //!   and the structural analyses (child alphabets, reachability, recursion,
 //!   minimum heights) the view-derivation algorithm needs.
-//! * [`generate`](crate::generate) — seeded synthetic document generation
+//! * [`generate`](mod@crate::generate) — seeded synthetic document generation
 //!   from a DTD, in DOM or streaming form (the paper's unavailable hospital
 //!   data is substituted this way; see DESIGN.md §4).
 
