@@ -33,8 +33,10 @@
 //!    node's guard-aware state set, less its inert states (non-accepting,
 //!    no consuming transition). Construction aborts past
 //!    [`DFA_STATE_CAP`] states plus branch nodes (the theoretical
-//!    exponential blow-up): a guard-free NFA falls back to the NFA rows,
-//!    and a plan missing a table it needs does not jump.
+//!    exponential blow-up), and past a fixed number of branchings, which
+//!    bounds the work of branches that collapse: a guard-free NFA falls
+//!    back to the NFA rows, and a plan missing a table it needs does not
+//!    jump.
 //! 5. **Required-label analysis**
 //!    ([`required_labels`](crate::analysis::required_labels)) hoisted out of the
 //!    evaluator, so TAX-index pruning reads precomputed data.
@@ -88,6 +90,9 @@ thread_local! {
     /// [`ANALYSIS_RUNS`] counted per thread, so a unit test can pin its own
     /// compilations while other tests compile on parallel threads.
     static THREAD_ANALYSIS_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// [`TableBuilder::close`] calls on this thread, so a test can bound
+    /// the work of a construction and not only its output.
+    static THREAD_CLOSE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A branch node of a guard-branching [`DfaTable`]: which entry a step
@@ -674,117 +679,90 @@ fn has(set: &[u64], s: StateId) -> bool {
 /// closure of a step starts as the union of its targets' unguarded
 /// closures, and [`TableBuilder::close`] branches on each guard it meets.
 /// The output table is a dense `states × width` array of entries; `None`
-/// past [`DFA_STATE_CAP`] states plus branch nodes.
-fn build_table(
-    mfa: &Mfa,
-    nfa: &Nfa,
-    compiled: &CompiledNfa,
-    scratch: &mut Scratch,
-) -> Option<DfaTable> {
+/// past [`DFA_STATE_CAP`] states plus branch nodes, or past
+/// [`DECISION_CAP`] branchings.
+fn build_table(mfa: &Mfa, nfa: &Nfa, compiled: &CompiledNfa, s: &mut Scratch) -> Option<DfaTable> {
     let (n, width) = (compiled.states, compiled.width);
     let words = n.div_ceil(64);
-    let Scratch {
-        seen,
-        stack,
-        closure_bits: bits,
-        guarded,
-        keep,
-        subsets,
-        slots,
-        next,
-        accept,
-        branches,
-        reach,
-        sets,
-        assumed,
-        ..
-    } = scratch;
-    bits.clear();
-    bits.resize(n * words, 0);
-    guarded.clear();
-    keep.clear();
-    keep.resize(words, !0);
+    s.closure_bits.clear();
+    s.closure_bits.resize(n * words, 0);
+    s.guarded.clear();
+    s.keep.clear();
+    s.keep.resize(words, !0);
     if !nfa.has_guards() {
-        for s in nfa.states() {
-            for &t in compiled.closure(s) {
-                bits[s.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
+        for q in nfa.states() {
+            for &t in compiled.closure(q) {
+                s.closure_bits[q.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
             }
         }
     } else {
         // Unguarded closures (a `true` guard is no guard), the guarded
         // edges, and the inert states a leaf drops: non-accepting, with
         // no consuming transition.
-        for s in nfa.states() {
-            for e in nfa.eps_edges(s) {
+        for q in nfa.states() {
+            for e in nfa.eps_edges(q) {
                 if let Some(g) = e.guard.filter(|&g| !matches!(mfa.pred(g), Pred::True)) {
-                    guarded.push((s, g, e.target));
+                    s.guarded.push((q, g, e.target));
                 }
             }
-            if s != nfa.accept() && nfa.transitions(s).is_empty() {
-                keep[s.index() / 64] &= !(1 << (s.index() % 64));
+            if q != nfa.accept() && nfa.transitions(q).is_empty() {
+                s.keep[q.index() / 64] &= !(1 << (q.index() % 64));
             }
         }
-        seen.clear();
-        seen.resize(n, u32::MAX);
-        for s in nfa.states() {
-            stack.push(s);
-            seen[s.index()] = s.0;
-            while let Some(x) = stack.pop() {
-                bits[s.index() * words + x.index() / 64] |= 1 << (x.index() % 64);
+        s.seen.clear();
+        s.seen.resize(n, u32::MAX);
+        for q in nfa.states() {
+            s.stack.push(q);
+            s.seen[q.index()] = q.0;
+            while let Some(x) = s.stack.pop() {
+                s.closure_bits[q.index() * words + x.index() / 64] |= 1 << (x.index() % 64);
                 for e in nfa.eps_edges(x) {
                     let free = e.guard.is_none_or(|g| matches!(mfa.pred(g), Pred::True));
-                    if free && seen[e.target.index()] != s.0 {
-                        seen[e.target.index()] = s.0;
-                        stack.push(e.target);
+                    if free && s.seen[e.target.index()] != q.0 {
+                        s.seen[e.target.index()] = q.0;
+                        s.stack.push(e.target);
                     }
                 }
             }
         }
     }
-    subsets.clear();
-    slots.clear();
-    slots.resize(16, DEAD);
-    next.clear();
-    accept.clear();
-    branches.clear();
-    reach.clear();
-    sets.clear();
-    assumed.clear();
+    s.subsets.clear();
+    s.slots.clear();
+    s.slots.resize(16, DEAD);
+    s.next.clear();
+    s.accept.clear();
+    s.branches.clear();
+    s.reach.clear();
+    s.sets.clear();
+    s.assumed.clear();
     let mut b = TableBuilder {
+        s,
         words,
         accept_state: nfa.accept(),
-        bits,
-        guarded,
-        keep,
-        subsets,
-        slots,
         count: 0,
-        accept,
-        branches,
-        reach,
-        sets,
-        assumed,
+        decisions: 0,
     };
-    b.sets
-        .extend_from_slice(&b.bits[nfa.start().index() * words..][..words]);
+    let start_bits = &b.s.closure_bits[nfa.start().index() * words..][..words];
+    b.s.sets.extend_from_slice(start_bits);
     let start = b.close()?;
     // Process subsets in id order so rows land at `state * width`; newly
     // interned subsets extend the frontier.
     let mut state = 0;
     while state < b.count {
         for col in 0..width {
-            b.sets.clear();
-            b.sets.resize(words, 0);
+            let s = &mut *b.s;
+            s.sets.clear();
+            s.sets.resize(words, 0);
             let mut moved = false;
             for w in 0..words {
-                let mut members = b.subsets[state * words + w];
+                let mut members = s.subsets[state * words + w];
                 while members != 0 {
                     let m = w * 64 + members.trailing_zeros() as usize;
                     members &= members - 1;
                     for &t in compiled.row(StateId(m as u32), col) {
                         moved = true;
                         for i in 0..words {
-                            b.sets[i] |= b.bits[t.index() * words + i];
+                            s.sets[i] |= s.closure_bits[t.index() * words + i];
                         }
                     }
                 }
@@ -793,22 +771,21 @@ fn build_table(
                 true => b.close()?,
                 false => DEAD,
             };
-            next.push(entry);
+            b.s.next.push(entry);
         }
         state += 1;
     }
-    let count = b.count;
-    let branch_count = b.branches.len();
-    let leaves = b.subsets[..count * words].iter();
-    let total = leaves
-        .chain(b.reach.iter())
+    let (count, s) = (b.count, b.s);
+    let total = s.subsets[..count * words]
+        .iter()
+        .chain(s.reach.iter())
         .map(|w| w.count_ones() as usize)
         .sum();
-    let mut member_off = Vec::with_capacity(count + branch_count + 1);
+    let mut member_off = Vec::with_capacity(count + s.branches.len() + 1);
     let mut members = Vec::with_capacity(total);
     member_off.push(0u32);
-    let sets = b.subsets[..count * words].chunks_exact(words);
-    for subset in sets.chain(b.reach.chunks_exact(words)) {
+    let sets = s.subsets[..count * words].chunks_exact(words);
+    for subset in sets.chain(s.reach.chunks_exact(words)) {
         for (w, &word) in subset.iter().enumerate() {
             let mut word = word;
             while word != 0 {
@@ -821,31 +798,32 @@ fn build_table(
     Some(DfaTable {
         width,
         start,
-        next: next.to_vec(),
-        accept: b.accept.to_vec(),
-        branches: b.branches.to_vec(),
+        next: s.next.to_vec(),
+        accept: s.accept.to_vec(),
+        branches: s.branches.to_vec(),
         member_off,
         members,
     })
 }
 
-/// The state of one subset construction: the NFA's closures and guarded
-/// edges, the interned subsets, and the branch nodes built so far.
+/// Branchings one guard-branching table may make. Sides that come out
+/// equal collapse, so a table can stay small while its construction
+/// branches on every combination of verdicts that cannot change a leaf
+/// (`(b[p1])*/…/(b[pk])*` makes about 2^k); the table's size alone does
+/// not bound that work, this does. Real plans make at most a few hundred.
+const DECISION_CAP: usize = 8 * DFA_STATE_CAP;
+
+/// The state of one subset construction: the scratch holding the NFA's
+/// closures and guarded edges, the interned subsets and the branch nodes
+/// built so far.
 struct TableBuilder<'s> {
+    s: &'s mut Scratch,
     words: usize,
     accept_state: StateId,
-    bits: &'s [u64],
-    guarded: &'s [(StateId, PredId, StateId)],
-    keep: &'s [u64],
-    subsets: &'s mut Vec<u64>,
-    slots: &'s mut Vec<u32>,
     /// Number of interned subsets (DFA states).
     count: usize,
-    accept: &'s mut Vec<bool>,
-    branches: &'s mut Vec<Branch>,
-    reach: &'s mut Vec<u64>,
-    sets: &'s mut Vec<u64>,
-    assumed: &'s mut Vec<(PredId, bool)>,
+    /// Branchings made so far, bounded by [`DECISION_CAP`].
+    decisions: usize,
 }
 
 impl TableBuilder<'_> {
@@ -853,20 +831,23 @@ impl TableBuilder<'_> {
     /// ε-edges: closes it over the guards `assumed` true, then branches on
     /// the first guarded edge — in state order — that leaves the set under
     /// a guard not yet assumed, and closes both sides. Sides that come out
-    /// equal collapse into one entry. `None` past the cap.
+    /// equal collapse into one entry. `None` past either cap.
     fn close(&mut self) -> Option<u32> {
+        #[cfg(test)]
+        THREAD_CLOSE_CALLS.with(|calls| calls.set(calls.get() + 1));
         let w = self.words;
-        let at = self.sets.len() - w;
+        let s = &mut *self.s;
+        let at = s.sets.len() - w;
         let verdict = |assumed: &[(PredId, bool)], g: PredId| {
             assumed.iter().find(|&&(p, _)| p == g).map(|&(_, v)| v)
         };
         loop {
             let mut grew = false;
-            for &(src, g, t) in self.guarded {
-                let set = &self.sets[at..];
-                if has(set, src) && !has(set, t) && verdict(&self.assumed[..], g) == Some(true) {
+            for &(src, g, t) in &s.guarded {
+                let set = &s.sets[at..];
+                if has(set, src) && !has(set, t) && verdict(&s.assumed, g) == Some(true) {
                     for i in 0..w {
-                        self.sets[at + i] |= self.bits[t.index() * w + i];
+                        s.sets[at + i] |= s.closure_bits[t.index() * w + i];
                     }
                     grew = true;
                 }
@@ -875,22 +856,26 @@ impl TableBuilder<'_> {
                 break;
             }
         }
-        let set = &self.sets[at..];
-        let open = self.guarded.iter().find(|&&(src, g, t)| {
-            has(set, src) && !has(set, t) && verdict(&self.assumed[..], g).is_none()
+        let set = &s.sets[at..];
+        let open = s.guarded.iter().find(|&&(src, g, t)| {
+            has(set, src) && !has(set, t) && verdict(&s.assumed, g).is_none()
         });
         let Some(&(_, pred, _)) = open else {
             return self.leaf(at);
         };
+        self.decisions += 1;
+        if self.decisions > DECISION_CAP {
+            return None;
+        }
         // The true side closes a copy; the false side then closes the set
         // in place.
-        self.sets.extend_from_within(at..at + w);
-        self.assumed.push((pred, true));
+        s.sets.extend_from_within(at..at + w);
+        s.assumed.push((pred, true));
         let if_true = self.close()?;
-        self.sets.truncate(at + w);
-        self.assumed.last_mut().expect("pushed above").1 = false;
+        self.s.sets.truncate(at + w);
+        self.s.assumed.last_mut().expect("pushed above").1 = false;
         let if_false = self.close()?;
-        self.assumed.pop();
+        self.s.assumed.pop();
         match if_true == if_false {
             true => Some(if_true),
             false => self.branch(Branch {
@@ -905,25 +890,25 @@ impl TableBuilder<'_> {
     /// interned as a DFA state, or [`DEAD`] when none is kept.
     fn leaf(&mut self, at: usize) -> Option<u32> {
         let w = self.words;
+        let s = &mut *self.s;
         let base = self.count * w;
         let mut any = false;
         for i in 0..w {
-            let word = self.sets[at + i] & self.keep[i];
+            let word = s.sets[at + i] & s.keep[i];
             any |= word != 0;
-            self.subsets.push(word);
+            s.subsets.push(word);
         }
         if !any {
-            self.subsets.truncate(base);
+            s.subsets.truncate(base);
             return Some(DEAD);
         }
         let before = self.count;
-        let id = intern(self.subsets, self.slots, w, &mut self.count);
+        let id = intern(&mut s.subsets, &mut s.slots, w, &mut self.count);
         if self.count > before {
-            if self.count + self.branches.len() > DFA_STATE_CAP {
+            if self.count + s.branches.len() > DFA_STATE_CAP {
                 return None;
             }
-            self.accept
-                .push(has(&self.subsets[base..], self.accept_state));
+            s.accept.push(has(&s.subsets[base..], self.accept_state));
         }
         Some(id)
     }
@@ -931,30 +916,31 @@ impl TableBuilder<'_> {
     /// The entry of branch node `b`, shared with an equal one already
     /// built; a new node's reach is the union of its sides'.
     fn branch(&mut self, b: Branch) -> Option<u32> {
-        if let Some(i) = self.branches.iter().position(|&x| x == b) {
+        let s = &mut *self.s;
+        if let Some(i) = s.branches.iter().position(|&x| x == b) {
             return Some(BRANCH | i as u32);
         }
-        if self.count + self.branches.len() + 1 > DFA_STATE_CAP {
+        if self.count + s.branches.len() + 1 > DFA_STATE_CAP {
             return None;
         }
         let w = self.words;
-        let at = self.reach.len();
-        self.reach.resize(at + w, 0);
+        let at = s.reach.len();
+        s.reach.resize(at + w, 0);
         for side in [b.if_true, b.if_false] {
             let from = match side {
                 DEAD => continue,
                 e if e >= BRANCH => (e - BRANCH) as usize * w,
-                s => s as usize * w,
+                q => q as usize * w,
             };
             for i in 0..w {
-                self.reach[at + i] |= match side >= BRANCH {
-                    true => self.reach[from + i],
-                    false => self.subsets[from + i],
+                s.reach[at + i] |= match side >= BRANCH {
+                    true => s.reach[from + i],
+                    false => s.subsets[from + i],
                 };
             }
         }
-        self.branches.push(b);
-        Some(BRANCH | (self.branches.len() - 1) as u32)
+        s.branches.push(b);
+        Some(BRANCH | (s.branches.len() - 1) as u32)
     }
 }
 
@@ -1203,6 +1189,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn collapsing_branches_are_bounded_by_work_not_only_by_size() {
+        // After a `b` step every `(b[. = 'i'])*` hub is in the set, and
+        // once one guard holds the rest lead only to inert states: each
+        // further guard is branched and collapses, about 2^k closures for
+        // a table of k states and k branches.
+        let star_sequence = |k: usize| {
+            let q = (1..=k).map(|i| format!("(b[. = '{i}'])*"));
+            plan_for(&q.collect::<Vec<_>>().join("/")).1
+        };
+        let calls = || THREAD_CLOSE_CALLS.with(|calls| calls.get());
+        let before = calls();
+        let small = star_sequence(6);
+        let table = small
+            .nfa(small.mfa().top())
+            .table()
+            .expect("under the caps");
+        assert_eq!((table.state_count(), table.branch_count()), (6, 6));
+        assert!(calls() - before < 2 * DECISION_CAP as u64);
+        let before = calls();
+        let large = star_sequence(30);
+        assert!(
+            large.nfa(large.mfa().top()).table().is_none(),
+            "past the cap: no jump"
+        );
+        // Every branching makes two closures; the unbranched ones are one
+        // per table entry, at most `DFA_STATE_CAP` states of `width` each.
+        let bound = 2 * DECISION_CAP + 1 + DFA_STATE_CAP * large.width();
+        assert!(
+            calls() - before <= bound as u64,
+            "{} closures",
+            calls() - before
+        );
     }
 
     #[test]

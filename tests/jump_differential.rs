@@ -281,3 +281,48 @@ fn hand_picked_guard_shapes_jump_like_the_scan() {
         }
     }
 }
+
+/// Where exact tables grow past their caps, the plan scans: a union whose
+/// arms each cross their own guard needs one table state per combination
+/// of verdicts (2^9 past the cap of 512, 2^3 under it); a sequence of
+/// twelve guarded stars branches on about 2^13 combinations while
+/// building 13 states, and its construction stops at the branching cap; a
+/// guard-free qualifier whose subset DFA blows up leaves its `HasPath`
+/// guard without a table. Each falls back to the scan walker with the
+/// same answers and the same visits; the small union still jumps.
+#[test]
+fn plans_past_the_table_caps_scan() {
+    let union = |arms: usize| {
+        let arms = (1..=arms).map(|i| format!("patient[pname = '{i}']/visit"));
+        format!("hospital/({})", arms.collect::<Vec<_>>().join(" | "))
+    };
+    let stars = (1..=12).map(|i| format!("(patient[pname = '{i}'])*"));
+    let stars = format!("hospital/{}", stars.collect::<Vec<_>>().join("/"));
+    let shapes = [
+        (union(3), true),
+        (union(9), false),
+        (stars, false),
+        (
+            "//patient[.//visit/*/*/*/*/*/*/*/*/*]/pname".to_string(),
+            false,
+        ),
+    ];
+    let (vocab, doc, _) = setup(1);
+    let tax = TaxIndex::build(&doc);
+    for (q, jumps) in &shapes {
+        let path = parse_path(q, &vocab).unwrap();
+        let plan = CompiledMfa::compile(&optimize(&compile(&path, &vocab)));
+        assert_eq!(jump_eligible(&plan), *jumps, "`{q}`");
+        let expected = naive(&doc, &path);
+        let options = DomOptions { tax: Some(&tax) };
+        let run = |mode| evaluate_mfa_plan(&doc, &plan, &options, mode, &mut NoopObserver);
+        let (a_jump, s_jump) = run(ExecMode::Jump);
+        let (a_scan, s_scan) = run(ExecMode::Compiled);
+        assert_eq!(a_jump, expected, "jump vs naive on `{q}`");
+        assert_eq!(a_scan, expected, "compiled vs naive on `{q}`");
+        match jumps {
+            true => assert!(s_jump.nodes_visited <= s_scan.nodes_visited, "`{q}`"),
+            false => assert_eq!(s_jump.nodes_visited, s_scan.nodes_visited, "`{q}`"),
+        }
+    }
+}
